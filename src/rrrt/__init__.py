@@ -17,9 +17,9 @@ from .packet import Packet
 from .runner import replay, run_experiment, sweep
 from .scenario import ScenarioConfig, SweepSpec, parse_scenario, serialize_scenario
 from .topology import CaModel, DelayBreakdown, Link, NodeSpec, Topology
-from .transport import (DeliveryGoal, Phase, ProbePacket, RateFeedback, SackInfo,
-                        TransportState, apply_rate_feedback, build_sack,
-                        feedback_from_probe, min_transmission_rate, on_feedback_timeout,
-                        on_probe_forward, on_sack, start_connection)
+from .transport import (DeliveryGoal, Phase, RateFeedback, SackInfo, TransportState,
+                        apply_rate_feedback, build_sack, feedback_from_probe,
+                        min_transmission_rate, on_feedback_timeout, on_probe_forward,
+                        on_sack, start_connection)
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ import sys
 
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
-from .runner import (replay, run_and_serialize, sweep, sweep_csv, trace_preamble)
-from .scenario import ScenarioConfig, SweepSpec, parse_scenario, scenario_hash
+from .kernel import SimulationTrace
+from .runner import replay, run_traced, sweep, sweep_csv
+from .scenario import SweepSpec, parse_scenario, scenario_hash
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -72,25 +73,22 @@ def _write(path: str, text: str) -> None:
         fp.write(text)
 
 
-def _write_outputs(out_dir: str, cfg: ScenarioConfig, seed: int, report, trace_text: str) -> None:
+def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    preamble = trace_preamble(cfg, seed)
     header = "".join(f"# {k}={v}\n" for k, v in preamble.items())
-    _write(os.path.join(out_dir, "trace.csv"), trace_text)
+    _write(os.path.join(out_dir, "trace.csv"), trace.serialize(preamble))
     _write(os.path.join(out_dir, "summary.json"),
            json.dumps({"preamble": preamble, **report.to_dict()}, indent=2) + "\n")
     intervals = header + IntervalRow.CSV_HEADER + "\n"
     intervals += "".join(row.csv() + "\n" for row in report.per_interval)
     _write(os.path.join(out_dir, "intervals.csv"), intervals)
-    conn_rows = [line for line in trace_text.split("\n") if ",conn," in line]
     conn = header + "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count\n"
-    for line in conn_rows:
-        cols = line.split(",")
-        info = dict(part.split("=", 1) for part in cols[7].split(";")) if "=" in cols[7] else {}
-        if not info:
+    for time, _, kind, _, _, _, _, info in trace.records:
+        if kind != "conn" or not info:  # a deadline_expired row carries no state
             continue
-        conn += (f"{cols[0]},{info['phase']},{info['r_c']},{info['r_f']},"
-                 f"{info['r_min']},{info['missed']},{info['retx']}\n")
+        state = dict(part.split("=", 1) for part in info.split(";"))
+        conn += (f"{time!r},{state['phase']},{state['r_c']},{state['r_f']},"
+                 f"{state['r_min']},{state['missed']},{state['retx']}\n")
     _write(os.path.join(out_dir, "connection.csv"), conn)
 
 
@@ -112,9 +110,9 @@ def main(argv=None) -> int:
             cfg.sim.seed = args.seed
 
         if args.command == "run":
-            report, trace_text = run_and_serialize(cfg)
+            report, trace, preamble = run_traced(cfg)
             if args.out:
-                _write_outputs(args.out, cfg, cfg.sim.seed, report, trace_text)
+                _write_outputs(args.out, preamble, report, trace)
             _print_summary(report.to_dict(), args.format)
             return EXIT_OK
 

@@ -28,20 +28,19 @@ def mark_packet(pkt: Packet, local_cn: bool) -> Packet:
 
 
 class NodeBuffer:
-    """Egress FIFO of one node: bounded occupancy, drop counting, epoch sampling.
+    """Egress FIFO of one node: bounded occupancy, overflow refusal, epoch sampling.
 
     Epoch boundaries are rolled lazily: occupancy only changes on events at
     this node, so the occupancy at any passed boundary is whatever it has
     been since the last event. Results are identical to a periodic sampler.
     """
 
-    __slots__ = ("capacity", "occupancy", "prev_occupancy", "drops", "epoch_len", "_epoch", "_flag")
+    __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "_epoch", "_flag")
 
     def __init__(self, capacity: int, epoch_len: float = 0.1):
         self.capacity = capacity
         self.occupancy = 0
         self.prev_occupancy = 0
-        self.drops = 0
         self.epoch_len = epoch_len
         self._epoch = 0
         self._flag = False
@@ -55,8 +54,8 @@ class NodeBuffer:
         self.prev_occupancy = self.occupancy
         self._epoch += 1
         if target > self._epoch:
-            # No events in between: occupancy was flat, growth is zero.
-            self._flag = self.occupancy + 0 > self.capacity
+            # No events in between: growth is zero, and occupancy never exceeds capacity.
+            self._flag = False
             self._epoch = target
 
     def try_enqueue(self, now: float) -> str:
@@ -67,7 +66,6 @@ class NodeBuffer:
             if self.occupancy > self.capacity:
                 raise InvariantViolation("buffer occupancy exceeded capacity")
             return ENQUEUED
-        self.drops += 1
         return DROPPED
 
     def release(self, now: float) -> None:

@@ -59,14 +59,12 @@ class IntervalStats:
     t_i: float = math.inf  # finite once dr_o first reaches dr_d
     cn: bool = False
     x: int = 1
-    late: int = 0
 
 
 @dataclass(slots=True)
 class FrequencyBounds:
     f_min: float
     f_cap: float
-    f_max_observed: Optional[float] = None  # emergent congestion onset, recorded not configured
 
 
 @dataclass(slots=True)
@@ -167,14 +165,12 @@ def check_delay_budget(budget: DelayBudget, observed, ep_del: Optional[float] = 
 
 def record_packet_arrival(stats: IntervalStats, pkt: Packet, now: float,
                           targets: ReliabilityTargets) -> IntervalStats:
-    """Count one data-packet arrival: on time towards dr_o, late towards diagnostics."""
+    """Count one data-packet arrival; only on-time packets count towards dr_o."""
     if now - pkt.gen_time <= targets.t_sa:
         stats.dr_o += 1
         if stats.dr_o == targets.dr_d:
             stats.t_i = now - stats.start_time
         stats.cn = stats.cn or pkt.cn
-    else:
-        stats.late += 1
     return stats
 
 
@@ -218,7 +214,7 @@ class IntervalRow:
 
 
 class ReliabilityController:
-    """Per-sub-sink controller state: one open interval plus the closed history."""
+    """Per-sub-sink controller state: the open interval; closed ones go to the trace."""
 
     def __init__(self, targets: ReliabilityTargets, bounds: FrequencyBounds, f_init: float,
                  eq4_alt: bool = False, eq6_alt: bool = False):
@@ -228,7 +224,6 @@ class ReliabilityController:
         self.eq6_alt = eq6_alt
         self.f_current = min(max(f_init, bounds.f_min), bounds.f_cap)
         self.stats = IntervalStats(index=1, f_i=self.f_current, start_time=0.0)
-        self.rows: list[IntervalRow] = []
 
     def on_data_packet(self, pkt: Packet, now: float) -> None:
         record_packet_arrival(self.stats, pkt, now, self.targets)
@@ -241,15 +236,11 @@ class ReliabilityController:
         f_next, x_next = update_frequency(
             stats.f_i, cond, stats, self.targets, self.bounds,
             eq4_alt=self.eq4_alt, eq6_alt=self.eq6_alt)
-        if stats.cn:
-            onset = self.bounds.f_max_observed
-            self.bounds.f_max_observed = stats.f_i if onset is None else min(onset, stats.f_i)
         row = IntervalRow(
             interval=stats.index, dr_o=stats.dr_o, dr_d=self.targets.dr_d, alpha=alpha,
             t_i=stats.t_i, cn=stats.cn, condition=cond.value, f_i=stats.f_i, f_next=f_next,
             x=stats.x, end_time=now,
         )
-        self.rows.append(row)
         self.f_current = f_next
         self.stats = IntervalStats(index=stats.index + 1, f_i=f_next, start_time=now, x=x_next)
         return row

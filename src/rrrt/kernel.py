@@ -27,23 +27,15 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
 
 @dataclass(slots=True)
 class SimEvent:
-    """One scheduled occurrence. `ordinal` is the monotone tiebreaker assigned at schedule time."""
+    """One scheduled occurrence. `ordinal` is the monotone tiebreaker assigned at schedule time;
+    a cancelled event stays queued and is skipped when it comes up."""
 
     time: float
     target: str
     kind: str
     payload: Any = None
     ordinal: int = -1
-
-
-class EventHandle:
-    """Returned by schedule(); permits cancellation before the event fires."""
-
-    __slots__ = ("event", "cancelled")
-
-    def __init__(self, event: SimEvent):
-        self.event = event
-        self.cancelled = False
+    cancelled: bool = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -173,28 +165,24 @@ class Simulator:
     def register(self, node_id: str, handler: Callable[["Simulator", SimEvent], None]) -> None:
         self._handlers[node_id] = handler
 
-    def schedule(self, event: SimEvent) -> EventHandle:
+    def schedule(self, event: SimEvent) -> SimEvent:
+        """Queue `event` and return it; its cancel() keeps it from firing."""
         if event.time < self.now:
             raise PastTime(f"event at t={event.time} before clock t={self.now}")
         self._ordinal += 1
         event.ordinal = self._ordinal
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.time, event.ordinal, handle))
-        return handle
-
-    def schedule_in(self, delay: float, target: str, kind: str, payload: Any = None) -> EventHandle:
-        return self.schedule(SimEvent(self.now + delay, target, kind, payload))
+        heapq.heappush(self._heap, (event.time, self._ordinal, event))
+        return event
 
     def run_until(self, t_end: float) -> SimulationTrace:
         """Process every event with time <= t_end in (time, ordinal) order."""
         heap = self._heap
         handlers = self._handlers
         while heap and heap[0][0] <= t_end:
-            time, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            time, _, event = heapq.heappop(heap)
+            if event.cancelled:
                 continue
             self.now = time
-            event = handle.event
             handlers[event.target](self, event)
         if t_end > self.now:
             self.now = t_end
@@ -202,6 +190,6 @@ class Simulator:
 
     def pending_events(self) -> Iterator[SimEvent]:
         """Events still queued (used to account for in-flight packets at the horizon)."""
-        for _, _, handle in sorted(self._heap):
-            if not handle.cancelled:
-                yield handle.event
+        for _, _, event in sorted(self._heap):
+            if not event.cancelled:
+                yield event

@@ -301,16 +301,18 @@ class CrossTrafficSource:
 
 
 class SubSinkApp:
-    """Sub-sink endpoint: interval accounting, frequency updates, broadcasts."""
+    """Sub-sink endpoint: interval accounting, frequency updates, broadcasts.
+
+    With a delay budget, a data delivery's reason says whether the budget held
+    in literal and in full-sum mode ("10": literal only); the report reads it.
+    """
 
     def __init__(self, runtime: NetworkRuntime, node: str, controller: ReliabilityController,
-                 budget: Optional[DelayBudget] = None, eq2_mode: str = "literal"):
+                 budget: Optional[DelayBudget] = None):
         self.runtime = runtime
         self.node = node
         self.controller = controller
         self.budget = budget
-        self.eq2_mode = eq2_mode
-        self.budget_counts = [0, 0, 0]  # deliveries, literal-ok, full-sum-ok
 
     def start(self, now: float) -> None:
         interval = self.controller.targets.interval_len
@@ -323,9 +325,6 @@ class SubSinkApp:
             observed = DelayBreakdown(pkt.b_sum, pkt.ca_sum, pkt.t_sum, pkt.p_sum)
             lit = check_delay_budget(self.budget, observed, mode="literal")
             full = check_delay_budget(self.budget, observed, mode="full-sum")
-            self.budget_counts[0] += 1
-            self.budget_counts[1] += lit
-            self.budget_counts[2] += full
             reason = f"{int(lit)}{int(full)}"
         sim.trace.log(now, self.node, "deliver", pkt.pid, -1, reason, pkt.gen_time, pkt.flow)
         if pkt.flow == "data":
@@ -341,22 +340,6 @@ class SubSinkApp:
         self.runtime.broadcast(self.node, bcast)
         interval = self.controller.targets.interval_len
         sim.schedule(SimEvent(now + interval, self.node, "interval", None))
-
-    def budget_summary(self) -> Optional[dict]:
-        if self.budget is None:
-            return None
-        n, lit, full = self.budget_counts
-        if n == 0:
-            return None
-        lit_frac = lit / n
-        full_frac = full / n
-        return {
-            "mode": self.eq2_mode,
-            "deliveries": n,
-            "literal_ok_fraction": lit_frac,
-            "full_sum_ok_fraction": full_frac,
-            "satisfied_fraction": lit_frac if self.eq2_mode == "literal" else full_frac,
-        }
 
 
 class TransportSenderApp:
@@ -379,7 +362,6 @@ class TransportSenderApp:
         self.retx_buffer: dict[int, float] = {}
         self.retx_queue: deque[int] = deque()
         self.queued: set[int] = set()
-        self.last_sack: Optional[tp.SackInfo] = None
         self.last_fb_arrival = -math.inf
         self.start_time = 0.0
         self.retx_count = 0
@@ -444,7 +426,6 @@ class TransportSenderApp:
         except StaleFeedback:
             return
         if self.sack_enabled and sack is not None:
-            self.last_sack = sack
             batch = tp.on_sack(self.state, sack, self.retx_buffer, now)
             tail = tp.overdue_tail(self.state, sack, self.retx_buffer, now,
                                    all_sent=self.next_new > self.total)
@@ -540,16 +521,14 @@ class TransportReceiverApp:
         self.t_fdbk = t_fdbk
         self.sack_enabled = sack_enabled
         self.received: set[int] = set()
-        self.path_delay: Optional[float] = None
-        self.path_hops: int = 0
+        self.path: Optional[Packet] = None  # latest arrival carrying a path measurement
 
     def start(self, now: float) -> None:
         self.runtime.sim.schedule(SimEvent(now + self.t_fdbk, self.node, "fb_tick", None))
 
     def _note_path(self, pkt: Packet) -> None:
         if pkt.bottleneck_delay is not None and pkt.bottleneck_delay > 0.0:
-            self.path_delay = pkt.bottleneck_delay
-            self.path_hops = pkt.hop_count
+            self.path = pkt
 
     def on_packet(self, pkt: Packet, now: float) -> None:
         self._note_path(pkt)
@@ -572,11 +551,10 @@ class TransportReceiverApp:
         sim.schedule(SimEvent(sim.now + self.t_fdbk, self.node, "fb_tick", None))
 
     def _send_feedback(self, now: float) -> None:
-        if self.path_delay is None:
+        if self.path is None:
             return
         sim = self.runtime.sim
-        fb = tp.RateFeedback(r_f=1.0 / self.path_delay, hop_count=self.path_hops,
-                             issued_at=now)
+        fb = tp.feedback_from_probe(self.path, issued_at=now)
         sack = tp.build_sack(self.received) if self.sack_enabled else tp.build_sack(set())
         pkt = Packet(pid=sim.new_pid(), kind=KIND_FEEDBACK, flow="ctl", src=self.node,
                      dst=self.peer, gen_time=now, payload=(fb, sack))

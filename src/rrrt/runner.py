@@ -135,7 +135,7 @@ def build_field(cfg: ScenarioConfig, seed: int) -> FieldHarness:
     budget = None
     if cfg.budget.delta_e2a > 0:
         budget = DelayBudget(cfg.budget.delta_e2a, cfg.budget.ep_del, cfg.budget.a_del)
-    sink_app = SubSinkApp(runtime, SINK, controller, budget, cfg.switches.eq2_mode)
+    sink_app = SubSinkApp(runtime, SINK, controller, budget)
     runtime.attach_app(SINK, sink_app)
 
     sources = []
@@ -184,44 +184,6 @@ def measured_flow(cfg: ScenarioConfig) -> str:
     return "data" if cfg.scenario.mode == "field" else "xfer"
 
 
-def run_experiment(cfg: ScenarioConfig, seed: Optional[int] = None,
-                   audit: bool = True) -> MetricsReport:
-    """One deterministic run: build, run to the horizon, audit, extract metrics."""
-    seed = cfg.sim.seed if seed is None else seed
-    if cfg.scenario.mode == "field":
-        harness = build_field(cfg, seed)
-    else:
-        harness = build_transport(cfg, seed)
-    sim = harness.sim
-    sim.run_until(cfg.sim.horizon)
-    harness.finalize()
-    if audit:
-        audit_trace(sim.trace)
-    return report_from_trace(sim.trace, cfg, seed,
-                             budget=getattr(harness, "sink_app", None))
-
-
-def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
-                      budget=None) -> MetricsReport:
-    flow = measured_flow(cfg)
-    rows = interval_rows_from_trace(trace)
-    ledger = EnergyLedger(cfg.energy.e_tx, cfg.energy.e_rx)
-    energy = total_energy(trace, ledger)
-    try:
-        delay = average_packet_delay(trace, flow)
-    except NoDeliveries:
-        delay = None
-    return MetricsReport(
-        convergence_time=convergence_time(rows, cfg.controller.beta),
-        total_energy=energy,
-        aggregate_throughput=aggregate_throughput(trace, flow),
-        average_packet_delay=delay,
-        per_interval=rows,
-        per_run_seed=seed,
-        delay_budget=budget.budget_summary() if budget is not None else None,
-    )
-
-
 def trace_preamble(cfg: ScenarioConfig, seed: int) -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
@@ -235,44 +197,71 @@ def trace_preamble(cfg: ScenarioConfig, seed: int) -> dict:
     }
 
 
-def run_and_serialize(cfg: ScenarioConfig, seed: Optional[int] = None) -> tuple[MetricsReport, str]:
-    """Run and return (report, serialized trace with preamble)."""
+def run_traced(cfg: ScenarioConfig,
+               seed: Optional[int] = None) -> tuple[MetricsReport, SimulationTrace, dict]:
+    """One deterministic run: build, run to the horizon, audit, reduce.
+
+    Returns the report, the finished trace and the preamble that goes with it.
+    """
     seed = cfg.sim.seed if seed is None else seed
-    if cfg.scenario.mode == "field":
-        harness = build_field(cfg, seed)
-    else:
-        harness = build_transport(cfg, seed)
+    build = build_field if cfg.scenario.mode == "field" else build_transport
+    harness = build(cfg, seed)
     harness.sim.run_until(cfg.sim.horizon)
     harness.finalize()
-    audit_trace(harness.sim.trace)
-    report = report_from_trace(harness.sim.trace, cfg, seed,
-                               budget=getattr(harness, "sink_app", None))
-    text = harness.sim.trace.serialize(trace_preamble(cfg, seed))
-    return report, text
+    trace = harness.sim.trace
+    audit_trace(trace)
+    preamble = trace_preamble(cfg, seed)
+    return _reduce(trace, preamble), trace, preamble
+
+
+def run_experiment(cfg: ScenarioConfig, seed: Optional[int] = None) -> MetricsReport:
+    """The report of one run (see run_traced)."""
+    return run_traced(cfg, seed)[0]
+
+
+def run_and_serialize(cfg: ScenarioConfig, seed: Optional[int] = None) -> tuple[MetricsReport, str]:
+    """Run and return (report, serialized trace with preamble)."""
+    report, trace, preamble = run_traced(cfg, seed)
+    return report, trace.serialize(preamble)
+
+
+def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
+                      budget=None) -> MetricsReport:
+    """Report of a live run's finished trace.
+
+    `budget` is ignored and kept only for callers that still pass it: the
+    delay budget is reduced from the trace's deliver rows, as on replay.
+    """
+    return _reduce(trace, trace_preamble(cfg, seed))
 
 
 def replay_text(text: str) -> MetricsReport:
     """Recompute the metrics of a serialized trace; matches the original exactly."""
-    trace, preamble = SimulationTrace.parse(text)
-    rows = interval_rows_from_trace(trace)
+    return _reduce(*SimulationTrace.parse(text))
+
+
+def _reduce(trace: SimulationTrace, preamble: dict) -> MetricsReport:
+    """The one reduction from a trace and its preamble to a report, live or replayed.
+
+    Preamble values may be the live ones or their serialized strings; floats
+    are written with repr(), so both read back to the same numbers.
+    """
     flow = preamble.get("flow", "data")
-    beta = float(preamble.get("beta", "0.05"))
+    rows = interval_rows_from_trace(trace)
     ledger = EnergyLedger(float(preamble.get("e_tx", "50e-6")),
                           float(preamble.get("e_rx", "25e-6")))
-    energy = total_energy(trace, ledger)
     try:
         delay = average_packet_delay(trace, flow)
     except NoDeliveries:
         delay = None
-    budget_summary = _budget_from_trace(trace, flow, preamble)
     return MetricsReport(
-        convergence_time=convergence_time(rows, beta),
-        total_energy=energy,
+        convergence_time=convergence_time(rows, float(preamble.get("beta", "0.05"))),
+        total_energy=total_energy(trace, ledger),
         aggregate_throughput=aggregate_throughput(trace, flow),
         average_packet_delay=delay,
         per_interval=rows,
         per_run_seed=int(preamble.get("seed", "0")),
-        delay_budget=budget_summary,
+        delay_budget=_budget_from_trace(trace, flow, preamble),
     )
 
 

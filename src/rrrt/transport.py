@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DeadlineExpired, DegenerateProbe, StaleFeedback
+from .packet import Packet
 
 
 class Phase(Enum):
@@ -25,14 +26,6 @@ class Phase(Enum):
     DECREASE = "Decrease"
     HOLD = "Hold"
     PROBE = "Probe"
-
-
-@dataclass(slots=True)
-class ProbePacket:
-    """Path measurement carrier: running max of per-node delay, hops traversed."""
-
-    bottleneck_delay: float = 0.0
-    hop_count: int = 0
 
 
 @dataclass(slots=True)
@@ -108,7 +101,7 @@ def start_connection(goal: DeliveryGoal, now: float, rtt_estimate: float,
         t_fdbk=t_fdbk, t_p=t_p, hold_band=hold_band, decrease_factor=decrease_factor)
 
 
-def on_probe_forward(probe: ProbePacket, node_delay: float) -> ProbePacket:
+def on_probe_forward(probe: Packet, node_delay: float) -> Packet:
     """Intermediate-node update: keep the larger of the field and the local delay."""
     if node_delay > probe.bottleneck_delay:
         probe.bottleneck_delay = node_delay
@@ -116,7 +109,7 @@ def on_probe_forward(probe: ProbePacket, node_delay: float) -> ProbePacket:
     return probe
 
 
-def feedback_from_probe(probe: ProbePacket, issued_at: float = 0.0) -> RateFeedback:
+def feedback_from_probe(probe: Packet, issued_at: float = 0.0) -> RateFeedback:
     """Receiver-side conversion: available rate is the inverse of the slowest hop."""
     if probe.bottleneck_delay <= 0.0:
         raise DegenerateProbe("probe arrived with no intermediate delay update")

@@ -26,7 +26,6 @@ def test_enqueue_overflow_counts_drop():
     buf = NodeBuffer(capacity=100)
     buf.occupancy = 100
     assert buf.try_enqueue(0.01) == DROPPED
-    assert buf.drops == 1
     assert buf.occupancy == 100
 
 
@@ -34,7 +33,6 @@ def test_zero_capacity_drops_everything():
     buf = NodeBuffer(capacity=0)
     for i in range(5):
         assert buf.try_enqueue(0.01 * i) == DROPPED
-    assert buf.drops == 5
 
 
 @pytest.mark.parametrize("capacity,b_k,b_prev,expected", [
@@ -89,12 +87,14 @@ def test_occupancy_never_exceeds_capacity_random_walk():
     for _ in range(5000):
         now += rng.random() * 0.01
         if rng.random() < 0.55:
+            full = buf.occupancy == 13
             if buf.try_enqueue(now) == DROPPED:
+                assert full  # overflow is the only refusal
                 drops += 1
         elif buf.occupancy > 0:
             buf.release(now)
         assert 0 <= buf.occupancy <= 13
-    assert drops == buf.drops > 0
+    assert drops > 0
 
 
 def test_no_drops_or_flags_below_service_rate():
@@ -112,8 +112,7 @@ def test_no_drops_or_flags_below_service_rate():
     sim.schedule(SimEvent(0.0, src, "gen"))
     sim.run_until(30.0)
 
-    assert not [r for r in sim.trace.records if r[2] == "drop"]
-    assert all(buf.drops == 0 for buf in runtime.buffers.values())
+    assert not [r for r in sim.trace.records if r[2] == "drop"]  # overflow included
     assert all(cn is False for _, _, cn in catcher.got)
     assert len(catcher.got) == 600  # one per 0.05 s; the t=30 packet is still in flight
 

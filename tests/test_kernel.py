@@ -73,7 +73,7 @@ def test_same_time_events_fire_in_schedule_order():
 def test_ordinals_unique_and_monotone():
     sim, _ = make_sim()
     handles = [sim.schedule(SimEvent(1.0, "node", "t")) for _ in range(20)]
-    ordinals = [h.event.ordinal for h in handles]
+    ordinals = [h.ordinal for h in handles]
     assert len(set(ordinals)) == 20
     assert ordinals == sorted(ordinals)
 
@@ -85,7 +85,7 @@ def test_cancelled_event_does_not_fire():
     drop.cancel()
     sim.run_until(5.0)
     assert [k for _, k, _ in fired] == ["keep"]
-    assert keep.event.ordinal != drop.event.ordinal
+    assert keep.ordinal != drop.ordinal
 
 
 def test_rng_streams_are_reproducible_and_independent():

@@ -7,6 +7,7 @@ import pytest
 
 from rrrt.cli import main
 from rrrt.errors import Corrupt
+from rrrt.kernel import SimulationTrace
 from rrrt.runner import (build_transport, replay_text, run_and_serialize, run_experiment)
 from rrrt.scenario import ScenarioConfig, serialize_scenario
 
@@ -213,7 +214,19 @@ def test_cli_connection_log_written_for_transport(tmp_path):
     cfg_path = write_cfg(tmp_path, transport_cfg(goal=50, horizon=10.0))
     out = tmp_path / "xp"
     assert main(["run", "--scenario", cfg_path, "--out", str(out)]) == 0
-    conn = (out / "connection.csv").read_text()
-    header = conn.splitlines()[len(conn.splitlines()) - conn.count("\n")]  # first non-# line
-    assert "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count" in conn
-    assert "Hold" in conn or "Increase" in conn
+    lines = [line for line in (out / "connection.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count"
+    rows = [line.split(",") for line in lines[1:]]
+    got = [(float(t), phase, float(r_c), float(r_f), float(r_min), int(missed), int(retx))
+           for t, phase, r_c, r_f, r_min, missed, retx in rows]
+
+    trace, _ = SimulationTrace.parse((out / "trace.csv").read_text())
+    expected = []
+    for rec in trace.records:
+        if rec[2] == "conn" and rec[7]:
+            state = dict(part.split("=", 1) for part in rec[7].split(";"))
+            expected.append((rec[0], state["phase"], float(state["r_c"]), float(state["r_f"]),
+                             float(state["r_min"]), int(state["missed"]), int(state["retx"])))
+    assert got == expected
+    assert {"Hold", "Increase"} & {row[1] for row in got}

@@ -6,6 +6,7 @@ import pytest
 
 from rrrt import transport as tp
 from rrrt.errors import DeadlineExpired, DegenerateProbe, StaleFeedback
+from rrrt.packet import KIND_PROBE, Packet
 from rrrt.runner import build_transport
 from rrrt.scenario import ScenarioConfig
 from oracles import sack_holes_oracle
@@ -14,6 +15,11 @@ from oracles import sack_holes_oracle
 def fresh_state(r_c=100.0, r_min=10.0, phase=tp.Phase.HOLD, hold_band=0.0):
     return tp.TransportState(phase=phase, r_c=r_c, r_min=r_min, rtt_estimate=0.1,
                              t_fdbk=0.5, t_p=1.0, hold_band=hold_band)
+
+
+def probe_packet(bottleneck_delay=0.0, hop_count=0):
+    return Packet(pid=1, kind=KIND_PROBE, flow="ctl", src="a", dst="b", gen_time=0.0,
+                  bottleneck_delay=bottleneck_delay, hop_count=hop_count)
 
 
 def feedback(r_f, hops=2, issued_at=1.0):
@@ -53,7 +59,7 @@ def test_start_connection_rejects_periods_at_or_below_rtt():
 # -- probing -----------------------------------------------------------------------
 
 def test_probe_forward_keeps_the_maximum():
-    probe = tp.ProbePacket(bottleneck_delay=0.003, hop_count=1)
+    probe = probe_packet(bottleneck_delay=0.003, hop_count=1)
     tp.on_probe_forward(probe, 0.005)
     assert probe.bottleneck_delay == 0.005 and probe.hop_count == 2
     tp.on_probe_forward(probe, 0.003)
@@ -61,7 +67,7 @@ def test_probe_forward_keeps_the_maximum():
 
 
 def test_probe_starts_from_zero():
-    probe = tp.ProbePacket()
+    probe = probe_packet()
     assert probe.bottleneck_delay == 0.0
     tp.on_probe_forward(probe, 0.002)
     assert probe.bottleneck_delay == 0.002 and probe.hop_count == 1
@@ -69,17 +75,17 @@ def test_probe_starts_from_zero():
 
 @pytest.mark.parametrize("delay,expected", [(0.01, 100.0), (0.5, 2.0)])
 def test_feedback_from_probe_inverts_bottleneck(delay, expected):
-    fb = tp.feedback_from_probe(tp.ProbePacket(bottleneck_delay=delay, hop_count=3))
+    fb = tp.feedback_from_probe(probe_packet(bottleneck_delay=delay, hop_count=3))
     assert fb.r_f == expected and fb.hop_count == 3
 
 
 def test_feedback_from_degenerate_probe():
     with pytest.raises(DegenerateProbe):
-        tp.feedback_from_probe(tp.ProbePacket())
+        tp.feedback_from_probe(probe_packet())
 
 
 def test_probe_path_maximum_example():
-    probe = tp.ProbePacket()
+    probe = probe_packet()
     for ms in (2, 9, 4, 7, 3):
         tp.on_probe_forward(probe, ms / 1000.0)
     assert probe.bottleneck_delay == pytest.approx(0.009)
@@ -92,7 +98,7 @@ def test_probe_path_maximum_randomized_oracle():
     rng = random.Random(77)
     for _ in range(1000):
         delays = [rng.uniform(1e-4, 0.05) for _ in range(rng.randint(1, 8))]
-        probe = tp.ProbePacket()
+        probe = probe_packet()
         for d in delays:
             tp.on_probe_forward(probe, d)
         assert probe.bottleneck_delay == max(delays)
