@@ -11,8 +11,7 @@ from .controller import (DelayBudget, FrequencyBounds, IntervalStats, NetworkCon
                          classify_condition, record_packet_arrival, reliability_indicator,
                          update_frequency)
 from .kernel import SimEvent, SimulationTrace, Simulator
-from .metrics import (EnergyLedger, MetricsReport, aggregate_throughput, audit_trace,
-                      average_packet_delay, convergence_time, total_energy)
+from .metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 from .packet import Packet
 from .runner import replay, run_experiment, sweep
 from .scenario import ScenarioConfig, SweepSpec, parse_scenario, serialize_scenario

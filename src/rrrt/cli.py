@@ -15,7 +15,7 @@ import sys
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
 from .kernel import SimulationTrace
-from .runner import replay, run_traced, sweep, sweep_csv
+from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
 from .scenario import SweepSpec, parse_scenario, scenario_hash
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
             values = [ast.literal_eval(v) for v in args.values.split(",")]
             reps = args.reps if args.reps is not None else cfg.sim.repetitions
             rows = sweep(cfg, SweepSpec(args.param, values, reps))
-            text = sweep_csv(rows, {"artifact_version": "0.1.0",
+            text = sweep_csv(rows, {"artifact_version": ARTIFACT_VERSION,
                                     "scenario_hash": scenario_hash(cfg),
                                     "seed": cfg.sim.seed})
             if args.out:

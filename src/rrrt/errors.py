@@ -41,10 +41,6 @@ class StaleFeedback(RrrtError):
     """Rate feedback older than the last applied one; caller should ignore."""
 
 
-class NoDeliveries(RrrtError):
-    """Metric requested over a trace with no application-layer deliveries."""
-
-
 class UnknownParameter(RrrtError):
     """Sweep refers to a configuration path that does not exist."""
 

@@ -1,4 +1,4 @@
-"""Metric extraction and trace auditing.
+"""Trace reduction to a metrics report, and trace auditing.
 
 Everything here is a pure function of an immutable trace, so recomputing a
 report from a serialized trace reproduces it exactly.
@@ -6,67 +6,12 @@ report from a serialized trace reproduces it exactly.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .controller import IntervalRow, classify_condition, reliability_indicator
-from .errors import InvariantViolation, NoDeliveries
+from .errors import InvariantViolation
 from .kernel import SimulationTrace
-
-
-@dataclass
-class EnergyLedger:
-    """Constant per-packet radio costs with per-node transmit/receive counts."""
-
-    e_tx: float = 50e-6
-    e_rx: float = 25e-6
-    tx_count: Counter = field(default_factory=Counter)
-    rx_count: Counter = field(default_factory=Counter)
-
-    def total(self) -> float:
-        tx = sum(self.tx_count.values())
-        rx = sum(self.rx_count.values())
-        return tx * self.e_tx + rx * self.e_rx
-
-    def per_node(self) -> dict[str, float]:
-        nodes = sorted(set(self.tx_count) | set(self.rx_count))
-        return {n: self.tx_count[n] * self.e_tx + self.rx_count[n] * self.e_rx for n in nodes}
-
-
-def total_energy(trace: SimulationTrace, ledger: EnergyLedger) -> float:
-    """Fill the ledger's counts from the trace and return the total joules."""
-    ledger.tx_count.clear()
-    ledger.rx_count.clear()
-    for rec in trace.records:
-        kind = rec[2]
-        if kind == "send":
-            ledger.tx_count[rec[1]] += 1
-        elif kind == "receive":
-            ledger.rx_count[rec[1]] += 1
-    return ledger.total()
-
-
-def aggregate_throughput(trace: SimulationTrace, flow: str = "data") -> int:
-    """Unique application-layer deliveries of the measured flow at the destination."""
-    count = 0
-    for rec in trace.records:
-        if rec[2] == "deliver" and rec[7] == flow:
-            count += 1
-    return count
-
-
-def average_packet_delay(trace: SimulationTrace, flow: str = "data") -> float:
-    """Mean first-delivery latency (delivery time minus generation time)."""
-    total = 0.0
-    count = 0
-    for rec in trace.records:
-        if rec[2] == "deliver" and rec[7] == flow:
-            total += rec[0] - rec[6]  # deliver records carry gen_time in `value`
-            count += 1
-    if count == 0:
-        raise NoDeliveries("trace contains no application-layer deliveries")
-    return total / count
 
 
 def convergence_time(rows: list[IntervalRow], beta: float) -> Optional[float]:
@@ -91,10 +36,6 @@ def convergence_time(rows: list[IntervalRow], beta: float) -> Optional[float]:
     return rows[first].end_time
 
 
-def interval_rows_from_trace(trace: SimulationTrace) -> list[IntervalRow]:
-    return [IntervalRow.decode(rec[7], rec[0]) for rec in trace.records if rec[2] == "interval"]
-
-
 @dataclass
 class MetricsReport:
     """Headline metrics of one run plus the per-interval controller history."""
@@ -117,6 +58,60 @@ class MetricsReport:
             "per_run_seed": self.per_run_seed,
             "delay_budget": self.delay_budget,
         }
+
+
+def reduce_trace(trace: SimulationTrace, preamble: dict) -> MetricsReport:
+    """The one reduction from a trace and its preamble to a report, live or replayed.
+
+    One walk over the records: send and receive rows count towards the
+    energy, each delivery of the measured flow towards the throughput, the
+    delay and the delay budget, and each interval row is decoded. Preamble
+    values may be the live ones or their serialized strings; floats are
+    written with repr(), so both read back to the same numbers.
+    """
+    flow = preamble.get("flow", "data")
+    tx = rx = delivered = budgeted = lit = full = 0
+    delay_sum = 0.0
+    rows: list[IntervalRow] = []
+    for rec in trace.records:
+        kind = rec[2]
+        if kind == "send":
+            tx += 1
+        elif kind == "receive":
+            rx += 1
+        elif kind == "deliver":
+            if rec[7] == flow:
+                delivered += 1
+                delay_sum += rec[0] - rec[6]  # deliver records carry gen_time in `value`
+                reason = rec[5]  # "10": the budget held in literal mode only
+                if len(reason) == 2:
+                    budgeted += 1
+                    lit += reason[0] == "1"
+                    full += reason[1] == "1"
+        elif kind == "interval":
+            rows.append(IntervalRow.decode(rec[7], rec[0]))
+
+    budget = None
+    if budgeted:
+        mode = preamble.get("eq2_mode", "literal")
+        lit_frac, full_frac = lit / budgeted, full / budgeted
+        budget = {
+            "mode": mode,
+            "deliveries": budgeted,
+            "literal_ok_fraction": lit_frac,
+            "full_sum_ok_fraction": full_frac,
+            "satisfied_fraction": lit_frac if mode == "literal" else full_frac,
+        }
+    return MetricsReport(
+        convergence_time=convergence_time(rows, float(preamble.get("beta", "0.05"))),
+        total_energy=(tx * float(preamble.get("e_tx", "50e-6"))
+                      + rx * float(preamble.get("e_rx", "25e-6"))),
+        aggregate_throughput=delivered,
+        average_packet_delay=delay_sum / delivered if delivered else None,
+        per_interval=rows,
+        per_run_seed=int(preamble.get("seed", "0")),
+        delay_budget=budget,
+    )
 
 
 def audit_trace(trace: SimulationTrace) -> dict:

@@ -72,11 +72,9 @@ class NetworkRuntime:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
         link = self.topo.links[(node, hop)]
-        bd = self.topo.sample_channel_delays((node, hop), self.packet_len, depth,
+        wait = max(self.busy_until[node] - now, 0.0)
+        bd = self.topo.sample_channel_delays((node, hop), self.packet_len, wait,
                                              self.rng_of(node))
-        # The sampled b_del is the depth/rate estimator; the wait actually
-        # experienced comes from the egress radio's busy clock (exact FIFO).
-        bd.b_del = max(self.busy_until[node] - now, 0.0)
         self.busy_until[node] = now + bd.b_del + bd.ca_del + bd.t_del
         mark_packet(pkt, buf.flag(now))
         if pkt.bottleneck_delay is not None and node != pkt.src:
@@ -105,20 +103,31 @@ class NetworkRuntime:
             return
         sim.schedule(SimEvent(now + p_del, hop, "arr", (pkt, copy)))
 
-    def _on_arrive(self, sim: Simulator, event: SimEvent) -> None:
-        pkt, copy = event.payload
-        node = event.target
+    def _survives_arrival(self, node: str, pkt: Packet, copy: int) -> bool:
+        """Log a copy's arrival at `node` under the node's fault mode.
+
+        A crashed node never receives it; a drop-all node receives and then
+        drops it. Returns whether the packet lives on at `node`.
+        """
+        sim = self.sim
         now = sim.now
         mode = self.topo.fault_mode(node, now)
         if mode == "crash":
             sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
-            return
+            return False
         sim.trace.log(now, node, "receive", pkt.pid, copy)
         if mode == "drop-all":
             sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
+            return False
+        return True
+
+    def _on_arrive(self, sim: Simulator, event: SimEvent) -> None:
+        pkt, copy = event.payload
+        node = event.target
+        if not self._survives_arrival(node, pkt, copy):
             return
         if node == pkt.dst:
-            self.apps[node].on_packet(pkt, now)
+            self.apps[node].on_packet(pkt, sim.now)
         else:
             self.forward_data(node, pkt)
 
@@ -150,17 +159,10 @@ class NetworkRuntime:
     def _on_ctl_arrive(self, sim: Simulator, event: SimEvent) -> None:
         pkt, copy = event.payload
         node = event.target
-        now = sim.now
-        mode = self.topo.fault_mode(node, now)
-        if mode == "crash":
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
-            return
-        sim.trace.log(now, node, "receive", pkt.pid, copy)
-        if mode == "drop-all":
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
+        if not self._survives_arrival(node, pkt, copy):
             return
         if node == pkt.dst:
-            self.apps[node].on_control(pkt, now)
+            self.apps[node].on_control(pkt, sim.now)
         else:
             self.forward_control(node, pkt)
 
@@ -183,18 +185,11 @@ class NetworkRuntime:
     def _on_broadcast_arrive(self, sim: Simulator, event: SimEvent) -> None:
         pkt = event.payload
         node = event.target
-        now = sim.now
-        mode = self.topo.fault_mode(node, now)
-        if mode == "crash":
-            sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
-            return
-        sim.trace.log(now, node, "receive", pkt.pid, -1)
-        if mode == "drop-all":
-            sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
+        if not self._survives_arrival(node, pkt, -1):
             return
         app = self.apps.get(node)
         if app is not None and hasattr(app, "on_frequency"):
-            app.on_frequency(pkt.payload, now)
+            app.on_frequency(pkt.payload, sim.now)
         self.broadcast(node, pkt)
 
     # -- dispatch / horizon -----------------------------------------------------

@@ -11,11 +11,8 @@ from typing import Optional
 from . import transport as tp
 from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
                          ReliabilityTargets)
-from .errors import NoDeliveries
 from .kernel import SimulationTrace, Simulator
-from .metrics import (EnergyLedger, MetricsReport, aggregate_throughput, audit_trace,
-                      average_packet_delay, convergence_time, interval_rows_from_trace,
-                      total_energy)
+from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
                     SubSinkApp, TransportReceiverApp, TransportSenderApp)
 from .scenario import ScenarioConfig, SweepSpec, get_param, scenario_hash, set_param
@@ -211,7 +208,7 @@ def run_traced(cfg: ScenarioConfig,
     trace = harness.sim.trace
     audit_trace(trace)
     preamble = trace_preamble(cfg, seed)
-    return _reduce(trace, preamble), trace, preamble
+    return reduce_trace(trace, preamble), trace, preamble
 
 
 def run_experiment(cfg: ScenarioConfig, seed: Optional[int] = None) -> MetricsReport:
@@ -232,57 +229,12 @@ def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
     `budget` is ignored and kept only for callers that still pass it: the
     delay budget is reduced from the trace's deliver rows, as on replay.
     """
-    return _reduce(trace, trace_preamble(cfg, seed))
+    return reduce_trace(trace, trace_preamble(cfg, seed))
 
 
 def replay_text(text: str) -> MetricsReport:
     """Recompute the metrics of a serialized trace; matches the original exactly."""
-    return _reduce(*SimulationTrace.parse(text))
-
-
-def _reduce(trace: SimulationTrace, preamble: dict) -> MetricsReport:
-    """The one reduction from a trace and its preamble to a report, live or replayed.
-
-    Preamble values may be the live ones or their serialized strings; floats
-    are written with repr(), so both read back to the same numbers.
-    """
-    flow = preamble.get("flow", "data")
-    rows = interval_rows_from_trace(trace)
-    ledger = EnergyLedger(float(preamble.get("e_tx", "50e-6")),
-                          float(preamble.get("e_rx", "25e-6")))
-    try:
-        delay = average_packet_delay(trace, flow)
-    except NoDeliveries:
-        delay = None
-    return MetricsReport(
-        convergence_time=convergence_time(rows, float(preamble.get("beta", "0.05"))),
-        total_energy=total_energy(trace, ledger),
-        aggregate_throughput=aggregate_throughput(trace, flow),
-        average_packet_delay=delay,
-        per_interval=rows,
-        per_run_seed=int(preamble.get("seed", "0")),
-        delay_budget=_budget_from_trace(trace, flow, preamble),
-    )
-
-
-def _budget_from_trace(trace: SimulationTrace, flow: str, preamble: dict) -> Optional[dict]:
-    n = lit = full = 0
-    for rec in trace.records:
-        if rec[2] == "deliver" and rec[7] == flow and len(rec[5]) == 2:
-            n += 1
-            lit += rec[5][0] == "1"
-            full += rec[5][1] == "1"
-    if n == 0:
-        return None
-    mode = preamble.get("eq2_mode", "literal")
-    lit_frac, full_frac = lit / n, full / n
-    return {
-        "mode": mode,
-        "deliveries": n,
-        "literal_ok_fraction": lit_frac,
-        "full_sum_ok_fraction": full_frac,
-        "satisfied_fraction": lit_frac if mode == "literal" else full_frac,
-    }
+    return reduce_trace(*SimulationTrace.parse(text))
 
 
 def replay(path: str) -> MetricsReport:

@@ -190,16 +190,17 @@ class Topology:
         return link
 
     def sample_channel_delays(self, link_ref: tuple[str, str], packet_len: float,
-                              load: int, rng) -> DelayBreakdown:
+                              wait: float, rng) -> DelayBreakdown:
         """Per-hop delay for one packet: queue wait, channel access, transmission, propagation.
 
-        `load` is the number of packets already queued ahead at the sender.
+        `wait` is the time the packet spends queued before the sender's radio
+        is free, which the caller knows from the radio's busy clock.
         """
         if packet_len <= 0:
             raise ValueError("packet_len must be positive")
         link = self.link(*link_ref)
         return DelayBreakdown(
-            b_del=load / link.service_rate,
+            b_del=wait,
             ca_del=self.ca_model.sample(rng),
             t_del=packet_len / link.bit_rate,
             p_del=link.propagation(),

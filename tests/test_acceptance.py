@@ -14,9 +14,9 @@ import pytest
 from rrrt import transport as tp
 from rrrt.controller import (FrequencyBounds, IntervalStats, ReliabilityTargets,
                              classify_condition, update_frequency)
-from rrrt.metrics import audit_trace, total_energy, EnergyLedger
+from rrrt.metrics import audit_trace
 from rrrt.packet import KIND_PROBE, Packet
-from rrrt.runner import build_transport, run_and_serialize, run_experiment
+from rrrt.runner import build_transport, replay_text, run_and_serialize, run_experiment
 from rrrt.scenario import ScenarioConfig
 from oracles import (intervals_to_adequate, sack_holes_oracle, update_law_transcription)
 
@@ -302,8 +302,7 @@ def test_criterion_8_determinism_conservation_energy():
 
         tx = sum(1 for r in trace.records if r[2] == "send")
         rx = sum(1 for r in trace.records if r[2] == "receive")
-        ledger = EnergyLedger(cfg.energy.e_tx, cfg.energy.e_rx)
-        assert total_energy(trace, ledger) == tx * cfg.energy.e_tx + rx * cfg.energy.e_rx
+        assert replay_text(text).total_energy == tx * cfg.energy.e_tx + rx * cfg.energy.e_rx
         assert rep.total_energy == tx * cfg.energy.e_tx + rx * cfg.energy.e_rx
     _passed(8, "byte-identical reruns; generated = delivered + dropped + pending; "
                "energy equals count-weighted sums exactly")

@@ -1,14 +1,13 @@
-"""Convergence time, energy ledger, throughput, delay, and the trace audit."""
+"""Convergence time, the trace reducer (energy, throughput, delay, budget), and the audit."""
 
 import math
 
 import pytest
 
 from rrrt.controller import IntervalRow
-from rrrt.errors import InvariantViolation, NoDeliveries
+from rrrt.errors import InvariantViolation
 from rrrt.kernel import SimulationTrace
-from rrrt.metrics import (EnergyLedger, aggregate_throughput, audit_trace,
-                          average_packet_delay, convergence_time, total_energy)
+from rrrt.metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 
 
 def row(i, condition, end_time=None, dr_o=100, dr_d=100, cn=False):
@@ -46,18 +45,20 @@ def test_convergence_rederives_condition_when_missing():
     assert convergence_time(rows, 0.05) == 2.0
 
 
+def energy(trace, e_tx=50e-6, e_rx=25e-6):
+    return reduce_trace(trace, {"e_tx": e_tx, "e_rx": e_rx}).total_energy
+
+
 def test_total_energy_linear_combination():
     trace = SimulationTrace()
     for i in range(1000):
         trace.log(float(i), "a", "send", i, i)
         trace.log(float(i) + 0.5, "b", "receive", i, i)
-    ledger = EnergyLedger(e_tx=50e-6, e_rx=25e-6)
-    assert total_energy(trace, ledger) == pytest.approx(0.075)
-    assert ledger.per_node() == {"a": pytest.approx(0.05), "b": pytest.approx(0.025)}
+    assert energy(trace, e_tx=50e-6, e_rx=25e-6) == pytest.approx(0.075)
 
 
 def test_total_energy_empty_trace():
-    assert total_energy(SimulationTrace(), EnergyLedger()) == 0.0
+    assert energy(SimulationTrace()) == 0.0
 
 
 def test_energy_additivity_over_disjoint_node_sets():
@@ -67,9 +68,7 @@ def test_energy_additivity_over_disjoint_node_sets():
         t2.log(float(i), "b", "send", 100 + i, 100 + i)
         t2.log(float(i), "c", "receive", 100 + i, 100 + i)
     merged = SimulationTrace(sorted(t1.records + t2.records))
-    ledger = EnergyLedger()
-    assert total_energy(merged, ledger) == pytest.approx(
-        total_energy(t1, EnergyLedger()) + total_energy(t2, EnergyLedger()))
+    assert energy(merged) == pytest.approx(energy(t1) + energy(t2))
 
 
 def test_throughput_counts_unique_flow_deliveries():
@@ -77,22 +76,50 @@ def test_throughput_counts_unique_flow_deliveries():
     for i in range(5):
         trace.log(float(i), "sink", "deliver", i, -1, "", 0.0, "data")
     trace.log(9.0, "sink", "deliver", 50, -1, "", 0.0, "cross")
-    assert aggregate_throughput(trace, "data") == 5
-    assert aggregate_throughput(trace, "cross") == 1
+    assert reduce_trace(trace, {"flow": "data"}).aggregate_throughput == 5
+    assert reduce_trace(trace, {"flow": "cross"}).aggregate_throughput == 1
 
 
 def test_average_packet_delay_mean_and_guard():
     trace = SimulationTrace()
     trace.log(1.1, "sink", "deliver", 1, -1, "", 1.0, "data")  # 0.1 s
     trace.log(2.3, "sink", "deliver", 2, -1, "", 2.0, "data")  # 0.3 s
-    assert average_packet_delay(trace, "data") == pytest.approx(0.2)
+    assert reduce_trace(trace, {"flow": "data"}).average_packet_delay == pytest.approx(0.2)
 
     single = SimulationTrace()
     single.log(0.5, "sink", "deliver", 1, -1, "", 0.0, "data")
-    assert average_packet_delay(single, "data") == pytest.approx(0.5)
+    assert reduce_trace(single, {"flow": "data"}).average_packet_delay == pytest.approx(0.5)
 
-    with pytest.raises(NoDeliveries):
-        average_packet_delay(SimulationTrace(), "data")
+    assert reduce_trace(SimulationTrace(), {"flow": "data"}).average_packet_delay is None
+
+    # Every report field from one trace: hops, budget-flagged and unflagged
+    # deliveries, a cross-flow delivery the report ignores, two intervals.
+    rows = [row(1, LOW, end_time=1.0), row(2, ADE, end_time=2.0)]
+    full = SimulationTrace()
+    full.log(0.0, "a", "send", 1, 1, "", 0.1)
+    full.log(0.1, "b", "receive", 1, 1)
+    full.log(0.1, "b", "send", 1, 2, "", 0.2)
+    full.log(0.3, "sink", "receive", 1, 2)
+    full.log(0.3, "sink", "deliver", 1, -1, "10", 0.0, "data")
+    full.log(0.5, "sink", "deliver", 2, -1, "01", 0.25, "data")
+    full.log(0.6, "sink", "deliver", 3, -1, "10", 0.5, "data")
+    full.log(0.7, "sink", "deliver", 4, -1, "", 0.5, "data")
+    full.log(0.8, "sink", "deliver", 50, -1, "11", 0.0, "cross")
+    full.log(1.0, "sink", "interval", -1, -1, "", None, rows[0].encode())
+    full.log(2.0, "sink", "interval", -1, -1, "", None, rows[1].encode())
+    preamble = {"flow": "data", "beta": "0.05", "e_tx": "5e-05", "e_rx": "2.5e-05",
+                "seed": "7", "eq2_mode": "full-sum"}
+    assert reduce_trace(full, preamble) == MetricsReport(
+        convergence_time=2.0,
+        total_energy=2 * 5e-05 + 2 * 2.5e-05,
+        aggregate_throughput=4,
+        average_packet_delay=((0.3 - 0.0) + (0.5 - 0.25) + (0.6 - 0.5) + (0.7 - 0.5)) / 4,
+        per_interval=rows,
+        per_run_seed=7,
+        delay_budget={"mode": "full-sum", "deliveries": 3,
+                      "literal_ok_fraction": 2 / 3, "full_sum_ok_fraction": 1 / 3,
+                      "satisfied_fraction": 1 / 3},
+    )
 
 
 def ok_trace():

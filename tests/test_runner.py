@@ -8,7 +8,8 @@ import pytest
 from rrrt.cli import main
 from rrrt.errors import Corrupt
 from rrrt.kernel import SimulationTrace
-from rrrt.runner import (build_transport, replay_text, run_and_serialize, run_experiment)
+from rrrt.runner import (ARTIFACT_VERSION, build_transport, replay_text, run_and_serialize,
+                         run_experiment)
 from rrrt.scenario import ScenarioConfig, serialize_scenario
 
 
@@ -206,6 +207,7 @@ def test_cli_sweep_runs_and_writes_csv(tmp_path, capsys):
                  "--values", "2.0,4.0", "--reps", "2", "--out", str(out)]) == 0
     text = (out / "sweep.csv").read_text()
     assert text.count("\n") >= 3  # preamble + header + 2 rows
+    assert text.splitlines()[0] == f"# artifact_version={ARTIFACT_VERSION}"
     assert main(["sweep", "--scenario", cfg_path, "--param", "controller.zzz",
                  "--values", "1", "--reps", "1"]) == 2
 

@@ -27,7 +27,7 @@ def test_delay_breakdown_total():
 def test_sample_channel_delays_component_formulas():
     topo = small_chain_topo()
     rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(("A", "B"), packet_len=1000.0, load=0, rng=rng)
+    bd = topo.sample_channel_delays(("A", "B"), packet_len=1000.0, wait=0.0, rng=rng)
     assert bd.t_del == pytest.approx(0.004)      # 1000 bits / 250 kbit/s
     assert bd.p_del == pytest.approx(1e-7)        # 30 m / 3e8 m/s
     assert bd.b_del == 0.0
@@ -37,8 +37,8 @@ def test_sample_channel_delays_component_formulas():
 def test_sample_channel_delays_buffering_ratio():
     topo = small_chain_topo()
     rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(("A", "B"), 1000.0, load=10, rng=rng)
-    assert bd.b_del == pytest.approx(0.1)  # 10 packets / 100 packets/s
+    bd = topo.sample_channel_delays(("A", "B"), 1000.0, wait=0.1, rng=rng)
+    assert bd.b_del == 0.1  # the queue wait is the caller's, passed through unchanged
 
 
 def test_self_link_is_rejected_and_unknown():
