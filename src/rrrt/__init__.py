@@ -13,12 +13,11 @@ from .controller import (DelayBudget, FrequencyBounds, IntervalStats, NetworkCon
 from .kernel import SimEvent, SimulationTrace, Simulator
 from .metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 from .packet import Packet
+from .runner import ARTIFACT_VERSION as __version__
 from .runner import replay, run_experiment, sweep
 from .scenario import ScenarioConfig, SweepSpec, parse_scenario, serialize_scenario
-from .topology import CaModel, DelayBreakdown, Link, NodeSpec, Topology
+from .topology import CaModel, DelayBreakdown, Link, Topology
 from .transport import (DeliveryGoal, Phase, RateFeedback, SackInfo, TransportState,
                         apply_rate_feedback, build_sack, feedback_from_probe,
                         min_transmission_rate, on_feedback_timeout, on_probe_forward,
                         on_sack, start_connection)
-
-__version__ = "0.1.0"

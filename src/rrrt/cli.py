@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 scenario validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
 from .kernel import SimulationTrace
 from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
-from .scenario import SweepSpec, parse_scenario, scenario_hash
+from .scenario import SweepSpec, parse_scenario, parse_value, scenario_hash, set_param
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -45,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep_p)
     sweep_p.add_argument("--param", required=True, help="dotted path, e.g. controller.f_init")
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 1,2,4,8")
+                         help="comma-separated values in scenario-file syntax, e.g. 1,2,4,8")
     sweep_p.add_argument("--reps", type=int, default=None,
-                         help="seeds per value (default: [sim] repetitions)")
+                         help="seeds per value: sets [sim] repetitions")
 
     replay_p = sub.add_parser("replay", help="recompute metrics from a serialized trace")
     replay_p.add_argument("--trace", required=True, help="trace file path")
@@ -117,9 +116,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            values = [ast.literal_eval(v) for v in args.values.split(",")]
-            reps = args.reps if args.reps is not None else cfg.sim.repetitions
-            rows = sweep(cfg, SweepSpec(args.param, values, reps))
+            if args.reps is not None:
+                set_param(cfg, "sim.repetitions", args.reps)
+            values = [parse_value(v) for v in args.values.split(",")]
+            rows = sweep(cfg, SweepSpec(args.param, values))
             text = sweep_csv(rows, {"artifact_version": ARTIFACT_VERSION,
                                     "scenario_hash": scenario_hash(cfg),
                                     "seed": cfg.sim.seed})

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import InconsistentStats, InvalidTarget
 from .packet import KIND_FREQ, Packet
@@ -145,22 +144,19 @@ def update_frequency(f_i: float, cond: NetworkCondition, stats: IntervalStats,
     return f_next, x_next
 
 
-def check_delay_budget(budget: DelayBudget, observed, ep_del: Optional[float] = None,
-                       a_del: Optional[float] = None, mode: str = "literal") -> bool:
+def check_delay_budget(budget: DelayBudget, observed, mode: str = "literal") -> bool:
     """Whether the event-to-action bound holds for one observed transport delay.
 
     literal mode charges only the buffering component against the bound;
     full-sum mode charges all four transport components.
     """
-    ep = budget.ep_del if ep_del is None else ep_del
-    act = budget.a_del if a_del is None else a_del
     if mode == "literal":
         transport = observed.b_del
     elif mode == "full-sum":
         transport = observed.total()
     else:
         raise ValueError(f"unknown delay-budget mode {mode!r}")
-    return budget.delta_e2a >= transport + ep + act
+    return budget.delta_e2a >= transport + budget.ep_del + budget.a_del
 
 
 def record_packet_arrival(stats: IntervalStats, pkt: Packet, now: float,
@@ -222,8 +218,8 @@ class ReliabilityController:
         self.bounds = bounds
         self.eq4_alt = eq4_alt
         self.eq6_alt = eq6_alt
-        self.f_current = min(max(f_init, bounds.f_min), bounds.f_cap)
-        self.stats = IntervalStats(index=1, f_i=self.f_current, start_time=0.0)
+        f_i = min(max(f_init, bounds.f_min), bounds.f_cap)
+        self.stats = IntervalStats(index=1, f_i=f_i, start_time=0.0)
 
     def on_data_packet(self, pkt: Packet, now: float) -> None:
         record_packet_arrival(self.stats, pkt, now, self.targets)
@@ -241,11 +237,10 @@ class ReliabilityController:
             t_i=stats.t_i, cn=stats.cn, condition=cond.value, f_i=stats.f_i, f_next=f_next,
             x=stats.x, end_time=now,
         )
-        self.f_current = f_next
         self.stats = IntervalStats(index=stats.index + 1, f_i=f_next, start_time=now, x=x_next)
         return row
 
     def broadcast_packet(self, pid: int, node_id: str, now: float) -> Packet:
         """Frequency broadcast carrying the rate now in force, for flooding to sources."""
         return Packet(pid=pid, kind=KIND_FREQ, flow="ctl", src=node_id, dst="*",
-                      gen_time=now, payload=self.f_current)
+                      gen_time=now, payload=self.stats.f_i)

@@ -8,6 +8,7 @@ trace.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import heapq
 import random
@@ -64,68 +65,54 @@ class SimulationTrace:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.records)
 
-    def to_csv_lines(self, preamble: Optional[dict] = None) -> Iterator[str]:
-        """Serialize deterministically. Floats use repr() so parsing round-trips exactly."""
-        for key, val in (preamble or {}).items():
-            yield f"# {key}={val}"
-        yield ",".join(TRACE_COLUMNS)
+    def serialize(self, preamble: Optional[dict] = None) -> str:
+        """Deterministic CSV text. Floats use repr() so parsing round-trips exactly."""
+        lines = [f"# {key}={val}" for key, val in (preamble or {}).items()]
+        lines.append(",".join(TRACE_COLUMNS))
+        append = lines.append
         for time, node, kind, pid, copy, reason, value, info in self.records:
             val = "" if value is None else repr(value)
             if "," in info or '"' in info:
                 info = '"' + info.replace('"', '""') + '"'
-            yield f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}"
-
-    def serialize(self, preamble: Optional[dict] = None) -> str:
-        return "\n".join(self.to_csv_lines(preamble)) + "\n"
+            append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> tuple["SimulationTrace", dict]:
-        """Inverse of serialize(). Raises Corrupt(line number) on malformed input."""
+        """Inverse of serialize(). Raises Corrupt(line number) on malformed input.
+
+        `#` lines before the header are the preamble; every row after it must
+        be exactly the eight columns serialize() writes.
+        """
         preamble: dict = {}
-        records = []
         lines = text.split("\n")
-        header_seen = False
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
+        rows = iter(lines)
+        for header_line, line in enumerate(rows, start=1):
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
+                key, sep, val = line[1:].strip().partition("=")
+                if sep:
                     preamble[key.strip()] = val
-                continue
-            if not header_seen:
+            elif line:
                 if line != ",".join(TRACE_COLUMNS):
-                    raise Corrupt(lineno, "unexpected trace header")
-                header_seen = True
-                continue
-            records.append(_parse_trace_row(line, lineno))
-        if not header_seen:
+                    raise Corrupt(header_line, "unexpected trace header")
+                break
+        else:
             raise Corrupt(len(lines), "missing trace header")
+        records = []
+        append = records.append
+        reader = csv.reader(rows, strict=True)
+        try:
+            for row in reader:
+                if len(row) != 8:
+                    if not row:  # blank line
+                        continue
+                    raise Corrupt(header_line + reader.line_num, "wrong column count")
+                time, node, kind, pid, copy, reason, value, info = row
+                append((float(time), node, kind, int(pid), int(copy), reason,
+                        None if value == "" else float(value), info))
+        except (csv.Error, ValueError):
+            raise Corrupt(header_line + reader.line_num, "unparsable field") from None
         return cls(records), preamble
-
-
-def _parse_trace_row(line: str, lineno: int) -> tuple:
-    if line.count('"') % 2:
-        raise Corrupt(lineno, "unbalanced quote")
-    if '"' in line:
-        head, quoted, tail = line.partition('"')[0], line.split('"', 1)[1], ""
-        # only the final info column may be quoted
-        info = quoted.rsplit('"', 1)[0].replace('""', '"')
-        parts = head.split(",")[:-1] + [""]
-    else:
-        parts = line.split(",")
-        info = parts[7] if len(parts) == 8 else None
-    if len(parts) < 7 or info is None:
-        raise Corrupt(lineno, "wrong column count")
-    try:
-        time = float(parts[0])
-        pid = int(parts[3])
-        copy = int(parts[4])
-        value = None if parts[6] == "" else float(parts[6])
-    except ValueError:
-        raise Corrupt(lineno, "unparsable field") from None
-    return (time, parts[1], parts[2], pid, copy, parts[5], value, info)
 
 
 class Simulator:

@@ -246,8 +246,6 @@ class SensorSource:
             SimEvent(now + delay, self.node, "gen", None))
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
-        if event.kind != "gen":
-            return
         now = sim.now
         pkt = Packet(pid=sim.new_pid(), kind=KIND_DATA, flow=self.flow, src=self.node,
                      dst=self.sink, gen_time=now)
@@ -326,8 +324,6 @@ class SubSinkApp:
             self.controller.on_data_packet(pkt, now)
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
-        if event.kind != "interval":
-            return
         now = sim.now
         row = self.controller.close_interval(now)
         sim.trace.log(now, self.node, "interval", -1, -1, "", None, row.encode())
@@ -412,15 +408,13 @@ class TransportSenderApp:
     # -- control arrivals -----------------------------------------------------
 
     def on_control(self, pkt: Packet, now: float) -> None:
-        if pkt.kind != KIND_FEEDBACK:
-            return
         fb, sack = pkt.payload
         self.last_fb_arrival = now
         try:
             tp.apply_rate_feedback(self.state, fb)
         except StaleFeedback:
             return
-        if self.sack_enabled and sack is not None:
+        if self.sack_enabled:
             batch = tp.on_sack(self.state, sack, self.retx_buffer, now)
             tail = tp.overdue_tail(self.state, sack, self.retx_buffer, now,
                                    all_sent=self.next_new > self.total)
@@ -428,12 +422,6 @@ class TransportSenderApp:
                 if seq not in self.queued:
                     self.queued.add(seq)
                     self.retx_queue.append(seq)
-        else:
-            # without SACK the buffer only shrinks via the cumulative ack
-            if sack is not None:
-                for seq in list(self.retx_buffer):
-                    if seq <= sack.cumulative_ack:
-                        del self.retx_buffer[seq]
         self._log_state(now, fb.r_f)
         self._ensure_pacing(now)
 
@@ -508,13 +496,11 @@ class TransportSenderApp:
 class TransportReceiverApp:
     """Receiving sub-sink: dedup delivery, path estimation, periodic feedback."""
 
-    def __init__(self, runtime: NetworkRuntime, node: str, peer: str, t_fdbk: float,
-                 sack_enabled: bool = True):
+    def __init__(self, runtime: NetworkRuntime, node: str, peer: str, t_fdbk: float):
         self.runtime = runtime
         self.node = node
         self.peer = peer
         self.t_fdbk = t_fdbk
-        self.sack_enabled = sack_enabled
         self.received: set[int] = set()
         self.path: Optional[Packet] = None  # latest arrival carrying a path measurement
 
@@ -535,13 +521,10 @@ class TransportReceiverApp:
                                    pkt.gen_time, pkt.flow)
 
     def on_control(self, pkt: Packet, now: float) -> None:
-        if pkt.kind == KIND_PROBE:
-            self._note_path(pkt)
-            self._send_feedback(now)
+        self._note_path(pkt)  # only probes are addressed to the receiver
+        self._send_feedback(now)
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
-        if event.kind != "fb_tick":
-            return
         self._send_feedback(sim.now)
         sim.schedule(SimEvent(sim.now + self.t_fdbk, self.node, "fb_tick", None))
 
@@ -550,9 +533,8 @@ class TransportReceiverApp:
             return
         sim = self.runtime.sim
         fb = tp.feedback_from_probe(self.path, issued_at=now)
-        sack = tp.build_sack(self.received) if self.sack_enabled else tp.build_sack(set())
         pkt = Packet(pid=sim.new_pid(), kind=KIND_FEEDBACK, flow="ctl", src=self.node,
-                     dst=self.peer, gen_time=now, payload=(fb, sack))
+                     dst=self.peer, gen_time=now, payload=(fb, tp.build_sack(self.received)))
         self.runtime.forward_control(self.node, pkt)
 
 
@@ -573,7 +555,7 @@ class FixedRateSenderApp:
         self.runtime.sim.schedule(SimEvent(now, self.node, "pace", None))
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
-        if event.kind != "pace" or self.next_seq > self.total:
+        if self.next_seq > self.total:
             return
         now = sim.now
         seq = self.next_seq

@@ -11,13 +11,13 @@ from typing import Optional
 from . import transport as tp
 from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
                          ReliabilityTargets)
+from .errors import ScenarioInvalid
 from .kernel import SimulationTrace, Simulator
 from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
                     SubSinkApp, TransportReceiverApp, TransportSenderApp)
-from .scenario import ScenarioConfig, SweepSpec, get_param, scenario_hash, set_param
-from .topology import (CaModel, Link, NodeSpec, Topology, bit_rate_for_service,
-                       grid_positions)
+from .scenario import ScenarioConfig, SweepSpec, scenario_hash, set_param, validate_scenario
+from .topology import CaModel, Link, Topology, bit_rate_for_service, grid_positions
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -38,8 +38,7 @@ def build_field_topology(cfg: ScenarioConfig) -> tuple[Topology, list[str]]:
     topo_cfg = cfg.topology
     positions = grid_positions(topo_cfg.n_sources, topo_cfg.event_radius)
     sources = [f"s{idx:03d}" for idx in range(topo_cfg.n_sources)]
-    nodes = [NodeSpec(SINK, "sub_sink", (0.0, topo_cfg.event_radius + 5.0))]
-    nodes += [NodeSpec(name, "sensor", pos) for name, pos in zip(sources, positions)]
+    nodes = [SINK] + sources
     links: list[Link] = []
 
     def both_ways(a: str, b: str, dist: float, service: float) -> None:
@@ -52,8 +51,7 @@ def build_field_topology(cfg: ScenarioConfig) -> tuple[Topology, list[str]]:
             dist = (pos[0] ** 2 + (pos[1] - topo_cfg.event_radius - 5.0) ** 2) ** 0.5
             both_ways(name, SINK, dist, topo_cfg.source_service_rate)
     else:
-        nodes.append(NodeSpec(RELAY, "sensor", (0.0, 0.0)))
-        nodes.append(NodeSpec(CROSS, "sensor", (5.0, 0.0)))
+        nodes += [RELAY, CROSS]
         for name, pos in zip(sources, positions):
             dist = max((pos[0] ** 2 + pos[1] ** 2) ** 0.5, 1.0)
             both_ways(name, RELAY, dist, topo_cfg.source_service_rate)
@@ -64,13 +62,11 @@ def build_field_topology(cfg: ScenarioConfig) -> tuple[Topology, list[str]]:
     return topo, sources
 
 
-def build_transport_topology(cfg: ScenarioConfig) -> tuple[Topology, list[str]]:
+def build_transport_topology(cfg: ScenarioConfig) -> Topology:
     """Chain of relays between two sub-sinks; the first relay is the bottleneck."""
     xp = cfg.transport
     relays = [f"r{i + 1}" for i in range(xp.relays)]
     chain = [XP_SENDER] + relays + [XP_RECEIVER]
-    nodes = [NodeSpec(name, "sub_sink" if name in (XP_SENDER, XP_RECEIVER) else "sensor",
-                      (10.0 * i, 0.0)) for i, name in enumerate(chain)]
     links: list[Link] = []
     topo_cfg = cfg.topology
     for i in range(len(chain) - 1):
@@ -86,9 +82,9 @@ def build_transport_topology(cfg: ScenarioConfig) -> tuple[Topology, list[str]]:
         back = bit_rate_for_service(xp.relay_service, topo_cfg.ca_value, topo_cfg.packet_len)
         links.append(Link(a, b, 10.0, rate, service, loss=loss))
         links.append(Link(b, a, 10.0, back, xp.relay_service))
-    topo = Topology(nodes, links, _ca_model(cfg))
+    topo = Topology(chain, links, _ca_model(cfg))
     topo.build_routes([XP_SENDER, XP_RECEIVER])
-    return topo, relays
+    return topo
 
 
 @dataclass
@@ -96,7 +92,6 @@ class FieldHarness:
     sim: Simulator
     runtime: NetworkRuntime
     sink_app: SubSinkApp
-    sources: list[SensorSource]
 
     def finalize(self) -> None:
         self.runtime.log_pending()
@@ -107,7 +102,6 @@ class TransportHarness:
     sim: Simulator
     runtime: NetworkRuntime
     sender: object
-    receiver: TransportReceiverApp
 
     def finalize(self) -> None:
         self.runtime.log_pending()
@@ -149,17 +143,16 @@ def build_field(cfg: ScenarioConfig, seed: int) -> FieldHarness:
     sink_app.start(0.0)
     for src in sources:
         src.start(0.0)
-    return FieldHarness(sim, runtime, sink_app, sources)
+    return FieldHarness(sim, runtime, sink_app)
 
 
 def build_transport(cfg: ScenarioConfig, seed: int) -> TransportHarness:
-    topo, _ = build_transport_topology(cfg)
+    topo = build_transport_topology(cfg)
     sim = Simulator(seed)
     runtime = NetworkRuntime(sim, topo, cfg.topology.packet_len, cfg.topology.ctl_len,
                              cfg.transport.capacity, cfg.congestion.epoch)
     xp = cfg.transport
-    receiver = TransportReceiverApp(runtime, XP_RECEIVER, XP_SENDER, xp.t_fdbk,
-                                    sack_enabled=cfg.switches.sack)
+    receiver = TransportReceiverApp(runtime, XP_RECEIVER, XP_SENDER, xp.t_fdbk)
     runtime.attach_app(XP_RECEIVER, receiver)
     if xp.sender == "adaptive":
         goal = tp.DeliveryGoal(xp.goal_packets, xp.delta_e2a)
@@ -174,7 +167,7 @@ def build_transport(cfg: ScenarioConfig, seed: int) -> TransportHarness:
     runtime.attach_app(XP_SENDER, sender)
     receiver.start(0.0)
     sender.start(0.0)
-    return TransportHarness(sim, runtime, sender, receiver)
+    return TransportHarness(sim, runtime, sender)
 
 
 def measured_flow(cfg: ScenarioConfig) -> str:
@@ -247,16 +240,21 @@ METRIC_NAMES = ("convergence_time", "total_energy", "aggregate_throughput",
 
 
 def sweep(cfg: ScenarioConfig, spec: SweepSpec) -> list[dict]:
-    """One row per swept value: mean and population std-dev of each metric."""
-    get_param(cfg, spec.parameter)  # raises UnknownParameter early
-    rows = []
+    """One row per swept value: mean and population std-dev of each metric over
+    `sim.repetitions` seeds. Every cell is validated before any of them runs."""
+    cells = []
     for value in spec.values:
         cell_cfg = copy.deepcopy(cfg)
         set_param(cell_cfg, spec.parameter, value)
-        reports = [run_experiment(cell_cfg, seed=cell_cfg.sim.seed + i)
-                   for i in range(spec.repetitions)]
-        row: dict = {"parameter": spec.parameter, "value": value,
-                     "repetitions": spec.repetitions}
+        cells.append(cell_cfg)
+    invalid = [violation for cell_cfg in cells for violation in validate_scenario(cell_cfg)]
+    if invalid:
+        raise ScenarioInvalid(invalid)
+    rows = []
+    for value, cell_cfg in zip(spec.values, cells):
+        reps = cell_cfg.sim.repetitions
+        reports = [run_experiment(cell_cfg, seed=cell_cfg.sim.seed + i) for i in range(reps)]
+        row: dict = {"parameter": spec.parameter, "value": value, "repetitions": reps}
         for name in METRIC_NAMES:
             samples = [getattr(r, name) for r in reports]
             present = [s for s in samples if s is not None]

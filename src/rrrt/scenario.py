@@ -125,6 +125,12 @@ class ScenarioConfig:
 
 
 _SECTIONS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
+# "section.key" -> the type of the field's default: bool, int, float or str.
+_FIELD_TYPES = {f"{name}.{f.name}": type(f.default)
+                for name, section in vars(ScenarioConfig()).items()
+                for f in dc_fields(section)}
+_EXPECTED = {bool: "expected true/false", int: "expected an integer",
+             float: "expected a number", str: "expected a string"}
 
 
 def _format_value(value: Any) -> str:
@@ -137,7 +143,8 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def _parse_value(text: str):
+def parse_value(text: str):
+    """A scenario-file value: true/false, a Python literal, or else the bare text."""
     text = text.strip()
     if text == "true":
         return True
@@ -147,6 +154,19 @@ def _parse_value(text: str):
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         return text
+
+
+def _typed(path: str, value):
+    """`value` as field `path` takes it: bool, int (not bool), a number as float, or str.
+
+    Raises ScenarioInvalid naming the field for any other value.
+    """
+    expected = _FIELD_TYPES[path]
+    if expected is float and type(value) is int:
+        value = float(value)
+    if type(value) is not expected:
+        raise ScenarioInvalid([Validation(path, _EXPECTED[expected])])
+    return value
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
@@ -165,7 +185,6 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     violations: list[Validation] = []
     section_name = None
     section_obj = None
-    known_keys: set[str] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,7 +196,6 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
                 section_obj = None
             else:
                 section_obj = getattr(cfg, section_name)
-                known_keys = {f.name for f in dc_fields(section_obj)}
             continue
         if "=" not in line:
             violations.append(Validation(f"line {lineno}", "expected key = value"))
@@ -188,30 +206,14 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             if section_name is None:
                 violations.append(Validation(key, f"key outside any section (line {lineno})"))
             continue
-        if key not in known_keys:
-            violations.append(Validation(f"{section_name}.{key}", "unknown key"))
+        path = f"{section_name}.{key}"
+        if path not in _FIELD_TYPES:
+            violations.append(Validation(path, "unknown key"))
             continue
-        value = _parse_value(value_text)
-        current = getattr(section_obj, key)
-        if isinstance(current, bool):
-            if not isinstance(value, bool):
-                violations.append(Validation(f"{section_name}.{key}", "expected true/false"))
-                continue
-        elif isinstance(current, int) and isinstance(value, bool):
-            violations.append(Validation(f"{section_name}.{key}", "expected an integer"))
-            continue
-        elif isinstance(current, int) and not isinstance(value, int):
-            violations.append(Validation(f"{section_name}.{key}", "expected an integer"))
-            continue
-        elif isinstance(current, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                violations.append(Validation(f"{section_name}.{key}", "expected a number"))
-                continue
-            value = float(value)
-        elif isinstance(current, str) and not isinstance(value, str):
-            violations.append(Validation(f"{section_name}.{key}", "expected a string"))
-            continue
-        setattr(section_obj, key, value)
+        try:
+            setattr(section_obj, key, _typed(path, parse_value(value_text)))
+        except ScenarioInvalid as exc:
+            violations.extend(exc.violations)
     violations.extend(validate_scenario(cfg))
     if violations:
         raise ScenarioInvalid(violations)
@@ -311,27 +313,26 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 
 def get_param(cfg: ScenarioConfig, path: str):
+    if path not in _FIELD_TYPES:
+        raise UnknownParameter(path)
     section_name, _, key = path.partition(".")
-    if section_name not in _SECTIONS or not key:
-        raise UnknownParameter(path)
-    section = getattr(cfg, section_name)
-    if key not in {f.name for f in dc_fields(section)}:
-        raise UnknownParameter(path)
-    return getattr(section, key)
+    return getattr(getattr(cfg, section_name), key)
 
 
 def set_param(cfg: ScenarioConfig, path: str, value) -> None:
-    current = get_param(cfg, path)  # raises UnknownParameter on a bad path
+    """Set one field by dotted path, typed as a scenario file would type it.
+
+    Raises UnknownParameter for a bad path and ScenarioInvalid for a value of
+    the wrong type; range checks are validate_scenario's.
+    """
+    get_param(cfg, path)  # raises UnknownParameter on a bad path
     section_name, _, key = path.partition(".")
-    if isinstance(current, float) and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    setattr(getattr(cfg, section_name), key, value)
+    setattr(getattr(cfg, section_name), key, _typed(path, value))
 
 
 @dataclass
 class SweepSpec:
-    """One swept parameter: dotted path, the values to try, seeds per value."""
+    """One swept parameter: dotted path and the values to try."""
 
     parameter: str
     values: list
-    repetitions: int = 10

@@ -2,8 +2,8 @@
 
 Routes are supplied or computed once by shortest hop count at load time; the
 kernel never recomputes them. Fault injection flips nodes or links into
-`crash` (routing-visible: alternates are consulted, otherwise NoRoute) or
-`drop-all` (silent blackhole: routing is unaware) from a given time onward.
+`crash` (routing-visible: a route through it raises NoRoute) or `drop-all`
+(silent blackhole: routing is unaware) from a given time onward.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ class CaModel:
 
 
 @dataclass(slots=True)
-class NodeSpec:
-    node_id: str
-    role: str  # "sensor" | "sub_sink"
-    pos: tuple[float, float] = (0.0, 0.0)
-
-
-@dataclass(slots=True)
 class Link:
     """Directed link parameters.
 
@@ -65,12 +58,9 @@ class Link:
     distance: float
     bit_rate: float = 250_000.0
     service_rate: float = 200.0
-    prop_base: Optional[float] = None
     loss: float = 0.0
 
     def propagation(self) -> float:
-        if self.prop_base is not None:
-            return self.prop_base
         return self.distance / SIGNAL_SPEED
 
 
@@ -83,12 +73,12 @@ class Fault:
 class Topology:
     """Static node/link/route tables with fault state."""
 
-    def __init__(self, nodes: list[NodeSpec], links: list[Link], ca_model: CaModel = CaModel()):
-        self.nodes: dict[str, NodeSpec] = {}
-        for spec in nodes:
-            if spec.node_id in self.nodes:
-                raise ValueError(f"duplicate node id {spec.node_id!r}")
-            self.nodes[spec.node_id] = spec
+    def __init__(self, nodes: list[str], links: list[Link], ca_model: CaModel = CaModel()):
+        self.nodes: dict[str, None] = {}  # insertion-ordered ids, O(1) membership
+        for node in nodes:
+            if node in self.nodes:
+                raise ValueError(f"duplicate node id {node!r}")
+            self.nodes[node] = None
         self.links: dict[tuple[str, str], Link] = {}
         for link in links:
             if link.src == link.dst:
@@ -100,7 +90,6 @@ class Topology:
             self.links[(link.src, link.dst)] = link
         self.ca_model = ca_model
         self.routes: dict[tuple[str, str], str] = {}
-        self.alternates: dict[tuple[str, str], str] = {}
         self.node_faults: dict[str, Fault] = {}
         self.link_faults: dict[tuple[str, str], Fault] = {}
 
@@ -125,16 +114,14 @@ class Topology:
                     self.routes[(node, dest)] = hop
 
     def next_hop(self, node: str, dest: str, now: float = math.inf) -> str:
-        """Configured next hop, honouring crash faults via the alternate table."""
+        """Configured next hop; a crashed next hop or link severs the route."""
         if node == dest:
             raise NoRoute("destination is self; delivery is handled locally")
         hop = self.routes.get((node, dest))
         if hop is None:
             raise NoRoute(f"no route {node}->{dest}")
-        if self._crashed(hop, now) or self._link_crashed(node, hop, now):
-            alt = self.alternates.get((node, dest))
-            if alt is not None and not self._crashed(alt, now) and not self._link_crashed(node, alt, now):
-                return alt
+        if (self.fault_mode(hop, now) == "crash"
+                or self.link_fault_mode(node, hop, now) == "crash"):
             raise NoRoute(f"route {node}->{dest} severed by fault")
         return hop
 
@@ -159,14 +146,6 @@ class Topology:
             if target not in self.nodes:
                 raise UnknownTarget(f"no such node {target!r}")
             self.node_faults[target] = Fault(at, mode)
-
-    def _crashed(self, node: str, now: float) -> bool:
-        fault = self.node_faults.get(node)
-        return fault is not None and fault.mode == "crash" and now >= fault.at
-
-    def _link_crashed(self, src: str, dst: str, now: float) -> bool:
-        fault = self.link_faults.get((src, dst))
-        return fault is not None and fault.mode == "crash" and now >= fault.at
 
     def fault_mode(self, node: str, now: float) -> Optional[str]:
         """Active fault mode on a node at `now`, if any."""

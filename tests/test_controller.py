@@ -243,9 +243,9 @@ def test_delay_budget_zero_delays_hold_in_both_modes():
 
 
 def test_delay_budget_explicit_overrides():
-    budget = DelayBudget(1.0, 0.0, 0.0)
+    budget = DelayBudget(1.0, 0.5, 0.4)
     observed = DelayBreakdown(0.2, 0.0, 0.0, 0.0)
-    assert check_delay_budget(budget, observed, ep_del=0.5, a_del=0.4, mode="literal") is False
+    assert check_delay_budget(budget, observed, mode="literal") is False
 
 
 # -- controller composition -------------------------------------------------------
@@ -263,7 +263,7 @@ def test_adequate_interval_is_a_broadcast_fixed_point():
     row = ctl.close_interval(1.0)
     assert row.condition == "AdequateRelNoCong"
     assert row.f_next == row.f_i == 4.0
-    assert ctl.f_current == 4.0
+    assert ctl.stats.f_i == 4.0
 
 
 def test_zero_arrival_interval_broadcasts_cap():

@@ -123,6 +123,11 @@ def test_trace_parse_rejects_garbage():
         SimulationTrace.parse("time,node\n0.5,n0\n")
     with pytest.raises(Corrupt):
         SimulationTrace.parse("")
+    for row in ('0.5,n0,send,1,1,,"a,b"',            # 7 columns
+                '0.5,n0,send,1,1,,,extra,"a,b"',     # 9 columns
+                '0.5,n0,send,1,1,,,"a,b"junk'):      # text after the closing quote
+        with pytest.raises(Corrupt):
+            SimulationTrace.parse(text + row + "\n")
 
 
 def test_run_until_processes_boundary_inclusive():

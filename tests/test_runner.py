@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import rrrt
 from rrrt.cli import main
 from rrrt.errors import Corrupt
 from rrrt.kernel import SimulationTrace
@@ -210,6 +211,23 @@ def test_cli_sweep_runs_and_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == f"# artifact_version={ARTIFACT_VERSION}"
     assert main(["sweep", "--scenario", cfg_path, "--param", "controller.zzz",
                  "--values", "1", "--reps", "1"]) == 2
+    # Swept values obey the scenario file's types and validation, every cell
+    # before any runs; --reps is sim.repetitions and must be >= 1.
+    capsys.readouterr()
+    for param, values, reps in (("sim.horizon", "-1", "1"),
+                                ("controller.f_init", "4.0,1000", "1"),
+                                ("sim.horizon", '"x"', "1"),
+                                ("topology.n_sources", "2.5", "1"),
+                                ("controller.f_init", "2.0", "0")):
+        assert main(["sweep", "--scenario", cfg_path, "--param", param,
+                     "--values", values, "--reps", reps]) == 2, (param, values, reps)
+        assert capsys.readouterr().out == ""
+    xp_path = write_cfg(tmp_path, transport_cfg(goal=20, horizon=5.0), "xp.cfg")
+    assert main(["sweep", "--scenario", xp_path, "--param", "switches.sack",
+                 "--values", "true,false", "--reps", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[4:]]
+    assert [row[:3] for row in rows] == [["switches.sack", "True", "1"],
+                                         ["switches.sack", "False", "1"]]
 
 
 def test_cli_connection_log_written_for_transport(tmp_path):
@@ -232,3 +250,11 @@ def test_cli_connection_log_written_for_transport(tmp_path):
                              float(state["r_min"]), int(state["missed"]), int(state["retx"])))
     assert got == expected
     assert {"Hold", "Increase"} & {row[1] for row in got}
+
+
+def test_package_version_is_the_artifact_version():
+    pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fp:
+        version = next(line.split("=", 1)[1].strip().strip('"') for line in fp
+                       if line.startswith("version"))
+    assert version == rrrt.__version__ == ARTIFACT_VERSION

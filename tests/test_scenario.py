@@ -87,47 +87,53 @@ def test_get_and_set_param_by_dotted_path():
     assert get_param(cfg, "controller.f_init") == 4.0
     set_param(cfg, "controller.f_init", 8)
     assert cfg.controller.f_init == 8.0 and isinstance(cfg.controller.f_init, float)
+    for path, wrong in (("controller.f_init", "8"), ("topology.n_sources", 2.5),
+                        ("topology.n_sources", True), ("switches.sack", 1)):
+        with pytest.raises(ScenarioInvalid):
+            set_param(cfg, path, wrong)
+    assert cfg.controller.f_init == 8.0 and cfg.topology.n_sources == 81
     for bad in ("controller.nope", "nope.f_init", "controller", ""):
         with pytest.raises(UnknownParameter):
             get_param(cfg, bad)
 
 
-def small_field_cfg():
+def small_field_cfg(repetitions=1):
     cfg = ScenarioConfig()
     cfg.topology.n_sources = 9
     cfg.controller.dr_d = 45
     cfg.controller.f_init = 5.0
     cfg.sim.horizon = 5.0
+    cfg.sim.repetitions = repetitions
     return cfg
 
 
 def test_sweep_shape_and_determinism():
-    cfg = small_field_cfg()
-    rows = sweep(cfg, SweepSpec("controller.f_init", [1.0, 2.0, 4.0, 8.0], repetitions=2))
+    cfg = small_field_cfg(repetitions=2)
+    rows = sweep(cfg, SweepSpec("controller.f_init", [1.0, 2.0, 4.0, 8.0]))
     assert len(rows) == 4
     assert [r["value"] for r in rows] == [1.0, 2.0, 4.0, 8.0]
     for r in rows:
         assert r["repetitions"] == 2
         assert r["aggregate_throughput_mean"] > 0
-    again = sweep(cfg, SweepSpec("controller.f_init", [1.0, 2.0, 4.0, 8.0], repetitions=2))
+    again = sweep(cfg, SweepSpec("controller.f_init", [1.0, 2.0, 4.0, 8.0]))
     assert rows == again
 
 
 def test_sweep_single_repetition_reports_zero_std():
     cfg = small_field_cfg()
-    rows = sweep(cfg, SweepSpec("controller.f_init", [2.0], repetitions=1))
+    rows = sweep(cfg, SweepSpec("controller.f_init", [2.0]))
     assert rows[0]["aggregate_throughput_std"] == 0.0
     assert rows[0]["average_packet_delay_std"] == 0.0
 
 
 def test_sweep_unknown_parameter():
     with pytest.raises(UnknownParameter):
-        sweep(small_field_cfg(), SweepSpec("controller.bogus", [1], repetitions=1))
+        sweep(small_field_cfg(), SweepSpec("controller.bogus", [1]))
 
 
 def test_sweep_csv_has_header_and_preamble():
     cfg = small_field_cfg()
-    rows = sweep(cfg, SweepSpec("controller.f_init", [2.0], repetitions=1))
+    rows = sweep(cfg, SweepSpec("controller.f_init", [2.0]))
     text = sweep_csv(rows, {"seed": 1})
     lines = text.strip().split("\n")
     assert lines[0] == "# seed=1"

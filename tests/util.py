@@ -5,7 +5,7 @@ from __future__ import annotations
 from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
 from rrrt.packet import KIND_DATA, Packet
-from rrrt.topology import CaModel, Link, NodeSpec, Topology, bit_rate_for_service
+from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service
 
 FIXED_CA = CaModel(kind="fixed", value=0.0002, cap=0.0002)
 
@@ -30,28 +30,20 @@ class Catcher:
         pass
 
 
-def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA,
-                  loss=None, alternates=False):
+def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, loss=None):
     """Linear chain n0 -> n1 -> ... -> nk with one service rate per link.
 
-    Returns (sim, runtime, node names, catcher at the last node). With
-    `alternates`, an extra node `alt` bypasses n1 for traffic from n0.
+    Returns (sim, runtime, node names, catcher at the last node).
     """
     count = len(services) + 1
     names = [f"n{i}" for i in range(count)]
-    nodes = [NodeSpec(name, "sensor", (10.0 * i, 0.0)) for i, name in enumerate(names)]
     links = []
     for i, service in enumerate(services):
         lr = loss[i] if loss else 0.0
         rate = bit_rate_for_service(service, ca.value, 1000.0)
         links.append(Link(names[i], names[i + 1], 10.0, rate, service, loss=lr))
         links.append(Link(names[i + 1], names[i], 10.0, rate, service))
-    if alternates:
-        rate = bit_rate_for_service(services[0], ca.value, 1000.0)
-        nodes.append(NodeSpec("alt", "sensor", (10.0, 10.0)))
-        links.append(Link(names[0], "alt", 14.0, rate, services[0]))
-        links.append(Link("alt", names[2], 14.0, rate, services[0]))
-    topo = Topology(nodes, links, ca)
+    topo = Topology(names, links, ca)
     topo.build_routes()
     sim = Simulator(seed)
     runtime = NetworkRuntime(sim, topo, packet_len=1000.0, ctl_len=200.0,
