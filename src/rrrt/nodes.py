@@ -475,7 +475,8 @@ class TransportSenderApp:
             sim.trace.log(now, self.node, "generate", pid)
         pkt = Packet(pid=pid, kind=KIND_DATA, flow=self.flow, src=self.node, dst=self.peer,
                      gen_time=self.seq_gen[seq], seq=seq, bottleneck_delay=0.0)
-        self.retx_buffer[seq] = now
+        if self.sack_enabled:  # without SACK nothing is ever retransmitted
+            self.retx_buffer[seq] = now
         self.runtime.forward_data(self.node, pkt)
 
     def _log_state(self, now: float, r_f: float) -> None:
@@ -501,7 +502,7 @@ class TransportReceiverApp:
         self.node = node
         self.peer = peer
         self.t_fdbk = t_fdbk
-        self.received: set[int] = set()
+        self.received = tp.ReceivedRuns()
         self.path: Optional[Packet] = None  # latest arrival carrying a path measurement
 
     def start(self, now: float) -> None:
@@ -513,10 +514,8 @@ class TransportReceiverApp:
 
     def on_packet(self, pkt: Packet, now: float) -> None:
         self._note_path(pkt)
-        if pkt.seq is not None:
-            if pkt.seq in self.received:
-                return  # duplicate: already handed to the application
-            self.received.add(pkt.seq)
+        if pkt.seq is not None and not self.received.add(pkt.seq):
+            return  # duplicate: already handed to the application
         self.runtime.sim.trace.log(now, self.node, "deliver", pkt.pid, -1, "",
                                    pkt.gen_time, pkt.flow)
 

@@ -8,13 +8,20 @@ periodic receiver feedback, never dropping below the deadline-derived floor,
 halves its rate for each silent feedback period, and falls back to probing
 after two. Selective acknowledgments describe the exact received set so every
 hole is retransmitted in one batch.
+
+The receiver's scoreboard (`ReceivedRuns`) is a cumulative ack plus the sorted
+disjoint runs received above the first hole, merged on each arrival, so
+building a SACK costs O(blocks) and the sender's `on_sack` walks only its
+unacked entries (SACK blocks as in RFC 2018, the scoreboard as in RFC 6675).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import DeadlineExpired, DegenerateProbe, StaleFeedback
 from .packet import Packet
@@ -50,6 +57,49 @@ class SackInfo:
         for lo, hi in self.blocks:
             received.update(range(lo, hi + 1))
         return received
+
+
+class ReceivedRuns:
+    """The receiver's scoreboard: every sequence up to `cum`, plus `runs`, the
+    sorted, disjoint, non-adjacent [lo, hi] runs received above cum + 1."""
+
+    __slots__ = ("cum", "runs", "count")
+
+    def __init__(self, seqs: Iterable[int] = ()):
+        self.cum = 0
+        self.runs: list[list[int]] = []
+        self.count = 0
+        for seq in seqs:
+            self.add(seq)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __contains__(self, seq: int) -> bool:
+        if seq <= self.cum:
+            return seq >= 1
+        i = bisect_left(self.runs, [seq + 1])  # first run starting above seq
+        return i > 0 and self.runs[i - 1][1] >= seq
+
+    def add(self, seq: int) -> bool:
+        """Record one arrival (seq >= 1); False when it was already received."""
+        if seq <= self.cum:
+            return False
+        runs = self.runs
+        i = bisect_left(runs, [seq])  # first run starting at or above seq
+        if (i < len(runs) and runs[i][0] == seq) or (i > 0 and runs[i - 1][1] >= seq):
+            return False
+        self.count += 1
+        joins_next = i < len(runs) and runs[i][0] == seq + 1
+        if i == 0 and seq == self.cum + 1:
+            self.cum = runs.pop(0)[1] if joins_next else seq
+        elif i > 0 and runs[i - 1][1] == seq - 1:
+            runs[i - 1][1] = runs.pop(i)[1] if joins_next else seq
+        elif joins_next:
+            runs[i][0] = seq
+        else:
+            runs.insert(i, [seq, seq])
+        return True
 
 
 @dataclass(slots=True)
@@ -157,25 +207,12 @@ def on_feedback_timeout(state: TransportState, now: float) -> TransportState:
     return state
 
 
-def build_sack(received: set[int]) -> SackInfo:
-    """Cumulative prefix plus maximal contiguous runs above the first hole."""
-    if not received:
-        return SackInfo(0, [])
-    seqs = sorted(received)
-    cum = 0
-    i = 0
-    while i < len(seqs) and seqs[i] == cum + 1:
-        cum += 1
-        i += 1
-    blocks: list[tuple[int, int]] = []
-    while i < len(seqs):
-        lo = hi = seqs[i]
-        i += 1
-        while i < len(seqs) and seqs[i] == hi + 1:
-            hi = seqs[i]
-            i += 1
-        blocks.append((lo, hi))
-    return SackInfo(cum, blocks)
+def build_sack(received: ReceivedRuns) -> SackInfo:
+    """Cumulative prefix plus maximal contiguous runs above the first hole.
+
+    A snapshot: the SACK is in flight while later arrivals change the runs.
+    """
+    return SackInfo(received.cum, [(lo, hi) for lo, hi in received.runs])
 
 
 def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float],
@@ -183,12 +220,24 @@ def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float]
     """Acknowledged entries leave the buffer; every hole below the highest ack
     that is not already in flight (sent within one RTT estimate) is returned
     for retransmission, all in one batch."""
-    for seq in sack.received_set():
-        retx_buffer.pop(seq, None)
     top = sack.highest()
+    cum = sack.cumulative_ack
+    blocks = sack.blocks
     guard = state.rtt_estimate
-    return [seq for seq in sorted(retx_buffer)
-            if seq <= top and now - retx_buffer[seq] >= guard]
+    batch: list[int] = []
+    b = 0
+    for seq in sorted(retx_buffer):
+        if seq > top:
+            break
+        if seq > cum:
+            while blocks[b][1] < seq:  # seq <= top keeps b in range
+                b += 1
+            if seq < blocks[b][0]:
+                if now - retx_buffer[seq] >= guard:
+                    batch.append(seq)
+                continue
+        del retx_buffer[seq]
+    return batch
 
 
 def overdue_tail(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float],

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from rrrt.transport import SackInfo
+
 
 def update_law_transcription(f_i, dr_o, dr_d, t_i, t_sa, cn, beta, x, f_min, f_cap,
                              eq4_alt=False, eq6_alt=False):
@@ -112,3 +114,37 @@ def sack_holes_oracle(received: set[int]) -> list[int]:
         return []
     top = max(received)
     return [seq for seq in range(1, top + 1) if seq not in received]
+
+
+def build_sack_oracle(received: set[int]) -> SackInfo:
+    """Sort-based SACK construction: cumulative prefix, then maximal runs."""
+    if not received:
+        return SackInfo(0, [])
+    seqs = sorted(received)
+    cum = 0
+    i = 0
+    while i < len(seqs) and seqs[i] == cum + 1:
+        cum += 1
+        i += 1
+    blocks: list[tuple[int, int]] = []
+    while i < len(seqs):
+        lo = hi = seqs[i]
+        i += 1
+        while i < len(seqs) and seqs[i] == hi + 1:
+            hi = seqs[i]
+            i += 1
+        blocks.append((lo, hi))
+    return SackInfo(cum, blocks)
+
+
+def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, float],
+                   now: float) -> list[int]:
+    """Set-based SACK processing: drop every acknowledged sequence from the
+    buffer, then return the holes up to the highest ack that are past the
+    RTT guard, in ascending order."""
+    for seq in sack.received_set():
+        retx_buffer.pop(seq, None)
+    top = sack.highest()
+    guard = state.rtt_estimate
+    return [seq for seq in sorted(retx_buffer)
+            if seq <= top and now - retx_buffer[seq] >= guard]

@@ -9,8 +9,9 @@ import rrrt
 from rrrt.cli import main
 from rrrt.errors import Corrupt
 from rrrt.kernel import SimulationTrace
+from rrrt.metrics import audit_trace
 from rrrt.runner import (ARTIFACT_VERSION, build_transport, replay_text, run_and_serialize,
-                         run_experiment)
+                         run_experiment, run_traced)
 from rrrt.scenario import ScenarioConfig, serialize_scenario
 
 
@@ -62,8 +63,15 @@ def test_sack_recovers_all_losses():
 def test_sack_off_leaves_holes():
     cfg = transport_cfg(loss=0.25, goal=250)
     cfg.switches.sack = False
-    report = run_experiment(cfg, seed=1)
+    report, trace, _ = run_traced(cfg, seed=1)
     assert report.aggregate_throughput < 250
+    # a sender without SACK never retransmits, so it keeps nothing to wait for:
+    # lost packets count as dropped and the rate floor falls after the last send
+    assert not [r for r in trace.records if r[2] == "pending" and r[5] == "unacked"]
+    counts = audit_trace(trace)
+    assert counts["dropped"] == counts["generated"] - counts["delivered"]
+    last_conn = [r[7] for r in trace.records if r[2] == "conn" and r[7]][-1]
+    assert float(last_conn.split("r_min=")[1].split(";")[0]) < 1
 
 
 def test_replay_round_trip_matches_report():

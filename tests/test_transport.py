@@ -1,5 +1,6 @@
 """Rate-control state machine, probing, SACK engine, and their sim-level contracts."""
 
+import os
 import random
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from rrrt import transport as tp
 from rrrt.errors import DeadlineExpired, DegenerateProbe, StaleFeedback
 from rrrt.packet import KIND_PROBE, Packet
-from rrrt.runner import build_transport
-from rrrt.scenario import ScenarioConfig
-from oracles import sack_holes_oracle
+from rrrt.runner import build_transport, run_experiment
+from rrrt.scenario import ScenarioConfig, parse_scenario
+from oracles import build_sack_oracle, on_sack_oracle, sack_holes_oracle
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def fresh_state(r_c=100.0, r_min=10.0, phase=tp.Phase.HOLD, hold_band=0.0):
@@ -196,24 +199,24 @@ def test_timeout_respects_rate_floor():
 # -- SACK -----------------------------------------------------------------------------
 
 def test_build_sack_examples():
-    sack = tp.build_sack({1, 2, 3, 5, 6, 9})
+    sack = tp.build_sack(tp.ReceivedRuns({1, 2, 3, 5, 6, 9}))
     assert sack.cumulative_ack == 3 and sack.blocks == [(5, 6), (9, 9)]
-    assert tp.build_sack({1, 2, 3}) == tp.SackInfo(3, [])
-    assert tp.build_sack(set()) == tp.SackInfo(0, [])
+    assert tp.build_sack(tp.ReceivedRuns({1, 2, 3})) == tp.SackInfo(3, [])
+    assert tp.build_sack(tp.ReceivedRuns(set())) == tp.SackInfo(0, [])
 
 
 def test_build_sack_blocks_partition_received_set():
     rng = random.Random(5)
     for _ in range(300):
         received = {seq for seq in range(1, 30) if rng.random() < 0.6}
-        sack = tp.build_sack(received)
+        sack = tp.build_sack(tp.ReceivedRuns(received))
         assert sack.received_set() == received
 
 
 def test_on_sack_retransmits_exactly_the_holes_in_one_batch():
     state = fresh_state()
     buffer = {seq: -10.0 for seq in range(1, 10)}
-    sack = tp.build_sack({1, 2, 3, 5, 6, 9})
+    sack = tp.build_sack(tp.ReceivedRuns({1, 2, 3, 5, 6, 9}))
     batch = tp.on_sack(state, sack, buffer, now=0.0)
     assert batch == [4, 7, 8]
     assert sorted(buffer) == [4, 7, 8]
@@ -222,14 +225,14 @@ def test_on_sack_retransmits_exactly_the_holes_in_one_batch():
 def test_on_sack_complete_ack_empties_buffer():
     state = fresh_state()
     buffer = {seq: -10.0 for seq in range(1, 6)}
-    batch = tp.on_sack(state, tp.build_sack({1, 2, 3, 4, 5}), buffer, now=0.0)
+    batch = tp.on_sack(state, tp.build_sack(tp.ReceivedRuns({1, 2, 3, 4, 5})), buffer, now=0.0)
     assert batch == [] and buffer == {}
 
 
 def test_duplicate_sack_is_idempotent_within_one_rtt():
     state = fresh_state()
     buffer = {seq: -10.0 for seq in range(1, 6)}
-    sack = tp.build_sack({1, 2, 5})
+    sack = tp.build_sack(tp.ReceivedRuns({1, 2, 5}))
     first = tp.on_sack(state, sack, buffer, now=0.0)
     assert first == [3, 4]
     buffer[3] = buffer[4] = 0.0  # retransmitted right away
@@ -245,18 +248,61 @@ def test_on_sack_matches_enumeration_oracle_for_short_streams():
         for pattern in range(2 ** n):
             received = {seq for seq in range(1, n + 1) if not (pattern >> (seq - 1)) & 1}
             buffer = {seq: -10.0 for seq in range(1, n + 1) if seq not in received}
-            batch = tp.on_sack(state, tp.build_sack(received), dict(buffer), now=0.0)
+            batch = tp.on_sack(state, tp.build_sack(tp.ReceivedRuns(received)), dict(buffer), now=0.0)
             assert batch == sack_holes_oracle(received)
 
 
 def test_overdue_tail_covers_losses_past_the_highest_ack():
     state = fresh_state()
     buffer = {8: -10.0, 9: -10.0, 10: 0.0}
-    sack = tp.build_sack({1, 2, 3, 4, 5, 6, 7})
+    sack = tp.build_sack(tp.ReceivedRuns({1, 2, 3, 4, 5, 6, 7}))
     assert tp.on_sack(state, sack, buffer, now=0.0) == []
     assert tp.overdue_tail(state, sack, buffer, now=0.0, all_sent=False) == []
     assert tp.overdue_tail(state, sack, buffer, now=0.0, all_sent=True) == [8, 9]
     assert tp.overdue_tail(state, sack, buffer, now=0.2, all_sent=True) == [8, 9, 10]
+
+
+def test_received_runs_and_sack_match_the_set_based_oracles():
+    rng = random.Random(9)
+    state = fresh_state()
+    for _ in range(300):
+        received = {seq for seq in range(1, 41) if rng.random() < rng.random()}
+        arrivals = list(received) + rng.choices(sorted(received), k=len(received) // 3)
+        rng.shuffle(arrivals)
+        runs = tp.ReceivedRuns()
+        seen: set[int] = set()
+        for seq in arrivals:
+            assert runs.add(seq) is (seq not in seen)
+            seen.add(seq)
+        assert len(runs) == len(received)
+        assert all((seq in runs) is (seq in received) for seq in range(0, 43))
+        sack = tp.build_sack(runs)
+        assert sack == build_sack_oracle(received)
+        buffer = {seq: -rng.uniform(0.0, 0.2) for seq in range(1, 46) if rng.random() < 0.5}
+        expected_buffer = dict(buffer)
+        expected = on_sack_oracle(state, sack, expected_buffer, now=0.0)
+        assert tp.on_sack(state, sack, buffer, now=0.0) == expected
+        assert buffer == expected_buffer
+
+
+def test_sack_is_a_snapshot_of_the_runs():
+    runs = tp.ReceivedRuns({1, 2, 5, 9})
+    sack = tp.build_sack(runs)
+    for seq in (3, 4, 6, 7, 8, 10, 12):
+        runs.add(seq)
+    assert sack == tp.SackInfo(2, [(5, 5), (9, 9)])
+    assert tp.build_sack(runs) == tp.SackInfo(10, [(12, 12)])
+
+
+def test_transfer_never_rebuilds_the_received_set(monkeypatch):
+    """SACK work stays per block: a run that expands a SACK into its full
+    received set on any feedback fails here."""
+    def expand(self):
+        raise AssertionError("received_set() called during a run")
+
+    monkeypatch.setattr(tp.SackInfo, "received_set", expand)
+    cfg = parse_scenario(os.path.join(SCENARIO_DIR, "transport_lossy.cfg"))
+    assert run_experiment(cfg, 1).aggregate_throughput == 1000
 
 
 # -- sim-level contracts ------------------------------------------------------------------
