@@ -48,11 +48,12 @@ class UnknownParameter(RrrtError):
 class Corrupt(RrrtError):
     """Serialized trace cannot be parsed.
 
-    Carries the byte offset (or line number) where parsing failed.
+    Carries the line number where parsing failed, or None for a value that
+    parses but cannot be reduced to a report.
     """
 
     def __init__(self, offset, message="corrupt trace"):
-        super().__init__(f"{message} at offset {offset}")
+        super().__init__(message if offset is None else f"{message} at offset {offset}")
         self.offset = offset
 
 

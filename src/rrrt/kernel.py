@@ -4,6 +4,11 @@ A single run is strictly single-threaded. Every source of randomness is a
 named stream derived from (seed, stream-id), so a fixed (scenario, seed)
 pair reproduces the exact event sequence and therefore a byte-identical
 trace.
+
+A trace goes to text with `SimulationTrace.serialize` and comes back with
+`read_rows`, which yields the records one at a time, so a consumer such as
+replay reduces them as they arrive and never holds them all.
+`SimulationTrace.parse` collects them into a trace.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ class SimEvent:
 #   (time, node, kind, pid, copy, reason, value, info)
 # pid/copy are -1 when not applicable, value is None when not applicable.
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
+SERIALIZE_BLOCK = 8192  # rows joined into one string before the blocks are joined
 
 
 class SimulationTrace:
@@ -66,53 +72,84 @@ class SimulationTrace:
         return iter(self.records)
 
     def serialize(self, preamble: Optional[dict] = None) -> str:
-        """Deterministic CSV text. Floats use repr() so parsing round-trips exactly."""
-        lines = [f"# {key}={val}" for key, val in (preamble or {}).items()]
-        lines.append(",".join(TRACE_COLUMNS))
-        append = lines.append
-        for time, node, kind, pid, copy, reason, value, info in self.records:
-            val = "" if value is None else repr(value)
-            if "," in info or '"' in info:
-                info = '"' + info.replace('"', '""') + '"'
-            append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
-        return "\n".join(lines) + "\n"
+        """Deterministic CSV text. Floats use repr() so parsing round-trips exactly.
+
+        Rows logged in one event share the `sim.now` float object, so a row
+        whose time `is` the previous row's reuses its repr. Rows are joined
+        SERIALIZE_BLOCK at a time, so no line list for the whole trace exists.
+        """
+        head = [f"# {key}={val}" for key, val in (preamble or {}).items()]
+        head.append(",".join(TRACE_COLUMNS))
+        blocks = ["\n".join(head)]
+        records = self.records
+        last_time = stamp = None
+        for start in range(0, len(records), SERIALIZE_BLOCK):
+            lines = []
+            append = lines.append
+            block = records[start:start + SERIALIZE_BLOCK]
+            for time, node, kind, pid, copy, reason, value, info in block:
+                if time is not last_time:
+                    last_time = time
+                    stamp = repr(time)
+                val = "" if value is None else repr(value)
+                if "," in info or '"' in info:
+                    info = '"' + info.replace('"', '""') + '"'
+                append(f"{stamp},{node},{kind},{pid},{copy},{reason},{val},{info}")
+            blocks.append("\n".join(lines))
+        return "\n".join(blocks) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> tuple["SimulationTrace", dict]:
-        """Inverse of serialize(). Raises Corrupt(line number) on malformed input.
+        """Inverse of serialize(): read_rows() collected into a trace."""
+        preamble, rows = read_rows(text)
+        return cls(list(rows)), preamble
 
-        `#` lines before the header are the preamble; every row after it must
-        be exactly the eight columns serialize() writes.
-        """
-        preamble: dict = {}
-        lines = text.split("\n")
-        rows = iter(lines)
-        for header_line, line in enumerate(rows, start=1):
-            if line.startswith("#"):
-                key, sep, val = line[1:].strip().partition("=")
-                if sep:
-                    preamble[key.strip()] = val
-            elif line:
-                if line != ",".join(TRACE_COLUMNS):
-                    raise Corrupt(header_line, "unexpected trace header")
-                break
-        else:
-            raise Corrupt(len(lines), "missing trace header")
-        records = []
-        append = records.append
-        reader = csv.reader(rows, strict=True)
-        try:
-            for row in reader:
-                if len(row) != 8:
-                    if not row:  # blank line
-                        continue
-                    raise Corrupt(header_line + reader.line_num, "wrong column count")
-                time, node, kind, pid, copy, reason, value, info = row
-                append((float(time), node, kind, int(pid), int(copy), reason,
-                        None if value == "" else float(value), info))
-        except (csv.Error, ValueError):
-            raise Corrupt(header_line + reader.line_num, "unparsable field") from None
-        return cls(records), preamble
+
+def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
+    """Read serialized trace text as (preamble, iterator over its records).
+
+    `#` lines before the header are the preamble; every row after it must be
+    exactly the eight columns serialize() writes. The preamble and header are
+    read at once, the rows only as the iterator is advanced. Raises
+    Corrupt(line number) on malformed input: a bad header here, a bad row
+    when the iterator reaches it.
+    """
+    preamble: dict = {}
+    lines = text.split("\n")
+    rows = iter(lines)
+    for header_line, line in enumerate(rows, start=1):
+        if line.startswith("#"):
+            key, sep, val = line[1:].strip().partition("=")
+            if sep:
+                preamble[key.strip()] = val
+        elif line:
+            if line != ",".join(TRACE_COLUMNS):
+                raise Corrupt(header_line, "unexpected trace header")
+            break
+    else:
+        raise Corrupt(len(lines), "missing trace header")
+    return preamble, _records(rows, header_line)
+
+
+def _records(rows: Iterator[str], header_line: int) -> Iterator[tuple]:
+    """Records of the CSV lines after the header; every field is converted, and
+    a time string equal to the previous row's reuses that row's float."""
+    reader = csv.reader(rows, strict=True)
+    last_text = last_time = None
+    try:
+        for row in reader:
+            if len(row) != 8:
+                if not row:  # blank line
+                    continue
+                raise Corrupt(header_line + reader.line_num, "wrong column count")
+            time, node, kind, pid, copy, reason, value, info = row
+            if time != last_text:
+                last_time = float(time)
+                last_text = time
+            yield (last_time, node, kind, int(pid), int(copy), reason,
+                   None if value == "" else float(value), info)
+    except (csv.Error, ValueError):
+        raise Corrupt(header_line + reader.line_num, "unparsable field") from None
 
 
 class Simulator:

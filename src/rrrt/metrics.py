@@ -7,7 +7,7 @@ report from a serialized trace reproduces it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .controller import IntervalRow, classify_condition, reliability_indicator
 from .errors import InvariantViolation
@@ -60,10 +60,13 @@ class MetricsReport:
         }
 
 
-def reduce_trace(trace: SimulationTrace, preamble: dict) -> MetricsReport:
-    """The one reduction from a trace and its preamble to a report, live or replayed.
+def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
+    """The one reduction from trace records and their preamble to a report, live
+    or replayed.
 
-    One walk over the records: send and receive rows count towards the
+    `records` is any iterable of records: a live `SimulationTrace`, or the
+    `kernel.read_rows` iterator that replay streams from the text. One walk
+    over it: send and receive rows count towards the
     energy, each delivery of the measured flow towards the throughput, the
     delay and the delay budget, and each interval row is decoded. Preamble
     values may be the live ones or their serialized strings; floats are
@@ -73,7 +76,7 @@ def reduce_trace(trace: SimulationTrace, preamble: dict) -> MetricsReport:
     tx = rx = delivered = budgeted = lit = full = 0
     delay_sum = 0.0
     rows: list[IntervalRow] = []
-    for rec in trace.records:
+    for rec in records:
         kind = rec[2]
         if kind == "send":
             tx += 1

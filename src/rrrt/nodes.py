@@ -348,9 +348,10 @@ class TransportSenderApp:
         self.flow = flow
         self.total = goal.b_remaining
         self.next_new = 1
+        self.retx_buffer: dict[int, float] = {}  # unacked seq -> last send time
+        # pid and generation time of each seq in retx_buffer, for its retransmissions
         self.seq_pid: dict[int, int] = {}
         self.seq_gen: dict[int, float] = {}
-        self.retx_buffer: dict[int, float] = {}
         self.retx_queue: deque[int] = deque()
         self.queued: set[int] = set()
         self.last_fb_arrival = -math.inf
@@ -416,6 +417,9 @@ class TransportSenderApp:
             return
         if self.sack_enabled:
             batch = tp.on_sack(self.state, sack, self.retx_buffer, now)
+            if len(self.seq_pid) > len(self.retx_buffer):  # forget what on_sack acked
+                for seq in [seq for seq in self.seq_pid if seq not in self.retx_buffer]:
+                    del self.seq_pid[seq], self.seq_gen[seq]
             tail = tp.overdue_tail(self.state, sack, self.retx_buffer, now,
                                    all_sent=self.next_new > self.total)
             for seq in batch + tail:
@@ -465,18 +469,18 @@ class TransportSenderApp:
             if seq not in self.retx_buffer:  # acked while waiting in the queue
                 return
             self.retx_count += 1
-            pid = self.seq_pid[seq]
+            pid, gen_time = self.seq_pid[seq], self.seq_gen[seq]
         else:
             seq = self.next_new
             self.next_new += 1
-            pid = sim.new_pid()
-            self.seq_pid[seq] = pid
-            self.seq_gen[seq] = now
+            pid, gen_time = sim.new_pid(), now
             sim.trace.log(now, self.node, "generate", pid)
         pkt = Packet(pid=pid, kind=KIND_DATA, flow=self.flow, src=self.node, dst=self.peer,
-                     gen_time=self.seq_gen[seq], seq=seq, bottleneck_delay=0.0)
+                     gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
             self.retx_buffer[seq] = now
+            self.seq_pid[seq] = pid
+            self.seq_gen[seq] = gen_time
         self.runtime.forward_data(self.node, pkt)
 
     def _log_state(self, now: float, r_f: float) -> None:

@@ -11,8 +11,8 @@ from typing import Optional
 from . import transport as tp
 from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
                          ReliabilityTargets)
-from .errors import ScenarioInvalid
-from .kernel import SimulationTrace, Simulator
+from .errors import Corrupt, InvalidTarget, ScenarioInvalid
+from .kernel import SimulationTrace, Simulator, read_rows
 from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
                     SubSinkApp, TransportReceiverApp, TransportSenderApp)
@@ -226,8 +226,18 @@ def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
 
 
 def replay_text(text: str) -> MetricsReport:
-    """Recompute the metrics of a serialized trace; matches the original exactly."""
-    return reduce_trace(*SimulationTrace.parse(text))
+    """Recompute the metrics of a serialized trace; matches the original exactly.
+
+    The records stream from the text into the reducer, so replay never holds
+    them. A value that parses but cannot be reduced (an interval row whose info
+    does not decode, a deliver row without its generation time, a preamble
+    number that is not one) raises Corrupt, as an unparsable row does.
+    """
+    preamble, records = read_rows(text)
+    try:
+        return reduce_trace(records, preamble)
+    except (InvalidTarget, KeyError, TypeError, ValueError) as exc:
+        raise Corrupt(None, f"value that does not reduce ({exc!r})") from None
 
 
 def replay(path: str) -> MetricsReport:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+from rrrt.kernel import TRACE_COLUMNS
 from rrrt.transport import SackInfo
 
 
@@ -148,3 +149,17 @@ def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, float],
     guard = state.rtt_estimate
     return [seq for seq in sorted(retx_buffer)
             if seq <= top and now - retx_buffer[seq] >= guard]
+
+
+def serialize_oracle(records, preamble=None) -> str:
+    """Line-list trace serialization: every row formatted on its own, its
+    time through repr(), and one join over the whole trace."""
+    lines = [f"# {key}={val}" for key, val in (preamble or {}).items()]
+    lines.append(",".join(TRACE_COLUMNS))
+    append = lines.append
+    for time, node, kind, pid, copy, reason, value, info in records:
+        val = "" if value is None else repr(value)
+        if "," in info or '"' in info:
+            info = '"' + info.replace('"', '""') + '"'
+        append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 import pytest
 
 from rrrt.errors import Corrupt, PastTime
-from rrrt.kernel import SimEvent, SimulationTrace, Simulator, derive_stream_seed
+from rrrt.kernel import SimEvent, SimulationTrace, Simulator, derive_stream_seed, read_rows
 
 
 def make_sim(seed=1):
@@ -116,18 +116,18 @@ def test_trace_serialize_parse_round_trip():
 def test_trace_parse_rejects_garbage():
     trace = SimulationTrace()
     trace.log(0.5, "n0", "send", 1, 1)
-    text = trace.serialize()
-    with pytest.raises(Corrupt):
-        SimulationTrace.parse(text + "not,a,row\n")
-    with pytest.raises(Corrupt):
-        SimulationTrace.parse("time,node\n0.5,n0\n")
-    with pytest.raises(Corrupt):
-        SimulationTrace.parse("")
+    text = trace.serialize()  # header on line 1, the row on line 2
+    cases = [(text + "not,a,row\n", 3), ("time,node\n0.5,n0\n", 1), ("", 1)]
     for row in ('0.5,n0,send,1,1,,"a,b"',            # 7 columns
                 '0.5,n0,send,1,1,,,extra,"a,b"',     # 9 columns
                 '0.5,n0,send,1,1,,,"a,b"junk'):      # text after the closing quote
-        with pytest.raises(Corrupt):
-            SimulationTrace.parse(text + row + "\n")
+        cases.append((text + row + "\n", 3))
+    for bad, line in cases:
+        with pytest.raises(Corrupt) as parsed:
+            SimulationTrace.parse(bad)
+        with pytest.raises(Corrupt) as streamed:
+            list(read_rows(bad)[1])
+        assert parsed.value.offset == streamed.value.offset == line
 
 
 def test_run_until_processes_boundary_inclusive():

@@ -202,6 +202,29 @@ def test_cli_run_writes_outputs_and_replay_agrees(tmp_path, capsys):
     assert replay_out["per_interval"] == summary["per_interval"]
 
 
+TRACE_HEADER = "time,node,kind,pid,copy,reason,value,info\n"
+INTERVAL_INFO = ("i=1;dr_o={dr_o};dr_d={dr_d};alpha=0.0075;t_i=1.0;cn=0;cond={cond};"
+                 "f_i=4.0;f_next=50.0;x=1")
+
+
+@pytest.mark.parametrize("text", [
+    TRACE_HEADER + "1.0,sink,interval,-1,-1,,,"
+    + INTERVAL_INFO.format(dr_o="x", dr_d=400, cond="LowRelNoCong") + "\n",
+    TRACE_HEADER + "1.0,sink,interval,-1,-1,,,"
+    + INTERVAL_INFO.format(dr_o=3, dr_d=0, cond="") + "\n",
+    "# beta=abc\n" + TRACE_HEADER,
+    "# e_tx=1e-6x\n" + TRACE_HEADER,
+    "# e_rx=\n" + TRACE_HEADER,
+    "# seed=1.5\n" + TRACE_HEADER,
+    TRACE_HEADER + "0.5,s001,generate,3,-1,,,\n1.0,sink,deliver,3,-1,,,data\n",
+], ids=["interval_info", "interval_target", "beta", "e_tx", "e_rx", "seed", "deliver_value"])
+def test_cli_replay_of_a_value_that_does_not_reduce_is_corrupt(tmp_path, capsys, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    assert main(["replay", "--trace", str(path)]) == 3
+    assert "corrupt trace" in capsys.readouterr().err
+
+
 def test_cli_run_csv_format(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, small_field_cfg(horizon=3.0))
     assert main(["run", "--scenario", cfg_path, "--format", "csv"]) == 0

@@ -1,0 +1,122 @@
+"""Trace text: serialize against its line-list oracle, the streaming replay
+against the list path and the live report, and replay of mutated traces."""
+
+import functools
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import serialize_oracle
+from rrrt.cli import main
+from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, read_rows
+from rrrt.metrics import reduce_trace
+from rrrt.runner import replay_text, run_and_serialize, run_traced
+from rrrt.scenario import parse_scenario, set_param
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SHIPPED = ("field_baseline", "field_burst", "field_congested", "transport_comparison",
+           "transport_lossy")
+
+
+def shipped(name):
+    return parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_trace_serializes_as_the_oracle_and_streams_as_the_list(name):
+    report, trace, preamble = run_traced(shipped(name), 1)
+    text = trace.serialize(preamble)
+    assert text == serialize_oracle(trace.records, preamble)
+    del trace
+    assert replay_text(text) == reduce_trace(*SimulationTrace.parse(text)) == report
+
+
+def test_replay_streams_without_building_the_record_list(monkeypatch):
+    _, text = run_and_serialize(shipped("transport_lossy"), 1)
+    expected = replay_text(text)
+
+    def collect(cls, text):
+        raise AssertionError("replay built the record list")
+
+    monkeypatch.setattr(SimulationTrace, "parse", classmethod(collect))
+    assert replay_text(text) == expected
+
+
+def test_read_rows_reuses_the_float_of_a_repeated_time():
+    text = "time,node,kind,pid,copy,reason,value,info\n0.5,a,send,1,1,,,\n0.5,b,send,2,2,,,\n"
+    first, second = read_rows(text)[1]
+    assert first[0] is second[0]
+
+
+def one_row(time, info=""):
+    return (time, "n0", "send", 1, 1, "", None, info)
+
+
+def test_serialize_matches_the_oracle_on_edge_cases():
+    def check(records, preamble=None):
+        trace = SimulationTrace(records)
+        assert trace.serialize(preamble) == serialize_oracle(records, preamble)
+
+    check([])
+    check([], {"seed": 1})
+    check([one_row(0.5, 'a,b'), one_row(0.5, 'say "hi"'), one_row(0.5, '"q",x'),
+           (0.75, "n1", "deliver", 2, -1, "10", 0.125, "data")], {"seed": 1})
+    # Rows over several blocks, one time object on both sides of a block
+    # boundary, and the last block full.
+    shared = 1.25
+    rows = [one_row(i / 7) for i in range(2 * SERIALIZE_BLOCK + 5)]
+    rows[SERIALIZE_BLOCK - 1] = rows[SERIALIZE_BLOCK] = one_row(shared)
+    check(rows)
+    check(rows[:2 * SERIALIZE_BLOCK])
+    # Equal but distinct time objects, including the two zeros, which are
+    # equal and print differently.
+    a, b = float("0.1"), float("0.1")
+    assert a is not b
+    check([one_row(a), one_row(b), one_row(0.0), one_row(-0.0), one_row(-0.0), one_row(0.0)])
+
+
+@functools.cache
+def small_trace() -> tuple[list[str], list[list[int]]]:
+    """The lines of a shipped field scenario cut to two intervals, and their
+    indices grouped by row kind (the preamble and the blank end are one group)."""
+    cfg = shipped("field_baseline")
+    set_param(cfg, "sim.horizon", 2.0)
+    lines = run_and_serialize(cfg, 1)[1].split("\n")
+    groups: dict[str, list[int]] = {}
+    for at, line in enumerate(lines):
+        fields = line.split(",")
+        groups.setdefault(fields[2] if len(fields) > 2 else "", []).append(at)
+    return lines, list(groups.values())
+
+
+@st.composite
+def mutated_traces(draw):
+    """The small trace truncated, or with one line changed in one character,
+    dropped or duplicated. The line is drawn by kind first, so that the two
+    interval rows are hit as often as the thousand sends."""
+    lines, groups = small_trace()
+    how = draw(st.sampled_from(("truncate", "flip", "drop", "duplicate")))
+    if how == "truncate":
+        text = "\n".join(lines)
+        return text[:draw(st.integers(0, len(text)))]
+    lines = list(lines)
+    at = draw(st.sampled_from(draw(st.sampled_from(groups))))
+    if how == "flip":
+        line = lines[at]
+        col = draw(st.integers(0, max(len(line) - 1, 0)))
+        char = draw(st.one_of(st.sampled_from(',;="\n\r#-.0159x'), st.characters()))
+        lines[at] = line[:col] + char + line[col + 1:]
+    elif how == "drop":
+        del lines[at]
+    else:
+        lines.insert(at, lines[at])
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=mutated_traces())
+def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["replay", "--trace", str(path), "--format", "csv"]) in (0, 3, 4)
