@@ -3,9 +3,13 @@
 The runtime owns the data-plane pipeline (buffer admission, the sampled
 per-hop delay, link loss, fault handling) and the control plane (unbuffered
 probe/feedback forwarding, frequency-broadcast flooding down the reverse
-route tree). Applications sit on top: sensor sources, the sub-sink
-reliability controller, the rate-controlled transport sender/receiver, a
-cross-traffic generator and a naive fixed-rate sender for comparisons.
+route tree). A data hop and a control hop share one send-side step,
+`_route`: the next hop, the sender's fault check and the path measurement
+of packets that carry one. Both sample their hop delay with
+`Topology.sample_channel_delays`; a control packet waits for no queue.
+Applications sit on top: sensor sources, the sub-sink reliability
+controller, the rate-controlled transport sender/receiver, a cross-traffic
+generator and a naive fixed-rate sender for comparisons.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .controller import DelayBudget, ReliabilityController, check_delay_budget
 from .errors import NoRoute, StaleFeedback
 from .kernel import SimEvent, Simulator
 from .packet import KIND_DATA, KIND_FEEDBACK, KIND_PROBE, Packet
-from .topology import DelayBreakdown, Topology
+from .topology import DelayBreakdown, Link, Topology
 
 _TIME_EPS = 1e-12
 
@@ -54,31 +58,44 @@ class NetworkRuntime:
 
     # -- data plane ----------------------------------------------------------
 
-    def forward_data(self, node: str, pkt: Packet) -> None:
-        """Admit a packet to `node`'s egress buffer towards pkt.dst, or drop it."""
+    def _route(self, node: str, pkt: Packet) -> Optional[Link]:
+        """The send-side step of every unicast hop, data and control alike.
+
+        Returns the link to pkt's next hop, or None after logging why the
+        packet cannot leave `node` (no route, or `node` is faulty). A packet
+        that carries a path measurement has its bottleneck raised to this
+        node's per-packet queue delay on the way, except at its source.
+        """
         sim = self.sim
         now = sim.now
         try:
             hop = self.topo.next_hop(node, pkt.dst, now)
         except NoRoute:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
-            return
+            return None
         if self.topo.fault_mode(node, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
+            return None
+        link = self.topo.links[(node, hop)]
+        if pkt.bottleneck_delay is not None and node != pkt.src:
+            tp.on_probe_forward(pkt, (self.buffers[node].occupancy + 1) / link.service_rate)
+        return link
+
+    def forward_data(self, node: str, pkt: Packet) -> None:
+        """Admit a packet to `node`'s egress buffer towards pkt.dst, or drop it."""
+        link = self._route(node, pkt)
+        if link is None:
             return
+        sim = self.sim
+        now = sim.now
         buf = self.buffers[node]
-        depth = buf.occupancy
         if buf.try_enqueue(now) == DROPPED:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
-        link = self.topo.links[(node, hop)]
         wait = max(self.busy_until[node] - now, 0.0)
-        bd = self.topo.sample_channel_delays((node, hop), self.packet_len, wait,
-                                             self.rng_of(node))
+        bd = self.topo.sample_channel_delays(link, self.packet_len, wait, self.rng_of(node))
         self.busy_until[node] = now + bd.b_del + bd.ca_del + bd.t_del
         mark_packet(pkt, buf.flag(now))
-        if pkt.bottleneck_delay is not None and node != pkt.src:
-            tp.on_probe_forward(pkt, (depth + 1) / link.service_rate)
         pkt.b_sum += bd.b_del
         pkt.ca_sum += bd.ca_del
         pkt.t_sum += bd.t_del
@@ -87,7 +104,7 @@ class NetworkRuntime:
         sim.trace.log(now, node, "send", pkt.pid, copy, "", bd.total())
         lost = link.loss > 0.0 and self.rng_of(node).random() < link.loss
         depart = bd.b_del + bd.ca_del + bd.t_del
-        sim.schedule(SimEvent(now + depart, node, "dep", (pkt, hop, copy, bd.p_del, lost)))
+        sim.schedule(SimEvent(now + depart, node, "dep", (pkt, link.dst, copy, bd.p_del, lost)))
 
     def _on_depart(self, sim: Simulator, event: SimEvent) -> None:
         pkt, hop, copy, p_del, lost = event.payload
@@ -135,26 +152,19 @@ class NetworkRuntime:
 
     def forward_control(self, node: str, pkt: Packet) -> None:
         """Unbuffered hop towards pkt.dst; probes measure the data queue in passing."""
+        link = self._route(node, pkt)
+        if link is None:
+            return
         sim = self.sim
         now = sim.now
-        try:
-            hop = self.topo.next_hop(node, pkt.dst, now)
-        except NoRoute:
-            sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
-            return
-        if (self.topo.fault_mode(node, now) is not None
-                or self.topo.link_fault_mode(node, hop, now) is not None):
+        if self.topo.link_fault_mode(node, link.dst, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        link = self.topo.links[(node, hop)]
-        if pkt.kind == KIND_PROBE and node != pkt.src:
-            occupancy = self.buffers[node].occupancy
-            tp.on_probe_forward(pkt, (occupancy + 1) / link.service_rate)
-        delay = (self.topo.ca_model.sample(self.rng_of(node))
-                 + self.ctl_len / link.bit_rate + link.propagation())
+        delay = self.topo.sample_channel_delays(link, self.ctl_len, 0.0,
+                                                self.rng_of(node)).total()
         copy = sim.new_copy()
         sim.trace.log(now, node, "send", pkt.pid, copy, "", delay)
-        sim.schedule(SimEvent(now + delay, hop, "ctl_arr", (pkt, copy)))
+        sim.schedule(SimEvent(now + delay, link.dst, "ctl_arr", (pkt, copy)))
 
     def _on_ctl_arrive(self, sim: Simulator, event: SimEvent) -> None:
         pkt, copy = event.payload
@@ -188,7 +198,7 @@ class NetworkRuntime:
         if not self._survives_arrival(node, pkt, -1):
             return
         app = self.apps.get(node)
-        if app is not None and hasattr(app, "on_frequency"):
+        if app is not None:  # a relay has no app
             app.on_frequency(pkt.payload, sim.now)
         self.broadcast(node, pkt)
 
@@ -349,9 +359,8 @@ class TransportSenderApp:
         self.total = goal.b_remaining
         self.next_new = 1
         self.retx_buffer: dict[int, float] = {}  # unacked seq -> last send time
-        # pid and generation time of each seq in retx_buffer, for its retransmissions
-        self.seq_pid: dict[int, int] = {}
-        self.seq_gen: dict[int, float] = {}
+        # (pid, generation time) of each seq in retx_buffer, for its retransmissions
+        self.origin: dict[int, tuple[int, float]] = {}
         self.retx_queue: deque[int] = deque()
         self.queued: set[int] = set()
         self.last_fb_arrival = -math.inf
@@ -417,9 +426,9 @@ class TransportSenderApp:
             return
         if self.sack_enabled:
             batch = tp.on_sack(self.state, sack, self.retx_buffer, now)
-            if len(self.seq_pid) > len(self.retx_buffer):  # forget what on_sack acked
-                for seq in [seq for seq in self.seq_pid if seq not in self.retx_buffer]:
-                    del self.seq_pid[seq], self.seq_gen[seq]
+            if len(self.origin) > len(self.retx_buffer):  # forget what on_sack acked
+                for seq in [seq for seq in self.origin if seq not in self.retx_buffer]:
+                    del self.origin[seq]
             tail = tp.overdue_tail(self.state, sack, self.retx_buffer, now,
                                    all_sent=self.next_new > self.total)
             for seq in batch + tail:
@@ -429,24 +438,22 @@ class TransportSenderApp:
         self._log_state(now, fb.r_f)
         self._ensure_pacing(now)
 
+    def _can_send(self) -> bool:
+        """A sending phase, and a retransmission or a new sequence to send."""
+        return (self.state.phase in (tp.Phase.INCREASE, tp.Phase.DECREASE, tp.Phase.HOLD)
+                and (bool(self.retx_queue) or self.next_new <= self.total))
+
     def _ensure_pacing(self, now: float) -> None:
-        if self._pace_handle is not None:
-            return
-        if self.state.phase not in (tp.Phase.INCREASE, tp.Phase.DECREASE, tp.Phase.HOLD):
-            return
-        if not self.retx_queue and self.next_new > self.total:
-            return
-        self._pace_handle = self.runtime.sim.schedule(
-            SimEvent(now, self.node, "pace", None))
+        if self._pace_handle is None and self._can_send():
+            self._pace_handle = self.runtime.sim.schedule(
+                SimEvent(now, self.node, "pace", None))
 
     # -- data path --------------------------------------------------------------
 
     def _pace(self, now: float) -> None:
+        if not self._can_send():
+            return
         state = self.state
-        if state.phase not in (tp.Phase.INCREASE, tp.Phase.DECREASE, tp.Phase.HOLD):
-            return
-        if not self.retx_queue and self.next_new > self.total:
-            return
         remaining = len(self.retx_buffer) + max(self.total - self.next_new + 1, 0)
         delta = self.goal.delta_re2a(now)
         if delta > 0:
@@ -469,7 +476,7 @@ class TransportSenderApp:
             if seq not in self.retx_buffer:  # acked while waiting in the queue
                 return
             self.retx_count += 1
-            pid, gen_time = self.seq_pid[seq], self.seq_gen[seq]
+            pid, gen_time = self.origin[seq]
         else:
             seq = self.next_new
             self.next_new += 1
@@ -479,8 +486,7 @@ class TransportSenderApp:
                      gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
             self.retx_buffer[seq] = now
-            self.seq_pid[seq] = pid
-            self.seq_gen[seq] = gen_time
+            self.origin[seq] = (pid, gen_time)
         self.runtime.forward_data(self.node, pkt)
 
     def _log_state(self, now: float, r_f: float) -> None:
@@ -492,7 +498,7 @@ class TransportSenderApp:
     def log_pending(self) -> None:
         sim = self.runtime.sim
         for seq in sorted(self.retx_buffer):
-            sim.trace.log(sim.now, self.node, "pending", self.seq_pid[seq], -1, "unacked")
+            sim.trace.log(sim.now, self.node, "pending", self.origin[seq][0], -1, "unacked")
 
     def on_frequency(self, f_new: float, now: float) -> None:
         pass

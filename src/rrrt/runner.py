@@ -88,28 +88,22 @@ def build_transport_topology(cfg: ScenarioConfig) -> Topology:
 
 
 @dataclass
-class FieldHarness:
+class Harness:
+    """A built network ready to run: its simulator, its runtime and, for a
+    transfer, the sender."""
+
     sim: Simulator
     runtime: NetworkRuntime
-    sink_app: SubSinkApp
+    sender: object = None
 
     def finalize(self) -> None:
-        self.runtime.log_pending()
-
-
-@dataclass
-class TransportHarness:
-    sim: Simulator
-    runtime: NetworkRuntime
-    sender: object
-
-    def finalize(self) -> None:
+        """Account for what is still queued, in flight or unacked at the horizon."""
         self.runtime.log_pending()
         if isinstance(self.sender, TransportSenderApp):
             self.sender.log_pending()
 
 
-def build_field(cfg: ScenarioConfig, seed: int) -> FieldHarness:
+def build_field(cfg: ScenarioConfig, seed: int) -> Harness:
     topo, source_names = build_field_topology(cfg)
     sim = Simulator(seed)
     runtime = NetworkRuntime(sim, topo, cfg.topology.packet_len, cfg.topology.ctl_len,
@@ -143,10 +137,10 @@ def build_field(cfg: ScenarioConfig, seed: int) -> FieldHarness:
     sink_app.start(0.0)
     for src in sources:
         src.start(0.0)
-    return FieldHarness(sim, runtime, sink_app)
+    return Harness(sim, runtime)
 
 
-def build_transport(cfg: ScenarioConfig, seed: int) -> TransportHarness:
+def build_transport(cfg: ScenarioConfig, seed: int) -> Harness:
     topo = build_transport_topology(cfg)
     sim = Simulator(seed)
     runtime = NetworkRuntime(sim, topo, cfg.topology.packet_len, cfg.topology.ctl_len,
@@ -167,7 +161,7 @@ def build_transport(cfg: ScenarioConfig, seed: int) -> TransportHarness:
     runtime.attach_app(XP_SENDER, sender)
     receiver.start(0.0)
     sender.start(0.0)
-    return TransportHarness(sim, runtime, sender)
+    return Harness(sim, runtime, sender)
 
 
 def measured_flow(cfg: ScenarioConfig) -> str:

@@ -3,7 +3,8 @@
 Routes are supplied or computed once by shortest hop count at load time; the
 kernel never recomputes them. Fault injection flips nodes or links into
 `crash` (routing-visible: a route through it raises NoRoute) or `drop-all`
-(silent blackhole: routing is unaware) from a given time onward.
+(silent blackhole: routing is unaware) from a given time onward. The delay
+model samples one hop on the `Link` its caller already holds.
 """
 
 from __future__ import annotations
@@ -168,16 +169,17 @@ class Topology:
             raise UnknownLink(f"no such link {src}->{dst}")
         return link
 
-    def sample_channel_delays(self, link_ref: tuple[str, str], packet_len: float,
-                              wait: float, rng) -> DelayBreakdown:
-        """Per-hop delay for one packet: queue wait, channel access, transmission, propagation.
+    def sample_channel_delays(self, link: Link, packet_len: float, wait: float,
+                              rng) -> DelayBreakdown:
+        """Per-hop delay for one packet on `link`: queue wait, channel access,
+        transmission, propagation.
 
         `wait` is the time the packet spends queued before the sender's radio
-        is free, which the caller knows from the radio's busy clock.
+        is free, which the caller knows from the radio's busy clock; an
+        unbuffered control packet passes 0.0.
         """
         if packet_len <= 0:
             raise ValueError("packet_len must be positive")
-        link = self.link(*link_ref)
         return DelayBreakdown(
             b_del=wait,
             ca_del=self.ca_model.sample(rng),

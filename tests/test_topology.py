@@ -25,7 +25,7 @@ def test_delay_breakdown_total():
 def test_sample_channel_delays_component_formulas():
     topo = small_chain_topo()
     rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(("A", "B"), packet_len=1000.0, wait=0.0, rng=rng)
+    bd = topo.sample_channel_delays(topo.link("A", "B"), packet_len=1000.0, wait=0.0, rng=rng)
     assert bd.t_del == pytest.approx(0.004)      # 1000 bits / 250 kbit/s
     assert bd.p_del == pytest.approx(1e-7)        # 30 m / 3e8 m/s
     assert bd.b_del == 0.0
@@ -35,7 +35,7 @@ def test_sample_channel_delays_component_formulas():
 def test_sample_channel_delays_buffering_ratio():
     topo = small_chain_topo()
     rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(("A", "B"), 1000.0, wait=0.1, rng=rng)
+    bd = topo.sample_channel_delays(topo.link("A", "B"), 1000.0, wait=0.1, rng=rng)
     assert bd.b_del == 0.1  # the queue wait is the caller's, passed through unchanged
 
 
@@ -43,11 +43,10 @@ def test_self_link_is_rejected_and_unknown():
     with pytest.raises(ValueError):
         Topology(["A"], [Link("A", "A", 0.0)])
     topo = small_chain_topo()
-    rng = Simulator(1).rng("x")
     with pytest.raises(UnknownLink):
-        topo.sample_channel_delays(("A", "A"), 1000.0, 0, rng)
+        topo.link("A", "A")
     with pytest.raises(UnknownLink):
-        topo.sample_channel_delays(("A", "C"), 1000.0, 0, rng)
+        topo.link("A", "C")
 
 
 def test_next_hop_chain_lookup():

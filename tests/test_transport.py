@@ -306,7 +306,7 @@ def test_transfer_never_rebuilds_the_received_set(monkeypatch):
 
 
 def test_sender_keeps_pid_and_gen_time_only_for_unacked_sequences():
-    """The sender's per-sequence maps follow retx_buffer, so its memory follows
+    """The sender's per-sequence origin map follows retx_buffer, so its memory follows
     the packets in flight, not the transfer; with SACK off it keeps none."""
     cfg = parse_scenario(os.path.join(SCENARIO_DIR, "transport_lossy.cfg"))
     harness = build_transport(cfg, 1)
@@ -314,14 +314,14 @@ def test_sender_keeps_pid_and_gen_time_only_for_unacked_sequences():
     widest = 0
     for piece in range(1, 41):
         harness.sim.run_until(cfg.sim.horizon * piece / 40)
-        assert sender.seq_pid.keys() == sender.seq_gen.keys() == sender.retx_buffer.keys()
+        assert sender.origin.keys() == sender.retx_buffer.keys()
         widest = max(widest, len(sender.retx_buffer))
     assert 0 < widest < cfg.transport.goal_packets
-    assert len(sender.seq_pid) == len(sender.retx_buffer)
+    assert len(sender.origin) == len(sender.retx_buffer)
     cfg.switches.sack = False
     harness = build_transport(cfg, 1)
     harness.sim.run_until(cfg.sim.horizon)
-    assert not harness.sender.seq_pid and not harness.sender.seq_gen
+    assert not harness.sender.origin
 
 
 # -- sim-level contracts ------------------------------------------------------------------
