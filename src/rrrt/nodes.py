@@ -179,16 +179,26 @@ class NetworkRuntime:
     # -- frequency broadcast -----------------------------------------------------
 
     def broadcast(self, node: str, pkt: Packet) -> None:
-        """Flood down the reverse route tree: one transmission reaches all children."""
+        """Flood down the reverse route tree: one transmission reaches all children.
+
+        As on a unicast hop, a faulty node sends nothing, and a child behind a
+        faulty link gets no copy.
+        """
         kids = self.children.get(node)
         if not kids:
             return
         sim = self.sim
         now = sim.now
+        topo = self.topo
+        if topo.fault_mode(node, now) is not None:
+            sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
+            return
         sim.trace.log(now, node, "send", pkt.pid, -1)
-        ca = self.topo.ca_model.sample(self.rng_of(node))
+        ca = topo.ca_model.sample(self.rng_of(node))
         for kid in kids:
-            link = self.topo.links[(node, kid)]
+            if topo.link_fault_mode(node, kid, now) is not None:
+                continue
+            link = topo.links[(node, kid)]
             delay = ca + self.ctl_len / link.bit_rate + link.propagation()
             sim.schedule(SimEvent(now + delay, kid, "bcast_arr", pkt))
 

@@ -31,7 +31,7 @@ FAULT_SHA256 = {
     ("field_congested", "relay", 2.0, "drop-all"):
         "eb17f6b7bdc26690137551878d48b93aca046ed8b409a6eeb39f9c3f5a7f460f",
     ("field_congested", ("relay", "s003"), 1.0, "crash"):
-        "3fa0bfab4713faac7e476cafc10d703dc0238d701bef2d1bf6d9781c8992cc67",
+        "52c10cffead0ce9522ed97bb5e21c613b59de3e00d617724ec4dce4924d2abe5",
 }
 
 
@@ -56,3 +56,23 @@ def test_fault_run_trace_hash_audit_and_replay(case):
     text = trace.serialize(preamble)
     assert replay_text(text) == reduce_trace(trace, preamble)
     assert hashlib.sha256(text.encode()).hexdigest() == FAULT_SHA256[case]
+
+
+def broadcast_rows(trace, node, kind):
+    """Times of `node`'s broadcast rows of `kind`: the rows a broadcast pid
+    logs carry no copy number."""
+    return [r[0] for r in trace.records if r[1] == node and r[2] == kind and r[4] == -1]
+
+
+def test_a_crashed_sink_drops_its_broadcasts():
+    _, trace = run_with_fault("field_congested", "sink", 1.0, "crash")
+    assert broadcast_rows(trace, "sink", "send") == []
+    assert broadcast_rows(trace, "sink", "drop") == [float(t) for t in range(1, 11)]
+    assert broadcast_rows(trace, "relay", "receive") == []
+
+
+def test_a_child_behind_a_crashed_link_gets_no_broadcast():
+    _, trace = run_with_fault("field_congested", ("relay", "s003"), 1.0, "crash")
+    assert len(broadcast_rows(trace, "sink", "send")) == 10
+    assert broadcast_rows(trace, "s003", "receive") == []
+    assert len(broadcast_rows(trace, "s004", "receive")) >= 9
