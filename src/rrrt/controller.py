@@ -200,11 +200,14 @@ class IntervalRow:
 
     @classmethod
     def decode(cls, info: str, end_time: float) -> "IntervalRow":
+        """Inverse of encode(); raises ValueError for a condition that is not a
+        NetworkCondition value, and KeyError for a missing field."""
         fields = dict(part.split("=", 1) for part in info.split(";"))
         return cls(
             interval=int(fields["i"]), dr_o=int(fields["dr_o"]), dr_d=int(fields["dr_d"]),
             alpha=float(fields["alpha"]), t_i=float(fields["t_i"]), cn=fields["cn"] == "1",
-            condition=fields["cond"], f_i=float(fields["f_i"]), f_next=float(fields["f_next"]),
+            condition=NetworkCondition(fields["cond"]).value,
+            f_i=float(fields["f_i"]), f_next=float(fields["f_next"]),
             x=int(fields["x"]), end_time=end_time,
         )
 

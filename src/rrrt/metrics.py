@@ -9,25 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .controller import IntervalRow, classify_condition, reliability_indicator
+from .controller import IntervalRow
 from .errors import InvariantViolation
 from .kernel import SimulationTrace
 
 
-def convergence_time(rows: list[IntervalRow], beta: float) -> Optional[float]:
+def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
     """End time of the first interval from which every later one stays adequate."""
-    if not rows:
-        return None
-    adequate = []
-    for row in rows:
-        cond = row.condition
-        if not cond:  # re-derive if a row came without a recorded condition
-            cond = classify_condition(
-                reliability_indicator(row.dr_o, row.dr_d), row.cn, beta).value
-        adequate.append(cond == "AdequateRelNoCong")
     first = None
     for i in range(len(rows) - 1, -1, -1):
-        if adequate[i]:
+        if rows[i].condition == "AdequateRelNoCong":
             first = i
         else:
             break
@@ -106,7 +97,7 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
             "satisfied_fraction": lit_frac if mode == "literal" else full_frac,
         }
     return MetricsReport(
-        convergence_time=convergence_time(rows, float(preamble.get("beta", "0.05"))),
+        convergence_time=convergence_time(rows),
         total_energy=(tx * float(preamble.get("e_tx", "50e-6"))
                       + rx * float(preamble.get("e_rx", "25e-6"))),
         aggregate_throughput=delivered,

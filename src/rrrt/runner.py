@@ -11,7 +11,7 @@ from typing import Optional
 from . import transport as tp
 from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
                          ReliabilityTargets)
-from .errors import Corrupt, InvalidTarget, ScenarioInvalid
+from .errors import Corrupt, ScenarioInvalid
 from .kernel import SimulationTrace, Simulator, read_rows
 from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
@@ -230,7 +230,7 @@ def replay_text(text: str) -> MetricsReport:
     preamble, records = read_rows(text)
     try:
         return reduce_trace(records, preamble)
-    except (InvalidTarget, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise Corrupt(None, f"value that does not reduce ({exc!r})") from None
 
 

@@ -21,28 +21,23 @@ LOW = "LowRelNoCong"
 
 def test_convergence_first_sustained_index():
     rows = [row(1, LOW), row(2, LOW)] + [row(i, ADE) for i in range(3, 12)]
-    assert convergence_time(rows, 0.05) == 3.0
+    assert convergence_time(rows) == 3.0
 
 
 def test_convergence_all_adequate_from_start():
     rows = [row(i, ADE) for i in range(1, 5)]
-    assert convergence_time(rows, 0.05) == 1.0
+    assert convergence_time(rows) == 1.0
 
 
 def test_convergence_never_sustained():
     rows = [row(i, ADE if i % 2 else LOW) for i in range(1, 21)]  # ends on Low
-    assert convergence_time(rows, 0.05) is None
-    assert convergence_time([], 0.05) is None
+    assert convergence_time(rows) is None
+    assert convergence_time([]) is None
 
 
 def test_convergence_is_the_trailing_adequate_run():
     rows = [row(1, ADE), row(2, LOW), row(3, ADE), row(4, ADE)]
-    assert convergence_time(rows, 0.05) == 3.0  # the early touch does not count
-
-
-def test_convergence_rederives_condition_when_missing():
-    rows = [row(1, "", dr_o=50), row(2, "", dr_o=100), row(3, "", dr_o=100)]
-    assert convergence_time(rows, 0.05) == 2.0
+    assert convergence_time(rows) == 3.0  # the early touch does not count
 
 
 def energy(trace, e_tx=50e-6, e_rx=25e-6):

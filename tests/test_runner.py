@@ -212,12 +212,14 @@ INTERVAL_INFO = ("i=1;dr_o={dr_o};dr_d={dr_d};alpha=0.0075;t_i=1.0;cn=0;cond={co
     + INTERVAL_INFO.format(dr_o="x", dr_d=400, cond="LowRelNoCong") + "\n",
     TRACE_HEADER + "1.0,sink,interval,-1,-1,,,"
     + INTERVAL_INFO.format(dr_o=3, dr_d=0, cond="") + "\n",
-    "# beta=abc\n" + TRACE_HEADER,
+    TRACE_HEADER + "1.0,sink,interval,-1,-1,,,"
+    + INTERVAL_INFO.format(dr_o=3, dr_d=400, cond="LowRel") + "\n",
     "# e_tx=1e-6x\n" + TRACE_HEADER,
     "# e_rx=\n" + TRACE_HEADER,
     "# seed=1.5\n" + TRACE_HEADER,
     TRACE_HEADER + "0.5,s001,generate,3,-1,,,\n1.0,sink,deliver,3,-1,,,data\n",
-], ids=["interval_info", "interval_target", "beta", "e_tx", "e_rx", "seed", "deliver_value"])
+], ids=["interval_info", "interval_target", "interval_condition", "e_tx", "e_rx", "seed",
+        "deliver_value"])
 def test_cli_replay_of_a_value_that_does_not_reduce_is_corrupt(tmp_path, capsys, text):
     path = tmp_path / "trace.csv"
     path.write_text(text)
