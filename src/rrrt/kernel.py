@@ -33,14 +33,13 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
 
 @dataclass(slots=True)
 class SimEvent:
-    """One scheduled occurrence. `ordinal` is the monotone tiebreaker assigned at schedule time;
-    a cancelled event stays queued and is skipped when it comes up."""
+    """One scheduled occurrence. A cancelled event stays queued and is skipped
+    when it comes up."""
 
     time: float
     target: str
     kind: str
     payload: Any = None
-    ordinal: int = -1
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -190,11 +189,14 @@ class Simulator:
         self._handlers[node_id] = handler
 
     def schedule(self, event: SimEvent) -> SimEvent:
-        """Queue `event` and return it; its cancel() keeps it from firing."""
+        """Queue `event` and return it; its cancel() keeps it from firing.
+
+        The heap entry carries a monotone ordinal after the time, so events at
+        one time fire in the order they were scheduled.
+        """
         if event.time < self.now:
             raise PastTime(f"event at t={event.time} before clock t={self.now}")
         self._ordinal += 1
-        event.ordinal = self._ordinal
         heapq.heappush(self._heap, (event.time, self._ordinal, event))
         return event
 
