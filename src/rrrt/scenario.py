@@ -180,13 +180,24 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
+def _strip_comment(raw: str) -> str:
+    """`raw` up to its first `#` outside double quotes."""
+    quoted = False
+    for at, char in enumerate(raw):
+        if char == '"':
+            quoted = not quoted
+        elif char == "#" and not quoted:
+            return raw[:at]
+    return raw
+
+
 def parse_scenario_text(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     violations: list[Validation] = []
     section_name = None
     section_obj = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

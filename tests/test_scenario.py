@@ -73,6 +73,7 @@ def test_type_mismatches_are_violations():
 
 def test_round_trip_serialize_parse_equality():
     cfg = ScenarioConfig()
+    cfg.scenario.name = "run#2"
     cfg.scenario.mode = "transport"
     cfg.controller.f_init = 7.25
     cfg.transport.data_loss = 0.125
@@ -80,6 +81,11 @@ def test_round_trip_serialize_parse_equality():
     text = serialize_scenario(cfg)
     assert parse_scenario_text(text) == cfg
     assert scenario_hash(parse_scenario_text(text)) == scenario_hash(cfg)
+
+
+def test_a_hash_inside_double_quotes_is_not_a_comment():
+    cfg = parse_scenario_text('# run "a#b"\n[scenario]  # meta\nname = "a#b" # the name\n')
+    assert cfg.scenario.name == "a#b"
 
 
 def test_get_and_set_param_by_dotted_path():
