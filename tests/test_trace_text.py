@@ -1,35 +1,24 @@
-"""Trace text: serialize against its line-list oracle, the streaming replay
-against the list path and the live report, and replay of mutated traces."""
+"""Trace text: serialize against its line-list oracle on edge cases, replay
+without the record list, and replay of mutated traces. The shipped scenarios'
+serialize, stream and list checks run with their golden hashes in
+test_golden.py."""
 
 import functools
 import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import serialize_oracle
 from rrrt.cli import main
 from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, read_rows
-from rrrt.metrics import reduce_trace
-from rrrt.runner import replay_text, run_and_serialize, run_traced
+from rrrt.runner import replay_text, run_and_serialize
 from rrrt.scenario import parse_scenario, set_param
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-SHIPPED = ("field_baseline", "field_burst", "field_congested", "transport_comparison",
-           "transport_lossy")
 
 
 def shipped(name):
     return parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
-
-
-@pytest.mark.parametrize("name", SHIPPED)
-def test_shipped_trace_serializes_as_the_oracle_and_streams_as_the_list(name):
-    report, trace, preamble = run_traced(shipped(name), 1)
-    text = trace.serialize(preamble)
-    assert text == serialize_oracle(trace.records, preamble)
-    del trace
-    assert replay_text(text) == reduce_trace(*SimulationTrace.parse(text)) == report
 
 
 def test_replay_streams_without_building_the_record_list(monkeypatch):
