@@ -200,8 +200,7 @@ class IntervalRow:
 
     @classmethod
     def decode(cls, info: str, end_time: float) -> "IntervalRow":
-        """Inverse of encode(); raises ValueError for a condition that is not a
-        NetworkCondition value, and KeyError for a missing field."""
+        """Inverse of encode(); ValueError on an unknown condition or a bad number."""
         fields = dict(part.split("=", 1) for part in info.split(";"))
         return cls(
             interval=int(fields["i"]), dr_o=int(fields["dr_o"]), dr_d=int(fields["dr_d"]),

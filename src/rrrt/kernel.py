@@ -189,11 +189,7 @@ class Simulator:
         self._handlers[node_id] = handler
 
     def schedule(self, event: SimEvent) -> SimEvent:
-        """Queue `event` and return it; its cancel() keeps it from firing.
-
-        The heap entry carries a monotone ordinal after the time, so events at
-        one time fire in the order they were scheduled.
-        """
+        """Queue `event` and return it; its cancel() keeps it from firing."""
         if event.time < self.now:
             raise PastTime(f"event at t={event.time} before clock t={self.now}")
         self._ordinal += 1

@@ -16,15 +16,12 @@ from .kernel import SimulationTrace
 
 def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
     """End time of the first interval from which every later one stays adequate."""
-    first = None
-    for i in range(len(rows) - 1, -1, -1):
-        if rows[i].condition == "AdequateRelNoCong":
-            first = i
-        else:
+    end = None
+    for row in reversed(rows):
+        if row.condition != "AdequateRelNoCong":
             break
-    if first is None:
-        return None
-    return rows[first].end_time
+        end = row.end_time
+    return end
 
 
 @dataclass

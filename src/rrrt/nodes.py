@@ -3,13 +3,11 @@
 The runtime owns the data-plane pipeline (buffer admission, the sampled
 per-hop delay, link loss, fault handling) and the control plane (unbuffered
 probe/feedback forwarding, frequency-broadcast flooding down the reverse
-route tree). A data hop and a control hop share one send-side step,
-`_route`: the next hop, the sender's fault check and the path measurement
-of packets that carry one. Both sample their hop delay with
-`Topology.sample_channel_delays`; a control packet waits for no queue.
-Applications sit on top: sensor sources, the sub-sink reliability
-controller, the rate-controlled transport sender/receiver, a cross-traffic
-generator and a naive fixed-rate sender for comparisons.
+route tree). Data and control hops share one send-side step (`_route`: next
+hop, sender fault, path measurement) and one hop-delay formula. Applications
+sit on top: sensor sources, the sub-sink reliability controller, the
+rate-controlled transport sender/receiver, a cross-traffic generator and a
+naive fixed-rate sender for comparisons.
 """
 
 from __future__ import annotations
@@ -59,13 +57,9 @@ class NetworkRuntime:
     # -- data plane ----------------------------------------------------------
 
     def _route(self, node: str, pkt: Packet) -> Optional[Link]:
-        """The send-side step of every unicast hop, data and control alike.
-
-        Returns the link to pkt's next hop, or None after logging why the
-        packet cannot leave `node` (no route, or `node` is faulty). A packet
-        that carries a path measurement has its bottleneck raised to this
-        node's per-packet queue delay on the way, except at its source.
-        """
+        """The link to pkt's next hop, or None after logging why pkt cannot leave
+        `node`. Past its source, a packet that carries a path measurement has
+        its bottleneck raised to this node's per-packet queue delay."""
         sim = self.sim
         now = sim.now
         try:
@@ -180,25 +174,21 @@ class NetworkRuntime:
 
     def broadcast(self, node: str, pkt: Packet) -> None:
         """Flood down the reverse route tree: one transmission reaches all children.
-
-        As on a unicast hop, a faulty node sends nothing, and a child behind a
-        faulty link gets no copy.
-        """
+        A faulty node sends nothing; a child behind a faulty link gets no copy."""
         kids = self.children.get(node)
         if not kids:
             return
         sim = self.sim
         now = sim.now
-        topo = self.topo
-        if topo.fault_mode(node, now) is not None:
+        if self.topo.fault_mode(node, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
         sim.trace.log(now, node, "send", pkt.pid, -1)
-        ca = topo.ca_model.sample(self.rng_of(node))
+        ca = self.topo.ca_model.sample(self.rng_of(node))
         for kid in kids:
-            if topo.link_fault_mode(node, kid, now) is not None:
+            if self.topo.link_fault_mode(node, kid, now) is not None:
                 continue
-            link = topo.links[(node, kid)]
+            link = self.topo.links[(node, kid)]
             delay = ca + self.ctl_len / link.bit_rate + link.propagation()
             sim.schedule(SimEvent(now + delay, kid, "bcast_arr", pkt))
 

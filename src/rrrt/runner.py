@@ -89,15 +89,13 @@ def build_transport_topology(cfg: ScenarioConfig) -> Topology:
 
 @dataclass
 class Harness:
-    """A built network ready to run: its simulator, its runtime and, for a
-    transfer, the sender."""
+    """A built network: its simulator, its runtime and, for a transfer, the sender."""
 
     sim: Simulator
     runtime: NetworkRuntime
     sender: object = None
 
     def finalize(self) -> None:
-        """Account for what is still queued, in flight or unacked at the horizon."""
         self.runtime.log_pending()
         if isinstance(self.sender, TransportSenderApp):
             self.sender.log_pending()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Any
 
@@ -129,6 +130,8 @@ _SECTIONS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
 _FIELD_TYPES = {f"{name}.{f.name}": type(f.default)
                 for name, section in vars(ScenarioConfig()).items()
                 for f in dc_fields(section)}
+# A `#` outside double quotes starts a comment; a quoted string is kept whole.
+_COMMENT = re.compile(r'("[^"]*")|#.*')
 _EXPECTED = {bool: "expected true/false", int: "expected an integer",
              float: "expected a number", str: "expected a string"}
 
@@ -180,24 +183,13 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
-def _strip_comment(raw: str) -> str:
-    """`raw` up to its first `#` outside double quotes."""
-    quoted = False
-    for at, char in enumerate(raw):
-        if char == '"':
-            quoted = not quoted
-        elif char == "#" and not quoted:
-            return raw[:at]
-    return raw
-
-
 def parse_scenario_text(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     violations: list[Validation] = []
     section_name = None
     section_obj = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw).strip()
+        line = _COMMENT.sub(lambda m: m.group(1) or "", raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
