@@ -130,8 +130,8 @@ _SECTIONS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
 _FIELD_TYPES = {f"{name}.{f.name}": type(f.default)
                 for name, section in vars(ScenarioConfig()).items()
                 for f in dc_fields(section)}
-# A `#` outside double quotes starts a comment; a quoted string is kept whole.
-_COMMENT = re.compile(r'("[^"]*")|#.*')
+# A line up to its comment: a `#` inside double quotes is part of the value.
+_CODE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 _EXPECTED = {bool: "expected true/false", int: "expected an integer",
              float: "expected a number", str: "expected a string"}
 
@@ -189,7 +189,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     section_name = None
     section_obj = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = _COMMENT.sub(lambda m: m.group(1) or "", raw).strip()
+        line = (_CODE.match(raw).group() if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

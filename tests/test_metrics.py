@@ -10,8 +10,8 @@ from rrrt.kernel import SimulationTrace
 from rrrt.metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 
 
-def row(i, condition, end_time=None, dr_o=100, dr_d=100, cn=False):
-    return IntervalRow(i, dr_o, dr_d, dr_o / dr_d, math.inf, cn, condition,
+def row(i, condition, end_time=None):
+    return IntervalRow(i, 100, 100, 1.0, math.inf, False, condition,
                        1.0, 1.0, 1, float(i) if end_time is None else end_time)
 
 
