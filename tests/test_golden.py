@@ -1,24 +1,14 @@
 """Golden trace hashes: the refactoring oracle.
 
 Each shipped scenario at seed 1 must serialize to the same bytes as before a
-change that is meant to keep behaviour. The same run also checks serialize
-against its line-list oracle, and that the streaming replay, the list path
-(`SimulationTrace.parse` into `reduce_trace`) and the live report agree. A
-change that alters a hash on purpose updates it here and says why.
+change that is meant to keep behaviour, and its replayed report must equal the
+live one. A change that alters a hash on purpose updates it here and says why.
+The run is shared with `test_trace_text.py` through `shipped.shipped_run`.
 """
-
-import hashlib
-import os
 
 import pytest
 
-from oracles import serialize_oracle
-from rrrt.kernel import SimulationTrace
-from rrrt.metrics import reduce_trace
-from rrrt.runner import replay_text, run_traced
-from rrrt.scenario import parse_scenario
-
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+from shipped import SHIPPED, shipped_run
 
 GOLDEN_SHA256 = {
     "field_baseline": "d3bfba28c7c71112f01f692178733488eb27d92230f21d4729cd46238463594f",
@@ -31,10 +21,10 @@ GOLDEN_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_shipped_scenario_trace_hash_and_replay(name):
-    cfg = parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
-    report, trace, preamble = run_traced(cfg, 1)
-    text = trace.serialize(preamble)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
-    assert text == serialize_oracle(trace.records, preamble)
-    del trace
-    assert replay_text(text) == reduce_trace(*SimulationTrace.parse(text)) == report
+    run = shipped_run(name)
+    assert run.text_sha256 == GOLDEN_SHA256[name]
+    assert run.streamed == run.live
+
+
+def test_every_shipped_scenario_has_a_golden_hash():
+    assert sorted(GOLDEN_SHA256) == sorted(SHIPPED)

@@ -1,24 +1,24 @@
-"""Trace text: serialize against its line-list oracle on edge cases, replay
-without the record list, and replay of mutated traces. The shipped scenarios'
-serialize, stream and list checks run with their golden hashes in
-test_golden.py."""
+"""Trace text: serialize against its line-list oracle, the streaming replay
+against the list path and the live report, and replay of mutated traces."""
 
 import functools
-import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import serialize_oracle
 from rrrt.cli import main
 from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, read_rows
 from rrrt.runner import replay_text, run_and_serialize
-from rrrt.scenario import parse_scenario, set_param
+from rrrt.scenario import set_param
+from shipped import SHIPPED, shipped, shipped_run
 
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
-
-def shipped(name):
-    return parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_trace_serializes_as_the_oracle_and_streams_as_the_list(name):
+    run = shipped_run(name)
+    assert run.text_sha256 == run.oracle_sha256
+    assert run.streamed == run.listed == run.live
 
 
 def test_replay_streams_without_building_the_record_list(monkeypatch):
