@@ -8,6 +8,11 @@ hop, sender fault, path measurement) and one hop-delay formula. Applications
 sit on top: sensor sources, the sub-sink reliability controller, the
 rate-controlled transport sender/receiver, a cross-traffic generator and a
 naive fixed-rate sender for comparisons.
+
+Until `Topology.inject_fault` sets `topo.has_faults`, no hop looks up a fault:
+`_route` reads the next hop's link and its data transmission and propagation
+delays from a table filled on first use, and arrivals just log `receive`. The
+flag is read on every hop, so a fault injected mid-run takes effect at once.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ class NetworkRuntime:
         self.apps: dict[str, object] = {}
         self.children: dict[str, list[str]] = {}
         self._rngs = {}
+        self._hops: dict[tuple[str, str], tuple[Link, float, float]] = {}
+        self._handlers = {"dep": self._on_depart, "arr": self._on_arrive,
+                          "ctl_arr": self._on_ctl_arrive, "bcast_arr": self._on_broadcast_arrive}
         for node in topo.nodes:
             sim.register(node, self._dispatch)
 
@@ -56,57 +64,74 @@ class NetworkRuntime:
 
     # -- data plane ----------------------------------------------------------
 
-    def _route(self, node: str, pkt: Packet) -> Optional[Link]:
-        """The link to pkt's next hop, or None after logging why pkt cannot leave
-        `node`. Past its source, a packet that carries a path measurement has
-        its bottleneck raised to this node's per-packet queue delay."""
+    def _route(self, node: str, pkt: Packet) -> Optional[tuple[Link, float, float]]:
+        """The link to pkt's next hop with its data transmission and propagation
+        delays, or None after logging why pkt cannot leave `node`. Past its
+        source, a packet that carries a path measurement has its bottleneck
+        raised to this node's per-packet queue delay."""
         sim = self.sim
         now = sim.now
-        try:
-            hop = self.topo.next_hop(node, pkt.dst, now)
-        except NoRoute:
-            sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
-            return None
-        if self.topo.fault_mode(node, now) is not None:
-            sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
-            return None
-        link = self.topo.links[(node, hop)]
+        topo = self.topo
+        if topo.has_faults:
+            try:
+                topo.next_hop(node, pkt.dst, now)
+            except NoRoute:
+                sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
+                return None
+            if topo.fault_mode(node, now) is not None:
+                sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
+                return None
+        hop = self._hops.get((node, pkt.dst))
+        if hop is None:
+            next_node = topo.routes.get((node, pkt.dst))  # never set for node == dst
+            if next_node is None:
+                sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
+                return None
+            link = topo.links[(node, next_node)]
+            hop = self._hops[node, pkt.dst] = (link, self.packet_len / link.bit_rate,
+                                               link.propagation())
         if pkt.bottleneck_delay is not None and node != pkt.src:
-            tp.on_probe_forward(pkt, (self.buffers[node].occupancy + 1) / link.service_rate)
-        return link
+            tp.on_probe_forward(pkt, (self.buffers[node].occupancy + 1) / hop[0].service_rate)
+        return hop
 
     def forward_data(self, node: str, pkt: Packet) -> None:
         """Admit a packet to `node`'s egress buffer towards pkt.dst, or drop it."""
-        link = self._route(node, pkt)
-        if link is None:
+        hop = self._route(node, pkt)
+        if hop is None:
             return
+        link, t_del, p_del = hop
         sim = self.sim
         now = sim.now
         buf = self.buffers[node]
         if buf.try_enqueue(now) == DROPPED:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
-        wait = max(self.busy_until[node] - now, 0.0)
-        bd = self.topo.sample_channel_delays(link, self.packet_len, wait, self.rng_of(node))
-        self.busy_until[node] = now + bd.b_del + bd.ca_del + bd.t_del
+        # Sums in the order of Topology.sample_channel_delays and DelayBreakdown.total.
+        b_del = self.busy_until[node] - now
+        if b_del < 0.0:
+            b_del = 0.0
+        rng = self.rng_of(node)
+        ca_del = self.topo.ca_model.sample(rng)
+        self.busy_until[node] = now + b_del + ca_del + t_del
         mark_packet(pkt, buf.flag(now))
-        pkt.b_sum += bd.b_del
-        pkt.ca_sum += bd.ca_del
-        pkt.t_sum += bd.t_del
-        pkt.p_sum += bd.p_del
+        pkt.b_sum += b_del
+        pkt.ca_sum += ca_del
+        pkt.t_sum += t_del
+        pkt.p_sum += p_del
         copy = sim.new_copy()
-        sim.trace.log(now, node, "send", pkt.pid, copy, "", bd.total())
-        lost = link.loss > 0.0 and self.rng_of(node).random() < link.loss
-        depart = bd.b_del + bd.ca_del + bd.t_del
-        sim.schedule(SimEvent(now + depart, node, "dep", (pkt, link.dst, copy, bd.p_del, lost)))
+        depart = b_del + ca_del + t_del
+        sim.trace.log(now, node, "send", pkt.pid, copy, "", depart + p_del)
+        lost = link.loss > 0.0 and rng.random() < link.loss
+        sim.schedule(SimEvent(now + depart, node, "dep", (pkt, link.dst, copy, p_del, lost)))
 
     def _on_depart(self, sim: Simulator, event: SimEvent) -> None:
         pkt, hop, copy, p_del, lost = event.payload
         node = event.target
         now = sim.now
         self.buffers[node].release(now)
-        if (self.topo.fault_mode(node, now) is not None
-                or self.topo.link_fault_mode(node, hop, now) is not None):
+        topo = self.topo
+        if topo.has_faults and (topo.fault_mode(node, now) is not None
+                                or topo.link_fault_mode(node, hop, now) is not None):
             sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
             return
         if lost:
@@ -122,7 +147,7 @@ class NetworkRuntime:
         """
         sim = self.sim
         now = sim.now
-        mode = self.topo.fault_mode(node, now)
+        mode = self.topo.fault_mode(node, now) if self.topo.has_faults else None
         if mode == "crash":
             sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
             return False
@@ -146,16 +171,17 @@ class NetworkRuntime:
 
     def forward_control(self, node: str, pkt: Packet) -> None:
         """Unbuffered hop towards pkt.dst; probes measure the data queue in passing."""
-        link = self._route(node, pkt)
-        if link is None:
+        hop = self._route(node, pkt)
+        if hop is None:
             return
+        link = hop[0]
         sim = self.sim
         now = sim.now
-        if self.topo.link_fault_mode(node, link.dst, now) is not None:
+        topo = self.topo
+        if topo.has_faults and topo.link_fault_mode(node, link.dst, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        delay = self.topo.sample_channel_delays(link, self.ctl_len, 0.0,
-                                                self.rng_of(node)).total()
+        delay = topo.sample_channel_delays(link, self.ctl_len, 0.0, self.rng_of(node)).total()
         copy = sim.new_copy()
         sim.trace.log(now, node, "send", pkt.pid, copy, "", delay)
         sim.schedule(SimEvent(now + delay, link.dst, "ctl_arr", (pkt, copy)))
@@ -180,15 +206,16 @@ class NetworkRuntime:
             return
         sim = self.sim
         now = sim.now
-        if self.topo.fault_mode(node, now) is not None:
+        topo = self.topo
+        if topo.has_faults and topo.fault_mode(node, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
         sim.trace.log(now, node, "send", pkt.pid, -1)
-        ca = self.topo.ca_model.sample(self.rng_of(node))
+        ca = topo.ca_model.sample(self.rng_of(node))
         for kid in kids:
-            if self.topo.link_fault_mode(node, kid, now) is not None:
+            if topo.has_faults and topo.link_fault_mode(node, kid, now) is not None:
                 continue
-            link = self.topo.links[(node, kid)]
+            link = topo.links[(node, kid)]
             delay = ca + self.ctl_len / link.bit_rate + link.propagation()
             sim.schedule(SimEvent(now + delay, kid, "bcast_arr", pkt))
 
@@ -205,16 +232,11 @@ class NetworkRuntime:
     # -- dispatch / horizon -----------------------------------------------------
 
     def _dispatch(self, sim: Simulator, event: SimEvent) -> None:
-        kind = event.kind
-        if kind == "dep":
-            self._on_depart(sim, event)
-        elif kind == "arr":
-            self._on_arrive(sim, event)
-        elif kind == "ctl_arr":
-            self._on_ctl_arrive(sim, event)
-        elif kind == "bcast_arr":
-            self._on_broadcast_arrive(sim, event)
-        else:
+        handler = self._handlers.get(event.kind)
+        if handler is not None:
+            handler(sim, event)
+        # An app timer on a crashed node neither fires nor re-arms; drop-all apps run on.
+        elif not self.topo.has_faults or self.topo.fault_mode(event.target, sim.now) != "crash":
             self.apps[event.target].on_event(sim, event)
 
     def log_pending(self) -> None:

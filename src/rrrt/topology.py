@@ -3,8 +3,11 @@
 Routes are supplied or computed once by shortest hop count at load time; the
 kernel never recomputes them. Fault injection flips nodes or links into
 `crash` (routing-visible: a route through it raises NoRoute) or `drop-all`
-(silent blackhole: routing is unaware) from a given time onward. The delay
-model samples one hop on the `Link` its caller already holds.
+(silent blackhole: routing is unaware) from a given time onward. It also sets
+`has_faults`, which stays False until the first injection: while it is False
+the forwarding runtime skips every fault lookup (`next_hop`, `fault_mode`,
+`link_fault_mode`), since none could find a fault. The delay model samples one
+hop on the `Link` its caller already holds.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ class Topology:
         self.routes: dict[tuple[str, str], str] = {}
         self.node_faults: dict[str, Fault] = {}
         self.link_faults: dict[tuple[str, str], Fault] = {}
+        self.has_faults = False  # set by inject_fault, read on every hop
 
     # -- routing -----------------------------------------------------------
 
@@ -147,6 +151,7 @@ class Topology:
             if target not in self.nodes:
                 raise UnknownTarget(f"no such node {target!r}")
             self.node_faults[target] = Fault(at, mode)
+        self.has_faults = True
 
     def fault_mode(self, node: str, now: float) -> Optional[str]:
         """Active fault mode on a node at `now`, if any."""

@@ -5,18 +5,19 @@ checks of the data, control and broadcast planes. Each case here builds a
 shipped scenario at seed 1, injects one fault, runs to the horizon and pins
 the sha256 of the serialized trace; the trace must also pass the audit and
 replay to the live report.
-"""
 
-import hashlib
-import os
+Until the first `inject_fault` a run takes the no-fault fast path, which looks
+up no fault at all; the tests at the end check that it writes the same trace
+as the fault-checking path and that the flag is read on every hop.
+"""
 
 import pytest
 
 from rrrt.metrics import audit_trace, reduce_trace
-from rrrt.runner import build_field, build_transport, replay_text, trace_preamble
-from rrrt.scenario import parse_scenario
-
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+from rrrt.runner import build_field, build_transport, replay_text, run_experiment, trace_preamble
+from rrrt.topology import Topology
+from shipped import SHIPPED, sha256, shipped
+from test_golden import GOLDEN_SHA256
 
 # (scenario, fault target, time, mode) -> sha256 of the trace at seed 1
 FAULT_SHA256 = {
@@ -35,17 +36,23 @@ FAULT_SHA256 = {
 }
 
 
-def run_with_fault(name, target, at, mode):
-    cfg = parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
-    if cfg.scenario.mode == "field":
-        cfg.sim.horizon = 10.0
-        harness = build_field(cfg, 1)
-    else:
-        harness = build_transport(cfg, 1)
-    harness.runtime.topo.inject_fault(target, at, mode)
+def build(cfg):
+    return (build_field if cfg.scenario.mode == "field" else build_transport)(cfg, 1)
+
+
+def finish(cfg, harness):
     harness.sim.run_until(cfg.sim.horizon)
     harness.finalize()
-    return cfg, harness.sim.trace
+    return harness.sim.trace
+
+
+def run_with_fault(name, target, at, mode):
+    cfg = shipped(name)
+    if cfg.scenario.mode == "field":
+        cfg.sim.horizon = 10.0
+    harness = build(cfg)
+    harness.runtime.topo.inject_fault(target, at, mode)
+    return cfg, finish(cfg, harness)
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_SHA256, key=repr), ids=repr)
@@ -55,7 +62,7 @@ def test_fault_run_trace_hash_audit_and_replay(case):
     preamble = trace_preamble(cfg, 1)
     text = trace.serialize(preamble)
     assert replay_text(text) == reduce_trace(trace, preamble)
-    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_SHA256[case]
+    assert sha256(text) == FAULT_SHA256[case]
 
 
 def broadcast_rows(trace, node, kind):
@@ -64,8 +71,18 @@ def broadcast_rows(trace, node, kind):
     return [r[0] for r in trace.records if r[1] == node and r[2] == kind and r[4] == -1]
 
 
-def test_a_crashed_sink_drops_its_broadcasts():
+def test_a_crashed_sink_closes_no_interval_and_sends_no_broadcast():
+    """A crashed node's app timers stop: the sink neither reports an interval
+    nor tries to broadcast."""
     _, trace = run_with_fault("field_congested", "sink", 1.0, "crash")
+    assert [r for r in trace.records if r[2] == "interval"] == []
+    assert broadcast_rows(trace, "sink", "send") == []
+    assert broadcast_rows(trace, "sink", "drop") == []
+
+
+def test_a_drop_all_sink_drops_its_broadcasts():
+    """A drop-all node keeps running its apps, so its broadcasts meet its fault."""
+    _, trace = run_with_fault("field_congested", "sink", 1.0, "drop-all")
     assert broadcast_rows(trace, "sink", "send") == []
     assert broadcast_rows(trace, "sink", "drop") == [float(t) for t in range(1, 11)]
     assert broadcast_rows(trace, "relay", "receive") == []
@@ -76,3 +93,39 @@ def test_a_child_behind_a_crashed_link_gets_no_broadcast():
     assert len(broadcast_rows(trace, "sink", "send")) == 10
     assert broadcast_rows(trace, "s003", "receive") == []
     assert len(broadcast_rows(trace, "s004", "receive")) >= 9
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_the_fault_checking_path_writes_the_golden_trace(name):
+    """A fault due after the horizon sets the fault flag but never fires, so
+    every hop takes the fault-checking path and must write the trace of the
+    no-fault fast path."""
+    cfg = shipped(name)
+    harness = build(cfg)
+    topo = harness.runtime.topo
+    topo.inject_fault(next(iter(topo.nodes)), cfg.sim.horizon + 1.0, "crash")
+    assert sha256(finish(cfg, harness).serialize(trace_preamble(cfg, 1))) == GOLDEN_SHA256[name]
+
+
+def test_a_fault_injected_mid_run_takes_effect():
+    """The fault flag is read on every hop, not cached when the run starts."""
+    cfg = shipped("transport_lossy")
+    harness = build(cfg)
+    harness.sim.run_until(2.5)
+    harness.runtime.topo.inject_fault("r1", 3.0, "crash")
+    text = finish(cfg, harness).serialize(trace_preamble(cfg, 1))
+    assert sha256(text) == FAULT_SHA256[("transport_lossy", "r1", 3.0, "crash")]
+
+
+@pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])
+def test_a_run_without_faults_never_looks_one_up(name, horizon, monkeypatch):
+    cfg = shipped(name)
+    cfg.sim.horizon = horizon
+    expected = run_experiment(cfg, 1)
+
+    def lookup(*args, **kwargs):
+        raise AssertionError("fault lookup in a run without faults")
+
+    for attr in ("next_hop", "fault_mode", "link_fault_mode"):
+        monkeypatch.setattr(Topology, attr, lookup)
+    assert run_experiment(cfg, 1) == expected  # run_experiment audits the trace

@@ -369,6 +369,16 @@ def test_first_feedback_arrives_one_round_trip_after_the_probe():
     assert rtt < first_fb + cfg.transport.t_fdbk  # within [RTT, RTT + t_fdbk]
 
 
+def test_hop_count_counts_the_relays_between_the_sub_sinks():
+    """m counts the intermediate nodes a probe crosses, not the links:
+    src_ss -> r1 -> r2 -> dst_ss is three links and two relays."""
+    cfg = parse_scenario(os.path.join(SCENARIO_DIR, "transport_lossy.cfg"))
+    harness = build_transport(cfg, 1)
+    harness.sim.run_until(5.0)
+    assert list(harness.runtime.topo.nodes) == ["src_ss", "r1", "r2", "dst_ss"]
+    assert harness.sender.state.m == 2
+
+
 def test_rate_never_below_floor_while_data_remains():
     cfg = transport_cfg(transport__goal_packets=400, transport__delta_e2a=10.0)
     harness = build_transport(cfg, seed=3)
