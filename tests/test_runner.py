@@ -13,6 +13,7 @@ from rrrt.metrics import audit_trace
 from rrrt.runner import (ARTIFACT_VERSION, build_transport, replay_text, run_and_serialize,
                          run_experiment, run_traced)
 from rrrt.scenario import ScenarioConfig, serialize_scenario
+from shipped import sha256, shipped
 
 
 def small_field_cfg(**ctl):
@@ -116,17 +117,30 @@ def test_field_trace_passes_audit_under_congestion():
     assert overflow, "scenario was meant to overflow the relay"
 
 
-def test_delay_budget_fractions_reported_and_replayed():
-    cfg = small_field_cfg()
-    cfg.budget.delta_e2a = 0.02
+def _budgeted_run(cfg, delta_e2a, seed):
+    cfg.budget.delta_e2a = delta_e2a
     cfg.budget.ep_del = 0.001
     cfg.budget.a_del = 0.001
-    report, text = run_and_serialize(cfg, seed=2)
+    report, text = run_and_serialize(cfg, seed=seed)
     budget = report.delay_budget
     assert budget is not None
     assert budget["deliveries"] > 0
     assert 0.0 <= budget["full_sum_ok_fraction"] <= budget["literal_ok_fraction"] <= 1.0
     assert replay_text(text).delay_budget == budget
+    return budget, text
+
+
+def test_delay_budget_fractions_reported_and_replayed():
+    _budgeted_run(small_field_cfg(), 0.02, seed=2)
+    # A congested relay makes both modes fail some deliveries, so the pinned
+    # trace covers both reason bits of every deliver row.
+    cfg = shipped("field_congested")
+    cfg.sim.horizon = 30.0
+    budget, text = _budgeted_run(cfg, 0.05, seed=1)
+    assert sha256(text) == "c43d8f263530042a024c0dca5d055b061b6cde26337355d9689147717256554c"
+    assert budget["deliveries"] == 1389
+    assert budget["literal_ok_fraction"] == pytest.approx(0.8898488120950324, rel=1e-12)
+    assert budget["full_sum_ok_fraction"] == pytest.approx(0.8545716342692584, rel=1e-12)
 
 
 def test_probe_rate_matches_sustained_bottleneck_throughput():
