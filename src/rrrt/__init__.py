@@ -16,7 +16,7 @@ from .packet import Packet
 from .runner import ARTIFACT_VERSION as __version__
 from .runner import replay, run_experiment, sweep
 from .scenario import ScenarioConfig, SweepSpec, parse_scenario, serialize_scenario
-from .topology import CaModel, DelayBreakdown, Link, Topology
+from .topology import CaModel, Link, Topology
 from .transport import (DeliveryGoal, Phase, RateFeedback, SackInfo, TransportState,
                         apply_rate_feedback, build_sack, feedback_from_probe,
                         min_transmission_rate, on_feedback_timeout, on_probe_forward,

@@ -13,7 +13,7 @@ import sys
 
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
-from .kernel import SimulationTrace
+from .kernel import SimulationTrace, format_preamble
 from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
 from .scenario import SweepSpec, parse_scenario, parse_value, scenario_hash, set_param
 
@@ -74,7 +74,7 @@ def _write(path: str, text: str) -> None:
 
 def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    header = "".join(f"# {k}={v}\n" for k, v in preamble.items())
+    header = format_preamble(preamble)
     _write(os.path.join(out_dir, "trace.csv"), trace.serialize(preamble))
     _write(os.path.join(out_dir, "summary.json"),
            json.dumps({"preamble": preamble, **report.to_dict()}, indent=2) + "\n")

@@ -28,34 +28,38 @@ def mark_packet(pkt: Packet, local_cn: bool) -> Packet:
 
 
 class NodeBuffer:
-    """Egress FIFO of one node: bounded occupancy, overflow refusal, epoch sampling.
+    """Egress queue of one node: bounded occupancy, overflow refusal, epoch sampling.
 
     Epoch boundaries are rolled lazily: occupancy only changes on events at
     this node, so the occupancy at any passed boundary is whatever it has
     been since the last event. Results are identical to a periodic sampler.
+    `cn` is the flag of the epoch last rolled to, in force at `now` right
+    after `try_enqueue(now)`; `busy_until` is when the radio next falls idle.
     """
 
-    __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "_epoch", "_flag")
+    __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "cn", "busy_until",
+                 "_epoch")
 
     def __init__(self, capacity: int, epoch_len: float = 0.1):
         self.capacity = capacity
         self.occupancy = 0
         self.prev_occupancy = 0
         self.epoch_len = epoch_len
+        self.cn = False
+        self.busy_until = 0.0
         self._epoch = 0
-        self._flag = False
 
     def _roll(self, now: float) -> None:
         target = int(now / self.epoch_len)
         if target <= self._epoch:
             return
         # First pending boundary sees the growth since the previous sample.
-        self._flag = congestion_flag(self)
+        self.cn = congestion_flag(self)
         self.prev_occupancy = self.occupancy
         self._epoch += 1
         if target > self._epoch:
             # No events in between: growth is zero, and occupancy never exceeds capacity.
-            self._flag = False
+            self.cn = False
             self._epoch = target
 
     def try_enqueue(self, now: float) -> str:
@@ -77,4 +81,4 @@ class NodeBuffer:
     def flag(self, now: float) -> bool:
         """Congestion flag in force during the epoch containing `now`."""
         self._roll(now)
-        return self._flag
+        return self.cn

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InconsistentStats, InvalidTarget
-from .packet import KIND_FREQ, Packet
+from .packet import Packet
 
 
 class NetworkCondition(Enum):
@@ -144,18 +144,12 @@ def update_frequency(f_i: float, cond: NetworkCondition, stats: IntervalStats,
     return f_next, x_next
 
 
-def check_delay_budget(budget: DelayBudget, observed, mode: str = "literal") -> bool:
+def check_delay_budget(budget: DelayBudget, transport: float) -> bool:
     """Whether the event-to-action bound holds for one observed transport delay.
 
-    literal mode charges only the buffering component against the bound;
-    full-sum mode charges all four transport components.
+    The caller picks what counts as transport delay: the buffering component
+    alone (literal mode) or all four per-hop components (full-sum mode).
     """
-    if mode == "literal":
-        transport = observed.b_del
-    elif mode == "full-sum":
-        transport = observed.total()
-    else:
-        raise ValueError(f"unknown delay-budget mode {mode!r}")
     return budget.delta_e2a >= transport + budget.ep_del + budget.a_del
 
 
@@ -244,5 +238,5 @@ class ReliabilityController:
 
     def broadcast_packet(self, pid: int, node_id: str, now: float) -> Packet:
         """Frequency broadcast carrying the rate now in force, for flooding to sources."""
-        return Packet(pid=pid, kind=KIND_FREQ, flow="ctl", src=node_id, dst="*",
-                      gen_time=now, payload=self.stats.f_i)
+        return Packet(pid=pid, flow="ctl", src=node_id, dst="*", gen_time=now,
+                      payload=self.stats.f_i)

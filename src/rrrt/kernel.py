@@ -77,9 +77,7 @@ class SimulationTrace:
         whose time `is` the previous row's reuses its repr. Rows are joined
         SERIALIZE_BLOCK at a time, so no line list for the whole trace exists.
         """
-        head = [f"# {key}={val}" for key, val in (preamble or {}).items()]
-        head.append(",".join(TRACE_COLUMNS))
-        blocks = ["\n".join(head)]
+        blocks = [format_preamble(preamble) + ",".join(TRACE_COLUMNS)]
         records = self.records
         last_time = stamp = None
         for start in range(0, len(records), SERIALIZE_BLOCK):
@@ -102,6 +100,11 @@ class SimulationTrace:
         """Inverse of serialize(): read_rows() collected into a trace."""
         preamble, rows = read_rows(text)
         return cls(list(rows)), preamble
+
+
+def format_preamble(preamble: Optional[dict]) -> str:
+    """The `# key=value` lines that head every CSV output; read_rows() reads them."""
+    return "".join(f"# {key}={val}\n" for key, val in (preamble or {}).items())
 
 
 def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:

@@ -3,11 +3,12 @@
 The runtime owns the data-plane pipeline (buffer admission, the sampled
 per-hop delay, link loss, fault handling) and the control plane (unbuffered
 probe/feedback forwarding, frequency-broadcast flooding down the reverse
-route tree). Data and control hops share one send-side step (`_route`: next
-hop, sender fault, path measurement) and one hop-delay formula. Applications
-sit on top: sensor sources, the sub-sink reliability controller, the
-rate-controlled transport sender/receiver, a cross-traffic generator and a
-naive fixed-rate sender for comparisons.
+route tree). Each node's `NodeBuffer` is its egress queue, its CN flag and
+its radio's clock. Data and control hops share one send-side step (`_route`:
+next hop, sender fault, path measurement) and one hop-delay formula.
+Applications sit on top: sensor sources, the sub-sink reliability
+controller, the rate-controlled transport sender/receiver, a cross-traffic
+generator and a naive fixed-rate sender for comparisons.
 
 Until `Topology.inject_fault` sets `topo.has_faults`, no hop looks up a fault:
 `_route` reads the next hop's link and its data transmission and propagation
@@ -17,7 +18,6 @@ flag is read on every hop, so a fault injected mid-run takes effect at once.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Optional
 
@@ -26,8 +26,8 @@ from .congestion import DROPPED, NodeBuffer, mark_packet
 from .controller import DelayBudget, ReliabilityController, check_delay_budget
 from .errors import NoRoute, StaleFeedback
 from .kernel import SimEvent, Simulator
-from .packet import KIND_DATA, KIND_FEEDBACK, KIND_PROBE, Packet
-from .topology import DelayBreakdown, Link, Topology
+from .packet import Packet
+from .topology import Link, Topology
 
 _TIME_EPS = 1e-12
 
@@ -42,7 +42,6 @@ class NetworkRuntime:
         self.packet_len = packet_len
         self.ctl_len = ctl_len
         self.buffers = {node: NodeBuffer(buffer_capacity, epoch_len) for node in topo.nodes}
-        self.busy_until = {node: 0.0 for node in topo.nodes}  # egress radio virtual clock
         self.apps: dict[str, object] = {}
         self.children: dict[str, list[str]] = {}
         self._rngs = {}
@@ -106,14 +105,14 @@ class NetworkRuntime:
         if buf.try_enqueue(now) == DROPPED:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
-        # Sums in the order of Topology.sample_channel_delays and DelayBreakdown.total.
-        b_del = self.busy_until[node] - now
+        # Buffering (waiting for the radio), channel access, transmission, propagation.
+        b_del = buf.busy_until - now
         if b_del < 0.0:
             b_del = 0.0
         rng = self.rng_of(node)
         ca_del = self.topo.ca_model.sample(rng)
-        self.busy_until[node] = now + b_del + ca_del + t_del
-        mark_packet(pkt, buf.flag(now))
+        buf.busy_until = now + b_del + ca_del + t_del
+        mark_packet(pkt, buf.cn)
         pkt.b_sum += b_del
         pkt.ca_sum += ca_del
         pkt.t_sum += t_del
@@ -181,7 +180,7 @@ class NetworkRuntime:
         if topo.has_faults and topo.link_fault_mode(node, link.dst, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        delay = topo.sample_channel_delays(link, self.ctl_len, 0.0, self.rng_of(node)).total()
+        delay = topo.sample_channel_delays(link, self.ctl_len, self.rng_of(node))
         copy = sim.new_copy()
         sim.trace.log(now, node, "send", pkt.pid, copy, "", delay)
         sim.schedule(SimEvent(now + delay, link.dst, "ctl_arr", (pkt, copy)))
@@ -279,8 +278,8 @@ class SensorSource:
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
         now = sim.now
-        pkt = Packet(pid=sim.new_pid(), kind=KIND_DATA, flow=self.flow, src=self.node,
-                     dst=self.sink, gen_time=now)
+        pkt = Packet(pid=sim.new_pid(), flow=self.flow, src=self.node, dst=self.sink,
+                     gen_time=now)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
         self._schedule_next(now)
@@ -315,8 +314,8 @@ class CrossTrafficSource:
         now = sim.now
         if now >= self.stop:
             return
-        pkt = Packet(pid=sim.new_pid(), kind=KIND_DATA, flow="cross", src=self.node,
-                     dst=self.sink, gen_time=now)
+        pkt = Packet(pid=sim.new_pid(), flow="cross", src=self.node, dst=self.sink,
+                     gen_time=now)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
         sim.schedule(SimEvent(now + 1.0 / self.rate, self.node, "gen", None))
@@ -347,9 +346,9 @@ class SubSinkApp:
         sim = self.runtime.sim
         reason = ""
         if self.budget is not None and pkt.flow == "data":
-            observed = DelayBreakdown(pkt.b_sum, pkt.ca_sum, pkt.t_sum, pkt.p_sum)
-            lit = check_delay_budget(self.budget, observed, mode="literal")
-            full = check_delay_budget(self.budget, observed, mode="full-sum")
+            lit = check_delay_budget(self.budget, pkt.b_sum)
+            full = check_delay_budget(self.budget,
+                                      pkt.b_sum + pkt.ca_sum + pkt.t_sum + pkt.p_sum)
             reason = f"{int(lit)}{int(full)}"
         sim.trace.log(now, self.node, "deliver", pkt.pid, -1, reason, pkt.gen_time, pkt.flow)
         if pkt.flow == "data":
@@ -385,8 +384,7 @@ class TransportSenderApp:
         self.origin: dict[int, tuple[int, float]] = {}
         self.retx_queue: deque[int] = deque()
         self.queued: set[int] = set()
-        self.last_fb_arrival = -math.inf
-        self.start_time = 0.0
+        self.last_fb_arrival = 0.0  # the last feedback's arrival, or start() before one
         self.retx_count = 0
         self.deadline_logged = False
         self._pace_handle = None
@@ -394,7 +392,7 @@ class TransportSenderApp:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, now: float) -> None:
-        self.start_time = now
+        self.last_fb_arrival = now
         self._send_probe(now)
         self.runtime.sim.schedule(
             SimEvent(now + self._miss_threshold(), self.node, "watchdog", None))
@@ -406,8 +404,8 @@ class TransportSenderApp:
 
     def _send_probe(self, now: float) -> None:
         sim = self.runtime.sim
-        pkt = Packet(pid=sim.new_pid(), kind=KIND_PROBE, flow="ctl", src=self.node,
-                     dst=self.peer, gen_time=now, bottleneck_delay=0.0)
+        pkt = Packet(pid=sim.new_pid(), flow="ctl", src=self.node, dst=self.peer,
+                     gen_time=now, bottleneck_delay=0.0)
         self.runtime.forward_control(self.node, pkt)
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
@@ -424,8 +422,7 @@ class TransportSenderApp:
 
     def _watchdog(self, now: float) -> None:
         sim = self.runtime.sim
-        last = self.last_fb_arrival if self.last_fb_arrival > -math.inf else self.start_time
-        due = last + self._miss_threshold()
+        due = self.last_fb_arrival + self._miss_threshold()
         if now < due - _TIME_EPS:
             sim.schedule(SimEvent(due, self.node, "watchdog", None))
             return
@@ -504,7 +501,7 @@ class TransportSenderApp:
             self.next_new += 1
             pid, gen_time = sim.new_pid(), now
             sim.trace.log(now, self.node, "generate", pid)
-        pkt = Packet(pid=pid, kind=KIND_DATA, flow=self.flow, src=self.node, dst=self.peer,
+        pkt = Packet(pid=pid, flow=self.flow, src=self.node, dst=self.peer,
                      gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
             self.retx_buffer[seq] = now
@@ -564,8 +561,8 @@ class TransportReceiverApp:
             return
         sim = self.runtime.sim
         fb = tp.feedback_from_probe(self.path, issued_at=now)
-        pkt = Packet(pid=sim.new_pid(), kind=KIND_FEEDBACK, flow="ctl", src=self.node,
-                     dst=self.peer, gen_time=now, payload=(fb, tp.build_sack(self.received)))
+        pkt = Packet(pid=sim.new_pid(), flow="ctl", src=self.node, dst=self.peer,
+                     gen_time=now, payload=(fb, tp.build_sack(self.received)))
         self.runtime.forward_control(self.node, pkt)
 
 
@@ -591,8 +588,8 @@ class FixedRateSenderApp:
         now = sim.now
         seq = self.next_seq
         self.next_seq += 1
-        pkt = Packet(pid=sim.new_pid(), kind=KIND_DATA, flow=self.flow, src=self.node,
-                     dst=self.peer, gen_time=now, seq=seq, bottleneck_delay=0.0)
+        pkt = Packet(pid=sim.new_pid(), flow=self.flow, src=self.node, dst=self.peer,
+                     gen_time=now, seq=seq, bottleneck_delay=0.0)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
         if self.next_seq <= self.total:

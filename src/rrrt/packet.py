@@ -2,7 +2,8 @@
 
 One mutable object travels hop to hop inside a run; the trace records the
 copies (one per link traversal). Control packets (probes, rate feedback,
-frequency broadcasts) reuse the same type with a different `kind`.
+frequency broadcasts) reuse the same type; receivers tell them apart by the
+handler they reach (`on_packet`, `on_control`, `on_frequency`) and by `flow`.
 """
 
 from __future__ import annotations
@@ -10,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-KIND_DATA = "data"
-KIND_PROBE = "probe"
-KIND_FEEDBACK = "feedback"
-KIND_FREQ = "freq"
-
 
 @dataclass(slots=True)
 class Packet:
     pid: int
-    kind: str
     flow: str
     src: str
     dst: str

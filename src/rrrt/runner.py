@@ -12,7 +12,7 @@ from . import transport as tp
 from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
                          ReliabilityTargets)
 from .errors import Corrupt, ScenarioInvalid
-from .kernel import SimulationTrace, Simulator, read_rows
+from .kernel import SimulationTrace, Simulator, format_preamble, read_rows
 from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
                     SubSinkApp, TransportReceiverApp, TransportSenderApp)
@@ -271,9 +271,8 @@ def sweep(cfg: ScenarioConfig, spec: SweepSpec) -> list[dict]:
 def sweep_csv(rows: list[dict], preamble: Optional[dict] = None) -> str:
     if not rows:
         return ""
-    lines = [f"# {k}={v}" for k, v in (preamble or {}).items()]
     header = list(rows[0].keys())
-    lines.append(",".join(header))
+    lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if row[k] is None else str(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    return format_preamble(preamble) + "\n".join(lines) + "\n"

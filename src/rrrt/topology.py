@@ -21,19 +21,6 @@ from .errors import NoRoute, UnknownLink, UnknownTarget
 from .kernel import SIGNAL_SPEED
 
 
-@dataclass(slots=True)
-class DelayBreakdown:
-    """Per-hop delay components: buffering, channel access, transmission, propagation."""
-
-    b_del: float
-    ca_del: float
-    t_del: float
-    p_del: float
-
-    def total(self) -> float:
-        return self.b_del + self.ca_del + self.t_del + self.p_del
-
-
 @dataclass(frozen=True)
 class CaModel:
     """Channel-access delay distribution: fixed(value) or exponential(mean) truncated at cap."""
@@ -174,23 +161,11 @@ class Topology:
             raise UnknownLink(f"no such link {src}->{dst}")
         return link
 
-    def sample_channel_delays(self, link: Link, packet_len: float, wait: float,
-                              rng) -> DelayBreakdown:
-        """Per-hop delay for one packet on `link`: queue wait, channel access,
-        transmission, propagation.
-
-        `wait` is the time the packet spends queued before the sender's radio
-        is free, which the caller knows from the radio's busy clock; an
-        unbuffered control packet passes 0.0.
-        """
+    def sample_channel_delays(self, link: Link, packet_len: float, rng) -> float:
+        """Channel access, transmission and propagation of one unbuffered packet on `link`."""
         if packet_len <= 0:
             raise ValueError("packet_len must be positive")
-        return DelayBreakdown(
-            b_del=wait,
-            ca_del=self.ca_model.sample(rng),
-            t_del=packet_len / link.bit_rate,
-            p_del=link.propagation(),
-        )
+        return self.ca_model.sample(rng) + packet_len / link.bit_rate + link.propagation()
 
 
 def bit_rate_for_service(service_rate: float, ca_mean: float, packet_len: float) -> float:

@@ -15,7 +15,7 @@ from rrrt import transport as tp
 from rrrt.controller import (FrequencyBounds, IntervalStats, ReliabilityTargets,
                              classify_condition, update_frequency)
 from rrrt.metrics import audit_trace
-from rrrt.packet import KIND_PROBE, Packet
+from rrrt.packet import Packet
 from rrrt.runner import build_transport, replay_text, run_and_serialize, run_experiment
 from rrrt.scenario import ScenarioConfig
 from oracles import (intervals_to_adequate, sack_holes_oracle, update_law_transcription)
@@ -261,7 +261,7 @@ def test_criterion_6_rate_control_convergence_floor_and_blackout():
 
 
 def test_criterion_7_probe_bottleneck_field():
-    probe = Packet(1, KIND_PROBE, "ctl", "a", "b", 0.0, bottleneck_delay=0.0)
+    probe = Packet(1, "ctl", "a", "b", 0.0, bottleneck_delay=0.0)
     for ms in (2, 9, 4, 7, 3):
         tp.on_probe_forward(probe, ms / 1000.0)
     assert probe.bottleneck_delay == pytest.approx(0.009)
@@ -271,7 +271,7 @@ def test_criterion_7_probe_bottleneck_field():
     rng = random.Random(424242)
     for _ in range(1000):
         delays = [rng.uniform(1e-4, 0.05) for _ in range(rng.randint(1, 10))]
-        probe = Packet(1, KIND_PROBE, "ctl", "a", "b", 0.0, bottleneck_delay=0.0)
+        probe = Packet(1, "ctl", "a", "b", 0.0, bottleneck_delay=0.0)
         for d in delays:
             tp.on_probe_forward(probe, d)
         assert probe.bottleneck_delay == max(delays)  # path-max oracle, exact

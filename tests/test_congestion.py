@@ -7,12 +7,12 @@ import pytest
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer, congestion_flag, mark_packet
 from rrrt.errors import InvariantViolation
 from rrrt.kernel import SimEvent
-from rrrt.packet import KIND_DATA, Packet
+from rrrt.packet import Packet
 from util import chain_network, data_packet
 
 
 def make_packet(cn=False):
-    return Packet(pid=1, kind=KIND_DATA, flow="data", src="a", dst="b", gen_time=0.0, cn=cn)
+    return Packet(pid=1, flow="data", src="a", dst="b", gen_time=0.0, cn=cn)
 
 
 def test_enqueue_boundary_fill():
@@ -91,6 +91,8 @@ def test_occupancy_never_exceeds_capacity_random_walk():
             if buf.try_enqueue(now) == DROPPED:
                 assert full  # overflow is the only refusal
                 drops += 1
+            else:
+                assert buf.cn is buf.flag(now)  # admission already rolled to `now`
         elif buf.occupancy > 0:
             buf.release(now)
         assert 0 <= buf.occupancy <= 13

@@ -11,8 +11,7 @@ from rrrt.controller import (DelayBudget, FrequencyBounds, IntervalRow, Interval
                              check_delay_budget, classify_condition, record_packet_arrival,
                              reliability_indicator, update_frequency)
 from rrrt.errors import InconsistentStats, InvalidTarget
-from rrrt.packet import KIND_DATA, Packet
-from rrrt.topology import DelayBreakdown
+from rrrt.packet import Packet
 from oracles import condition_table
 
 WIDE = FrequencyBounds(f_min=1e-9, f_cap=1e9)
@@ -191,7 +190,7 @@ def test_inconsistent_stats_detected():
 # -- interval accounting ---------------------------------------------------------
 
 def packet(gen_time, cn=False):
-    return Packet(pid=1, kind=KIND_DATA, flow="data", src="s", dst="sink",
+    return Packet(pid=1, flow="data", src="s", dst="sink",
                   gen_time=gen_time, cn=cn)
 
 
@@ -230,22 +229,19 @@ def test_record_arrival_cn_only_from_on_time_packets():
 
 def test_delay_budget_literal_and_full_sum():
     budget = DelayBudget(delta_e2a=1.0, ep_del=0.3, a_del=0.4)
-    observed = DelayBreakdown(b_del=0.2, ca_del=0.1, t_del=0.05, p_del=0.05)
-    assert check_delay_budget(budget, observed, mode="literal") is True   # 0.9 <= 1.0
-    assert check_delay_budget(budget, observed, mode="full-sum") is False  # 1.1 > 1.0
+    b_del, ca_del, t_del, p_del = 0.2, 0.1, 0.05, 0.05
+    assert check_delay_budget(budget, b_del) is True  # literal: 0.9 <= 1.0
+    assert check_delay_budget(budget, b_del + ca_del + t_del + p_del) is False  # 1.1 > 1.0
 
 
 def test_delay_budget_zero_delays_hold_in_both_modes():
     budget = DelayBudget(0.0, 0.0, 0.0)
-    observed = DelayBreakdown(0.0, 0.0, 0.0, 0.0)
-    assert check_delay_budget(budget, observed, mode="literal") is True
-    assert check_delay_budget(budget, observed, mode="full-sum") is True
+    assert check_delay_budget(budget, 0.0) is True  # what both modes charge
 
 
 def test_delay_budget_explicit_overrides():
     budget = DelayBudget(1.0, 0.5, 0.4)
-    observed = DelayBreakdown(0.2, 0.0, 0.0, 0.0)
-    assert check_delay_budget(budget, observed, mode="literal") is False
+    assert check_delay_budget(budget, 0.2) is False
 
 
 # -- controller composition -------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from rrrt.errors import NoRoute, UnknownLink, UnknownTarget
 from rrrt.kernel import Simulator
-from rrrt.topology import CaModel, DelayBreakdown, Link, Topology, grid_positions
+from rrrt.topology import CaModel, Link, Topology, grid_positions
 from util import chain_network, data_packet
 
 
@@ -17,26 +17,14 @@ def small_chain_topo():
     return topo
 
 
-def test_delay_breakdown_total():
-    bd = DelayBreakdown(0.1, 0.2, 0.3, 0.4)
-    assert bd.total() == pytest.approx(1.0)
-
-
 def test_sample_channel_delays_component_formulas():
     topo = small_chain_topo()
     rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(topo.link("A", "B"), packet_len=1000.0, wait=0.0, rng=rng)
-    assert bd.t_del == pytest.approx(0.004)      # 1000 bits / 250 kbit/s
-    assert bd.p_del == pytest.approx(1e-7)        # 30 m / 3e8 m/s
-    assert bd.b_del == 0.0
-    assert bd.ca_del == pytest.approx(0.001)
-
-
-def test_sample_channel_delays_buffering_ratio():
-    topo = small_chain_topo()
-    rng = Simulator(1).rng("x")
-    bd = topo.sample_channel_delays(topo.link("A", "B"), 1000.0, wait=0.1, rng=rng)
-    assert bd.b_del == 0.1  # the queue wait is the caller's, passed through unchanged
+    link = topo.link("A", "B")
+    delay = topo.sample_channel_delays(link, packet_len=1000.0, rng=rng)
+    assert link.propagation() == pytest.approx(1e-7)  # 30 m / 3e8 m/s
+    # fixed channel access, then 1000 bits at 250 kbit/s, then propagation
+    assert delay == 0.001 + 1000.0 / 250_000.0 + link.propagation()
 
 
 def test_self_link_is_rejected_and_unknown():

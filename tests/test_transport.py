@@ -7,7 +7,7 @@ import pytest
 
 from rrrt import transport as tp
 from rrrt.errors import DeadlineExpired, DegenerateProbe, StaleFeedback
-from rrrt.packet import KIND_PROBE, Packet
+from rrrt.packet import Packet
 from rrrt.runner import build_transport, run_experiment
 from rrrt.scenario import ScenarioConfig, parse_scenario
 from oracles import build_sack_oracle, on_sack_oracle, sack_holes_oracle
@@ -21,7 +21,7 @@ def fresh_state(r_c=100.0, r_min=10.0, phase=tp.Phase.HOLD, hold_band=0.0):
 
 
 def probe_packet(bottleneck_delay=0.0, hop_count=0):
-    return Packet(pid=1, kind=KIND_PROBE, flow="ctl", src="a", dst="b", gen_time=0.0,
+    return Packet(pid=1, flow="ctl", src="a", dst="b", gen_time=0.0,
                   bottleneck_delay=bottleneck_delay, hop_count=hop_count)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
-from rrrt.packet import KIND_DATA, Packet
+from rrrt.packet import Packet
 from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service
 
 FIXED_CA = CaModel(kind="fixed", value=0.0002, cap=0.0002)
@@ -24,7 +24,7 @@ class Catcher:
                                    pkt.gen_time, pkt.flow)
 
     def on_control(self, pkt, now):
-        self.got.append((pkt.pid, now, pkt.kind))
+        self.got.append((pkt.pid, now, pkt.flow))
 
     def on_event(self, sim, event):
         pass
@@ -54,5 +54,5 @@ def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, los
 
 
 def data_packet(sim, src, dst, flow="data", gen_time=None):
-    return Packet(pid=sim.new_pid(), kind=KIND_DATA, flow=flow, src=src, dst=dst,
+    return Packet(pid=sim.new_pid(), flow=flow, src=src, dst=dst,
                   gen_time=sim.now if gen_time is None else gen_time)
