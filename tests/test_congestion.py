@@ -99,6 +99,17 @@ def test_occupancy_never_exceeds_capacity_random_walk():
     assert drops > 0
 
 
+def test_a_forwarded_packet_takes_the_flag_of_its_admission_epoch():
+    """The first admission of an epoch rolls the flag before the packet is marked."""
+    sim, runtime, names, _ = chain_network(capacity=50)
+    buf = runtime.buffers[names[0]]
+    buf.occupancy = 30  # grew by 30 in epoch 0: 30 + 30 > 50 predicts overflow
+    sim.now = 0.15  # the node's first event in epoch 1
+    pkt = data_packet(sim, names[0], names[-1])
+    runtime.forward_data(names[0], pkt)
+    assert pkt.cn is True and buf.flag(sim.now) is True
+
+
 def test_no_drops_or_flags_below_service_rate():
     """Offered load under every link's rate, fixed CA: clean run, CN never set."""
     sim, runtime, names, catcher = chain_network(services=(100.0, 100.0), capacity=50)
