@@ -141,6 +141,14 @@ def test_delay_budget_fractions_reported_and_replayed():
     assert budget["deliveries"] == 1389
     assert budget["literal_ok_fraction"] == pytest.approx(0.8898488120950324, rel=1e-12)
     assert budget["full_sum_ok_fraction"] == pytest.approx(0.8545716342692584, rel=1e-12)
+    # The relay and the cross-traffic burst also fail some deliveries in both modes.
+    cfg = shipped("field_burst")
+    cfg.sim.horizon = 10.0
+    budget, text = _budgeted_run(cfg, 0.02, seed=1)
+    assert sha256(text) == "94e8db9c29ee22aaf9661c568cb9a1992878e20fa14cb833ec4b80a4c7a96825"
+    assert budget["deliveries"] == 2352
+    assert budget["literal_ok_fraction"] == pytest.approx(0.9247448979591837, rel=1e-12)
+    assert budget["full_sum_ok_fraction"] == pytest.approx(0.8979591836734694, rel=1e-12)
 
 
 def test_probe_rate_matches_sustained_bottleneck_throughput():
