@@ -67,8 +67,6 @@ class NodeBuffer:
         self._roll(now)
         if self.occupancy < self.capacity:
             self.occupancy += 1
-            if self.occupancy > self.capacity:
-                raise InvariantViolation("buffer occupancy exceeded capacity")
             return ENQUEUED
         return DROPPED
 

@@ -147,8 +147,9 @@ def update_frequency(f_i: float, cond: NetworkCondition, stats: IntervalStats,
 def check_delay_budget(budget: DelayBudget, transport: float) -> bool:
     """Whether the event-to-action bound holds for one observed transport delay.
 
-    The caller picks what counts as transport delay: the buffering component
-    alone (literal mode) or all four per-hop components (full-sum mode).
+    The caller picks what counts as transport delay: the summed buffering
+    component alone (literal mode) or the end-to-end delay, which is the sum
+    of all four per-hop components (full-sum mode).
     """
     return budget.delta_e2a >= transport + budget.ep_del + budget.a_del
 

@@ -54,13 +54,14 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
 
     `records` is any iterable of records: a live `SimulationTrace`, or the
     `kernel.read_rows` iterator that replay streams from the text. One walk
-    over it: send and receive rows count towards the
-    energy, each delivery of the measured flow towards the throughput, the
-    delay and the delay budget, and each interval row is decoded. Preamble
-    values may be the live ones or their serialized strings; floats are
-    written with repr(), so both read back to the same numbers.
+    over it: send and receive rows count towards the energy, each delivery of
+    the measured flow towards the throughput, the delay and the delay budget,
+    and each interval row is decoded. The preamble must hold `flow`, `e_tx`,
+    `e_rx`, `seed` and, once a delivery is budgeted, `eq2_mode` (KeyError if
+    not), as the live values or their serialized strings; floats are written
+    with repr(), so both read back to the same numbers.
     """
-    flow = preamble.get("flow", "data")
+    flow = preamble["flow"]
     tx = rx = delivered = budgeted = lit = full = 0
     delay_sum = 0.0
     rows: list[IntervalRow] = []
@@ -84,7 +85,7 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
 
     budget = None
     if budgeted:
-        mode = preamble.get("eq2_mode", "literal")
+        mode = preamble["eq2_mode"]
         lit_frac, full_frac = lit / budgeted, full / budgeted
         budget = {
             "mode": mode,
@@ -95,12 +96,11 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
         }
     return MetricsReport(
         convergence_time=convergence_time(rows),
-        total_energy=(tx * float(preamble.get("e_tx", "50e-6"))
-                      + rx * float(preamble.get("e_rx", "25e-6"))),
+        total_energy=tx * float(preamble["e_tx"]) + rx * float(preamble["e_rx"]),
         aggregate_throughput=delivered,
         average_packet_delay=delay_sum / delivered if delivered else None,
         per_interval=rows,
-        per_run_seed=int(preamble.get("seed", "0")),
+        per_run_seed=int(preamble["seed"]),
         delay_budget=budget,
     )
 

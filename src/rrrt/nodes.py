@@ -114,9 +114,6 @@ class NetworkRuntime:
         buf.busy_until = now + b_del + ca_del + t_del
         mark_packet(pkt, buf.cn)
         pkt.b_sum += b_del
-        pkt.ca_sum += ca_del
-        pkt.t_sum += t_del
-        pkt.p_sum += p_del
         copy = sim.new_copy()
         depart = b_del + ca_del + t_del
         sim.trace.log(now, node, "send", pkt.pid, copy, "", depart + p_del)
@@ -257,12 +254,10 @@ class NetworkRuntime:
 class SensorSource:
     """Event source: reports at the broadcast frequency with a dithered phase."""
 
-    def __init__(self, runtime: NetworkRuntime, node: str, sink: str, f_init: float,
-                 flow: str = "data"):
+    def __init__(self, runtime: NetworkRuntime, node: str, sink: str, f_init: float):
         self.runtime = runtime
         self.node = node
         self.sink = sink
-        self.flow = flow
         self.f = f_init
         self.rng = runtime.sim.rng(f"src:{node}")
         self._gen_handle = None
@@ -278,7 +273,7 @@ class SensorSource:
 
     def on_event(self, sim: Simulator, event: SimEvent) -> None:
         now = sim.now
-        pkt = Packet(pid=sim.new_pid(), flow=self.flow, src=self.node, dst=self.sink,
+        pkt = Packet(pid=sim.new_pid(), flow="data", src=self.node, dst=self.sink,
                      gen_time=now)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
@@ -327,8 +322,9 @@ class CrossTrafficSource:
 class SubSinkApp:
     """Sub-sink endpoint: interval accounting, frequency updates, broadcasts.
 
-    With a delay budget, a data delivery's reason says whether the budget held
-    in literal and in full-sum mode ("10": literal only); the report reads it.
+    With a delay budget, a data delivery's reason ("10": literal only) says if
+    the budget held in literal mode (summed buffering delay) and in full-sum
+    mode (end-to-end delay, the sum of all four per-hop components).
     """
 
     def __init__(self, runtime: NetworkRuntime, node: str, controller: ReliabilityController,
@@ -347,8 +343,7 @@ class SubSinkApp:
         reason = ""
         if self.budget is not None and pkt.flow == "data":
             lit = check_delay_budget(self.budget, pkt.b_sum)
-            full = check_delay_budget(self.budget,
-                                      pkt.b_sum + pkt.ca_sum + pkt.t_sum + pkt.p_sum)
+            full = check_delay_budget(self.budget, now - pkt.gen_time)
             reason = f"{int(lit)}{int(full)}"
         sim.trace.log(now, self.node, "deliver", pkt.pid, -1, reason, pkt.gen_time, pkt.flow)
         if pkt.flow == "data":
@@ -368,15 +363,13 @@ class TransportSenderApp:
     """Rate-controlled reliable sender between two sub-sinks."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, peer: str,
-                 goal: tp.DeliveryGoal, state: tp.TransportState, sack_enabled: bool = True,
-                 flow: str = "xfer"):
+                 goal: tp.DeliveryGoal, state: tp.TransportState, sack_enabled: bool = True):
         self.runtime = runtime
         self.node = node
         self.peer = peer
         self.goal = goal
         self.state = state
         self.sack_enabled = sack_enabled
-        self.flow = flow
         self.total = goal.b_remaining
         self.next_new = 1
         self.retx_buffer: dict[int, float] = {}  # unacked seq -> last send time
@@ -501,7 +494,7 @@ class TransportSenderApp:
             self.next_new += 1
             pid, gen_time = sim.new_pid(), now
             sim.trace.log(now, self.node, "generate", pid)
-        pkt = Packet(pid=pid, flow=self.flow, src=self.node, dst=self.peer,
+        pkt = Packet(pid=pid, flow="xfer", src=self.node, dst=self.peer,
                      gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
             self.retx_buffer[seq] = now
@@ -570,13 +563,12 @@ class FixedRateSenderApp:
     """Naive comparison sender: constant rate, no feedback handling, no recovery."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, peer: str, total: int,
-                 rate: float, flow: str = "xfer"):
+                 rate: float):
         self.runtime = runtime
         self.node = node
         self.peer = peer
         self.total = total
         self.rate = rate
-        self.flow = flow
         self.next_seq = 1
 
     def start(self, now: float) -> None:
@@ -588,7 +580,7 @@ class FixedRateSenderApp:
         now = sim.now
         seq = self.next_seq
         self.next_seq += 1
-        pkt = Packet(pid=sim.new_pid(), flow=self.flow, src=self.node, dst=self.peer,
+        pkt = Packet(pid=sim.new_pid(), flow="xfer", src=self.node, dst=self.peer,
                      gen_time=now, seq=seq, bottleneck_delay=0.0)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)

@@ -25,9 +25,7 @@ class Packet:
     # running maximum of per-node service delay, and hops traversed.
     bottleneck_delay: Optional[float] = None
     hop_count: int = 0
-    # Accumulated per-hop delay components, for delay-budget accounting.
+    # Summed per-hop buffering delay, for the literal-mode delay budget. Full-sum
+    # mode checks now - gen_time, the sum of all four per-hop delay components.
     b_sum: float = 0.0
-    ca_sum: float = 0.0
-    t_sum: float = 0.0
-    p_sum: float = 0.0
     payload: Any = None

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and reads each
+attribute it stores.
 
 No linter ships with the project, so this parses each `src/rrrt` module with
 `ast`. A name counts as used when it appears as a name anywhere in the module;
@@ -40,3 +41,31 @@ def test_module_uses_every_name_it_imports(module):
     unused = [f"{module}:{line} {name}" for name, line in imported_names(tree).items()
               if name not in used]
     assert unused == []
+
+
+def test_package_reads_every_attribute_it_stores():
+    """No state is tracked but never read.
+
+    A store is `x.a = ...`, `x.a += ...` or an annotated field in a class body;
+    a read is any `x.a` load in the package. `errors.py` is exempt: callers
+    outside the package read its exception attributes. Names are matched
+    without their owner, so an attribute stored on one class and read on
+    another under the same name passes: this is a floor, not a proof that
+    every stored value is read.
+    """
+    stores, loads = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        checked = path.name != "errors.py"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loads.add(node.attr)
+                elif isinstance(node.ctx, ast.Store) and checked:
+                    stores.setdefault(node.attr, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ClassDef) and checked:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        stores.setdefault(stmt.target.id, f"{path.name}:{stmt.lineno}")
+    unread = [f"{where} {name}" for name, where in stores.items() if name not in loads]
+    assert unread == []

@@ -40,8 +40,14 @@ def test_convergence_is_the_trailing_adequate_run():
     assert convergence_time(rows) == 3.0  # the early touch does not count
 
 
+def preamble(**values):
+    """A full trace preamble, with `values` replacing its entries."""
+    return {"flow": "data", "e_tx": "5e-05", "e_rx": "2.5e-05", "seed": "0",
+            "eq2_mode": "literal", **values}
+
+
 def energy(trace, e_tx=50e-6, e_rx=25e-6):
-    return reduce_trace(trace, {"e_tx": e_tx, "e_rx": e_rx}).total_energy
+    return reduce_trace(trace, preamble(e_tx=e_tx, e_rx=e_rx)).total_energy
 
 
 def test_total_energy_linear_combination():
@@ -71,21 +77,21 @@ def test_throughput_counts_unique_flow_deliveries():
     for i in range(5):
         trace.log(float(i), "sink", "deliver", i, -1, "", 0.0, "data")
     trace.log(9.0, "sink", "deliver", 50, -1, "", 0.0, "cross")
-    assert reduce_trace(trace, {"flow": "data"}).aggregate_throughput == 5
-    assert reduce_trace(trace, {"flow": "cross"}).aggregate_throughput == 1
+    assert reduce_trace(trace, preamble(flow="data")).aggregate_throughput == 5
+    assert reduce_trace(trace, preamble(flow="cross")).aggregate_throughput == 1
 
 
 def test_average_packet_delay_mean_and_guard():
     trace = SimulationTrace()
     trace.log(1.1, "sink", "deliver", 1, -1, "", 1.0, "data")  # 0.1 s
     trace.log(2.3, "sink", "deliver", 2, -1, "", 2.0, "data")  # 0.3 s
-    assert reduce_trace(trace, {"flow": "data"}).average_packet_delay == pytest.approx(0.2)
+    assert reduce_trace(trace, preamble()).average_packet_delay == pytest.approx(0.2)
 
     single = SimulationTrace()
     single.log(0.5, "sink", "deliver", 1, -1, "", 0.0, "data")
-    assert reduce_trace(single, {"flow": "data"}).average_packet_delay == pytest.approx(0.5)
+    assert reduce_trace(single, preamble()).average_packet_delay == pytest.approx(0.5)
 
-    assert reduce_trace(SimulationTrace(), {"flow": "data"}).average_packet_delay is None
+    assert reduce_trace(SimulationTrace(), preamble()).average_packet_delay is None
 
     # Every report field from one trace: hops, budget-flagged and unflagged
     # deliveries, a cross-flow delivery the report ignores, two intervals.
@@ -102,9 +108,7 @@ def test_average_packet_delay_mean_and_guard():
     full.log(0.8, "sink", "deliver", 50, -1, "11", 0.0, "cross")
     full.log(1.0, "sink", "interval", -1, -1, "", None, rows[0].encode())
     full.log(2.0, "sink", "interval", -1, -1, "", None, rows[1].encode())
-    preamble = {"flow": "data", "beta": "0.05", "e_tx": "5e-05", "e_rx": "2.5e-05",
-                "seed": "7", "eq2_mode": "full-sum"}
-    assert reduce_trace(full, preamble) == MetricsReport(
+    assert reduce_trace(full, preamble(beta="0.05", seed="7", eq2_mode="full-sum")) == MetricsReport(
         convergence_time=2.0,
         total_energy=2 * 5e-05 + 2 * 2.5e-05,
         aggregate_throughput=4,

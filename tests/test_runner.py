@@ -8,7 +8,7 @@ import pytest
 import rrrt
 from rrrt.cli import main
 from rrrt.errors import Corrupt
-from rrrt.kernel import SimulationTrace
+from rrrt.kernel import SimulationTrace, format_preamble
 from rrrt.metrics import audit_trace
 from rrrt.runner import (ARTIFACT_VERSION, build_transport, replay_text, run_and_serialize,
                          run_experiment, run_traced)
@@ -224,7 +224,19 @@ def test_cli_run_writes_outputs_and_replay_agrees(tmp_path, capsys):
     assert replay_out["per_interval"] == summary["per_interval"]
 
 
-TRACE_HEADER = "time,node,kind,pid,copy,reason,value,info\n"
+PREAMBLE = {"seed": "1", "flow": "data", "e_tx": "5e-05", "e_rx": "2.5e-05",
+            "eq2_mode": "literal"}
+
+
+def trace_header(**values):
+    """A full preamble, with `values` replacing its entries (None drops one),
+    and the column header."""
+    preamble = {**PREAMBLE, **values}
+    return (format_preamble({k: v for k, v in preamble.items() if v is not None})
+            + "time,node,kind,pid,copy,reason,value,info\n")
+
+
+TRACE_HEADER = trace_header()
 INTERVAL_INFO = ("i=1;dr_o={dr_o};dr_d={dr_d};alpha=0.0075;t_i=1.0;cn=0;cond={cond};"
                  "f_i=4.0;f_next=50.0;x=1")
 
@@ -236,12 +248,13 @@ INTERVAL_INFO = ("i=1;dr_o={dr_o};dr_d={dr_d};alpha=0.0075;t_i=1.0;cn=0;cond={co
     + INTERVAL_INFO.format(dr_o=3, dr_d=0, cond="") + "\n",
     TRACE_HEADER + "1.0,sink,interval,-1,-1,,,"
     + INTERVAL_INFO.format(dr_o=3, dr_d=400, cond="LowRel") + "\n",
-    "# e_tx=1e-6x\n" + TRACE_HEADER,
-    "# e_rx=\n" + TRACE_HEADER,
-    "# seed=1.5\n" + TRACE_HEADER,
+    trace_header(e_tx="1e-6x"),
+    trace_header(e_rx=""),
+    trace_header(seed="1.5"),
+    trace_header(e_tx=None),
     TRACE_HEADER + "0.5,s001,generate,3,-1,,,\n1.0,sink,deliver,3,-1,,,data\n",
 ], ids=["interval_info", "interval_target", "interval_condition", "e_tx", "e_rx", "seed",
-        "deliver_value"])
+        "e_tx_missing", "deliver_value"])
 def test_cli_replay_of_a_value_that_does_not_reduce_is_corrupt(tmp_path, capsys, text):
     path = tmp_path / "trace.csv"
     path.write_text(text)
