@@ -6,10 +6,9 @@ rate-based reliable transport between sub-sinks.
 """
 
 from .congestion import NodeBuffer, congestion_flag, mark_packet
-from .controller import (DelayBudget, FrequencyBounds, IntervalStats, NetworkCondition,
-                         ReliabilityController, ReliabilityTargets, check_delay_budget,
-                         classify_condition, record_packet_arrival, reliability_indicator,
-                         update_frequency)
+from .controller import (IntervalStats, NetworkCondition, ReliabilityController,
+                         check_delay_budget, classify_condition, record_packet_arrival,
+                         reliability_indicator, update_frequency)
 from .kernel import SimEvent, SimulationTrace, Simulator
 from .metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 from .packet import Packet

@@ -143,6 +143,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:  # a scenario file that is not UTF-8 text
+        print(f"io error: {args.scenario} is not UTF-8 text ({exc})", file=sys.stderr)
+        return EXIT_IO
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -27,6 +27,7 @@ from enum import Enum
 
 from .errors import InconsistentStats, InvalidTarget
 from .packet import Packet
+from .scenario import BudgetCfg, ControllerCfg
 
 
 class NetworkCondition(Enum):
@@ -35,16 +36,6 @@ class NetworkCondition(Enum):
     LOW_REL_NO_CONG = "LowRelNoCong"
     LOW_REL_CONG = "LowRelCong"
     ADEQUATE_REL_NO_CONG = "AdequateRelNoCong"
-
-
-@dataclass(slots=True)
-class ReliabilityTargets:
-    """Application-level goals: desired on-time packets per interval, delay bound, tolerance."""
-
-    dr_d: int
-    t_sa: float
-    beta: float
-    interval_len: float
 
 
 @dataclass(slots=True)
@@ -58,21 +49,6 @@ class IntervalStats:
     t_i: float = math.inf  # finite once dr_o first reaches dr_d
     cn: bool = False
     x: int = 1
-
-
-@dataclass(slots=True)
-class FrequencyBounds:
-    f_min: float
-    f_cap: float
-
-
-@dataclass(slots=True)
-class DelayBudget:
-    """Event-to-action bound and its non-transport components."""
-
-    delta_e2a: float
-    ep_del: float
-    a_del: float
 
 
 def reliability_indicator(dr_o: float, dr_d: float) -> float:
@@ -101,38 +77,39 @@ def classify_condition(alpha: float, cn: bool, beta: float) -> NetworkCondition:
     return NetworkCondition.ADEQUATE_REL_NO_CONG
 
 
-def update_frequency(f_i: float, cond: NetworkCondition, stats: IntervalStats,
-                     targets: ReliabilityTargets, bounds: FrequencyBounds,
+def update_frequency(cond: NetworkCondition, stats: IntervalStats, ctl: ControllerCfg,
                      eq4_alt: bool = False, eq6_alt: bool = False) -> tuple[float, int]:
-    """Next reporting frequency and next same-condition counter for one interval.
+    """Next reporting frequency and next same-condition counter for the
+    interval `stats` describes, which ran at `stats.f_i`.
 
     The result is clamped into [f_min, f_cap]. Zero on-time packets without
     congestion jump straight to f_cap (maximal recovery); the congested
     exponent rule is clamped to never raise a sub-unity frequency.
     """
+    f_i = stats.f_i
     if cond in (NetworkCondition.LOW_REL_NO_CONG, NetworkCondition.LOW_REL_CONG):
-        if math.isfinite(stats.t_i) and stats.dr_o >= targets.dr_d:
+        if math.isfinite(stats.t_i) and stats.dr_o >= ctl.dr_d:
             raise InconsistentStats(
-                f"low-reliability condition with dr_o={stats.dr_o} >= dr_d={targets.dr_d}")
+                f"low-reliability condition with dr_o={stats.dr_o} >= dr_d={ctl.dr_d}")
 
     if cond is NetworkCondition.EARLY_REL_NO_CONG:
-        f_next = f_i * (stats.t_i / targets.t_sa)
+        f_next = f_i * (stats.t_i / ctl.t_sa)
         x_next = 1
     elif cond is NetworkCondition.EARLY_REL_CONG:
-        first = f_i * (stats.t_i / targets.t_sa)
-        second = f_i * (targets.dr_d / stats.dr_o) if eq4_alt else first
+        first = f_i * (stats.t_i / ctl.t_sa)
+        second = f_i * (ctl.dr_d / stats.dr_o) if eq4_alt else first
         f_next = min(first, second)
         x_next = 1
     elif cond is NetworkCondition.LOW_REL_NO_CONG:
         if stats.dr_o < 1:
-            f_next = bounds.f_cap
+            f_next = ctl.f_cap
         else:
-            f_next = f_i * (targets.dr_d / stats.dr_o)
+            f_next = f_i * (ctl.dr_d / stats.dr_o)
         x_next = 1
     elif cond is NetworkCondition.LOW_REL_CONG:
-        exponent = stats.dr_o / (targets.dr_d * stats.x)
+        exponent = stats.dr_o / (ctl.dr_d * stats.x)
         if eq6_alt:
-            f_next = f_i * stats.dr_o / (targets.dr_d * stats.x)
+            f_next = f_i * stats.dr_o / (ctl.dr_d * stats.x)
         else:
             f_next = min(f_i, f_i ** exponent)
         x_next = stats.x + 1
@@ -140,11 +117,11 @@ def update_frequency(f_i: float, cond: NetworkCondition, stats: IntervalStats,
         f_next = f_i
         x_next = 1
 
-    f_next = min(max(f_next, bounds.f_min), bounds.f_cap)
+    f_next = min(max(f_next, ctl.f_min), ctl.f_cap)
     return f_next, x_next
 
 
-def check_delay_budget(budget: DelayBudget, transport: float) -> bool:
+def check_delay_budget(budget: BudgetCfg, transport: float) -> bool:
     """Whether the event-to-action bound holds for one observed transport delay.
 
     The caller picks what counts as transport delay: the summed buffering
@@ -155,11 +132,11 @@ def check_delay_budget(budget: DelayBudget, transport: float) -> bool:
 
 
 def record_packet_arrival(stats: IntervalStats, pkt: Packet, now: float,
-                          targets: ReliabilityTargets) -> IntervalStats:
+                          ctl: ControllerCfg) -> IntervalStats:
     """Count one data-packet arrival; only on-time packets count towards dr_o."""
-    if now - pkt.gen_time <= targets.t_sa:
+    if now - pkt.gen_time <= ctl.t_sa:
         stats.dr_o += 1
-        if stats.dr_o == targets.dr_d:
+        if stats.dr_o == ctl.dr_d:
             stats.t_i = now - stats.start_time
         stats.cn = stats.cn or pkt.cn
     return stats
@@ -209,28 +186,25 @@ class IntervalRow:
 class ReliabilityController:
     """Per-sub-sink controller state: the open interval; closed ones go to the trace."""
 
-    def __init__(self, targets: ReliabilityTargets, bounds: FrequencyBounds, f_init: float,
-                 eq4_alt: bool = False, eq6_alt: bool = False):
-        self.targets = targets
-        self.bounds = bounds
+    def __init__(self, ctl: ControllerCfg, eq4_alt: bool = False, eq6_alt: bool = False):
+        self.ctl = ctl
         self.eq4_alt = eq4_alt
         self.eq6_alt = eq6_alt
-        f_i = min(max(f_init, bounds.f_min), bounds.f_cap)
+        f_i = min(max(ctl.f_init, ctl.f_min), ctl.f_cap)
         self.stats = IntervalStats(index=1, f_i=f_i, start_time=0.0)
 
     def on_data_packet(self, pkt: Packet, now: float) -> None:
-        record_packet_arrival(self.stats, pkt, now, self.targets)
+        record_packet_arrival(self.stats, pkt, now, self.ctl)
 
     def close_interval(self, now: float) -> IntervalRow:
         """Classify the elapsed interval, update the frequency, open the next interval."""
         stats = self.stats
-        alpha = reliability_indicator(stats.dr_o, self.targets.dr_d)
-        cond = classify_condition(alpha, stats.cn, self.targets.beta)
-        f_next, x_next = update_frequency(
-            stats.f_i, cond, stats, self.targets, self.bounds,
-            eq4_alt=self.eq4_alt, eq6_alt=self.eq6_alt)
+        alpha = reliability_indicator(stats.dr_o, self.ctl.dr_d)
+        cond = classify_condition(alpha, stats.cn, self.ctl.beta)
+        f_next, x_next = update_frequency(cond, stats, self.ctl,
+                                          eq4_alt=self.eq4_alt, eq6_alt=self.eq6_alt)
         row = IntervalRow(
-            interval=stats.index, dr_o=stats.dr_o, dr_d=self.targets.dr_d, alpha=alpha,
+            interval=stats.index, dr_o=stats.dr_o, dr_d=self.ctl.dr_d, alpha=alpha,
             t_i=stats.t_i, cn=stats.cn, condition=cond.value, f_i=stats.f_i, f_next=f_next,
             x=stats.x, end_time=now,
         )

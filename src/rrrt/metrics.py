@@ -109,9 +109,10 @@ def audit_trace(trace: SimulationTrace) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
     Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
-    receive or drop, or accounted as pending at the horizon); strict per-hop
-    causality; packet conservation (every generated pid is delivered, dropped,
-    or pending, exactly one category); unique delivery per pid.
+    receive or drop, or accounted as pending at the horizon; at most one drop);
+    strict per-hop causality; packet conservation (every generated pid is
+    delivered, dropped, or pending, exactly one category); unique delivery per
+    pid, and only of a pid generated earlier.
     """
     last_time = -1.0
     sends: dict[int, tuple] = {}
@@ -138,6 +139,8 @@ def audit_trace(trace: SimulationTrace) -> dict:
             receives[copy] = rec
         elif kind == "drop":
             if copy >= 0:
+                if copy in copy_drops:
+                    raise InvariantViolation(f"copy {copy} dropped twice")
                 copy_drops[copy] = rec
             if pid >= 0:
                 dropped_pids.add(pid)
@@ -151,6 +154,8 @@ def audit_trace(trace: SimulationTrace) -> dict:
         elif kind == "deliver":
             if pid in delivered:
                 raise InvariantViolation(f"pid {pid} delivered twice to the application")
+            if pid not in generated:
+                raise InvariantViolation(f"pid {pid} delivered but never generated")
             delivered.add(pid)
 
     for copy, rec in sends.items():
@@ -175,12 +180,11 @@ def audit_trace(trace: SimulationTrace) -> dict:
     unaccounted = generated - delivered - pending_pids - dropped_pids
     if unaccounted:
         raise InvariantViolation(f"pids neither delivered, dropped nor pending: {sorted(unaccounted)[:5]}")
-    delivered_g = delivered & generated
-    pending_g = (pending_pids & generated) - delivered_g
-    dropped_g = (dropped_pids & generated) - delivered_g - pending_g
+    pending_g = (pending_pids & generated) - delivered
+    dropped_g = (dropped_pids & generated) - delivered - pending_g
     counts = {
         "generated": len(generated),
-        "delivered": len(delivered_g),
+        "delivered": len(delivered),
         "dropped": len(dropped_g),
         "pending": len(pending_g),
         "copies_sent": len(sends),

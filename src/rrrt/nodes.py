@@ -23,10 +23,11 @@ from typing import Optional
 
 from . import transport as tp
 from .congestion import DROPPED, NodeBuffer, mark_packet
-from .controller import DelayBudget, ReliabilityController, check_delay_budget
+from .controller import ReliabilityController, check_delay_budget
 from .errors import NoRoute, StaleFeedback
 from .kernel import SimEvent, Simulator
 from .packet import Packet
+from .scenario import BudgetCfg
 from .topology import Link, Topology
 
 _TIME_EPS = 1e-12
@@ -328,14 +329,14 @@ class SubSinkApp:
     """
 
     def __init__(self, runtime: NetworkRuntime, node: str, controller: ReliabilityController,
-                 budget: Optional[DelayBudget] = None):
+                 budget: Optional[BudgetCfg] = None):
         self.runtime = runtime
         self.node = node
         self.controller = controller
         self.budget = budget
 
     def start(self, now: float) -> None:
-        interval = self.controller.targets.interval_len
+        interval = self.controller.ctl.effective_interval()
         self.runtime.sim.schedule(SimEvent(now + interval, self.node, "interval", None))
 
     def on_packet(self, pkt: Packet, now: float) -> None:
@@ -355,7 +356,7 @@ class SubSinkApp:
         sim.trace.log(now, self.node, "interval", -1, -1, "", None, row.encode())
         bcast = self.controller.broadcast_packet(sim.new_pid(), self.node, now)
         self.runtime.broadcast(self.node, bcast)
-        interval = self.controller.targets.interval_len
+        interval = self.controller.ctl.effective_interval()
         sim.schedule(SimEvent(now + interval, self.node, "interval", None))
 
 

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import transport as tp
-from .controller import (DelayBudget, FrequencyBounds, ReliabilityController,
-                         ReliabilityTargets)
+from .controller import ReliabilityController
 from .errors import Corrupt, ScenarioInvalid
 from .kernel import SimulationTrace, Simulator, format_preamble, read_rows
 from .metrics import MetricsReport, audit_trace, reduce_trace
@@ -108,22 +107,15 @@ def build_field(cfg: ScenarioConfig, seed: int) -> Harness:
                              cfg.congestion.buffer_capacity, cfg.congestion.epoch)
     runtime.children = topo.downstream_children(SINK)
 
-    ctl = cfg.controller
-    targets = ReliabilityTargets(dr_d=ctl.dr_d, t_sa=ctl.t_sa, beta=ctl.beta,
-                                 interval_len=ctl.effective_interval())
-    bounds = FrequencyBounds(f_min=ctl.f_min, f_cap=ctl.f_cap)
-    controller = ReliabilityController(targets, bounds, ctl.f_init,
-                                       eq4_alt=cfg.switches.eq4_alt,
+    controller = ReliabilityController(cfg.controller, eq4_alt=cfg.switches.eq4_alt,
                                        eq6_alt=cfg.switches.eq6_alt)
-    budget = None
-    if cfg.budget.delta_e2a > 0:
-        budget = DelayBudget(cfg.budget.delta_e2a, cfg.budget.ep_del, cfg.budget.a_del)
+    budget = cfg.budget if cfg.budget.delta_e2a > 0 else None
     sink_app = SubSinkApp(runtime, SINK, controller, budget)
     runtime.attach_app(SINK, sink_app)
 
     sources = []
     for name in source_names:
-        src = SensorSource(runtime, name, SINK, ctl.f_init)
+        src = SensorSource(runtime, name, SINK, cfg.controller.f_init)
         runtime.attach_app(name, src)
         sources.append(src)
     if cfg.topology.layout == "relay" and cfg.cross_traffic.rate > 0:
@@ -201,12 +193,6 @@ def run_experiment(cfg: ScenarioConfig, seed: Optional[int] = None) -> MetricsRe
     return run_traced(cfg, seed)[0]
 
 
-def run_and_serialize(cfg: ScenarioConfig, seed: Optional[int] = None) -> tuple[MetricsReport, str]:
-    """Run and return (report, serialized trace with preamble)."""
-    report, trace, preamble = run_traced(cfg, seed)
-    return report, trace.serialize(preamble)
-
-
 def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
                       budget=None) -> MetricsReport:
     """Report of a live run's finished trace.
@@ -233,8 +219,13 @@ def replay_text(text: str) -> MetricsReport:
 
 
 def replay(path: str) -> MetricsReport:
+    """replay_text of a trace file; Corrupt if the file is not UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fp:
-        return replay_text(fp.read())
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise Corrupt(None, f"text that is not UTF-8 ({exc})") from None
+    return replay_text(text)
 
 
 METRIC_NAMES = ("convergence_time", "total_energy", "aggregate_throughput",

@@ -73,13 +73,8 @@ class ReceivedRuns:
             self.add(seq)
 
     def __len__(self) -> int:
+        """Sequences received; the benchmark's tracer reads it for `transport.sack_input_seqs`."""
         return self.count
-
-    def __contains__(self, seq: int) -> bool:
-        if seq <= self.cum:
-            return seq >= 1
-        i = bisect_left(self.runs, [seq + 1])  # first run starting above seq
-        return i > 0 and self.runs[i - 1][1] >= seq
 
     def add(self, seq: int) -> bool:
         """Record one arrival (seq >= 1); False when it was already received."""

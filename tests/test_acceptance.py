@@ -12,13 +12,13 @@ import time
 import pytest
 
 from rrrt import transport as tp
-from rrrt.controller import (FrequencyBounds, IntervalStats, ReliabilityTargets,
-                             classify_condition, update_frequency)
+from rrrt.controller import IntervalStats, classify_condition, update_frequency
 from rrrt.metrics import audit_trace
 from rrrt.packet import Packet
-from rrrt.runner import build_transport, replay_text, run_and_serialize, run_experiment
-from rrrt.scenario import ScenarioConfig
+from rrrt.runner import build_transport, replay_text, run_experiment
+from rrrt.scenario import ControllerCfg, ScenarioConfig
 from oracles import (intervals_to_adequate, sack_holes_oracle, update_law_transcription)
+from util import run_and_serialize
 
 F_STAR = 400 / 81  # fixed point of the 81-source, dr_d=400 field
 
@@ -81,7 +81,7 @@ def transport_cfg(loss, goal=1000, sender="adaptive"):
 
 def test_criterion_1_update_law_matches_transcription_oracle():
     rng = random.Random(20260808)
-    bounds = FrequencyBounds(f_min=1e-3, f_cap=1e6)
+    f_min, f_cap = 1e-3, 1e6
     started = time.perf_counter()
     for _ in range(10_000):
         f_i = rng.uniform(0.1, 100.0)
@@ -92,12 +92,12 @@ def test_criterion_1_update_law_matches_transcription_oracle():
         cn = rng.random() < 0.5
         beta = rng.choice((0.01, 0.05, 0.2))
         x = rng.randint(1, 10)
-        targets = ReliabilityTargets(dr_d, t_sa, beta, t_sa)
+        ctl = ControllerCfg(dr_d=dr_d, t_sa=t_sa, beta=beta, f_min=f_min, f_cap=f_cap)
         stats = IntervalStats(index=1, f_i=f_i, dr_o=dr_o, t_i=t_i, cn=cn, x=x)
         cond = classify_condition(dr_o / dr_d, cn, beta)
-        got_f, got_x = update_frequency(f_i, cond, stats, targets, bounds)
+        got_f, got_x = update_frequency(cond, stats, ctl)
         want_f, want_x = update_law_transcription(
-            f_i, dr_o, dr_d, t_i, t_sa, cn, beta, x, bounds.f_min, bounds.f_cap)
+            f_i, dr_o, dr_d, t_i, t_sa, cn, beta, x, f_min, f_cap)
         assert got_x == want_x
         assert got_f == want_f or abs(got_f - want_f) <= 1e-12 * max(abs(want_f), 1.0)
     elapsed = time.perf_counter() - started
@@ -109,23 +109,22 @@ def test_criterion_1_update_law_matches_transcription_oracle():
 
 
 def test_criterion_2_spot_formula_checks():
-    bounds = FrequencyBounds(1e-9, 1e9)
-    targets = ReliabilityTargets(100, 1.0, 0.05, 1.0)
+    ctl = ControllerCfg(dr_d=100, t_sa=1.0, beta=0.05, f_min=1e-9, f_cap=1e9)
 
-    f3, _ = update_frequency(10.0, classify_condition(1.5, False, 0.05),
-                             IntervalStats(1, 10.0, dr_o=150, t_i=0.5), targets, bounds)
+    f3, _ = update_frequency(classify_condition(1.5, False, 0.05),
+                             IntervalStats(1, 10.0, dr_o=150, t_i=0.5), ctl)
     assert f3 == 5.0
 
-    f5, _ = update_frequency(4.0, classify_condition(0.8, False, 0.05),
-                             IntervalStats(1, 4.0, dr_o=80), targets, bounds)
+    f5, _ = update_frequency(classify_condition(0.8, False, 0.05),
+                             IntervalStats(1, 4.0, dr_o=80), ctl)
     assert f5 == 5.0
 
-    f6, x6 = update_frequency(16.0, classify_condition(0.5, True, 0.05),
-                              IntervalStats(1, 16.0, dr_o=50, cn=True, x=2), targets, bounds)
+    f6, x6 = update_frequency(classify_condition(0.5, True, 0.05),
+                              IntervalStats(1, 16.0, dr_o=50, cn=True, x=2), ctl)
     assert f6 == 2.0 and x6 == 3
 
-    f7, _ = update_frequency(7.0, classify_condition(1.0, False, 0.05),
-                             IntervalStats(1, 7.0, dr_o=100), targets, bounds)
+    f7, _ = update_frequency(classify_condition(1.0, False, 0.05),
+                             IntervalStats(1, 7.0, dr_o=100), ctl)
     assert f7 == 7.0
     _passed(2, "frequency-update spot values are exact (5.0, 5.0, 2.0, fixed point)")
 

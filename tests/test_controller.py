@@ -6,19 +6,18 @@ import random
 
 import pytest
 
-from rrrt.controller import (DelayBudget, FrequencyBounds, IntervalRow, IntervalStats,
-                             NetworkCondition, ReliabilityController, ReliabilityTargets,
-                             check_delay_budget, classify_condition, record_packet_arrival,
-                             reliability_indicator, update_frequency)
+from rrrt.controller import (IntervalRow, IntervalStats, NetworkCondition,
+                             ReliabilityController, check_delay_budget, classify_condition,
+                             record_packet_arrival, reliability_indicator, update_frequency)
 from rrrt.errors import InconsistentStats, InvalidTarget
 from rrrt.packet import Packet
+from rrrt.scenario import BudgetCfg, ControllerCfg
 from oracles import condition_table
 
-WIDE = FrequencyBounds(f_min=1e-9, f_cap=1e9)
 
-
-def targets(dr_d=100, t_sa=1.0, beta=0.05, interval_len=1.0):
-    return ReliabilityTargets(dr_d, t_sa, beta, interval_len)
+def ctl_cfg(dr_d=100, t_sa=1.0, beta=0.05, f_min=1e-9, f_cap=1e9):
+    """A [controller] section; the default frequency bounds are wide enough not to clamp."""
+    return ControllerCfg(dr_d=dr_d, t_sa=t_sa, beta=beta, f_min=f_min, f_cap=f_cap)
 
 
 def stats(dr_o=0, t_i=math.inf, cn=False, x=1, f_i=1.0):
@@ -66,42 +65,41 @@ def test_classifier_totality_matches_decision_table():
 
 def test_eq3_early_no_congestion_spot():
     f_next, x_next = update_frequency(
-        10.0, NetworkCondition.EARLY_REL_NO_CONG, stats(dr_o=150, t_i=0.5),
-        targets(t_sa=1.0), WIDE)
+        NetworkCondition.EARLY_REL_NO_CONG, stats(dr_o=150, t_i=0.5, f_i=10.0),
+        ctl_cfg(t_sa=1.0))
     assert f_next == 5.0 and x_next == 1
 
 
 def test_eq5_low_no_congestion_spot():
     f_next, x_next = update_frequency(
-        4.0, NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=80), targets(dr_d=100), WIDE)
+        NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=80, f_i=4.0), ctl_cfg(dr_d=100))
     assert f_next == 5.0 and x_next == 1
 
 
 def test_eq6_low_congestion_spot():
     f_next, x_next = update_frequency(
-        16.0, NetworkCondition.LOW_REL_CONG, stats(dr_o=50, cn=True, x=2),
-        targets(dr_d=100), WIDE)
+        NetworkCondition.LOW_REL_CONG, stats(dr_o=50, cn=True, x=2, f_i=16.0),
+        ctl_cfg(dr_d=100))
     assert f_next == 2.0 and x_next == 3  # 16 ** (50 / 200)
 
 
 def test_eq7_adequate_is_exact_fixed_point():
     f_next, x_next = update_frequency(
-        7.0, NetworkCondition.ADEQUATE_REL_NO_CONG, stats(dr_o=100), targets(), WIDE)
+        NetworkCondition.ADEQUATE_REL_NO_CONG, stats(dr_o=100, f_i=7.0), ctl_cfg())
     assert f_next == 7.0 and x_next == 1
 
 
 def test_eq4_literal_equals_eq3_value():
-    st = stats(dr_o=150, t_i=0.5, cn=True)
-    literal, _ = update_frequency(10.0, NetworkCondition.EARLY_REL_CONG, st, targets(), WIDE)
+    st = stats(dr_o=150, t_i=0.5, cn=True, f_i=10.0)
+    literal, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg())
     assert literal == 5.0
-    alt, _ = update_frequency(10.0, NetworkCondition.EARLY_REL_CONG, st, targets(), WIDE,
-                              eq4_alt=True)
+    alt, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg(), eq4_alt=True)
     assert alt == min(5.0, 10.0 * 100 / 150)
 
 
 def test_eq6_sub_unity_frequency_never_increases():
-    st = stats(dr_o=50, cn=True, x=1)
-    f_next, _ = update_frequency(0.5, NetworkCondition.LOW_REL_CONG, st, targets(dr_d=100), WIDE)
+    st = stats(dr_o=50, cn=True, x=1, f_i=0.5)
+    f_next, _ = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=100))
     assert f_next == 0.5  # raw exponent form would give 0.5**0.5 > 0.5
 
 
@@ -113,24 +111,22 @@ def test_eq6_congested_low_never_raises_frequency_randomized():
         dr_d = rng.randint(1, 200)
         dr_o = rng.randint(0, dr_d - 1)  # strictly low reliability
         x = rng.randint(1, 10)
-        st = stats(dr_o=dr_o, cn=True, x=x)
-        f_next, x_next = update_frequency(
-            f_i, NetworkCondition.LOW_REL_CONG, st, targets(dr_d=dr_d), WIDE)
+        st = stats(dr_o=dr_o, cn=True, x=x, f_i=f_i)
+        f_next, x_next = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=dr_d))
         assert f_next <= f_i + 1e-15
         assert x_next == x + 1
 
 
 def test_eq6_alt_multiplicative_form():
-    st = stats(dr_o=50, cn=True, x=2)
-    f_next, x_next = update_frequency(16.0, NetworkCondition.LOW_REL_CONG, st,
-                                      targets(dr_d=100), WIDE, eq6_alt=True)
+    st = stats(dr_o=50, cn=True, x=2, f_i=16.0)
+    f_next, x_next = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=100),
+                                      eq6_alt=True)
     assert f_next == 16.0 * 50 / 200 and x_next == 3
 
 
 def test_d3_zero_on_time_packets_jump_to_cap():
-    bounds = FrequencyBounds(f_min=0.1, f_cap=50.0)
-    f_next, _ = update_frequency(2.0, NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=0),
-                                 targets(), bounds)
+    f_next, _ = update_frequency(NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=0, f_i=2.0),
+                                 ctl_cfg(f_min=0.1, f_cap=50.0))
     assert f_next == 50.0
 
 
@@ -141,8 +137,8 @@ def test_eq3_contracts_whenever_early():
         t_i = rng.uniform(1e-6, t_sa * 0.999)
         f_i = rng.uniform(0.1, 100.0)
         f_next, _ = update_frequency(
-            f_i, NetworkCondition.EARLY_REL_NO_CONG,
-            stats(dr_o=200, t_i=t_i), targets(dr_d=100, t_sa=t_sa), WIDE)
+            NetworkCondition.EARLY_REL_NO_CONG,
+            stats(dr_o=200, t_i=t_i, f_i=f_i), ctl_cfg(dr_d=100, t_sa=t_sa))
         assert f_next < f_i
 
 
@@ -153,8 +149,7 @@ def test_eq5_expands_whenever_low():
         dr_o = rng.randint(1, dr_d - 1)
         f_i = rng.uniform(0.1, 100.0)
         f_next, _ = update_frequency(
-            f_i, NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=dr_o),
-            targets(dr_d=dr_d), WIDE)
+            NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=dr_o, f_i=f_i), ctl_cfg(dr_d=dr_d))
         assert f_next > f_i
 
 
@@ -162,29 +157,29 @@ def test_eq6_nonincreasing_in_x_with_unit_limit():
     f_i = 16.0
     last = f_i
     for x in (1, 2, 4, 8, 64, 1024):
-        f_next, _ = update_frequency(f_i, NetworkCondition.LOW_REL_CONG,
-                                     stats(dr_o=50, cn=True, x=x), targets(dr_d=100), WIDE)
+        f_next, _ = update_frequency(NetworkCondition.LOW_REL_CONG,
+                                     stats(dr_o=50, cn=True, x=x, f_i=f_i), ctl_cfg(dr_d=100))
         assert f_next <= last + 1e-15
         last = f_next
-    f_huge_x, _ = update_frequency(f_i, NetworkCondition.LOW_REL_CONG,
-                                   stats(dr_o=50, cn=True, x=10 ** 9), targets(dr_d=100), WIDE)
+    f_huge_x, _ = update_frequency(NetworkCondition.LOW_REL_CONG,
+                                   stats(dr_o=50, cn=True, x=10 ** 9, f_i=f_i),
+                                   ctl_cfg(dr_d=100))
     assert f_huge_x == pytest.approx(1.0, abs=1e-6)
 
 
 def test_results_respect_frequency_bounds():
-    bounds = FrequencyBounds(f_min=1.0, f_cap=8.0)
-    high, _ = update_frequency(4.0, NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=1),
-                               targets(dr_d=100), bounds)
+    high, _ = update_frequency(NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=1, f_i=4.0),
+                               ctl_cfg(dr_d=100, f_min=1.0, f_cap=8.0))
     assert high == 8.0
-    low, _ = update_frequency(4.0, NetworkCondition.EARLY_REL_NO_CONG,
-                              stats(dr_o=200, t_i=0.01), targets(), bounds)
+    low, _ = update_frequency(NetworkCondition.EARLY_REL_NO_CONG,
+                              stats(dr_o=200, t_i=0.01, f_i=4.0), ctl_cfg(f_min=1.0, f_cap=8.0))
     assert low == 1.0
 
 
 def test_inconsistent_stats_detected():
-    st = stats(dr_o=150, t_i=0.4, cn=True)  # reached the target yet classified low
+    st = stats(dr_o=150, t_i=0.4, cn=True, f_i=4.0)  # reached the target yet classified low
     with pytest.raises(InconsistentStats):
-        update_frequency(4.0, NetworkCondition.LOW_REL_CONG, st, targets(), WIDE)
+        update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg())
 
 
 # -- interval accounting ---------------------------------------------------------
@@ -196,60 +191,59 @@ def packet(gen_time, cn=False):
 
 def test_record_arrival_within_bound_counts():
     st = stats()
-    record_packet_arrival(st, packet(0.0), 0.8, targets(t_sa=1.0))
+    record_packet_arrival(st, packet(0.0), 0.8, ctl_cfg(t_sa=1.0))
     assert st.dr_o == 1
 
 
 def test_record_arrival_late_counts_separately():
     st = stats()
-    record_packet_arrival(st, packet(0.0), 1.2, targets(t_sa=1.0))
+    record_packet_arrival(st, packet(0.0), 1.2, ctl_cfg(t_sa=1.0))
     assert st.dr_o == 0
 
 
 def test_record_arrival_sets_t_i_at_kth_packet():
     st = stats()
-    tg = targets(dr_d=3)
+    cfg = ctl_cfg(dr_d=3)
     for now in (0.2, 0.5, 0.9):
-        record_packet_arrival(st, packet(now - 0.1), now, tg)
+        record_packet_arrival(st, packet(now - 0.1), now, cfg)
     assert st.t_i == pytest.approx(0.9)
-    record_packet_arrival(st, packet(0.95), 1.0, tg)
+    record_packet_arrival(st, packet(0.95), 1.0, cfg)
     assert st.t_i == pytest.approx(0.9)  # only the k-th arrival sets it
 
 
 def test_record_arrival_cn_only_from_on_time_packets():
     st = stats()
-    tg = targets()
-    record_packet_arrival(st, packet(0.0, cn=True), 2.0, tg)  # late, marked
+    cfg = ctl_cfg()
+    record_packet_arrival(st, packet(0.0, cn=True), 2.0, cfg)  # late, marked
     assert st.cn is False
-    record_packet_arrival(st, packet(1.9, cn=True), 2.0, tg)  # on time, marked
+    record_packet_arrival(st, packet(1.9, cn=True), 2.0, cfg)  # on time, marked
     assert st.cn is True
 
 
 # -- delay budget ---------------------------------------------------------------
 
 def test_delay_budget_literal_and_full_sum():
-    budget = DelayBudget(delta_e2a=1.0, ep_del=0.3, a_del=0.4)
+    budget = BudgetCfg(delta_e2a=1.0, ep_del=0.3, a_del=0.4)
     b_del, ca_del, t_del, p_del = 0.2, 0.1, 0.05, 0.05
     assert check_delay_budget(budget, b_del) is True  # literal: 0.9 <= 1.0
     assert check_delay_budget(budget, b_del + ca_del + t_del + p_del) is False  # 1.1 > 1.0
 
 
 def test_delay_budget_zero_delays_hold_in_both_modes():
-    budget = DelayBudget(0.0, 0.0, 0.0)
+    budget = BudgetCfg(0.0, 0.0, 0.0)
     assert check_delay_budget(budget, 0.0) is True  # what both modes charge
 
 
 def test_delay_budget_explicit_overrides():
-    budget = DelayBudget(1.0, 0.5, 0.4)
+    budget = BudgetCfg(1.0, 0.5, 0.4)
     assert check_delay_budget(budget, 0.2) is False
 
 
 # -- controller composition -------------------------------------------------------
 
 def controller(dr_d=100, f_init=4.0, beta=0.05, f_cap=50.0):
-    return ReliabilityController(
-        ReliabilityTargets(dr_d, 1.0, beta, 1.0),
-        FrequencyBounds(0.1, f_cap), f_init)
+    return ReliabilityController(ControllerCfg(dr_d=dr_d, t_sa=1.0, beta=beta, f_init=f_init,
+                                               f_min=0.1, f_cap=f_cap))
 
 
 def test_adequate_interval_is_a_broadcast_fixed_point():

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and reads each
-attribute it stores.
+"""Every module of the package uses each name it imports, reads each
+attribute it stores, and names each public function it defines.
 
 No linter ships with the project, so this parses each `src/rrrt` module with
 `ast`. A name counts as used when it appears as a name anywhere in the module;
@@ -9,12 +9,23 @@ re-export and is skipped.
 """
 
 import ast
+import os
 import pathlib
+import sys
 
 import pytest
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+
+import tracer  # noqa: E402
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rrrt"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+# Public functions the package never names, each with the reason it stays.
+UNNAMED_ALLOWED = {
+    # Faults reach a run only from tests until scenario files can declare them.
+    "Topology.inject_fault",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -69,3 +80,38 @@ def test_package_reads_every_attribute_it_stores():
                         stores.setdefault(stmt.target.id, f"{path.name}:{stmt.lineno}")
     unread = [f"{where} {name}" for name, where in stores.items() if name not in loads]
     assert unread == []
+
+
+def test_package_names_every_public_function_it_defines():
+    """No public function or method is dead code.
+
+    A module-level function or a method whose name has no leading underscore
+    must be named (called, referenced or registered) somewhere in the package,
+    be exported by `__init__.py`, or be a function the benchmark's tracer
+    wraps. As above, names are matched without their owner: this is a floor.
+    """
+    named, exported, defined = set(), set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        if path.name == "__init__.py":
+            exported.update(alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names)
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        defined[f"{node.name}.{stmt.name}"] = f"{path.name}:{stmt.lineno}"
+    hooked = {name.partition(":")[2] for name in tracer.TARGETS + [tracer.REGISTER]}
+    unnamed = [f"{where} {qualname}" for qualname, where in defined.items()
+               if not qualname.rpartition(".")[2].startswith("_")
+               and qualname.rpartition(".")[2] not in named
+               and qualname not in exported | hooked | UNNAMED_ALLOWED]
+    assert unnamed == []

@@ -166,6 +166,26 @@ def test_audit_rejects_duplicate_delivery():
         audit_trace(trace)
 
 
+def test_audit_rejects_delivery_of_a_pid_never_generated():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.5, "b", "receive", 1, 1)
+    trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
+    trace.log(0.6, "a", "generate", 1)  # too late: a delivery needs an earlier generate row
+    with pytest.raises(InvariantViolation, match="never generated"):
+        audit_trace(trace)
+
+
+def test_audit_rejects_a_copy_dropped_twice():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.2, "a", "drop", 1, 1, "loss")
+    trace.log(0.3, "a", "drop", 1, 1, "fault")
+    with pytest.raises(InvariantViolation, match="dropped twice"):
+        audit_trace(trace)
+
+
 def test_audit_rejects_wrong_hop_delay():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)

@@ -10,10 +10,10 @@ from rrrt.cli import main
 from rrrt.errors import Corrupt
 from rrrt.kernel import SimulationTrace, format_preamble
 from rrrt.metrics import audit_trace
-from rrrt.runner import (ARTIFACT_VERSION, build_transport, replay_text, run_and_serialize,
-                         run_experiment, run_traced)
+from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
 from rrrt.scenario import ScenarioConfig, serialize_scenario
 from shipped import sha256, shipped
+from util import run_and_serialize
 
 
 def small_field_cfg(**ctl):
@@ -204,6 +204,19 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
 
 def test_cli_missing_file_is_io_error(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "absent.cfg")]) == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "--scenario"], "io error: "),
+    (["run", "--scenario"], "io error: "),
+    (["replay", "--trace"], "corrupt trace: "),
+])
+def test_cli_input_that_is_not_utf8_exits_3_with_one_line(tmp_path, capsys, argv, message):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe[scenario]\n\x80\x81\n")
+    assert main(argv + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "UTF-8" in err and err.count("\n") == 1
 
 
 def test_cli_run_writes_outputs_and_replay_agrees(tmp_path, capsys):

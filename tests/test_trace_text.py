@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import serialize_oracle
 from rrrt.cli import main
 from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, read_rows
-from rrrt.runner import replay_text, run_and_serialize
+from rrrt.runner import replay_text
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
+from util import run_and_serialize
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -81,14 +82,18 @@ def small_trace() -> tuple[list[str], list[list[int]]]:
 
 @st.composite
 def mutated_traces(draw):
-    """The small trace truncated, or with one line changed in one character,
-    dropped or duplicated. The line is drawn by kind first, so that the two
-    interval rows are hit as often as the thousand sends."""
+    """The bytes of the small trace truncated, with one byte set to a value that
+    is not UTF-8 on its own, or with one line changed in one character, dropped
+    or duplicated. The line is drawn by kind first, so that the two interval
+    rows are hit as often as the thousand sends."""
     lines, groups = small_trace()
-    how = draw(st.sampled_from(("truncate", "flip", "drop", "duplicate")))
-    if how == "truncate":
-        text = "\n".join(lines)
-        return text[:draw(st.integers(0, len(text)))]
+    how = draw(st.sampled_from(("truncate", "byte", "flip", "drop", "duplicate")))
+    if how in ("truncate", "byte"):
+        data = "\n".join(lines).encode("utf-8")
+        at = draw(st.integers(0, len(data) - (how == "byte")))
+        if how == "truncate":
+            return data[:at]
+        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at + 1:]
     lines = list(lines)
     at = draw(st.sampled_from(draw(st.sampled_from(groups))))
     if how == "flip":
@@ -100,12 +105,12 @@ def mutated_traces(draw):
         del lines[at]
     else:
         lines.insert(at, lines[at])
-    return "\n".join(lines)
+    return "\n".join(lines).encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(text=mutated_traces())
-def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, text):
+@given(data=mutated_traces())
+def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     assert main(["replay", "--trace", str(path), "--format", "csv"]) in (0, 3, 4)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
 from rrrt.packet import Packet
+from rrrt.runner import run_traced
 from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service
 
 FIXED_CA = CaModel(kind="fixed", value=0.0002, cap=0.0002)
@@ -56,3 +57,9 @@ def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, los
 def data_packet(sim, src, dst, flow="data", gen_time=None):
     return Packet(pid=sim.new_pid(), flow=flow, src=src, dst=dst,
                   gen_time=sim.now if gen_time is None else gen_time)
+
+
+def run_and_serialize(cfg, seed=None):
+    """Run and return (report, serialized trace with preamble)."""
+    report, trace, preamble = run_traced(cfg, seed)
+    return report, trace.serialize(preamble)
