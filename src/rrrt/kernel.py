@@ -8,7 +8,9 @@ trace.
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
 replay reduces them as they arrive and never holds them all.
-`SimulationTrace.parse` collects them into a trace.
+`SimulationTrace.parse` collects them into a trace. Neither side holds a
+second copy of the text: serialize grows one string block by block, and
+read_rows splits the text into lines one chunk at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class SimEvent:
 #   (time, node, kind, pid, copy, reason, value, info)
 # pid/copy are -1 when not applicable, value is None when not applicable.
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
-SERIALIZE_BLOCK = 8192  # rows joined into one string before the blocks are joined
+SERIALIZE_BLOCK = 8192  # rows joined into one string before it is appended to the text
+READ_CHUNK = 1 << 20  # about this many characters are split into lines at a time by read_rows
 
 
 class SimulationTrace:
@@ -75,9 +78,12 @@ class SimulationTrace:
 
         Rows logged in one event share the `sim.now` float object, so a row
         whose time `is` the previous row's reuses its repr. Rows are joined
-        SERIALIZE_BLOCK at a time, so no line list for the whole trace exists.
+        SERIALIZE_BLOCK at a time and each block is appended to `text`, the
+        only reference to the string, which CPython then resizes in place: the
+        text is never held twice. Other Python implementations return the
+        same text but may copy it on each append.
         """
-        blocks = [format_preamble(preamble) + ",".join(TRACE_COLUMNS)]
+        text = format_preamble(preamble) + ",".join(TRACE_COLUMNS) + "\n"
         records = self.records
         last_time = stamp = None
         for start in range(0, len(records), SERIALIZE_BLOCK):
@@ -92,8 +98,9 @@ class SimulationTrace:
                 if "," in info or '"' in info:
                     info = '"' + info.replace('"', '""') + '"'
                 append(f"{stamp},{node},{kind},{pid},{copy},{reason},{val},{info}")
-            blocks.append("\n".join(lines))
-        return "\n".join(blocks) + "\n"
+            append("")  # so the block ends with a newline
+            text += "\n".join(lines)
+        return text
 
     @classmethod
     def parse(cls, text: str) -> tuple["SimulationTrace", dict]:
@@ -117,8 +124,7 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
     when the iterator reaches it.
     """
     preamble: dict = {}
-    lines = text.split("\n")
-    rows = iter(lines)
+    rows = _split_lines(text, READ_CHUNK)
     for header_line, line in enumerate(rows, start=1):
         if line.startswith("#"):
             key, sep, val = line[1:].strip().partition("=")
@@ -129,8 +135,18 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
                 raise Corrupt(header_line, "unexpected trace header")
             break
     else:
-        raise Corrupt(len(lines), "missing trace header")
+        raise Corrupt(header_line, "missing trace header")
     return preamble, _records(rows, header_line)
+
+
+def _split_lines(text: str, chunk: int) -> Iterator[str]:
+    """The lines of text.split("\n"), split from pieces of about `chunk`
+    characters that each end at a newline, so only one piece is held at once."""
+    start = 0
+    while (stop := text.find("\n", start + chunk)) >= 0:
+        yield from text[start:stop].split("\n")
+        start = stop + 1
+    yield from text[start:].split("\n")
 
 
 def _records(rows: Iterator[str], header_line: int) -> Iterator[tuple]:

@@ -109,7 +109,8 @@ def audit_trace(trace: SimulationTrace) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
     Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
-    receive or drop, or accounted as pending at the horizon; at most one drop);
+    receive or drop, or accounted as pending at the horizon; at most one drop;
+    every row of a copy carries the pid of its send);
     strict per-hop causality; packet conservation (every generated pid is
     delivered, dropped, or pending, exactly one category); unique delivery per
     pid, and only of a pid generated earlier.
@@ -118,7 +119,7 @@ def audit_trace(trace: SimulationTrace) -> dict:
     sends: dict[int, tuple] = {}
     receives: dict[int, tuple] = {}
     copy_drops: dict[int, tuple] = {}
-    pending_copies: set[int] = set()
+    pending_copies: dict[int, int] = {}
     generated: set[int] = set()
     delivered: set[int] = set()
     pending_pids: set[int] = set()
@@ -146,7 +147,7 @@ def audit_trace(trace: SimulationTrace) -> dict:
                 dropped_pids.add(pid)
         elif kind == "pending":
             if copy >= 0:
-                pending_copies.add(copy)
+                pending_copies[copy] = pid
             if pid >= 0:
                 pending_pids.add(pid)
         elif kind == "generate":
@@ -159,14 +160,19 @@ def audit_trace(trace: SimulationTrace) -> dict:
             delivered.add(pid)
 
     for copy, rec in sends.items():
-        got = copy in receives
-        lost = copy in copy_drops
-        if got and lost and copy_drops[copy][0] < receives[copy][0]:
+        pid = rec[3]
+        got = receives.get(copy)
+        lost = copy_drops.get(copy)
+        if ((got is not None and got[3] != pid) or (lost is not None and lost[3] != pid)
+                or pending_copies.get(copy, pid) != pid):
+            raise InvariantViolation(
+                f"copy {copy} sent with pid {pid} but logged with another pid")
+        if got and lost and lost[0] < got[0]:
             raise InvariantViolation(f"copy {copy} dropped before it was received")
         if not got and not lost and copy not in pending_copies:
             raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
         if got:
-            delay = receives[copy][0] - rec[0]
+            delay = got[0] - rec[0]
             if delay <= 0:
                 raise InvariantViolation(f"copy {copy} arrived without positive delay")
             expected = rec[6]  # send records carry the sampled hop delay in `value`

@@ -196,6 +196,19 @@ def test_audit_rejects_wrong_hop_delay():
         audit_trace(trace)
 
 
+@pytest.mark.parametrize("kind", ["receive", "drop", "pending"])
+def test_audit_rejects_a_copy_logged_with_another_pid(kind):
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "generate", 2)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.5, "b", kind, 2, 1)  # copy 1 was sent as pid 1
+    trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
+    trace.log(0.5, "b", "deliver", 2, -1, "", 0.0, "data")
+    with pytest.raises(InvariantViolation, match="sent with pid 1 but logged with another pid"):
+        audit_trace(trace)
+
+
 def test_audit_accounts_pending_and_drops():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)

@@ -2,13 +2,16 @@
 against the list path and the live report, and replay of mutated traces."""
 
 import functools
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import serialize_oracle
+from rrrt import kernel
 from rrrt.cli import main
-from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, read_rows
+from rrrt.errors import Corrupt
+from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, _split_lines, read_rows
 from rrrt.runner import replay_text
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
@@ -64,6 +67,66 @@ def test_serialize_matches_the_oracle_on_edge_cases():
     a, b = float("0.1"), float("0.1")
     assert a is not b
     check([one_row(a), one_row(b), one_row(0.0), one_row(-0.0), one_row(-0.0), one_row(0.0)])
+
+
+@settings(max_examples=300, database=None)
+@given(text=st.text(alphabet='ab\n\r,"'), chunk=st.integers(0, 12))
+@example(text="", chunk=1)
+@example(text="a\nb", chunk=1)  # no trailing newline
+@example(text="ab\n\ncd", chunk=2)  # "\n\n" at the chunk edge
+@example(text="ab\r\ncd\r", chunk=2)  # "\r" at the chunk edge
+@example(text="a\n" + "b" * 40 + "\nc\n", chunk=3)  # a line longer than the chunk
+def test_split_lines_yields_the_lines_of_split(text, chunk):
+    assert list(_split_lines(text, chunk)) == text.split("\n")
+
+
+def long_trace(rows: int) -> SimulationTrace:
+    trace = SimulationTrace()
+    for i in range(rows):
+        trace.log(i / 7, f"n{i % 9}", "send", i, i, "", 0.125)
+    return trace
+
+
+def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
+    monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
+    lines = long_trace(2000).serialize().split("\n")
+    lines.insert(1500, "")  # blank lines are skipped but counted
+    for bad in ("0.5,n0,send,1,1,,", "0.5,n0,send,x,1,,,"):
+        text = "\n".join(lines[:1700] + [bad] + lines[1700:])
+        assert text.index(bad) > 3 * kernel.READ_CHUNK
+        with pytest.raises(Corrupt) as parsed:
+            SimulationTrace.parse(text)
+        with pytest.raises(Corrupt) as streamed:
+            list(read_rows(text)[1])
+        assert parsed.value.offset == streamed.value.offset == 1701
+        assert text.split("\n")[1700] == bad
+
+
+def traced_peak(fn):
+    """The value of fn() and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_serialize_holds_the_text_once(monkeypatch):
+    monkeypatch.setattr(kernel, "SERIALIZE_BLOCK", 1024)
+    text, peak = traced_peak(long_trace(16 * kernel.SERIALIZE_BLOCK + 5).serialize)
+    assert peak < 1.5 * len(text)
+
+
+def test_read_rows_holds_one_chunk_of_lines(monkeypatch):
+    text = long_trace(20000).serialize()
+    monkeypatch.setattr(kernel, "READ_CHUNK", len(text) // 50)
+
+    def consume():
+        for _ in read_rows(text)[1]:
+            pass
+
+    assert traced_peak(consume)[1] < 0.25 * len(text)
 
 
 @functools.cache
