@@ -9,7 +9,7 @@ from .congestion import NodeBuffer, congestion_flag, mark_packet
 from .controller import (IntervalStats, NetworkCondition, ReliabilityController,
                          check_delay_budget, classify_condition, record_packet_arrival,
                          reliability_indicator, update_frequency)
-from .kernel import SimEvent, SimulationTrace, Simulator
+from .kernel import SimulationTrace, Simulator
 from .metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 from .packet import Packet
 from .runner import ARTIFACT_VERSION as __version__

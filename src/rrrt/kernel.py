@@ -5,6 +5,11 @@ named stream derived from (seed, stream-id), so a fixed (scenario, seed)
 pair reproduces the exact event sequence and therefore a byte-identical
 trace.
 
+The event queue is a heap of tuples `(time, ordinal, kind, target, payload)`;
+the ordinal breaks ties in schedule order. One handler per kind is called as
+`handler(sim, target, payload)`. `schedule` returns the entry as its handle,
+and `cancel(handle)` skips the entry when it comes up.
+
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
 replay reduces them as they arrive and never holds them all.
@@ -17,9 +22,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
@@ -31,21 +35,6 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     """Stable 64-bit seed for a named stream. hash() is process-salted; sha256 is not."""
     digest = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(slots=True)
-class SimEvent:
-    """One scheduled occurrence. A cancelled event stays queued and is skipped
-    when it comes up."""
-
-    time: float
-    target: str
-    kind: str
-    payload: Any = None
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 # Trace rows are plain tuples for speed:
@@ -179,7 +168,8 @@ class Simulator:
         self.trace = SimulationTrace()
         self._heap: list = []
         self._ordinal = 0
-        self._handlers: dict[str, Callable[["Simulator", SimEvent], None]] = {}
+        self._cancelled: set[int] = set()  # ordinals of queued entries that must not fire
+        self._handlers: dict[str, Callable[["Simulator", str, Any], None]] = {}
         self._rngs: dict[str, random.Random] = {}
         self._next_pid = 0
         self._next_copy = 0
@@ -204,33 +194,46 @@ class Simulator:
 
     # -- event queue -------------------------------------------------------
 
-    def register(self, node_id: str, handler: Callable[["Simulator", SimEvent], None]) -> None:
-        self._handlers[node_id] = handler
+    def register(self, kind: str, handler: Callable[["Simulator", str, Any], None]) -> None:
+        """Call `handler(sim, target, payload)` for every event of `kind`."""
+        self._handlers[kind] = handler
 
-    def schedule(self, event: SimEvent) -> SimEvent:
-        """Queue `event` and return it; its cancel() keeps it from firing."""
-        if event.time < self.now:
-            raise PastTime(f"event at t={event.time} before clock t={self.now}")
+    def schedule(self, time: float, kind: str, target: str, payload: Any = None) -> tuple:
+        """Queue an event and return its heap entry, the handle cancel() takes."""
+        if time < self.now:
+            raise PastTime(f"event at t={time} before clock t={self.now}")
         self._ordinal += 1
-        heapq.heappush(self._heap, (event.time, self._ordinal, event))
-        return event
+        entry = (time, self._ordinal, kind, target, payload)
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: tuple) -> None:
+        """Keep the event `handle` from firing; a no-op once it has come up.
+        Entries come up in increasing (time, ordinal) order, none before the
+        clock, so only a handle due exactly now needs the queue searched."""
+        time, ordinal = handle[0], handle[1]
+        if time > self.now or (time == self.now and any(entry is handle for entry in self._heap)):
+            self._cancelled.add(ordinal)
 
     def run_until(self, t_end: float) -> SimulationTrace:
         """Process every event with time <= t_end in (time, ordinal) order."""
         heap = self._heap
         handlers = self._handlers
+        cancelled = self._cancelled
         while heap and heap[0][0] <= t_end:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled:
+            time, ordinal, kind, target, payload = heappop(heap)
+            if cancelled and ordinal in cancelled:
+                cancelled.discard(ordinal)
                 continue
             self.now = time
-            handlers[event.target](self, event)
+            handlers[kind](self, target, payload)
         if t_end > self.now:
             self.now = t_end
         return self.trace
 
-    def pending_events(self) -> Iterator[SimEvent]:
-        """Events still queued (used to account for in-flight packets at the horizon)."""
-        for _, _, event in sorted(self._heap):
-            if not event.cancelled:
-                yield event
+    def pending_events(self) -> Iterator[tuple]:
+        """(kind, target, payload) of each event still queued, in firing order."""
+        cancelled = self._cancelled
+        for _, ordinal, kind, target, payload in sorted(self._heap):
+            if ordinal not in cancelled:
+                yield kind, target, payload

@@ -10,6 +10,11 @@ Applications sit on top: sensor sources, the sub-sink reliability
 controller, the rate-controlled transport sender/receiver, a cross-traffic
 generator and a naive fixed-rate sender for comparisons.
 
+The runtime handles the kernel's event kinds `dep`, `arr`, `ctl_arr` and
+`bcast_arr`, and `app`: an app timer whose payload is its tag (`gen`,
+`interval`, `pace`, ...), passed to the node's app as `on_event(sim, tag)`
+unless the node has crashed. A source cancels its next `gen` by its handle.
+
 Until `Topology.inject_fault` sets `topo.has_faults`, no hop looks up a fault:
 `_route` reads the next hop's link and its data transmission and propagation
 delays from a table filled on first use, and arrivals just log `receive`. The
@@ -25,7 +30,7 @@ from . import transport as tp
 from .congestion import DROPPED, NodeBuffer, mark_packet
 from .controller import ReliabilityController, check_delay_budget
 from .errors import NoRoute, StaleFeedback
-from .kernel import SimEvent, Simulator
+from .kernel import Simulator
 from .packet import Packet
 from .scenario import BudgetCfg
 from .topology import Link, Topology
@@ -47,10 +52,10 @@ class NetworkRuntime:
         self.children: dict[str, list[str]] = {}
         self._rngs = {}
         self._hops: dict[tuple[str, str], tuple[Link, float, float]] = {}
-        self._handlers = {"dep": self._on_depart, "arr": self._on_arrive,
-                          "ctl_arr": self._on_ctl_arrive, "bcast_arr": self._on_broadcast_arrive}
-        for node in topo.nodes:
-            sim.register(node, self._dispatch)
+        for kind, handler in (("dep", self._on_depart), ("arr", self._on_arrive),
+                              ("ctl_arr", self._on_ctl_arrive),
+                              ("bcast_arr", self._on_broadcast_arrive), ("app", self._on_app)):
+            sim.register(kind, handler)
 
     def rng_of(self, node: str):
         rng = self._rngs.get(node)
@@ -119,11 +124,10 @@ class NetworkRuntime:
         depart = b_del + ca_del + t_del
         sim.trace.log(now, node, "send", pkt.pid, copy, "", depart + p_del)
         lost = link.loss > 0.0 and rng.random() < link.loss
-        sim.schedule(SimEvent(now + depart, node, "dep", (pkt, link.dst, copy, p_del, lost)))
+        sim.schedule(now + depart, "dep", node, (pkt, link.dst, copy, p_del, lost))
 
-    def _on_depart(self, sim: Simulator, event: SimEvent) -> None:
-        pkt, hop, copy, p_del, lost = event.payload
-        node = event.target
+    def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
+        pkt, hop, copy, p_del, lost = payload
         now = sim.now
         self.buffers[node].release(now)
         topo = self.topo
@@ -134,7 +138,7 @@ class NetworkRuntime:
         if lost:
             sim.trace.log(now, node, "drop", pkt.pid, copy, "loss")
             return
-        sim.schedule(SimEvent(now + p_del, hop, "arr", (pkt, copy)))
+        sim.schedule(now + p_del, "arr", hop, (pkt, copy))
 
     def _survives_arrival(self, node: str, pkt: Packet, copy: int) -> bool:
         """Log a copy's arrival at `node` under the node's fault mode.
@@ -154,9 +158,8 @@ class NetworkRuntime:
             return False
         return True
 
-    def _on_arrive(self, sim: Simulator, event: SimEvent) -> None:
-        pkt, copy = event.payload
-        node = event.target
+    def _on_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
+        pkt, copy = payload
         if not self._survives_arrival(node, pkt, copy):
             return
         if node == pkt.dst:
@@ -181,11 +184,10 @@ class NetworkRuntime:
         delay = topo.sample_channel_delays(link, self.ctl_len, self.rng_of(node))
         copy = sim.new_copy()
         sim.trace.log(now, node, "send", pkt.pid, copy, "", delay)
-        sim.schedule(SimEvent(now + delay, link.dst, "ctl_arr", (pkt, copy)))
+        sim.schedule(now + delay, "ctl_arr", link.dst, (pkt, copy))
 
-    def _on_ctl_arrive(self, sim: Simulator, event: SimEvent) -> None:
-        pkt, copy = event.payload
-        node = event.target
+    def _on_ctl_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
+        pkt, copy = payload
         if not self._survives_arrival(node, pkt, copy):
             return
         if node == pkt.dst:
@@ -214,11 +216,9 @@ class NetworkRuntime:
                 continue
             link = topo.links[(node, kid)]
             delay = ca + self.ctl_len / link.bit_rate + link.propagation()
-            sim.schedule(SimEvent(now + delay, kid, "bcast_arr", pkt))
+            sim.schedule(now + delay, "bcast_arr", kid, pkt)
 
-    def _on_broadcast_arrive(self, sim: Simulator, event: SimEvent) -> None:
-        pkt = event.payload
-        node = event.target
+    def _on_broadcast_arrive(self, sim: Simulator, node: str, pkt: Packet) -> None:
         if not self._survives_arrival(node, pkt, -1):
             return
         app = self.apps.get(node)
@@ -226,30 +226,26 @@ class NetworkRuntime:
             app.on_frequency(pkt.payload, sim.now)
         self.broadcast(node, pkt)
 
-    # -- dispatch / horizon -----------------------------------------------------
+    # -- app timers / horizon ---------------------------------------------------
 
-    def _dispatch(self, sim: Simulator, event: SimEvent) -> None:
-        handler = self._handlers.get(event.kind)
-        if handler is not None:
-            handler(sim, event)
+    def _on_app(self, sim: Simulator, node: str, tag: str) -> None:
         # An app timer on a crashed node neither fires nor re-arms; drop-all apps run on.
-        elif not self.topo.has_faults or self.topo.fault_mode(event.target, sim.now) != "crash":
-            self.apps[event.target].on_event(sim, event)
+        if not self.topo.has_faults or self.topo.fault_mode(node, sim.now) != "crash":
+            self.apps[node].on_event(sim, tag)
 
     def log_pending(self) -> None:
         """Account for packets still queued or in flight when the horizon hits."""
         sim = self.sim
         now = sim.now
-        for event in sim.pending_events():
-            if event.kind == "dep":
-                pkt, _, copy, _, _ = event.payload
-                sim.trace.log(now, event.target, "pending", pkt.pid, copy, "queued")
-            elif event.kind in ("arr", "ctl_arr"):
-                pkt, copy = event.payload
-                sim.trace.log(now, event.target, "pending", pkt.pid, copy, "in_flight")
-            elif event.kind == "bcast_arr":
-                pkt = event.payload
-                sim.trace.log(now, event.target, "pending", pkt.pid, -1, "in_flight")
+        for kind, node, payload in sim.pending_events():
+            if kind == "dep":
+                pkt, _, copy, _, _ = payload
+                sim.trace.log(now, node, "pending", pkt.pid, copy, "queued")
+            elif kind in ("arr", "ctl_arr"):
+                pkt, copy = payload
+                sim.trace.log(now, node, "pending", pkt.pid, copy, "in_flight")
+            elif kind == "bcast_arr":
+                sim.trace.log(now, node, "pending", payload.pid, -1, "in_flight")
 
 
 class SensorSource:
@@ -269,10 +265,9 @@ class SensorSource:
     def _schedule_next(self, now: float, dither: bool = False) -> None:
         period = 1.0 / self.f
         delay = self.rng.random() * period if dither else period
-        self._gen_handle = self.runtime.sim.schedule(
-            SimEvent(now + delay, self.node, "gen", None))
+        self._gen_handle = self.runtime.sim.schedule(now + delay, "app", self.node, "gen")
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
+    def on_event(self, sim: Simulator, tag: str) -> None:
         now = sim.now
         pkt = Packet(pid=sim.new_pid(), flow="data", src=self.node, dst=self.sink,
                      gen_time=now)
@@ -285,7 +280,7 @@ class SensorSource:
         # desynchronized so per-interval counts do not beat quasi-periodically.
         self.f = f_new
         if self._gen_handle is not None:
-            self._gen_handle.cancel()
+            self.runtime.sim.cancel(self._gen_handle)
         self._schedule_next(now, dither=True)
 
 
@@ -303,10 +298,9 @@ class CrossTrafficSource:
 
     def start(self, now: float) -> None:
         if self.rate > 0.0:
-            self.runtime.sim.schedule(
-                SimEvent(max(now, self.start_at), self.node, "gen", None))
+            self.runtime.sim.schedule(max(now, self.start_at), "app", self.node, "gen")
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
+    def on_event(self, sim: Simulator, tag: str) -> None:
         now = sim.now
         if now >= self.stop:
             return
@@ -314,7 +308,7 @@ class CrossTrafficSource:
                      gen_time=now)
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
-        sim.schedule(SimEvent(now + 1.0 / self.rate, self.node, "gen", None))
+        sim.schedule(now + 1.0 / self.rate, "app", self.node, "gen")
 
     def on_frequency(self, f_new: float, now: float) -> None:
         pass  # cross traffic ignores controller broadcasts
@@ -337,7 +331,7 @@ class SubSinkApp:
 
     def start(self, now: float) -> None:
         interval = self.controller.ctl.effective_interval()
-        self.runtime.sim.schedule(SimEvent(now + interval, self.node, "interval", None))
+        self.runtime.sim.schedule(now + interval, "app", self.node, "interval")
 
     def on_packet(self, pkt: Packet, now: float) -> None:
         sim = self.runtime.sim
@@ -350,14 +344,14 @@ class SubSinkApp:
         if pkt.flow == "data":
             self.controller.on_data_packet(pkt, now)
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
+    def on_event(self, sim: Simulator, tag: str) -> None:
         now = sim.now
         row = self.controller.close_interval(now)
         sim.trace.log(now, self.node, "interval", -1, -1, "", None, row.encode())
         bcast = self.controller.broadcast_packet(sim.new_pid(), self.node, now)
         self.runtime.broadcast(self.node, bcast)
         interval = self.controller.ctl.effective_interval()
-        sim.schedule(SimEvent(now + interval, self.node, "interval", None))
+        sim.schedule(now + interval, "app", self.node, "interval")
 
 
 class TransportSenderApp:
@@ -388,8 +382,7 @@ class TransportSenderApp:
     def start(self, now: float) -> None:
         self.last_fb_arrival = now
         self._send_probe(now)
-        self.runtime.sim.schedule(
-            SimEvent(now + self._miss_threshold(), self.node, "watchdog", None))
+        self.runtime.sim.schedule(now + self._miss_threshold(), "app", self.node, "watchdog")
         self._log_state(now, 0.0)
 
     def _miss_threshold(self) -> float:
@@ -402,31 +395,30 @@ class TransportSenderApp:
                      gen_time=now, bottleneck_delay=0.0)
         self.runtime.forward_control(self.node, pkt)
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
-        kind = event.kind
-        if kind == "pace":
+    def on_event(self, sim: Simulator, tag: str) -> None:
+        if tag == "pace":
             self._pace_handle = None
             self._pace(sim.now)
-        elif kind == "watchdog":
+        elif tag == "watchdog":
             self._watchdog(sim.now)
-        elif kind == "probe_tick":
+        elif tag == "probe_tick":
             if self.state.phase is tp.Phase.PROBE:
                 self._send_probe(sim.now)
-                sim.schedule(SimEvent(sim.now + self.state.t_p, self.node, "probe_tick", None))
+                sim.schedule(sim.now + self.state.t_p, "app", self.node, "probe_tick")
 
     def _watchdog(self, now: float) -> None:
         sim = self.runtime.sim
         due = self.last_fb_arrival + self._miss_threshold()
         if now < due - _TIME_EPS:
-            sim.schedule(SimEvent(due, self.node, "watchdog", None))
+            sim.schedule(due, "app", self.node, "watchdog")
             return
         was_probing = self.state.phase is tp.Phase.PROBE
         tp.on_feedback_timeout(self.state, now)
         self._log_state(now, 0.0)
         if self.state.phase is tp.Phase.PROBE and not was_probing:
             self._send_probe(now)
-            sim.schedule(SimEvent(now + self.state.t_p, self.node, "probe_tick", None))
-        sim.schedule(SimEvent(now + self.state.t_fdbk, self.node, "watchdog", None))
+            sim.schedule(now + self.state.t_p, "app", self.node, "probe_tick")
+        sim.schedule(now + self.state.t_fdbk, "app", self.node, "watchdog")
 
     # -- control arrivals -----------------------------------------------------
 
@@ -458,8 +450,7 @@ class TransportSenderApp:
 
     def _ensure_pacing(self, now: float) -> None:
         if self._pace_handle is None and self._can_send():
-            self._pace_handle = self.runtime.sim.schedule(
-                SimEvent(now, self.node, "pace", None))
+            self._pace_handle = self.runtime.sim.schedule(now, "app", self.node, "pace")
 
     # -- data path --------------------------------------------------------------
 
@@ -478,8 +469,8 @@ class TransportSenderApp:
             self.deadline_logged = True
             self.runtime.sim.trace.log(now, self.node, "conn", -1, -1, "deadline_expired")
         self._send_one(now)
-        self._pace_handle = self.runtime.sim.schedule(
-            SimEvent(now + 1.0 / state.r_c, self.node, "pace", None))
+        self._pace_handle = self.runtime.sim.schedule(now + 1.0 / state.r_c, "app", self.node,
+                                                      "pace")
 
     def _send_one(self, now: float) -> None:
         sim = self.runtime.sim
@@ -529,7 +520,7 @@ class TransportReceiverApp:
         self.path: Optional[Packet] = None  # latest arrival carrying a path measurement
 
     def start(self, now: float) -> None:
-        self.runtime.sim.schedule(SimEvent(now + self.t_fdbk, self.node, "fb_tick", None))
+        self.runtime.sim.schedule(now + self.t_fdbk, "app", self.node, "fb_tick")
 
     def _note_path(self, pkt: Packet) -> None:
         if pkt.bottleneck_delay is not None and pkt.bottleneck_delay > 0.0:
@@ -546,9 +537,9 @@ class TransportReceiverApp:
         self._note_path(pkt)  # only probes are addressed to the receiver
         self._send_feedback(now)
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
+    def on_event(self, sim: Simulator, tag: str) -> None:
         self._send_feedback(sim.now)
-        sim.schedule(SimEvent(sim.now + self.t_fdbk, self.node, "fb_tick", None))
+        sim.schedule(sim.now + self.t_fdbk, "app", self.node, "fb_tick")
 
     def _send_feedback(self, now: float) -> None:
         if self.path is None:
@@ -573,9 +564,9 @@ class FixedRateSenderApp:
         self.next_seq = 1
 
     def start(self, now: float) -> None:
-        self.runtime.sim.schedule(SimEvent(now, self.node, "pace", None))
+        self.runtime.sim.schedule(now, "app", self.node, "pace")
 
-    def on_event(self, sim: Simulator, event: SimEvent) -> None:
+    def on_event(self, sim: Simulator, tag: str) -> None:
         if self.next_seq > self.total:
             return
         now = sim.now
@@ -586,7 +577,7 @@ class FixedRateSenderApp:
         sim.trace.log(now, self.node, "generate", pkt.pid)
         self.runtime.forward_data(self.node, pkt)
         if self.next_seq <= self.total:
-            sim.schedule(SimEvent(now + 1.0 / self.rate, self.node, "pace", None))
+            sim.schedule(now + 1.0 / self.rate, "app", self.node, "pace")
 
     def on_control(self, pkt: Packet, now: float) -> None:
         pass  # ignores feedback entirely

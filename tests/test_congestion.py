@@ -6,7 +6,6 @@ import pytest
 
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer, congestion_flag, mark_packet
 from rrrt.errors import InvariantViolation
-from rrrt.kernel import SimEvent
 from rrrt.packet import Packet
 from util import chain_network, data_packet
 
@@ -110,19 +109,31 @@ def test_a_forwarded_packet_takes_the_flag_of_its_admission_epoch():
     assert pkt.cn is True and buf.flag(sim.now) is True
 
 
+class Generator:
+    """Source app: one packet to `dst` per `gen` timer, re-armed every `period`
+    while the clock is before `stop`."""
+
+    def __init__(self, runtime, src, dst, period, stop=float("inf")):
+        self.runtime = runtime
+        self.src = src
+        self.dst = dst
+        self.period = period
+        self.stop = stop
+        runtime.attach_app(src, self)
+        runtime.sim.schedule(0.0, "app", src, "gen")
+
+    def on_event(self, sim, tag):
+        pkt = data_packet(sim, self.src, self.dst)
+        sim.trace.log(sim.now, self.src, "generate", pkt.pid)
+        self.runtime.forward_data(self.src, pkt)
+        if sim.now < self.stop:
+            sim.schedule(sim.now + self.period, "app", self.src, "gen")
+
+
 def test_no_drops_or_flags_below_service_rate():
     """Offered load under every link's rate, fixed CA: clean run, CN never set."""
     sim, runtime, names, catcher = chain_network(services=(100.0, 100.0), capacity=50)
-    src = names[0]
-
-    def generator(s, event):
-        pkt = data_packet(s, src, names[-1])
-        s.trace.log(s.now, src, "generate", pkt.pid)
-        runtime.forward_data(src, pkt)
-        s.schedule(SimEvent(s.now + 0.05, src, "gen"))  # 20 packets/s vs 100/s links
-
-    sim._handlers[src] = lambda s, ev: generator(s, ev) if ev.kind == "gen" else runtime._dispatch(s, ev)
-    sim.schedule(SimEvent(0.0, src, "gen"))
+    Generator(runtime, names[0], names[-1], 0.05)  # 20 packets/s vs 100/s links
     sim.run_until(30.0)
 
     assert not [r for r in sim.trace.records if r[2] == "drop"]  # overflow included
@@ -133,17 +144,7 @@ def test_no_drops_or_flags_below_service_rate():
 def test_cn_bit_reaches_sink_under_overload():
     """Offered load far above the middle link: flag fires and marks are delivered."""
     sim, runtime, names, catcher = chain_network(services=(2000.0, 40.0), capacity=20)
-    src = names[0]
-
-    def generator(s, event):
-        pkt = data_packet(s, src, names[-1])
-        s.trace.log(s.now, src, "generate", pkt.pid)
-        runtime.forward_data(src, pkt)
-        if s.now < 4.0:
-            s.schedule(SimEvent(s.now + 0.005, src, "gen"))  # 200/s into a 40/s link
-
-    sim._handlers[src] = lambda s, ev: generator(s, ev) if ev.kind == "gen" else runtime._dispatch(s, ev)
-    sim.schedule(SimEvent(0.0, src, "gen"))
+    Generator(runtime, names[0], names[-1], 0.005, stop=4.0)  # 200/s into a 40/s link
     sim.run_until(10.0)
 
     assert any(r[2] == "drop" and r[5] == "overflow" for r in sim.trace.records)

@@ -4,11 +4,19 @@ Each shipped scenario at seed 1 must serialize to the same bytes as before a
 change that is meant to keep behaviour, and its replayed report must equal the
 live one. A change that alters a hash on purpose updates it here and says why.
 The run is shared with `test_trace_text.py` through `shipped.shipped_run`.
+
+The handler calls per event kind are pinned too, on two short field runs:
+a timer that fires after it was cancelled, or a crashed node's app timer that
+re-arms, moves them even where it would leave no trace row behind.
 """
+
+import collections
 
 import pytest
 
-from shipped import SHIPPED, shipped_run
+from rrrt.kernel import Simulator
+from rrrt.runner import build_field
+from shipped import SHIPPED, shipped, shipped_run
 
 GOLDEN_SHA256 = {
     "field_baseline": "d3bfba28c7c71112f01f692178733488eb27d92230f21d4729cd46238463594f",
@@ -28,3 +36,31 @@ def test_shipped_scenario_trace_hash_and_replay(name):
 
 def test_every_shipped_scenario_has_a_golden_hash():
     assert sorted(GOLDEN_SHA256) == sorted(SHIPPED)
+
+
+# (scenario, node fault or None) -> handler calls per event kind at seed 1 over 10 s
+EVENT_COUNTS = {
+    ("field_burst", None): {"app": 4263, "arr": 8004, "bcast_arr": 747, "dep": 8004},
+    ("field_congested", ("sink", 1.0, "crash")): {"app": 1081, "arr": 1164, "dep": 1164},
+}
+
+
+@pytest.mark.parametrize("name, fault", sorted(EVENT_COUNTS, key=repr), ids=repr)
+def test_handler_calls_per_event_kind(name, fault, monkeypatch):
+    calls = collections.Counter()
+    register = Simulator.register
+
+    def counting_register(sim, kind, handler):
+        def counted(sim, target, payload):
+            calls[kind] += 1
+            handler(sim, target, payload)
+        register(sim, kind, counted)
+
+    monkeypatch.setattr(Simulator, "register", counting_register)
+    cfg = shipped(name)
+    cfg.sim.horizon = 10.0
+    harness = build_field(cfg, 1)
+    if fault is not None:
+        harness.runtime.topo.inject_fault(*fault)
+    harness.sim.run_until(cfg.sim.horizon)
+    assert dict(calls) == EVENT_COUNTS[name, fault]

@@ -1,45 +1,60 @@
 """Event queue, clock, RNG streams and trace serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrrt.errors import Corrupt, PastTime
-from rrrt.kernel import SimEvent, SimulationTrace, Simulator, derive_stream_seed, read_rows
+from rrrt.kernel import SimulationTrace, Simulator, derive_stream_seed, read_rows
 
 
-def make_sim(seed=1):
+def make_sim(seed=1, kinds=("tick",)):
+    """A simulator whose handler for each of `kinds` records (now, kind, payload)."""
     sim = Simulator(seed)
     fired = []
-    sim.register("node", lambda s, ev: fired.append((s.now, ev.kind, ev.payload)))
+    for kind in kinds:
+        sim.register(kind, lambda s, target, payload, kind=kind:
+                     fired.append((s.now, kind, payload)))
     return sim, fired
 
 
 def test_schedule_future_event_fires_at_its_time():
     sim, fired = make_sim()
-    sim.schedule(SimEvent(5.0, "node", "tick"))
+    sim.schedule(5.0, "tick", "node")
     sim.run_until(10.0)
     assert fired == [(5.0, "tick", None)]
 
 
-def test_schedule_at_current_clock_is_allowed():
-    sim, fired = make_sim()
+def test_handler_gets_target_and_payload():
+    sim = Simulator(1)
+    seen = []
+    sim.register("tick", lambda s, target, payload: seen.append((s.now, target, payload)))
+    sim.schedule(1.0, "tick", "n7", ("pkt", 3))
+    sim.run_until(1.0)
+    assert seen == [(1.0, "n7", ("pkt", 3))]
 
-    def reschedule(s, ev):
+
+def test_schedule_at_current_clock_is_allowed():
+    sim = Simulator(1)
+    fired = []
+
+    def reschedule(s, target, payload):
         fired.append(s.now)
         if len(fired) == 1:
-            s.schedule(SimEvent(s.now, "node", "again"))  # boundary equality
+            s.schedule(s.now, "tick", target)  # boundary equality
 
-    sim._handlers["node"] = reschedule
-    sim.schedule(SimEvent(1.0, "node", "tick"))
+    sim.register("tick", reschedule)
+    sim.schedule(1.0, "tick", "node")
     sim.run_until(2.0)
     assert fired == [1.0, 1.0]
 
 
 def test_schedule_in_the_past_raises():
     sim, _ = make_sim()
-    sim.schedule(SimEvent(1.0, "node", "tick"))
+    sim.schedule(1.0, "tick", "node")
     sim.run_until(1.0)
     with pytest.raises(PastTime):
-        sim.schedule(SimEvent(0.5, "node", "tick"))
+        sim.schedule(0.5, "tick", "node")
 
 
 def test_empty_queue_run_yields_empty_trace_and_advances_clock():
@@ -50,33 +65,182 @@ def test_empty_queue_run_yields_empty_trace_and_advances_clock():
 
 
 def test_self_rescheduling_tick_counts():
-    sim, fired = make_sim()
+    sim = Simulator(1)
+    fired = []
 
-    def tick(s, ev):
+    def tick(s, target, payload):
         fired.append(s.now)
-        s.schedule(SimEvent(s.now + 1.0, "node", "tick"))
+        s.schedule(s.now + 1.0, "tick", target)
 
-    sim._handlers["node"] = tick
-    sim.schedule(SimEvent(1.0, "node", "tick"))
+    sim.register("tick", tick)
+    sim.schedule(1.0, "tick", "node")
     sim.run_until(5.0)
     assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_same_time_events_fire_in_schedule_order():
-    sim, fired = make_sim()
-    for tag in ("a", "b", "c"):
-        sim.schedule(SimEvent(1.0, "node", "tick", tag))
+    sim, fired = make_sim(kinds=("tick", "tock"))
+    for kind, tag in (("tock", "a"), ("tick", "b"), ("tock", "c")):
+        sim.schedule(1.0, kind, "node", tag)
     sim.run_until(1.0)
-    assert [p for _, _, p in fired] == ["a", "b", "c"]
+    assert [(k, p) for _, k, p in fired] == [("tock", "a"), ("tick", "b"), ("tock", "c")]
 
 
 def test_cancelled_event_does_not_fire():
     sim, fired = make_sim()
-    sim.schedule(SimEvent(1.0, "node", "keep"))
-    drop = sim.schedule(SimEvent(2.0, "node", "drop"))
-    drop.cancel()
+    sim.schedule(1.0, "tick", "node", "keep")
+    drop = sim.schedule(2.0, "tick", "node", "drop")
+    sim.cancel(drop)
+    assert [p for _, _, p in sim.pending_events()] == ["keep"]
     sim.run_until(5.0)
-    assert [k for _, k, _ in fired] == ["keep"]
+    assert [p for _, _, p in fired] == ["keep"]
+
+
+def test_cancelling_a_fired_or_cancelled_handle_leaves_no_trace():
+    """A stale handle is a no-op: nothing is left in the cancel set, so no
+    later event pays a lookup and no ordinal leaks."""
+    sim, fired = make_sim()
+    done = sim.schedule(1.0, "tick", "node", "done")
+    twice = sim.schedule(2.0, "tick", "node", "twice")
+    sim.run_until(1.0)
+    sim.cancel(done)  # came up at the clock's own time
+    assert sim._cancelled == set()
+    sim.cancel(twice)
+    sim.cancel(twice)
+    sim.run_until(3.0)
+    assert sim._cancelled == set()
+    sim.cancel(done)  # now before the clock
+    sim.cancel(twice)  # skipped when it came up
+    assert sim._cancelled == set()
+    assert [p for _, _, p in fired] == ["done"]
+
+
+def test_a_handler_cancels_a_later_event_at_its_own_time():
+    sim = Simulator(1)
+    fired, handles = [], {}
+
+    def record(s, target, payload):
+        fired.append(payload)
+        if payload == "first":
+            s.cancel(handles["third"])  # queued at the same time, later ordinal
+            s.cancel(handles["first"])  # its own handle: already come up
+
+    sim.register("tick", record)
+    for tag in ("first", "second", "third"):
+        handles[tag] = sim.schedule(1.0, "tick", "node", tag)
+    sim.run_until(1.0)
+    assert fired == ["first", "second"]
+    assert sim._cancelled == set()
+
+
+# -- model-based check of the event queue ------------------------------------
+#
+# A random program of schedule / cancel / run_until steps runs on the kernel
+# and on a reference that keeps its queue as a plain list and takes the
+# smallest (time, order) each time. Fired events may schedule a child event or
+# cancel an earlier handle, so scheduling and cancelling at the clock's own
+# time are covered. Times come from a coarse grid, so ties are common.
+
+TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+ACTIONS = st.one_of(st.none(), st.tuples(st.just("child"), TIMES),
+                    st.tuples(st.just("cancel"), st.integers(0, 30)))
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.floats(-1.0, 4.0).map(lambda x: round(x * 4) / 4),
+              ACTIONS),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("run"), TIMES),
+), max_size=40)
+
+
+class QueueModel:
+    """The reference: `queue` maps label -> [time, action, cancelled] for every
+    entry still queued; labels count successful schedules."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = {}
+        self.labels = 0
+        self.fired = []
+
+    def schedule(self, time, action):
+        if time < self.now:
+            return None
+        label = self.labels
+        self.labels += 1
+        self.queue[label] = [time, action, False]
+        return label
+
+    def cancel(self, label):
+        if label in self.queue:
+            self.queue[label][2] = True
+
+    def run_until(self, t_end):
+        while self.queue:
+            label = min(self.queue, key=lambda lab: (self.queue[lab][0], lab))
+            time, action, cancelled = self.queue[label]
+            if time > t_end:
+                break
+            del self.queue[label]
+            if cancelled:
+                continue
+            self.now = time
+            self.fired.append((time, label))
+            self.act(action)
+        self.now = max(self.now, t_end)
+
+    def act(self, action):
+        if action is None:
+            return
+        what, arg = action
+        if what == "child":
+            self.schedule(self.now + arg, None)
+        elif self.labels:
+            self.cancel(arg % self.labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STEPS)
+def test_event_queue_matches_a_sorted_list_model(steps):
+    model = QueueModel()
+    sim = Simulator(1)
+    handles, fired = [], []
+
+    def act(s, target, payload):
+        label, action = payload
+        fired.append((s.now, label))
+        if action is None:
+            return
+        what, arg = action
+        if what == "child":
+            handles.append(s.schedule(s.now + arg, "ev", "n", (len(handles), None)))
+        elif handles:
+            s.cancel(handles[arg % len(handles)])
+
+    sim.register("ev", act)
+    for step in steps:
+        if step[0] == "schedule":
+            _, time, action = step
+            if model.schedule(time, action) is None:
+                with pytest.raises(PastTime):
+                    sim.schedule(time, "ev", "n", (len(handles), action))
+            else:
+                handles.append(sim.schedule(time, "ev", "n", (len(handles), action)))
+        elif step[0] == "cancel":
+            if handles:
+                model.cancel(step[1] % len(handles))
+                sim.cancel(handles[step[1] % len(handles)])
+        else:
+            t_end = sim.now + step[1]
+            model.run_until(t_end)
+            sim.run_until(t_end)
+        assert len(handles) == model.labels
+        assert fired == model.fired
+        assert sim.now == model.now
+        expected = sorted((time, label) for label, (time, _, cancelled) in model.queue.items()
+                          if not cancelled)
+        assert [payload[0] for _, _, payload in sim.pending_events()] == \
+            [label for _, label in expected]
+        assert len(sim._cancelled) == sum(entry[2] for entry in model.queue.values())
 
 
 def test_rng_streams_are_reproducible_and_independent():
@@ -123,9 +287,9 @@ def test_trace_parse_rejects_garbage():
 
 def test_run_until_processes_boundary_inclusive():
     sim, fired = make_sim()
-    sim.schedule(SimEvent(5.0, "node", "at"))
-    sim.schedule(SimEvent(5.0 + 1e-9, "node", "after"))
+    sim.schedule(5.0, "tick", "node", "at")
+    sim.schedule(5.0 + 1e-9, "tick", "node", "after")
     sim.run_until(5.0)
-    assert [k for _, k, _ in fired] == ["at"]
+    assert [p for _, _, p in fired] == ["at"]
     sim.run_until(6.0)
-    assert [k for _, k, _ in fired] == ["at", "after"]
+    assert [p for _, _, p in fired] == ["at", "after"]

@@ -27,7 +27,7 @@ class Catcher:
     def on_control(self, pkt, now):
         self.got.append((pkt.pid, now, pkt.flow))
 
-    def on_event(self, sim, event):
+    def on_event(self, sim, tag):
         pass
 
 
