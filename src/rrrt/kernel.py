@@ -15,7 +15,10 @@ A trace goes to text with `SimulationTrace.serialize` and comes back with
 replay reduces them as they arrive and never holds them all.
 `SimulationTrace.parse` collects them into a trace. Neither side holds a
 second copy of the text: serialize grows one string block by block, and
-read_rows splits the text into lines one chunk at a time.
+read_rows splits the text into lines one chunk at a time. read_rows converts
+the lines READ_BATCH at a time, column by column; a batch that holds a quote
+or a carriage return, or that is malformed, is read row by row through
+csv.reader instead, which reports the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import csv
 import hashlib
 import random
 from heapq import heappop, heappush
+from itertools import chain, islice
 from typing import Any, Callable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
@@ -43,6 +47,7 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
 SERIALIZE_BLOCK = 8192  # rows joined into one string before it is appended to the text
 READ_CHUNK = 1 << 20  # about this many characters are split into lines at a time by read_rows
+READ_BATCH = 64  # lines that read_rows converts together, column by column
 
 
 class SimulationTrace:
@@ -138,25 +143,65 @@ def _split_lines(text: str, chunk: int) -> Iterator[str]:
     yield from text[start:].split("\n")
 
 
-def _records(rows: Iterator[str], header_line: int) -> Iterator[tuple]:
-    """Records of the CSV lines after the header; every field is converted, and
-    a time string equal to the previous row's reuses that row's float."""
-    reader = csv.reader(rows, strict=True)
+def _records(rows: Iterator[str], line: int) -> Iterator[tuple]:
+    """Records of the CSV lines after the header, which is line `line`; every
+    field is converted, and a time string equal to the previous row's reuses
+    that row's float.
+
+    Lines are taken READ_BATCH at a time. A batch with no quote, no carriage
+    return and no more characters than csv.reader takes in one field is split
+    into fields in one call and, when every line has the eight columns,
+    converted column by column. Any other batch, or one whose
+    conversion fails, is read row by row by csv.reader: it reads on past the
+    batch while a quoted field spans lines, and it raises Corrupt at the first
+    bad row, after the records before it.
+    """
     last_text = last_time = None
-    try:
-        for row in reader:
-            if len(row) != 8:
-                if not row:  # blank line
+    field_limit = csv.field_size_limit()
+    while batch := list(islice(rows, READ_BATCH)):
+        n = len(batch)
+        # The fields of every line, with a "\n" field between two lines: nine
+        # fields a line, minus one, and every ninth one "\n" only if each line
+        # has eight.
+        block = ",\n,".join(batch)
+        if '"' not in block and "\r" not in block and len(block) <= field_limit:
+            fields = block.split(",")
+            if len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1:
+                texts = fields[0::9]
+                try:
+                    unique = dict.fromkeys(texts)
+                    floats = dict(zip(unique, map(float, unique)))
+                    pids = list(map(int, fields[3::9]))
+                    copies = list(map(int, fields[4::9]))
+                    values = [None if value == "" else float(value) for value in fields[6::9]]
+                except ValueError:
+                    pass
+                else:
+                    if last_text in floats:
+                        floats[last_text] = last_time
+                    times = list(map(floats.__getitem__, texts))
+                    yield from zip(times, fields[1::9], fields[2::9], pids, copies,
+                                   fields[5::9], values, fields[7::9])
+                    line += n
+                    last_text, last_time = texts[-1], times[-1]
                     continue
-                raise Corrupt(header_line + reader.line_num, "wrong column count")
-            time, node, kind, pid, copy, reason, value, info = row
-            if time != last_text:
-                last_time = float(time)
-                last_text = time
-            yield (last_time, node, kind, int(pid), int(copy), reason,
-                   None if value == "" else float(value), info)
-    except (csv.Error, ValueError):
-        raise Corrupt(header_line + reader.line_num, "unparsable field") from None
+        reader = csv.reader(chain(batch, rows), strict=True)
+        try:
+            for row in reader:
+                if len(row) == 8:
+                    time, node, kind, pid, copy, reason, value, info = row
+                    if time != last_text:
+                        last_time = float(time)
+                        last_text = time
+                    yield (last_time, node, kind, int(pid), int(copy), reason,
+                           None if value == "" else float(value), info)
+                elif row:  # not a blank line
+                    raise Corrupt(line + reader.line_num, "wrong column count")
+                if reader.line_num >= n:
+                    break
+        except (csv.Error, ValueError):
+            raise Corrupt(line + reader.line_num, "unparsable field") from None
+        line += reader.line_num
 
 
 class Simulator:
@@ -197,6 +242,11 @@ class Simulator:
     def register(self, kind: str, handler: Callable[["Simulator", str, Any], None]) -> None:
         """Call `handler(sim, target, payload)` for every event of `kind`."""
         self._handlers[kind] = handler
+
+    def close(self) -> None:
+        """Drop every handler once the run is over; the queue and the trace
+        stay readable, but run_until cannot dispatch again."""
+        self._handlers.clear()
 
     def schedule(self, time: float, kind: str, target: str, payload: Any = None) -> tuple:
         """Queue an event and return its heap entry, the handle cancel() takes."""

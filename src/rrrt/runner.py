@@ -95,9 +95,15 @@ class Harness:
     sender: object = None
 
     def finalize(self) -> None:
+        """End the run: log what is still queued, then unhook the apps and the
+        handlers. Both hold the runtime, which holds the simulator, so until
+        then the network and its trace records are freed only by a full
+        collection, not when the last reference to them goes."""
         self.runtime.log_pending()
         if isinstance(self.sender, TransportSenderApp):
             self.sender.log_pending()
+        self.runtime.apps.clear()
+        self.sim.close()
 
 
 def build_field(cfg: ScenarioConfig, seed: int) -> Harness:

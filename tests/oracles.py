@@ -6,8 +6,10 @@ procedures, structured differently from the library code they check.
 
 from __future__ import annotations
 
+import csv
 import math
 
+from rrrt.errors import Corrupt
 from rrrt.kernel import TRACE_COLUMNS
 from rrrt.transport import SackInfo
 
@@ -163,3 +165,43 @@ def serialize_oracle(records, preamble=None) -> str:
             info = '"' + info.replace('"', '""') + '"'
         append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
     return "\n".join(lines) + "\n"
+
+
+def read_rows_oracle(text: str):
+    """Row-by-row trace reader: the preamble, and an iterator that reads every
+    line after the header with one csv.reader and converts each row on its own,
+    reusing the previous row's float when its time string repeats. Raises
+    Corrupt(line number) as kernel.read_rows does."""
+    preamble: dict = {}
+    lines = iter(text.split("\n"))
+    for header_line, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            key, sep, val = line[1:].strip().partition("=")
+            if sep:
+                preamble[key.strip()] = val
+        elif line:
+            if line != ",".join(TRACE_COLUMNS):
+                raise Corrupt(header_line, "unexpected trace header")
+            break
+    else:
+        raise Corrupt(header_line, "missing trace header")
+
+    def records():
+        reader = csv.reader(lines, strict=True)
+        last_text = last_time = None
+        try:
+            for row in reader:
+                if len(row) != 8:
+                    if not row:  # blank line
+                        continue
+                    raise Corrupt(header_line + reader.line_num, "wrong column count")
+                time, node, kind, pid, copy, reason, value, info = row
+                if time != last_text:
+                    last_time = float(time)
+                    last_text = time
+                yield (last_time, node, kind, int(pid), int(copy), reason,
+                       None if value == "" else float(value), info)
+        except (csv.Error, ValueError):
+            raise Corrupt(header_line + reader.line_num, "unparsable field") from None
+
+    return preamble, records()

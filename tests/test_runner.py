@@ -1,14 +1,17 @@
 """End-to-end runs: determinism, conservation, replay, energy pairing, the CLI."""
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 import rrrt
+from rrrt import runner
 from rrrt.cli import main
 from rrrt.errors import Corrupt
-from rrrt.kernel import SimulationTrace, format_preamble
+from rrrt.kernel import SimulationTrace, Simulator, format_preamble
 from rrrt.metrics import audit_trace
 from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
 from rrrt.scenario import ScenarioConfig, serialize_scenario
@@ -73,6 +76,26 @@ def test_sack_off_leaves_holes():
     assert counts["dropped"] == counts["generated"] - counts["delivered"]
     last_conn = [r[7] for r in trace.records if r[2] == "conn" and r[7]][-1]
     assert float(last_conn.split("r_min=")[1].split(";")[0]) < 1
+
+
+@pytest.mark.parametrize("cfg", [small_field_cfg(horizon=2.0), transport_cfg(goal=50)],
+                         ids=["field", "transport"])
+def test_a_finished_run_frees_its_simulator_without_a_collection(monkeypatch, cfg):
+    made = []
+
+    def simulator(seed):
+        sim = Simulator(seed)
+        made.append(weakref.ref(sim))
+        return sim
+
+    monkeypatch.setattr(runner, "Simulator", simulator)
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(cfg, seed=1)
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_replay_round_trip_matches_report():

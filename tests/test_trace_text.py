@@ -1,17 +1,20 @@
-"""Trace text: serialize against its line-list oracle, the streaming replay
-against the list path and the live report, and replay of mutated traces."""
+"""Trace text: serialize against its line-list oracle, read_rows against its
+row-by-row oracle, the streaming replay against the list path and the live
+report, and replay of mutated traces."""
 
+import csv
 import functools
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import serialize_oracle
+from oracles import read_rows_oracle, serialize_oracle
 from rrrt import kernel
 from rrrt.cli import main
 from rrrt.errors import Corrupt
-from rrrt.kernel import SERIALIZE_BLOCK, SimulationTrace, _split_lines, read_rows
+from rrrt.kernel import (SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace, _split_lines,
+                         read_rows)
 from rrrt.runner import replay_text
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
@@ -40,6 +43,16 @@ def test_read_rows_reuses_the_float_of_a_repeated_time():
     text = "time,node,kind,pid,copy,reason,value,info\n0.5,a,send,1,1,,,\n0.5,b,send,2,2,,,\n"
     first, second = read_rows(text)[1]
     assert first[0] is second[0]
+    # The last row of one batch and the first of the next, with a quoted field
+    # (read row by row) in neither batch, the first or the second.
+    edge = kernel.READ_BATCH
+    for quoted in (None, 0, edge):
+        rows = [f"{i / 8},a,send,{i},{i},,," for i in range(2 * edge)]
+        rows[edge - 1] = rows[edge] = "0.5,b,send,1,1,,,"
+        if quoted is not None:
+            rows[quoted] += '"q"'
+        records = list(read_rows("\n".join([",".join(TRACE_COLUMNS)] + rows))[1])
+        assert records[edge - 1][0] is records[edge][0]
 
 
 def one_row(time, info=""):
@@ -80,6 +93,83 @@ def test_split_lines_yields_the_lines_of_split(text, chunk):
     assert list(_split_lines(text, chunk)) == text.split("\n")
 
 
+# Fields of a trace row that convert, and the replacements that send a batch
+# row by row: infos quoted as serialize quotes them (with a comma, a quote or
+# a line break), infos with a carriage return or an open quote, and fields
+# that do not convert. The long info exceeds the csv field limit the test
+# sets on some examples.
+TIMES = ("0.5", "1.25", "2", "1e-3", "-0.0", "nan")
+INTS = ("1", "-1", "12")
+VALUES = ("", "0.125", "3")
+INFOS = ("", "data", "x" * 25)
+ODD_INFOS = ('"a,b"', '"say ""hi"""', '"x\ny"', '"data"', "dat\ra", "data\r", '"open')
+BAD_FIELDS = ("x", "", "1.5")
+LINES = ("", ",".join("1" * 15), "0.5,n0,send,1,1,,", "0.5,0.5,n0,send,1,1,,,", "\r")
+
+
+@st.composite
+def trace_lines(draw):
+    """A row of eight fields, most of the time, and one in four of them with a
+    field replaced; else another line: blank, of 15, 7 or 9 fields, a lone
+    carriage return, or a few random characters."""
+    how = draw(st.integers(0, 19))
+    if how < 16:
+        fields = [draw(st.sampled_from(TIMES)), draw(st.sampled_from(("n0", "a b"))), "send",
+                  draw(st.sampled_from(INTS)), draw(st.sampled_from(INTS)),
+                  draw(st.sampled_from(("", "10"))), draw(st.sampled_from(VALUES)),
+                  draw(st.sampled_from(INFOS))]
+        if how >= 12:
+            at = draw(st.sampled_from((0, 3, 4, 6, 7)))
+            fields[at] = draw(st.sampled_from(ODD_INFOS if at == 7 else BAD_FIELDS))
+        return ",".join(fields)
+    if how < 19:
+        return draw(st.sampled_from(LINES))
+    return draw(st.text(alphabet='01.,"\r\nx', max_size=12))
+
+
+def read_all(read, text):
+    """(preamble, records read, (offset, message) of the Corrupt raised or None)."""
+    preamble, records = None, []
+    try:
+        preamble, rows = read(text)
+        for record in rows:
+            records.append(record)
+    except Corrupt as exc:
+        return preamble, records, (exc.offset, str(exc))
+    return preamble, records, None
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(head=st.sampled_from(("", "# seed=1\n", "# seed=1\n\n", "time,node\n")),
+       lines=st.lists(trace_lines(), max_size=24), batch=st.integers(1, 5),
+       chunk=st.integers(0, 40), field_limit=st.sampled_from((None, 20)))
+@example(head="", lines=["0.5,n0,send,1,1,,,", "", ",".join("1" * 15), "0.5,n0,send,1,1,,,"],
+         batch=4, chunk=0, field_limit=None)  # 32 fields in four lines, one blank
+@example(head="", lines=["0.5,n0,send,1,1,,,", '0.5,n0,send,1,1,,,"x\ny"', "0.5,n0,send,2,2,,,"],
+         batch=2, chunk=0, field_limit=None)  # a quoted line break across a batch edge
+@example(head="", lines=["0.5,n0,send,1,1,,", "0.5,0.5,n0,send,1,1,,,"],
+         batch=2, chunk=0, field_limit=None)  # 7 and 9 fields that would convert as 8 and 8
+@example(head="", lines=["0.5,n0,send,1,1,,,data", "0.5,n0,send,1,1,,," + "x" * 25],
+         batch=2, chunk=0, field_limit=20)  # a field longer than csv.reader takes
+def test_read_rows_matches_the_row_by_row_reader(head, lines, batch, chunk, field_limit):
+    text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "READ_BATCH", batch)
+        patch.setattr(kernel, "READ_CHUNK", chunk)
+        old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+        try:
+            preamble, records, error = read_all(read_rows, text)
+            expected_preamble, expected, expected_error = read_all(read_rows_oracle, text)
+        finally:
+            csv.field_size_limit(old_limit)
+    assert (preamble, error) == (expected_preamble, expected_error)
+    # repr tells -0.0 from 0.0 and compares nan with nan.
+    assert list(map(repr, records)) == list(map(repr, expected))
+    for at in range(1, len(expected)):
+        if expected[at][0] is expected[at - 1][0]:
+            assert records[at][0] is records[at - 1][0]
+
+
 def long_trace(rows: int) -> SimulationTrace:
     trace = SimulationTrace()
     for i in range(rows):
@@ -91,15 +181,20 @@ def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
     monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
     lines = long_trace(2000).serialize().split("\n")
     lines.insert(1500, "")  # blank lines are skipped but counted
-    for bad in ("0.5,n0,send,1,1,,", "0.5,n0,send,x,1,,,"):
-        text = "\n".join(lines[:1700] + [bad] + lines[1700:])
-        assert text.index(bad) > 3 * kernel.READ_CHUNK
-        with pytest.raises(Corrupt) as parsed:
-            SimulationTrace.parse(text)
-        with pytest.raises(Corrupt) as streamed:
-            list(read_rows(text)[1])
-        assert parsed.value.offset == streamed.value.offset == 1701
-        assert text.split("\n")[1700] == bad
+    # Rows start on line 2 and are read READ_BATCH lines at a time: the bad row
+    # is the first, a middle or the last line of the batch that holds line 1701.
+    first = 2 + (1701 - 2) // kernel.READ_BATCH * kernel.READ_BATCH
+    for line in (first, 1701, first + kernel.READ_BATCH - 1):
+        for bad in ("0.5,n0,send,1,1,,", "0.5,n0,send,x,1,,,", "0.5,n0,send,1,1,,v,",
+                    "0.5,n0,send,1,1,,,,", "0.5,n0,se\rnd,1,1,,,"):
+            text = "\n".join(lines[:line - 1] + [bad] + lines[line - 1:])
+            assert text.index(bad) > 3 * kernel.READ_CHUNK
+            with pytest.raises(Corrupt) as parsed:
+                SimulationTrace.parse(text)
+            with pytest.raises(Corrupt) as streamed:
+                list(read_rows(text)[1])
+            assert parsed.value.offset == streamed.value.offset == line
+            assert text.split("\n")[line - 1] == bad
 
 
 def traced_peak(fn):
