@@ -82,7 +82,7 @@ def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace)
     intervals += "".join(row.csv() + "\n" for row in report.per_interval)
     _write(os.path.join(out_dir, "intervals.csv"), intervals)
     conn = header + "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count\n"
-    for time, _, kind, _, _, _, _, info in trace.records:
+    for time, _, kind, _, _, _, _, info in trace:
         if kind != "conn" or not info:  # a deadline_expired row carries no state
             continue
         state = dict(part.split("=", 1) for part in info.split(";"))

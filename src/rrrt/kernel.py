@@ -10,6 +10,13 @@ the ordinal breaks ties in schedule order. One handler per kind is called as
 `handler(sim, target, payload)`. `schedule` returns the entry as its handle,
 and `cancel(handle)` skips the entry when it comes up.
 
+A trace holds its rows as one flat list of their fields, eight to a row, so a
+row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
+over-allocation) and no tuple of its own; iterating the trace rebuilds the
+rows in C. The fields themselves are shared objects: every row of one event
+holds the same `sim.now` float, and a node or kind name is one string for the
+whole run.
+
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
 replay reduces them as they arrive and never holds them all.
@@ -28,7 +35,7 @@ import hashlib
 import random
 from heapq import heappop, heappush
 from itertools import chain, islice
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
 
@@ -41,7 +48,7 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# Trace rows are plain tuples for speed:
+# A trace row is the eight fields
 #   (time, node, kind, pid, copy, reason, value, info)
 # pid/copy are -1 when not applicable, value is None when not applicable.
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
@@ -51,21 +58,34 @@ READ_BATCH = 64  # lines that read_rows converts together, column by column
 
 
 class SimulationTrace:
-    """Append-only, time-ordered record of everything that happened in a run."""
+    """Append-only, time-ordered record of everything that happened in a run.
 
-    __slots__ = ("records",)
+    The rows are held as one flat list of their fields, row after row, and
+    iterating the trace yields each row as a tuple.
+    """
 
-    def __init__(self, records: Optional[list] = None):
-        self.records = records if records is not None else []
+    __slots__ = ("_fields",)
+
+    def __init__(self, rows: Iterable[tuple] = ()):
+        """A trace of `rows`, any iterable of eight-field rows; ValueError on a
+        row of another length, since the flat list could not tell it apart."""
+        fields = self._fields = []
+        width = len(TRACE_COLUMNS)
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"trace row of {len(row)} fields, not {width}: {row!r}")
+            fields += row
 
     def log(self, time, node, kind, pid=-1, copy=-1, reason="", value=None, info=""):
-        self.records.append((time, node, kind, pid, copy, reason, value, info))
+        self._fields.extend((time, node, kind, pid, copy, reason, value, info))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._fields) // len(TRACE_COLUMNS)
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.records)
+        """The rows as tuples, rebuilt in C: zip takes eight fields at a time
+        from one iterator, and reuses its tuple when the caller unpacks it."""
+        return zip(*[iter(self._fields)] * len(TRACE_COLUMNS))
 
     def serialize(self, preamble: Optional[dict] = None) -> str:
         """Deterministic CSV text. Floats use repr() so parsing round-trips exactly.
@@ -78,13 +98,12 @@ class SimulationTrace:
         same text but may copy it on each append.
         """
         text = format_preamble(preamble) + ",".join(TRACE_COLUMNS) + "\n"
-        records = self.records
+        rows = iter(self)
         last_time = stamp = None
-        for start in range(0, len(records), SERIALIZE_BLOCK):
+        for _ in range(0, len(self), SERIALIZE_BLOCK):
             lines = []
             append = lines.append
-            block = records[start:start + SERIALIZE_BLOCK]
-            for time, node, kind, pid, copy, reason, value, info in block:
+            for time, node, kind, pid, copy, reason, value, info in islice(rows, SERIALIZE_BLOCK):
                 if time is not last_time:
                     last_time = time
                     stamp = repr(time)
@@ -100,7 +119,7 @@ class SimulationTrace:
     def parse(cls, text: str) -> tuple["SimulationTrace", dict]:
         """Inverse of serialize(): read_rows() collected into a trace."""
         preamble, rows = read_rows(text)
-        return cls(list(rows)), preamble
+        return cls(rows), preamble
 
 
 def format_preamble(preamble: Optional[dict]) -> str:

@@ -11,7 +11,6 @@ from typing import Iterable, Optional
 
 from .controller import IntervalRow
 from .errors import InvariantViolation
-from .kernel import SimulationTrace
 
 
 def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
@@ -65,23 +64,21 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
     tx = rx = delivered = budgeted = lit = full = 0
     delay_sum = 0.0
     rows: list[IntervalRow] = []
-    for rec in records:
-        kind = rec[2]
+    for time, _, kind, _, _, reason, value, info in records:
         if kind == "send":
             tx += 1
         elif kind == "receive":
             rx += 1
         elif kind == "deliver":
-            if rec[7] == flow:
+            if info == flow:
                 delivered += 1
-                delay_sum += rec[0] - rec[6]  # deliver records carry gen_time in `value`
-                reason = rec[5]  # "10": the budget held in literal mode only
-                if len(reason) == 2:
+                delay_sum += time - value  # deliver records carry gen_time in `value`
+                if len(reason) == 2:  # "10": the budget held in literal mode only
                     budgeted += 1
                     lit += reason[0] == "1"
                     full += reason[1] == "1"
         elif kind == "interval":
-            rows.append(IntervalRow.decode(rec[7], rec[0]))
+            rows.append(IntervalRow.decode(info, time))
 
     budget = None
     if budgeted:
@@ -105,44 +102,90 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
     )
 
 
-def audit_trace(trace: SimulationTrace) -> dict:
+def audit_trace(records: Iterable[tuple]) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
     Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
-    receive or drop, or accounted as pending at the horizon; at most one drop;
-    every row of a copy carries the pid of its send);
+    receive or drop, or accounted as pending at the horizon; at most one
+    receive and one drop; every row of a copy carries the pid of its send);
     strict per-hop causality; packet conservation (every generated pid is
     delivered, dropped, or pending, exactly one category); unique delivery per
     pid, and only of a pid generated earlier.
+
+    `records` is any iterable of rows, such as a `SimulationTrace`, walked
+    once. No row is kept: a copy's checks run as soon as its rows allow, and
+    per copy only plain values stay, its pid for the rows that may follow and
+    its send time and sampled hop delay until it is received.
     """
     last_time = -1.0
-    sends: dict[int, tuple] = {}
-    receives: dict[int, tuple] = {}
-    copy_drops: dict[int, tuple] = {}
-    pending_copies: dict[int, int] = {}
+    sent: dict[int, int] = {}  # copy -> pid of its send row
+    flight: dict[int, float] = {}  # copy -> time of its send row, until it is received
+    sampled: dict[int, float] = {}  # copy -> hop delay its send row sampled, until it is received
+    received: set[int] = set()
+    dropped: dict[int, float] = {}  # copy -> time of its drop row
+    # copy received or dropped before its send -> the pid of those rows, None if they differ
+    early: dict[int, Optional[int]] = {}
+    early_receive: dict[int, float] = {}  # copy received before its send -> time of the receive
+    pending_copies: dict[int, int] = {}  # copy -> pid of its last pending row
     generated: set[int] = set()
     delivered: set[int] = set()
     pending_pids: set[int] = set()
     dropped_pids: set[int] = set()
 
-    for rec in trace.records:
-        time, node, kind, pid, copy = rec[0], rec[1], rec[2], rec[3], rec[4]
-        if time < last_time:
-            raise InvariantViolation(f"trace time went backwards at {time}")
-        last_time = time
-        if kind == "send" and copy >= 0:
-            if copy in sends:
-                raise InvariantViolation(f"copy {copy} sent twice")
-            sends[copy] = rec
-        elif kind == "receive" and copy >= 0:
-            if copy in receives:
-                raise InvariantViolation(f"copy {copy} received twice")
-            receives[copy] = rec
+    for time, _, kind, pid, copy, _, value, _ in records:
+        if time != last_time:
+            if time < last_time:
+                raise InvariantViolation(f"trace time went backwards at {time}")
+            last_time = time
+        if kind == "send":
+            if copy >= 0:
+                if copy in sent:
+                    raise InvariantViolation(f"copy {copy} sent twice")
+                sent[copy] = pid
+                flight[copy] = time
+                if value is not None:  # send records carry the sampled hop delay in `value`
+                    sampled[copy] = value
+                if copy in early:
+                    if early.pop(copy) != pid:
+                        raise _other_pid(copy, pid)
+                    got = early_receive.pop(copy, None)
+                    if got is not None:  # at or before this send
+                        lost = dropped.get(copy)
+                        if lost is not None and lost < got:
+                            raise InvariantViolation(f"copy {copy} dropped before it was received")
+                        raise InvariantViolation(f"copy {copy} arrived without positive delay")
+        elif kind == "receive":
+            if copy >= 0:
+                if copy in received:
+                    raise InvariantViolation(f"copy {copy} received twice")
+                received.add(copy)
+                sender = sent.get(copy)
+                if sender is None:
+                    early[copy] = pid if early.get(copy, pid) == pid else None
+                    early_receive[copy] = time
+                    continue
+                if pid != sender:
+                    raise _other_pid(copy, sender)
+                lost = dropped.get(copy)
+                if lost is not None and lost < time:
+                    raise InvariantViolation(f"copy {copy} dropped before it was received")
+                delay = time - flight.pop(copy)
+                if delay <= 0:
+                    raise InvariantViolation(f"copy {copy} arrived without positive delay")
+                expected = sampled.pop(copy, None)
+                if expected is not None and abs(delay - expected) > 1e-9:
+                    raise InvariantViolation(
+                        f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
         elif kind == "drop":
             if copy >= 0:
-                if copy in copy_drops:
+                if copy in dropped:
                     raise InvariantViolation(f"copy {copy} dropped twice")
-                copy_drops[copy] = rec
+                dropped[copy] = time
+                sender = sent.get(copy)
+                if sender is None:
+                    early[copy] = pid if early.get(copy, pid) == pid else None
+                elif pid != sender:
+                    raise _other_pid(copy, sender)
             if pid >= 0:
                 dropped_pids.add(pid)
         elif kind == "pending":
@@ -159,29 +202,14 @@ def audit_trace(trace: SimulationTrace) -> dict:
                 raise InvariantViolation(f"pid {pid} delivered but never generated")
             delivered.add(pid)
 
-    for copy, rec in sends.items():
-        pid = rec[3]
-        got = receives.get(copy)
-        lost = copy_drops.get(copy)
-        if ((got is not None and got[3] != pid) or (lost is not None and lost[3] != pid)
-                or pending_copies.get(copy, pid) != pid):
-            raise InvariantViolation(
-                f"copy {copy} sent with pid {pid} but logged with another pid")
-        if got and lost and lost[0] < got[0]:
-            raise InvariantViolation(f"copy {copy} dropped before it was received")
-        if not got and not lost and copy not in pending_copies:
+    for copy, pid in pending_copies.items():
+        if sent.get(copy, pid) != pid:
+            raise _other_pid(copy, sent[copy])
+    for copy in flight:  # sent and never received
+        if copy not in dropped and copy not in pending_copies:
             raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
-        if got:
-            delay = got[0] - rec[0]
-            if delay <= 0:
-                raise InvariantViolation(f"copy {copy} arrived without positive delay")
-            expected = rec[6]  # send records carry the sampled hop delay in `value`
-            if expected is not None and abs(delay - expected) > 1e-9:
-                raise InvariantViolation(
-                    f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
-    for copy in receives:
-        if copy not in sends:
-            raise InvariantViolation(f"copy {copy} received but never sent")
+    for copy in early_receive:  # received, and no send followed
+        raise InvariantViolation(f"copy {copy} received but never sent")
 
     unaccounted = generated - delivered - pending_pids - dropped_pids
     if unaccounted:
@@ -193,11 +221,15 @@ def audit_trace(trace: SimulationTrace) -> dict:
         "delivered": len(delivered),
         "dropped": len(dropped_g),
         "pending": len(pending_g),
-        "copies_sent": len(sends),
-        "copies_received": len(receives),
-        "copies_dropped": len(set(copy_drops) - set(receives)),
+        "copies_sent": len(sent),
+        "copies_received": len(received),
+        "copies_dropped": len(dropped.keys() - received),
         "copies_pending": len(pending_copies),
     }
     if counts["generated"] != counts["delivered"] + counts["dropped"] + counts["pending"]:
         raise InvariantViolation(f"conservation failed: {counts}")
     return counts
+
+
+def _other_pid(copy: int, pid: int) -> InvariantViolation:
+    return InvariantViolation(f"copy {copy} sent with pid {pid} but logged with another pid")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 
-from rrrt.errors import Corrupt
+from rrrt.errors import Corrupt, InvariantViolation
 from rrrt.kernel import TRACE_COLUMNS
 from rrrt.transport import SackInfo
 
@@ -205,3 +205,98 @@ def read_rows_oracle(text: str):
             raise Corrupt(header_line + reader.line_num, "unparsable field") from None
 
     return preamble, records()
+
+
+def audit_trace_oracle(trace) -> dict:
+    """The checks of metrics.audit_trace, made over the whole trace: every
+    send, receive and drop row of a copy is kept until the walk over the rows
+    ends, and then each sent copy is checked against them in send order.
+    Raises InvariantViolation with the message of the first check that fails,
+    as metrics.audit_trace does on a trace with one defect, and otherwise
+    returns the same counts."""
+    last_time = -1.0
+    sends: dict[int, tuple] = {}
+    receives: dict[int, tuple] = {}
+    copy_drops: dict[int, tuple] = {}
+    pending_copies: dict[int, int] = {}
+    generated: set[int] = set()
+    delivered: set[int] = set()
+    pending_pids: set[int] = set()
+    dropped_pids: set[int] = set()
+
+    for rec in trace:
+        time, node, kind, pid, copy = rec[0], rec[1], rec[2], rec[3], rec[4]
+        if time < last_time:
+            raise InvariantViolation(f"trace time went backwards at {time}")
+        last_time = time
+        if kind == "send" and copy >= 0:
+            if copy in sends:
+                raise InvariantViolation(f"copy {copy} sent twice")
+            sends[copy] = rec
+        elif kind == "receive" and copy >= 0:
+            if copy in receives:
+                raise InvariantViolation(f"copy {copy} received twice")
+            receives[copy] = rec
+        elif kind == "drop":
+            if copy >= 0:
+                if copy in copy_drops:
+                    raise InvariantViolation(f"copy {copy} dropped twice")
+                copy_drops[copy] = rec
+            if pid >= 0:
+                dropped_pids.add(pid)
+        elif kind == "pending":
+            if copy >= 0:
+                pending_copies[copy] = pid
+            if pid >= 0:
+                pending_pids.add(pid)
+        elif kind == "generate":
+            generated.add(pid)
+        elif kind == "deliver":
+            if pid in delivered:
+                raise InvariantViolation(f"pid {pid} delivered twice to the application")
+            if pid not in generated:
+                raise InvariantViolation(f"pid {pid} delivered but never generated")
+            delivered.add(pid)
+
+    for copy, rec in sends.items():
+        pid = rec[3]
+        got = receives.get(copy)
+        lost = copy_drops.get(copy)
+        if ((got is not None and got[3] != pid) or (lost is not None and lost[3] != pid)
+                or pending_copies.get(copy, pid) != pid):
+            raise InvariantViolation(
+                f"copy {copy} sent with pid {pid} but logged with another pid")
+        if got and lost and lost[0] < got[0]:
+            raise InvariantViolation(f"copy {copy} dropped before it was received")
+        if not got and not lost and copy not in pending_copies:
+            raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
+        if got:
+            delay = got[0] - rec[0]
+            if delay <= 0:
+                raise InvariantViolation(f"copy {copy} arrived without positive delay")
+            expected = rec[6]  # send records carry the sampled hop delay in `value`
+            if expected is not None and abs(delay - expected) > 1e-9:
+                raise InvariantViolation(
+                    f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
+    for copy in receives:
+        if copy not in sends:
+            raise InvariantViolation(f"copy {copy} received but never sent")
+
+    unaccounted = generated - delivered - pending_pids - dropped_pids
+    if unaccounted:
+        raise InvariantViolation(f"pids neither delivered, dropped nor pending: {sorted(unaccounted)[:5]}")
+    pending_g = (pending_pids & generated) - delivered
+    dropped_g = (dropped_pids & generated) - delivered - pending_g
+    counts = {
+        "generated": len(generated),
+        "delivered": len(delivered),
+        "dropped": len(dropped_g),
+        "pending": len(pending_g),
+        "copies_sent": len(sends),
+        "copies_received": len(receives),
+        "copies_dropped": len(set(copy_drops) - set(receives)),
+        "copies_pending": len(pending_copies),
+    }
+    if counts["generated"] != counts["delivered"] + counts["dropped"] + counts["pending"]:
+        raise InvariantViolation(f"conservation failed: {counts}")
+    return counts

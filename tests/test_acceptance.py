@@ -234,7 +234,7 @@ def test_criterion_6_rate_control_convergence_floor_and_blackout():
     cfg.transport.delta_e2a = 10.0
     harness = build_transport(cfg, seed=3)
     harness.sim.run_until(cfg.sim.horizon)
-    for rec in harness.sim.trace.records:
+    for rec in harness.sim.trace:
         if rec[2] == "conn" and rec[7]:
             fields = dict(p.split("=", 1) for p in rec[7].split(";"))
             if fields["phase"] in ("Increase", "Decrease", "Hold"):
@@ -299,8 +299,8 @@ def test_criterion_8_determinism_conservation_energy():
         counts = audit_trace(trace)  # raises on any conservation/causality breach
         assert counts["generated"] == counts["delivered"] + counts["dropped"] + counts["pending"]
 
-        tx = sum(1 for r in trace.records if r[2] == "send")
-        rx = sum(1 for r in trace.records if r[2] == "receive")
+        tx = sum(1 for r in trace if r[2] == "send")
+        rx = sum(1 for r in trace if r[2] == "receive")
         assert replay_text(text).total_energy == tx * cfg.energy.e_tx + rx * cfg.energy.e_rx
         assert rep.total_energy == tx * cfg.energy.e_tx + rx * cfg.energy.e_rx
     _passed(8, "byte-identical reruns; generated = delivered + dropped + pending; "

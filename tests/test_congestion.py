@@ -136,7 +136,7 @@ def test_no_drops_or_flags_below_service_rate():
     Generator(runtime, names[0], names[-1], 0.05)  # 20 packets/s vs 100/s links
     sim.run_until(30.0)
 
-    assert not [r for r in sim.trace.records if r[2] == "drop"]  # overflow included
+    assert not [r for r in sim.trace if r[2] == "drop"]  # overflow included
     assert all(cn is False for _, _, cn in catcher.got)
     assert len(catcher.got) == 600  # one per 0.05 s; the t=30 packet is still in flight
 
@@ -147,5 +147,5 @@ def test_cn_bit_reaches_sink_under_overload():
     Generator(runtime, names[0], names[-1], 0.005, stop=4.0)  # 200/s into a 40/s link
     sim.run_until(10.0)
 
-    assert any(r[2] == "drop" and r[5] == "overflow" for r in sim.trace.records)
+    assert any(r[2] == "drop" and r[5] == "overflow" for r in sim.trace)
     assert any(cn for _, _, cn in catcher.got)

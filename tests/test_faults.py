@@ -68,14 +68,14 @@ def test_fault_run_trace_hash_audit_and_replay(case):
 def broadcast_rows(trace, node, kind):
     """Times of `node`'s broadcast rows of `kind`: the rows a broadcast pid
     logs carry no copy number."""
-    return [r[0] for r in trace.records if r[1] == node and r[2] == kind and r[4] == -1]
+    return [r[0] for r in trace if r[1] == node and r[2] == kind and r[4] == -1]
 
 
 def test_a_crashed_sink_closes_no_interval_and_sends_no_broadcast():
     """A crashed node's app timers stop: the sink neither reports an interval
     nor tries to broadcast."""
     _, trace = run_with_fault("field_congested", "sink", 1.0, "crash")
-    assert [r for r in trace.records if r[2] == "interval"] == []
+    assert [r for r in trace if r[2] == "interval"] == []
     assert broadcast_rows(trace, "sink", "send") == []
     assert broadcast_rows(trace, "sink", "drop") == []
 

@@ -1,9 +1,15 @@
-"""Event queue, clock, RNG streams and trace serialization."""
+"""Event queue, clock, RNG streams, trace storage and trace serialization."""
+
+import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_oracle
+from rrrt import kernel
 from rrrt.errors import Corrupt, PastTime
 from rrrt.kernel import SimulationTrace, Simulator, derive_stream_seed, read_rows
 
@@ -263,9 +269,59 @@ def test_trace_serialize_parse_round_trip():
     trace.log(1.0, "sink", "interval", -1, -1, "", None, "i=1;dr_o=3;cond=X,with,commas")
     text = trace.serialize({"seed": 7, "flow": "data"})
     parsed, preamble = SimulationTrace.parse(text)
-    assert parsed.records == trace.records
+    assert list(parsed) == list(trace)
     assert preamble["seed"] == "7"
     assert parsed.serialize({"seed": 7, "flow": "data"}) == text
+
+
+def test_a_trace_row_costs_its_fields_and_no_tuple():
+    """The trace holds its rows as one flat list of fields: a row of shared
+    field objects costs eight list slots (64 B, plus the list's
+    over-allocation), where a tuple per row cost about 112 B with its slot."""
+    rows = 50_000
+    time, node, value = 1.5, "n0", 0.25
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = SimulationTrace()
+        for _ in range(rows):
+            trace.log(time, node, "send", 7, 7, "", value)
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / rows
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == rows
+    assert per_row < 80
+
+
+@pytest.mark.parametrize("width", [0, 3, 7, 9])
+def test_a_trace_rejects_a_row_without_eight_fields(width):
+    good = (0.5, "n0", "send", 1, 1, "", 0.5, "")
+    with pytest.raises(ValueError):
+        SimulationTrace([good, (good * 2)[:width], good])
+
+
+# Time objects that rows share, as the rows of one event share `sim.now`.
+SHARED_TIMES = [0.0, -0.0, 0.5, math.nan, 1e-300, 2.5e9]
+TRACE_ROWS = st.lists(st.tuples(
+    st.one_of(st.sampled_from(SHARED_TIMES), st.floats()),
+    st.sampled_from(["n0", "sink", "r1"]),
+    st.sampled_from(["send", "receive", "deliver", "interval"]),
+    st.integers(-1, 2**40), st.integers(-1, 2**40),
+    st.sampled_from(["", "10", "overflow"]),
+    st.one_of(st.none(), st.sampled_from(SHARED_TIMES), st.floats()),
+    st.one_of(st.sampled_from(["", "data", "a,b", 'say "hi"', '"q",x']),
+              st.text(alphabet='a,"; =', max_size=6)),
+), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRACE_ROWS, st.integers(1, 4))
+def test_a_trace_gives_back_its_rows_and_serializes_as_the_oracle(rows, block):
+    trace = SimulationTrace(rows)
+    assert list(trace) == rows
+    assert len(trace) == len(rows)
+    with mock.patch.object(kernel, "SERIALIZE_BLOCK", block):
+        assert trace.serialize({"seed": 1}) == serialize_oracle(rows, {"seed": 1})
 
 
 def test_trace_parse_rejects_garbage():

@@ -1,6 +1,7 @@
 """Convergence time, the trace reducer (energy, throughput, delay, budget), and the audit."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -8,6 +9,8 @@ from rrrt.controller import IntervalRow
 from rrrt.errors import InvariantViolation
 from rrrt.kernel import SimulationTrace
 from rrrt.metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
+from shipped import SHIPPED, audit_outcomes, shipped_run
+from test_faults import FAULT_SHA256, run_with_fault
 
 
 def row(i, condition, end_time=None):
@@ -68,7 +71,7 @@ def test_energy_additivity_over_disjoint_node_sets():
         t1.log(float(i), "a", "send", i, i)
         t2.log(float(i), "b", "send", 100 + i, 100 + i)
         t2.log(float(i), "c", "receive", 100 + i, 100 + i)
-    merged = SimulationTrace(sorted(t1.records + t2.records))
+    merged = SimulationTrace(sorted(list(t1) + list(t2)))
     assert energy(merged) == pytest.approx(energy(t1) + energy(t2))
 
 
@@ -136,68 +139,84 @@ def test_audit_accepts_conserved_trace():
     assert counts["dropped"] == counts["pending"] == 0
 
 
-def test_audit_rejects_time_regression():
+# Traces with one defect each, by name; the tests below and the agreement with
+# the whole-trace oracle at the end of this file check the audit on them.
+DEFECTS = {}
+
+
+def defect(build):
+    DEFECTS[build.__name__] = build
+    return build
+
+
+@defect
+def time_regression():
     trace = ok_trace()
     trace.log(0.1, "a", "generate", 2)
-    with pytest.raises(InvariantViolation):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_vanished_copy():
+@defect
+def vanished_copy():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
     trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")  # no receive, no drop
-    with pytest.raises(InvariantViolation):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_unaccounted_pid():
+@defect
+def unaccounted_pid():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
-    with pytest.raises(InvariantViolation):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_duplicate_delivery():
+@defect
+def duplicate_delivery():
     trace = ok_trace()
     trace.log(0.6, "b", "deliver", 1, -1, "", 0.0, "data")
-    with pytest.raises(InvariantViolation):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_delivery_of_a_pid_never_generated():
+@defect
+def duplicated_deliver_row():
+    trace = ok_trace()
+    trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")  # the same row again
+    return trace
+
+
+@defect
+def delivery_of_a_pid_never_generated():
     trace = SimulationTrace()
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
     trace.log(0.5, "b", "receive", 1, 1)
     trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
     trace.log(0.6, "a", "generate", 1)  # too late: a delivery needs an earlier generate row
-    with pytest.raises(InvariantViolation, match="never generated"):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_a_copy_dropped_twice():
+@defect
+def copy_dropped_twice():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
     trace.log(0.2, "a", "drop", 1, 1, "loss")
     trace.log(0.3, "a", "drop", 1, 1, "fault")
-    with pytest.raises(InvariantViolation, match="dropped twice"):
-        audit_trace(trace)
+    return trace
 
 
-def test_audit_rejects_wrong_hop_delay():
+@defect
+def wrong_hop_delay():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
     trace.log(0.4, "b", "receive", 1, 1)  # breakdown said 0.5
     trace.log(0.4, "b", "deliver", 1, -1, "", 0.0, "data")
-    with pytest.raises(InvariantViolation):
-        audit_trace(trace)
+    return trace
 
 
-@pytest.mark.parametrize("kind", ["receive", "drop", "pending"])
-def test_audit_rejects_a_copy_logged_with_another_pid(kind):
+def copy_logged_with_another_pid(kind):
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "generate", 2)
@@ -205,11 +224,98 @@ def test_audit_rejects_a_copy_logged_with_another_pid(kind):
     trace.log(0.5, "b", kind, 2, 1)  # copy 1 was sent as pid 1
     trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
     trace.log(0.5, "b", "deliver", 2, -1, "", 0.0, "data")
+    return trace
+
+
+for kind in ("receive", "drop", "pending"):
+    DEFECTS[f"copy_logged_with_another_pid_{kind}"] = partial(
+        copy_logged_with_another_pid, kind)
+
+
+@defect
+def copy_sent_twice():
+    trace = ok_trace()
+    trace.log(0.5, "b", "send", 1, 1, "", 0.5)
+    trace.log(1.0, "c", "receive", 1, 1)
+    return trace
+
+
+@defect
+def copy_received_twice():
+    trace = ok_trace()
+    trace.log(0.5, "b", "receive", 1, 1)
+    return trace
+
+
+@defect
+def receive_before_its_send():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "b", "receive", 1, 1)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
+    return trace
+
+
+@defect
+def drop_before_its_receive():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.2, "a", "drop", 1, 1, "loss")
+    trace.log(0.5, "b", "receive", 1, 1)
+    return trace
+
+
+@defect
+def copy_received_but_never_sent():
+    trace = ok_trace()
+    trace.log(0.7, "c", "receive", 1, 2)
+    return trace
+
+
+def test_audit_rejects_time_regression():
+    with pytest.raises(InvariantViolation):
+        audit_trace(time_regression())
+
+
+def test_audit_rejects_vanished_copy():
+    with pytest.raises(InvariantViolation):
+        audit_trace(vanished_copy())
+
+
+def test_audit_rejects_unaccounted_pid():
+    with pytest.raises(InvariantViolation):
+        audit_trace(unaccounted_pid())
+
+
+def test_audit_rejects_duplicate_delivery():
+    with pytest.raises(InvariantViolation):
+        audit_trace(duplicate_delivery())
+
+
+def test_audit_rejects_delivery_of_a_pid_never_generated():
+    with pytest.raises(InvariantViolation, match="never generated"):
+        audit_trace(delivery_of_a_pid_never_generated())
+
+
+def test_audit_rejects_a_copy_dropped_twice():
+    with pytest.raises(InvariantViolation, match="dropped twice"):
+        audit_trace(copy_dropped_twice())
+
+
+def test_audit_rejects_wrong_hop_delay():
+    with pytest.raises(InvariantViolation):
+        audit_trace(wrong_hop_delay())
+
+
+@pytest.mark.parametrize("kind", ["receive", "drop", "pending"])
+def test_audit_rejects_a_copy_logged_with_another_pid(kind):
     with pytest.raises(InvariantViolation, match="sent with pid 1 but logged with another pid"):
-        audit_trace(trace)
+        audit_trace(copy_logged_with_another_pid(kind))
 
 
-def test_audit_accounts_pending_and_drops():
+def pending_and_drops():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
@@ -218,7 +324,60 @@ def test_audit_accounts_pending_and_drops():
     trace.log(1.0, "a", "generate", 2)
     trace.log(1.0, "a", "send", 2, 2, "", 0.5)
     trace.log(2.0, "a", "pending", 2, 2, "in_flight")
-    counts = audit_trace(trace)
+    return trace
+
+
+def test_audit_accounts_pending_and_drops():
+    counts = audit_trace(pending_and_drops())
     assert counts == {"generated": 2, "delivered": 0, "dropped": 1, "pending": 1,
                       "copies_sent": 2, "copies_received": 1, "copies_dropped": 0,
                       "copies_pending": 1}
+
+
+def drop_and_receive_in_one_instant():
+    """A drop row before the receive row of its copy, both at one time: not
+    dropped before it was received."""
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.5, "b", "drop", 1, 1, "fault")
+    trace.log(0.5, "b", "receive", 1, 1)
+    trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
+    return trace
+
+
+@defect
+def receive_in_the_instant_of_its_send():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "send", 1, 1)  # no sampled delay to compare with
+    trace.log(0.0, "b", "receive", 1, 1)
+    trace.log(0.0, "b", "deliver", 1, -1, "", 0.0, "data")
+    return trace
+
+
+# -- the streaming audit against the whole-trace oracle -----------------------
+
+CLEAN = {"conserved": ok_trace, "pending_and_drops": pending_and_drops,
+         "drop_and_receive_in_one_instant": drop_and_receive_in_one_instant}
+AUDIT_CASES = ([("shipped", name) for name in SHIPPED]
+               + [("fault", case) for case in sorted(FAULT_SHA256, key=repr)]
+               + [("clean", name) for name in CLEAN]
+               + [("defect", name) for name in sorted(DEFECTS)])
+
+
+@pytest.mark.parametrize("source, case", AUDIT_CASES, ids=repr)
+def test_the_streaming_audit_agrees_with_the_whole_trace_oracle(source, case):
+    """The same counts on every shipped run at seed 1, every pinned fault run
+    and the clean hand-made traces, and the same message on every trace with
+    one defect."""
+    if source == "shipped":
+        streamed, oracle = shipped_run(case).audits
+    else:
+        if source == "fault":
+            trace = run_with_fault(*case)[1]
+        else:
+            trace = (CLEAN if source == "clean" else DEFECTS)[case]()
+        streamed, oracle = audit_outcomes(trace)
+    assert isinstance(oracle, str) == (source == "defect")
+    assert streamed == oracle

@@ -71,10 +71,10 @@ def test_sack_off_leaves_holes():
     assert report.aggregate_throughput < 250
     # a sender without SACK never retransmits, so it keeps nothing to wait for:
     # lost packets count as dropped and the rate floor falls after the last send
-    assert not [r for r in trace.records if r[2] == "pending" and r[5] == "unacked"]
+    assert not [r for r in trace if r[2] == "pending" and r[5] == "unacked"]
     counts = audit_trace(trace)
     assert counts["dropped"] == counts["generated"] - counts["delivered"]
-    last_conn = [r[7] for r in trace.records if r[2] == "conn" and r[7]][-1]
+    last_conn = [r[7] for r in trace if r[2] == "conn" and r[7]][-1]
     assert float(last_conn.split("r_min=")[1].split(";")[0]) < 1
 
 
@@ -187,7 +187,7 @@ def test_probe_rate_matches_sustained_bottleneck_throughput():
     cfg.transport.bottleneck_service = 80.0
     harness = build_transport(cfg, seed=4)
     harness.sim.run_until(2.0)  # probe + first feedbacks on an idle path
-    rows = [r[7] for r in harness.sim.trace.records if r[2] == "conn" and r[7]]
+    rows = [r[7] for r in harness.sim.trace if r[2] == "conn" and r[7]]
     advertised = [float(dict(p.split("=", 1) for p in info.split(";"))["r_f"])
                   for info in rows]
     assert 80.0 in advertised  # idle bottleneck: (0 + 1) / 80 inverted
@@ -199,7 +199,7 @@ def test_probe_rate_matches_sustained_bottleneck_throughput():
     over.transport.fixed_rate = 160.0
     harness2 = build_transport(over, seed=4)
     harness2.sim.run_until(over.sim.horizon)
-    deliveries = [r[0] for r in harness2.sim.trace.records if r[2] == "deliver"]
+    deliveries = [r[0] for r in harness2.sim.trace if r[2] == "deliver"]
     mid = deliveries[len(deliveries) // 4: -1]  # steady saturated stretch
     sustained = (len(mid) - 1) / (mid[-1] - mid[0])
     assert sustained == pytest.approx(80.0, rel=0.05)
@@ -347,7 +347,7 @@ def test_cli_connection_log_written_for_transport(tmp_path):
 
     trace, _ = SimulationTrace.parse((out / "trace.csv").read_text())
     expected = []
-    for rec in trace.records:
+    for rec in trace:
         if rec[2] == "conn" and rec[7]:
             state = dict(part.split("=", 1) for part in rec[7].split(";"))
             expected.append((rec[0], state["phase"], float(state["r_c"]), float(state["r_f"]),

@@ -87,7 +87,7 @@ def test_link_fault_blackholes_traffic_on_that_link():
     runtime.forward_data(names[0], pkt)
     sim.run_until(5.0)
     assert catcher.got == []
-    drops = [r for r in sim.trace.records if r[2] == "drop"]
+    drops = [r for r in sim.trace if r[2] == "drop"]
     assert len(drops) == 1 and drops[0][1] == names[1] and drops[0][5] == "fault"
 
 
@@ -111,7 +111,7 @@ def test_crash_cutoff_semantics_in_simulation():
     sim.run_until(20.0)
 
     assert [pid for pid, _, _ in catcher.got] == [early.pid]
-    drops = {r[3]: r[5] for r in sim.trace.records if r[2] == "drop"}
+    drops = {r[3]: r[5] for r in sim.trace if r[2] == "drop"}
     assert drops == {caught.pid: "fault", late.pid: "no_route"}
 
 

@@ -342,7 +342,7 @@ def test_startup_sends_no_data_before_first_feedback():
     cfg = transport_cfg()
     harness = build_transport(cfg, seed=11)
     harness.sim.run_until(cfg.sim.horizon)
-    trace = harness.sim.trace.records
+    trace = list(harness.sim.trace)
     first_data = next(r[0] for r in trace if r[2] == "generate")
     feedback_arrivals = [r[0] for r in trace
                          if r[2] == "conn" and "r_f=" in r[7] and "r_f=0.0" not in r[7]]
@@ -357,7 +357,7 @@ def test_first_feedback_arrives_one_round_trip_after_the_probe():
     cfg = transport_cfg()
     harness = build_transport(cfg, seed=21)
     harness.sim.run_until(5.0)
-    records = harness.sim.trace.records
+    records = list(harness.sim.trace)
     # control copies before any data: probe out (3 hops) + feedback back (3 hops)
     ctl_hops = [(r[0], r[6]) for r in records[:40]
                 if r[2] == "send" and r[6] is not None and r[0] < 0.4]
@@ -382,7 +382,7 @@ def test_rate_never_below_floor_while_data_remains():
     cfg = transport_cfg(transport__goal_packets=400, transport__delta_e2a=10.0)
     harness = build_transport(cfg, seed=3)
     harness.sim.run_until(cfg.sim.horizon)
-    rows = [r[7] for r in harness.sim.trace.records if r[2] == "conn" and r[7]]
+    rows = [r[7] for r in harness.sim.trace if r[2] == "conn" and r[7]]
     for info in rows:
         fields = dict(part.split("=", 1) for part in info.split(";"))
         if fields["phase"] in ("Increase", "Decrease", "Hold"):
@@ -404,7 +404,7 @@ def test_feedback_blackout_enters_probe_and_quarters_rate():
     assert state.missed_feedback == 2
     assert state.phase is tp.Phase.PROBE
     assert state.r_c == pytest.approx(max(r_c0 / 4.0, state.r_min))
-    probes_after = [r for r in sim.trace.records
+    probes_after = [r for r in sim.trace
                     if r[2] == "send" and r[1] == "src_ss" and r[0] > 3.0]
     assert probes_after  # probing resumed towards the receiver
 
@@ -414,7 +414,7 @@ def test_data_sends_are_paced_at_exactly_the_current_rate():
     cfg = transport_cfg(transport__goal_packets=300, sim__horizon=30.0)
     harness = build_transport(cfg, seed=6)
     harness.sim.run_until(cfg.sim.horizon)
-    records = harness.sim.trace.records
+    records = list(harness.sim.trace)
     generated = {r[3] for r in records if r[2] == "generate"}
     sends = [r[0] for r in records
              if r[2] == "send" and r[1] == "src_ss" and r[3] in generated]
@@ -440,7 +440,7 @@ def test_receiver_periodic_feedback_cadence():
     cfg = transport_cfg(transport__goal_packets=50, sim__horizon=10.0)
     harness = build_transport(cfg, seed=9)
     harness.sim.run_until(cfg.sim.horizon)
-    sends = [r[0] for r in harness.sim.trace.records
+    sends = [r[0] for r in harness.sim.trace
              if r[1] == "dst_ss" and r[2] == "send"]
     assert len(sends) >= 18  # one per t_fdbk=0.5 over 10 s, plus the probe response
     gaps = [b - a for a, b in zip(sends, sends[1:])]
