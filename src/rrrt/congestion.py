@@ -9,6 +9,8 @@ the marks into a per-interval verdict.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .errors import InvariantViolation
 from .packet import Packet
 
@@ -35,10 +37,16 @@ class NodeBuffer:
     been since the last event. Results are identical to a periodic sampler.
     `cn` is the flag of the epoch last rolled to, in force at `now` right
     after `try_enqueue(now)`; `busy_until` is when the radio next falls idle.
+
+    `due` holds the copies that will leave without a departure event, in
+    FIFO order: entries `(departure time, reserved ordinal, ...)`, the rest
+    the caller's. It is None until the first one, and never longer than
+    `capacity`. `settle` releases them as the kernel would have fired their
+    departures, so it runs before `occupancy` is read or changed.
     """
 
     __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "cn", "busy_until",
-                 "_epoch")
+                 "due", "_epoch")
 
     def __init__(self, capacity: int, epoch_len: float = 0.1):
         self.capacity = capacity
@@ -47,6 +55,7 @@ class NodeBuffer:
         self.epoch_len = epoch_len
         self.cn = False
         self.busy_until = 0.0
+        self.due: Optional[list[tuple]] = None
         self._epoch = 0
 
     def _roll(self, now: float) -> None:
@@ -75,6 +84,20 @@ class NodeBuffer:
         self.occupancy -= 1
         if self.occupancy < 0:
             raise InvariantViolation("buffer occupancy went negative")
+
+    def settle(self, now: float, ordinal: float) -> None:
+        """Release each departure in `due` that comes before the event
+        `(now, ordinal)` in the kernel's order, each at its own time, so the
+        epochs roll as they would have with one event per departure."""
+        due = self.due
+        while due:
+            head = due[0]
+            time = head[0]
+            if time > now or (time == now and head[1] > ordinal):
+                return
+            del due[0]
+            self._roll(time)
+            self.occupancy -= 1  # each entry holds the slot it was admitted to
 
     def flag(self, now: float) -> bool:
         """Congestion flag in force during the epoch containing `now`."""

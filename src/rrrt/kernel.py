@@ -7,8 +7,17 @@ trace.
 
 The event queue is a heap of tuples `(time, ordinal, kind, target, payload)`;
 the ordinal breaks ties in schedule order. One handler per kind is called as
-`handler(sim, target, payload)`. `schedule` returns the entry as its handle,
-and `cancel(handle)` skips the entry when it comes up.
+`handler(sim, target, payload)`, with `sim.ordinal` set to the ordinal of the
+event being handled. `schedule` returns the entry as its handle, and
+`cancel(handle)` skips the entry when it comes up.
+
+A model may keep an event out of the queue when it can apply the event's
+effect later: it reserves the ordinal the event would have taken
+(`sim._ordinal += 1`), applies the effect once the event being handled comes
+after `(time, reserved ordinal)`, and, should the event have to fire after
+all, queues it with `restore` under that ordinal. `withdraw` takes queued
+events off by ordinal. The forwarding buffers do this with their departures
+(see `nodes.py`).
 
 A trace holds its rows as one flat list of their fields, eight to a row, so a
 row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
@@ -32,10 +41,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Container, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
 
@@ -232,6 +242,9 @@ class Simulator:
         self.trace = SimulationTrace()
         self._heap: list = []
         self._ordinal = 0
+        # The ordinal of the event being handled. Between runs it is inf: every
+        # event due by `now` has been handled, and none due later has.
+        self.ordinal: float = math.inf
         self._cancelled: set[int] = set()  # ordinals of queued entries that must not fire
         self._handlers: dict[str, Callable[["Simulator", str, Any], None]] = {}
         self._rngs: dict[str, random.Random] = {}
@@ -276,6 +289,23 @@ class Simulator:
         heappush(self._heap, entry)
         return entry
 
+    def restore(self, time: float, ordinal: int, kind: str, target: str, payload: Any) -> None:
+        """Queue an event under an ordinal reserved when it was due to be
+        scheduled, so that it fires where it would have fired then."""
+        if time < self.now:
+            raise PastTime(f"event at t={time} before clock t={self.now}")
+        heappush(self._heap, (time, ordinal, kind, target, payload))
+
+    def withdraw(self, ordinals: Container[int]) -> list[tuple]:
+        """Take the queued events whose ordinals are in `ordinals` off the
+        queue, and return their entries."""
+        heap = self._heap
+        taken = [entry for entry in heap if entry[1] in ordinals]
+        if taken:
+            heap[:] = [entry for entry in heap if entry[1] not in ordinals]
+            heapify(heap)
+        return taken
+
     def cancel(self, handle: tuple) -> None:
         """Keep the event `handle` from firing; a no-op once it has come up.
         Entries come up in increasing (time, ordinal) order, none before the
@@ -295,7 +325,9 @@ class Simulator:
                 cancelled.discard(ordinal)
                 continue
             self.now = time
+            self.ordinal = ordinal
             handlers[kind](self, target, payload)
+        self.ordinal = math.inf
         if t_end > self.now:
             self.now = t_end
         return self.trace

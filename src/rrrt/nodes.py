@@ -15,10 +15,23 @@ The runtime handles the kernel's event kinds `dep`, `arr`, `ctl_arr` and
 `interval`, `pace`, ...), passed to the node's app as `on_event(sim, tag)`
 unless the node has crashed. A source cancels its next `gen` by its handle.
 
-Until `Topology.inject_fault` sets `topo.has_faults`, no hop looks up a fault:
-`_route` reads the next hop's link and its data transmission and propagation
-delays from a table filled on first use, and arrivals just log `receive`. The
-flag is read on every hop, so a fault injected mid-run takes effect at once.
+A data copy's departure time is known on admission (`busy_until` is the FIFO
+server's recursion). Only a lost copy, or any copy once a fault is injected,
+gets a `dep` event, which frees the slot and then drops the copy or schedules
+its `arr`. Any other copy's `arr` is scheduled on admission, at the same
+`(now + depart) + p_del`, and its departure waits on the buffer's `due` FIFO
+under the ordinal its `dep` would have taken. `NodeBuffer.settle` frees the
+departures that come before the event being handled, ties included: before an
+admission, before a probe reads the occupancy, and first in `dep`.
+`_requeue_departures` gives the queued copies their `dep` back at the horizon
+and on fault injection. The `arr` keeps the ordinal it took on admission, so
+an arrival at exactly the time of an event queued between that admission and
+the departure fires before it, where on the `dep` path it fires after.
+
+Until `inject_fault` sets `topo.has_faults`, no hop looks up a fault: `_route`
+reads the next hop's link and its data transmission and propagation delays
+from a table filled on first use, and arrivals just log `receive`. The flag is
+read on every hop, so a fault injected mid-run takes effect at once.
 """
 
 from __future__ import annotations
@@ -96,7 +109,9 @@ class NetworkRuntime:
             hop = self._hops[node, pkt.dst] = (link, self.packet_len / link.bit_rate,
                                                link.propagation())
         if pkt.bottleneck_delay is not None and node != pkt.src:
-            tp.on_probe_forward(pkt, (self.buffers[node].occupancy + 1) / hop[0].service_rate)
+            buf = self.buffers[node]
+            buf.settle(now, sim.ordinal)
+            tp.on_probe_forward(pkt, (buf.occupancy + 1) / hop[0].service_rate)
         return hop
 
     def forward_data(self, node: str, pkt: Packet) -> None:
@@ -108,6 +123,7 @@ class NetworkRuntime:
         sim = self.sim
         now = sim.now
         buf = self.buffers[node]
+        buf.settle(now, sim.ordinal)
         if buf.try_enqueue(now) == DROPPED:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
@@ -124,12 +140,47 @@ class NetworkRuntime:
         depart = b_del + ca_del + t_del
         sim.trace.log(now, node, "send", pkt.pid, copy, "", depart + p_del)
         lost = link.loss > 0.0 and rng.random() < link.loss
-        sim.schedule(now + depart, "dep", node, (pkt, link.dst, copy, p_del, lost))
+        departs = now + depart
+        if lost or self.topo.has_faults:
+            sim.schedule(departs, "dep", node, (pkt, link.dst, copy, p_del, lost))
+            return
+        sim._ordinal += 1  # the ordinal of the `dep` this copy goes without
+        entry = (departs, sim._ordinal, p_del)
+        sim.schedule(departs + p_del, "arr", link.dst, (pkt, copy))  # the reserved ordinal + 1
+        if buf.due is None:
+            buf.due = [entry]
+        else:
+            buf.due.append(entry)
+
+    def _requeue_departures(self) -> None:
+        """Give every copy still on a `due` FIFO its `dep` event back, under
+        the ordinal reserved for it, in place of the `arr` it was sent with.
+        The entry does not hold the `arr`, so that the packet is freed once it
+        arrives; the `arr` is found by its ordinal, the reserved one + 1."""
+        sim = self.sim
+        queued = {}
+        for node, buf in self.buffers.items():
+            buf.settle(sim.now, sim.ordinal)
+            for departs, ordinal, p_del in buf.due or ():
+                queued[ordinal + 1] = (node, departs, ordinal, p_del)
+            buf.due = None
+        for _, arr_ordinal, _, hop, (pkt, copy) in sim.withdraw(queued):
+            node, departs, ordinal, p_del = queued[arr_ordinal]
+            sim.restore(departs, ordinal, "dep", node, (pkt, hop, copy, p_del, False))
+
+    def inject_fault(self, target, at: float, mode: str = "crash") -> None:
+        """Fault a node or a link from `at` on (see `Topology.inject_fault`).
+        Before or during a run: the copies already queued get back the `dep`
+        event that meets the fault."""
+        self.topo.inject_fault(target, at, mode)
+        self._requeue_departures()
 
     def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
         pkt, hop, copy, p_del, lost = payload
         now = sim.now
-        self.buffers[node].release(now)
+        buf = self.buffers[node]
+        buf.settle(now, sim.ordinal)
+        buf.release(now)
         topo = self.topo
         if topo.has_faults and (topo.fault_mode(node, now) is not None
                                 or topo.link_fault_mode(node, hop, now) is not None):
@@ -235,6 +286,7 @@ class NetworkRuntime:
 
     def log_pending(self) -> None:
         """Account for packets still queued or in flight when the horizon hits."""
+        self._requeue_departures()
         sim = self.sim
         now = sim.now
         for kind, node, payload in sim.pending_events():

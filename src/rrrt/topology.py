@@ -128,6 +128,9 @@ class Topology:
     # -- faults ------------------------------------------------------------
 
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
+        """Fault the node or (src, dst) link `target` from `at` on. A built
+        network is faulted through `NetworkRuntime.inject_fault`, which also
+        gives the copies it has queued their `dep` events back."""
         if mode not in ("crash", "drop-all"):
             raise ValueError(f"unknown fault mode {mode!r}")
         if isinstance(target, tuple):

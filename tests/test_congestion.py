@@ -6,6 +6,7 @@ import pytest
 
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer, congestion_flag, mark_packet
 from rrrt.errors import InvariantViolation
+from rrrt.kernel import Simulator
 from rrrt.packet import Packet
 from util import chain_network, data_packet
 
@@ -96,6 +97,79 @@ def test_occupancy_never_exceeds_capacity_random_walk():
             buf.release(now)
         assert 0 <= buf.occupancy <= 13
     assert drops > 0
+
+
+def test_settle_releases_a_departure_tied_with_the_event_only_if_queued_before_it():
+    buf = NodeBuffer(capacity=5)
+    buf.try_enqueue(0.0)
+    buf.due = [(0.5, 7)]  # departs at 0.5 under ordinal 7
+    buf.settle(0.5, 6)  # the event at 0.5 being handled was queued first
+    assert buf.occupancy == 1 and buf.due == [(0.5, 7)]
+    buf.settle(0.5, 8)
+    assert buf.occupancy == 0 and buf.due == []
+
+
+def test_settle_rolls_each_epoch_boundary_at_its_own_departure():
+    buf = NodeBuffer(capacity=10, epoch_len=0.1)
+    for i in range(8):
+        buf.try_enqueue(0.001 * i)
+    buf.due = [(0.15, 9), (0.25, 10), (0.26, 11), (0.35, 12), (0.45, 13)]
+    buf.settle(0.36, 1)  # crosses the boundaries at 0.1, 0.2 and 0.3
+    # 0.1 sees 8 after growth 8 (flag), 0.2 sees 7, 0.3 sees 5; one roll at
+    # 0.36 would have seen 8 at every boundary.
+    assert (buf.occupancy, buf.prev_occupancy, buf.cn) == (4, 5, False)
+    assert buf.due == [(0.45, 13)]
+    twin = NodeBuffer(capacity=10, epoch_len=0.1)
+    for i in range(8):
+        twin.try_enqueue(0.001 * i)
+    for time in (0.15, 0.25, 0.26, 0.35):
+        twin.release(time)
+    assert (twin.occupancy, twin.prev_occupancy, twin.cn) == (4, 5, False)
+
+
+def buffer_states(seed, dep_events):
+    """A buffer's state at each admission of a seeded run, and at its end.
+
+    Admissions and departures fall on a grid of 1/32 s, exact in binary, and
+    epochs are 1/8 s, so departures tie with admissions and with epoch
+    boundaries. Some admissions queue the next, after departures already
+    queued at the same time. With `dep_events` each departure is a `dep`
+    event that calls `release`; without, its ordinal is reserved and `settle`
+    releases it."""
+    rng = random.Random(seed)
+    sim = Simulator(seed)
+    buf = NodeBuffer(capacity=4, epoch_len=0.125)
+    states = []
+
+    def admit(sim, target, chained):
+        now = sim.now
+        if not dep_events:
+            buf.settle(now, sim.ordinal)
+        if buf.try_enqueue(now) == ENQUEUED:
+            buf.busy_until = max(buf.busy_until, now) + rng.randint(1, 3) / 32
+            if dep_events:
+                sim.schedule(buf.busy_until, "dep", target)
+            else:
+                sim._ordinal += 1
+                buf.due = (buf.due or []) + [(buf.busy_until, sim._ordinal)]
+        states.append((now, buf.occupancy, buf.prev_occupancy, buf.cn))
+        if chained:
+            sim.schedule(now + rng.randint(0, 2) / 32, "adm", target, rng.random() < 0.8)
+
+    sim.register("adm", admit)
+    sim.register("dep", lambda sim, target, payload: buf.release(sim.now))
+    for _ in range(40):
+        sim.schedule(rng.randint(0, 64) / 32, "adm", "n", rng.random() < 0.5)
+    sim.run_until(4.0)
+    buf.settle(sim.now, sim.ordinal)
+    return states + [(buf.occupancy, buf.prev_occupancy, buf.cn, buf.flag(sim.now))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_settle_matches_one_release_event_per_departure(seed):
+    states = buffer_states(seed, dep_events=True)
+    assert len(states) > 40 and any(state[1] == 4 for state in states[:-1])
+    assert buffer_states(seed, dep_events=False) == states
 
 
 def test_a_forwarded_packet_takes_the_flag_of_its_admission_epoch():

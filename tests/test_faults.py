@@ -7,17 +7,23 @@ the sha256 of the serialized trace; the trace must also pass the audit and
 replay to the live report.
 
 Until the first `inject_fault` a run takes the no-fault fast path, which looks
-up no fault at all; the tests at the end check that it writes the same trace
-as the fault-checking path and that the flag is read on every hop.
+up no fault at all and gives a copy that is not lost no `dep` event. The tests
+at the end check that it writes the same trace as the fault-checking `dep`
+path (`util.force_dep_path`), with a fault injected mid-run, with copies still
+queued at the horizon, and over a space of small scenarios, and that the flag
+is read on every hop.
 """
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from rrrt.metrics import audit_trace, reduce_trace
 from rrrt.runner import build_field, build_transport, replay_text, run_experiment, trace_preamble
+from rrrt.scenario import set_param, validate_scenario
 from rrrt.topology import Topology
 from shipped import SHIPPED, sha256, shipped
 from test_golden import GOLDEN_SHA256
+from util import force_dep_path
 
 # (scenario, fault target, time, mode) -> sha256 of the trace at seed 1
 FAULT_SHA256 = {
@@ -36,8 +42,8 @@ FAULT_SHA256 = {
 }
 
 
-def build(cfg):
-    return (build_field if cfg.scenario.mode == "field" else build_transport)(cfg, 1)
+def build(cfg, seed=1):
+    return (build_field if cfg.scenario.mode == "field" else build_transport)(cfg, seed)
 
 
 def finish(cfg, harness):
@@ -51,8 +57,22 @@ def run_with_fault(name, target, at, mode):
     if cfg.scenario.mode == "field":
         cfg.sim.horizon = 10.0
     harness = build(cfg)
-    harness.runtime.topo.inject_fault(target, at, mode)
+    harness.runtime.inject_fault(target, at, mode)
     return cfg, finish(cfg, harness)
+
+
+def trace_text(cfg, seed=1, dep_path=False, mid_run=None):
+    """The serialized trace of `cfg` at `seed`. `dep_path` forces the `dep`
+    path from the start; `mid_run` is `(t, target, at, mode)`: run to `t`,
+    then inject that fault."""
+    harness = build(cfg, seed)
+    if dep_path:
+        force_dep_path(harness.runtime, cfg.sim.horizon)
+    if mid_run is not None:
+        t, *fault = mid_run
+        harness.sim.run_until(t)
+        harness.runtime.inject_fault(*fault)
+    return finish(cfg, harness).serialize(trace_preamble(cfg, seed))
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_SHA256, key=repr), ids=repr)
@@ -101,20 +121,74 @@ def test_the_fault_checking_path_writes_the_golden_trace(name):
     every hop takes the fault-checking path and must write the trace of the
     no-fault fast path."""
     cfg = shipped(name)
-    harness = build(cfg)
-    topo = harness.runtime.topo
-    topo.inject_fault(next(iter(topo.nodes)), cfg.sim.horizon + 1.0, "crash")
-    assert sha256(finish(cfg, harness).serialize(trace_preamble(cfg, 1))) == GOLDEN_SHA256[name]
+    assert sha256(trace_text(cfg, dep_path=True)) == GOLDEN_SHA256[name]
 
 
 def test_a_fault_injected_mid_run_takes_effect():
     """The fault flag is read on every hop, not cached when the run starts."""
     cfg = shipped("transport_lossy")
-    harness = build(cfg)
-    harness.sim.run_until(2.5)
-    harness.runtime.topo.inject_fault("r1", 3.0, "crash")
-    text = finish(cfg, harness).serialize(trace_preamble(cfg, 1))
+    text = trace_text(cfg, mid_run=(2.5, "r1", 3.0, "crash"))
     assert sha256(text) == FAULT_SHA256[("transport_lossy", "r1", 3.0, "crash")]
+
+
+def test_a_fault_injected_mid_run_drops_what_the_dep_path_drops():
+    """A fault due at once meets the copies queued before it was injected:
+    injection gives each its `dep` event back, so the run equals one that
+    took the `dep` path from the start."""
+    cfg = shipped("transport_lossy")
+    fault = (3.0, "r1", 3.0, "drop-all")
+    text = trace_text(cfg, mid_run=fault)
+    assert text == trace_text(cfg, dep_path=True, mid_run=fault)
+    assert ",r1,drop," in text
+
+
+def test_copies_queued_at_the_horizon_are_logged_as_on_the_dep_path():
+    """At 2 s the relay's buffer is still full from the initial overload, so
+    the horizon cuts its queue: 11 copies are logged `queued`."""
+    cfg = shipped("field_congested")
+    cfg.sim.horizon = 2.0
+    text = trace_text(cfg)
+    assert text == trace_text(cfg, dep_path=True)
+    assert len([line for line in text.split("\n") if line.endswith(",queued,,")]) == 11
+
+
+@st.composite
+def small_runs(draw):
+    """(config, seed, mid-run node or link fault or None) of a short
+    shipped-scenario run with a few parameters redrawn: channel access, loss,
+    buffers and load."""
+    cfg = shipped(draw(st.sampled_from(SHIPPED)))
+    set_param(cfg, "sim.horizon", draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))))
+    set_param(cfg, "topology.ca_model", draw(st.sampled_from(("fixed", "exponential"))))
+    if cfg.scenario.mode == "field":
+        set_param(cfg, "topology.n_sources", draw(st.integers(1, 16)))
+        set_param(cfg, "topology.layout", draw(st.sampled_from(("direct", "relay"))))
+        set_param(cfg, "topology.link_loss", draw(st.sampled_from((0.0, 0.1, 0.5))))
+        set_param(cfg, "topology.relay_service_rate", draw(st.sampled_from((20.0, 70.0))))
+        set_param(cfg, "congestion.buffer_capacity", draw(st.integers(1, 20)))
+        set_param(cfg, "controller.f_init", draw(st.sampled_from((2.0, 12.0, 40.0))))
+    else:
+        set_param(cfg, "transport.data_loss", draw(st.sampled_from((0.0, 0.1, 0.5))))
+        set_param(cfg, "transport.capacity", draw(st.integers(1, 20)))
+        set_param(cfg, "transport.goal_packets", draw(st.integers(10, 300)))
+        set_param(cfg, "transport.sender", draw(st.sampled_from(("adaptive", "fixed"))))
+    assume(not validate_scenario(cfg))
+    fault = None
+    if draw(st.booleans()):
+        topo = build(cfg).runtime.topo
+        t = draw(st.floats(0.0, cfg.sim.horizon))
+        target = draw(st.sampled_from(sorted(topo.nodes) + sorted(topo.links)))
+        fault = (t, target, t + draw(st.sampled_from((0.0, 0.3))),
+                 draw(st.sampled_from(("crash", "drop-all"))))
+    return cfg, draw(st.integers(1, 3)), fault
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_runs())
+def test_the_fast_path_writes_the_trace_of_the_dep_path(run):
+    cfg, seed, fault = run
+    assert trace_text(cfg, seed, mid_run=fault) == \
+        trace_text(cfg, seed, dep_path=True, mid_run=fault)
 
 
 @pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])

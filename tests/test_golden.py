@@ -5,9 +5,12 @@ change that is meant to keep behaviour, and its replayed report must equal the
 live one. A change that alters a hash on purpose updates it here and says why.
 The run is shared with `test_trace_text.py` through `shipped.shipped_run`.
 
-The handler calls per event kind are pinned too, on two short field runs:
+The handler calls per event kind are pinned too, on short field runs:
 a timer that fires after it was cancelled, or a crashed node's app timer that
-re-arms, moves them even where it would leave no trace row behind.
+re-arms, moves them even where it would leave no trace row behind. A data
+copy fires a `dep` event only on the `dep` path, which a fault run takes and
+`util.force_dep_path` forces; without a fault or a loss its departure is no
+event (see `nodes.py`).
 """
 
 import collections
@@ -17,6 +20,7 @@ import pytest
 from rrrt.kernel import Simulator
 from rrrt.runner import build_field
 from shipped import SHIPPED, shipped, shipped_run
+from util import force_dep_path
 
 GOLDEN_SHA256 = {
     "field_baseline": "d3bfba28c7c71112f01f692178733488eb27d92230f21d4729cd46238463594f",
@@ -38,9 +42,11 @@ def test_every_shipped_scenario_has_a_golden_hash():
     assert sorted(GOLDEN_SHA256) == sorted(SHIPPED)
 
 
-# (scenario, node fault or None) -> handler calls per event kind at seed 1 over 10 s
+DEP_PATH = "dep path"  # no fault that fires, but every copy on the `dep` path
+# (scenario, node fault, DEP_PATH or None) -> handler calls per event kind at seed 1 over 10 s
 EVENT_COUNTS = {
-    ("field_burst", None): {"app": 4263, "arr": 8004, "bcast_arr": 747, "dep": 8004},
+    ("field_burst", None): {"app": 4263, "arr": 8004, "bcast_arr": 747},
+    ("field_burst", DEP_PATH): {"app": 4263, "arr": 8004, "bcast_arr": 747, "dep": 8004},
     ("field_congested", ("sink", 1.0, "crash")): {"app": 1081, "arr": 1164, "dep": 1164},
 }
 
@@ -60,7 +66,9 @@ def test_handler_calls_per_event_kind(name, fault, monkeypatch):
     cfg = shipped(name)
     cfg.sim.horizon = 10.0
     harness = build_field(cfg, 1)
-    if fault is not None:
-        harness.runtime.topo.inject_fault(*fault)
+    if fault == DEP_PATH:
+        force_dep_path(harness.runtime, cfg.sim.horizon)
+    elif fault is not None:
+        harness.runtime.inject_fault(*fault)
     harness.sim.run_until(cfg.sim.horizon)
     assert dict(calls) == EVENT_COUNTS[name, fault]

@@ -24,7 +24,7 @@ MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init_
 # Public functions the package never names, each with the reason it stays.
 UNNAMED_ALLOWED = {
     # Faults reach a run only from tests until scenario files can declare them.
-    "Topology.inject_fault",
+    "NetworkRuntime.inject_fault",
 }
 
 

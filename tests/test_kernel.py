@@ -92,6 +92,22 @@ def test_same_time_events_fire_in_schedule_order():
     assert [(k, p) for _, k, p in fired] == [("tock", "a"), ("tick", "b"), ("tock", "c")]
 
 
+def test_withdraw_and_restore_take_events_off_and_back_by_ordinal():
+    sim, fired = make_sim()
+    sim._ordinal += 1  # reserved for "early", before "late" is scheduled
+    early = sim._ordinal
+    late = sim.schedule(1.0, "tick", "node", "late")
+    gone = sim.schedule(1.5, "tick", "node", "gone")
+    assert sim.withdraw({gone[1], 99}) == [gone]
+    assert sim.withdraw({gone[1]}) == []
+    sim.restore(1.0, early, "tick", "node", "early")
+    assert [p for _, _, p in sim.pending_events()] == ["early", "late"]
+    sim.run_until(2.0)
+    assert [p for _, _, p in fired] == ["early", "late"] and late[1] == early + 1
+    with pytest.raises(PastTime):
+        sim.restore(1.5, early, "tick", "node", "past")
+
+
 def test_cancelled_event_does_not_fire():
     sim, fired = make_sim()
     sim.schedule(1.0, "tick", "node", "keep")
@@ -213,6 +229,7 @@ def test_event_queue_matches_a_sorted_list_model(steps):
 
     def act(s, target, payload):
         label, action = payload
+        assert s.ordinal == handles[label][1]  # the ordinal of the event being handled
         fired.append((s.now, label))
         if action is None:
             return
@@ -242,6 +259,7 @@ def test_event_queue_matches_a_sorted_list_model(steps):
         assert len(handles) == model.labels
         assert fired == model.fired
         assert sim.now == model.now
+        assert sim.ordinal == math.inf  # between runs, after every event due by now
         expected = sorted((time, label) for label, (time, _, cancelled) in model.queue.items()
                           if not cancelled)
         assert [payload[0] for _, _, payload in sim.pending_events()] == \

@@ -81,7 +81,7 @@ def test_drop_all_fault_is_invisible_to_routing():
 
 def test_link_fault_blackholes_traffic_on_that_link():
     sim, runtime, names, catcher = chain_network(services=(100.0, 100.0))
-    runtime.topo.inject_fault((names[1], names[2]), at=0.0, mode="drop-all")
+    runtime.inject_fault((names[1], names[2]), at=0.0, mode="drop-all")
     pkt = data_packet(sim, names[0], names[-1])
     sim.trace.log(0.0, names[0], "generate", pkt.pid)
     runtime.forward_data(names[0], pkt)
@@ -94,7 +94,7 @@ def test_link_fault_blackholes_traffic_on_that_link():
 def test_crash_cutoff_semantics_in_simulation():
     """Traffic clearing the relay before the fault arrives; anything touching it later drops."""
     sim, runtime, names, catcher = chain_network(services=(100.0, 100.0))
-    runtime.topo.inject_fault(names[1], at=10.0, mode="crash")
+    runtime.inject_fault(names[1], at=10.0, mode="crash")
     early = data_packet(sim, names[0], names[-1])
     sim.trace.log(0.0, names[0], "generate", early.pid)
     runtime.forward_data(names[0], early)

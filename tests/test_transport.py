@@ -397,7 +397,7 @@ def test_feedback_blackout_enters_probe_and_quarters_rate():
     r_c0 = harness.sender.state.r_c
     # silence the reverse path: feedback vanishes without routing changes
     sim.run_until(3.0)
-    harness.runtime.topo.inject_fault("r1", at=3.0, mode="drop-all")
+    harness.runtime.inject_fault("r1", at=3.0, mode="drop-all")
     # forward data direction also blackholed; connection stalls entirely
     sim.run_until(3.0 + 2.5 * cfg.transport.t_fdbk)
     state = harness.sender.state

@@ -59,6 +59,13 @@ def data_packet(sim, src, dst, flow="data", gen_time=None):
                   gen_time=sim.now if gen_time is None else gen_time)
 
 
+def force_dep_path(runtime, horizon):
+    """Inject a crash due after `horizon`. It never fires, but from now on
+    every data copy leaves its buffer through its own `dep` event and the
+    fault checks, the path a fault run takes."""
+    runtime.inject_fault(next(iter(runtime.topo.nodes)), horizon + 1.0, "crash")
+
+
 def run_and_serialize(cfg, seed=None):
     """Run and return (report, serialized trace with preamble)."""
     report, trace, preamble = run_traced(cfg, seed)
