@@ -35,6 +35,8 @@ class NodeBuffer:
     Epoch boundaries are rolled lazily: occupancy only changes on events at
     this node, so the occupancy at any passed boundary is whatever it has
     been since the last event. Results are identical to a periodic sampler.
+    A method enters `_roll` only when its time lies past epoch `_epoch`, so
+    the many calls within the epoch last rolled to cost one division.
     `cn` is the flag of the epoch last rolled to, in force at `now` right
     after `try_enqueue(now)`; `busy_until` is when the radio next falls idle.
 
@@ -58,8 +60,8 @@ class NodeBuffer:
         self.due: Optional[list[tuple]] = None
         self._epoch = 0
 
-    def _roll(self, now: float) -> None:
-        target = int(now / self.epoch_len)
+    def _roll(self, target: int) -> None:
+        """Roll to epoch `target`; a no-op unless it is past `_epoch`."""
         if target <= self._epoch:
             return
         # First pending boundary sees the growth since the previous sample.
@@ -73,14 +75,16 @@ class NodeBuffer:
 
     def try_enqueue(self, now: float) -> str:
         """ENQUEUED with occupancy+1, or DROPPED (overflow) on a full buffer."""
-        self._roll(now)
+        if (epoch := int(now / self.epoch_len)) > self._epoch:
+            self._roll(epoch)
         if self.occupancy < self.capacity:
             self.occupancy += 1
             return ENQUEUED
         return DROPPED
 
     def release(self, now: float) -> None:
-        self._roll(now)
+        if (epoch := int(now / self.epoch_len)) > self._epoch:
+            self._roll(epoch)
         self.occupancy -= 1
         if self.occupancy < 0:
             raise InvariantViolation("buffer occupancy went negative")
@@ -96,10 +100,11 @@ class NodeBuffer:
             if time > now or (time == now and head[1] > ordinal):
                 return
             del due[0]
-            self._roll(time)
+            if (epoch := int(time / self.epoch_len)) > self._epoch:
+                self._roll(epoch)
             self.occupancy -= 1  # each entry holds the slot it was admitted to
 
     def flag(self, now: float) -> bool:
         """Congestion flag in force during the epoch containing `now`."""
-        self._roll(now)
+        self._roll(int(now / self.epoch_len))
         return self.cn

@@ -24,7 +24,10 @@ row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
 over-allocation) and no tuple of its own; iterating the trace rebuilds the
 rows in C. The fields themselves are shared objects: every row of one event
 holds the same `sim.now` float, and a node or kind name is one string for the
-whole run.
+whole run. There is one write path, `append_row`, the flat list's bound
+`extend`: the rows written for every packet (generate, send, receive,
+deliver) pass it one eight-field tuple, which is one C call and no Python
+frame; `log` takes the fields by keyword for the rarer rows and calls it.
 
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
@@ -74,12 +77,14 @@ class SimulationTrace:
     iterating the trace yields each row as a tuple.
     """
 
-    __slots__ = ("_fields",)
+    __slots__ = ("_fields", "append_row")
 
     def __init__(self, rows: Iterable[tuple] = ()):
         """A trace of `rows`, any iterable of eight-field rows; ValueError on a
         row of another length, since the flat list could not tell it apart."""
         fields = self._fields = []
+        # One eight-field tuple a call, unchecked: another length shifts every later row.
+        self.append_row = fields.extend
         width = len(TRACE_COLUMNS)
         for row in rows:
             if len(row) != width:
@@ -87,7 +92,7 @@ class SimulationTrace:
             fields += row
 
     def log(self, time, node, kind, pid=-1, copy=-1, reason="", value=None, info=""):
-        self._fields.extend((time, node, kind, pid, copy, reason, value, info))
+        self.append_row((time, node, kind, pid, copy, reason, value, info))
 
     def __len__(self) -> int:
         return len(self._fields) // len(TRACE_COLUMNS)

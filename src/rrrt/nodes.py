@@ -29,14 +29,18 @@ an arrival at exactly the time of an event queued between that admission and
 the departure fires before it, where on the `dep` path it fires after.
 
 Until `inject_fault` sets `topo.has_faults`, no hop looks up a fault: `_route`
-reads the next hop's link and its data transmission and propagation delays
-from a table filled on first use, and arrivals just log `receive`. The flag is
-read on every hop, so a fault injected mid-run takes effect at once.
+reads the next hop's link, its data transmission and propagation delays and
+the sender's random stream from a table filled on first use, and the arrival
+handlers log `receive` themselves. The flag is read on every hop, so a fault
+injected mid-run takes effect at once. The rows of every packet (generate,
+send, receive, deliver) are written with `SimulationTrace.append_row`, and
+`settle` is called only while `due` holds a copy.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from random import Random
 from typing import Optional
 
 from . import transport as tp
@@ -64,7 +68,7 @@ class NetworkRuntime:
         self.apps: dict[str, object] = {}
         self.children: dict[str, list[str]] = {}
         self._rngs = {}
-        self._hops: dict[tuple[str, str], tuple[Link, float, float]] = {}
+        self._hops: dict[tuple[str, str], tuple[Link, float, float, Random]] = {}
         for kind, handler in (("dep", self._on_depart), ("arr", self._on_arrive),
                               ("ctl_arr", self._on_ctl_arrive),
                               ("bcast_arr", self._on_broadcast_arrive), ("app", self._on_app)):
@@ -82,11 +86,11 @@ class NetworkRuntime:
 
     # -- data plane ----------------------------------------------------------
 
-    def _route(self, node: str, pkt: Packet) -> Optional[tuple[Link, float, float]]:
+    def _route(self, node: str, pkt: Packet) -> Optional[tuple[Link, float, float, Random]]:
         """The link to pkt's next hop with its data transmission and propagation
-        delays, or None after logging why pkt cannot leave `node`. Past its
-        source, a packet that carries a path measurement has its bottleneck
-        raised to this node's per-packet queue delay."""
+        delays and `node`'s random stream, or None after logging why pkt cannot
+        leave `node`. Past its source, a packet that carries a path measurement
+        has its bottleneck raised to this node's per-packet queue delay."""
         sim = self.sim
         now = sim.now
         topo = self.topo
@@ -107,10 +111,11 @@ class NetworkRuntime:
                 return None
             link = topo.links[(node, next_node)]
             hop = self._hops[node, pkt.dst] = (link, self.packet_len / link.bit_rate,
-                                               link.propagation())
+                                               link.propagation(), self.rng_of(node))
         if pkt.bottleneck_delay is not None and node != pkt.src:
             buf = self.buffers[node]
-            buf.settle(now, sim.ordinal)
+            if buf.due:
+                buf.settle(now, sim.ordinal)
             tp.on_probe_forward(pkt, (buf.occupancy + 1) / hop[0].service_rate)
         return hop
 
@@ -119,11 +124,12 @@ class NetworkRuntime:
         hop = self._route(node, pkt)
         if hop is None:
             return
-        link, t_del, p_del = hop
+        link, t_del, p_del, rng = hop
         sim = self.sim
         now = sim.now
         buf = self.buffers[node]
-        buf.settle(now, sim.ordinal)
+        if buf.due:
+            buf.settle(now, sim.ordinal)
         if buf.try_enqueue(now) == DROPPED:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "overflow")
             return
@@ -131,14 +137,13 @@ class NetworkRuntime:
         b_del = buf.busy_until - now
         if b_del < 0.0:
             b_del = 0.0
-        rng = self.rng_of(node)
         ca_del = self.topo.ca_model.sample(rng)
         buf.busy_until = now + b_del + ca_del + t_del
         mark_packet(pkt, buf.cn)
         pkt.b_sum += b_del
         copy = sim.new_copy()
         depart = b_del + ca_del + t_del
-        sim.trace.log(now, node, "send", pkt.pid, copy, "", depart + p_del)
+        sim.trace.append_row((now, node, "send", pkt.pid, copy, "", depart + p_del, ""))
         lost = link.loss > 0.0 and rng.random() < link.loss
         departs = now + depart
         if lost or self.topo.has_faults:
@@ -191,28 +196,25 @@ class NetworkRuntime:
             return
         sim.schedule(now + p_del, "arr", hop, (pkt, copy))
 
-    def _survives_arrival(self, node: str, pkt: Packet, copy: int) -> bool:
-        """Log a copy's arrival at `node` under the node's fault mode.
-
-        A crashed node never receives it; a drop-all node receives and then
-        drops it. Returns whether the packet lives on at `node`.
-        """
+    def _stopped_by_fault(self, node: str, pkt: Packet, copy: int) -> bool:
+        """Whether a fault at `node` stops a copy arriving there now, with its
+        rows logged: a crashed node never receives it, a drop-all node
+        receives and then drops it. A copy it does not stop is not logged."""
         sim = self.sim
         now = sim.now
-        mode = self.topo.fault_mode(node, now) if self.topo.has_faults else None
-        if mode == "crash":
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
+        mode = self.topo.fault_mode(node, now)
+        if mode is None:
             return False
-        sim.trace.log(now, node, "receive", pkt.pid, copy)
         if mode == "drop-all":
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
-            return False
+            sim.trace.append_row((now, node, "receive", pkt.pid, copy, "", None, ""))
+        sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
         return True
 
     def _on_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
         pkt, copy = payload
-        if not self._survives_arrival(node, pkt, copy):
+        if self.topo.has_faults and self._stopped_by_fault(node, pkt, copy):
             return
+        sim.trace.append_row((sim.now, node, "receive", pkt.pid, copy, "", None, ""))
         if node == pkt.dst:
             self.apps[node].on_packet(pkt, sim.now)
         else:
@@ -232,15 +234,16 @@ class NetworkRuntime:
         if topo.has_faults and topo.link_fault_mode(node, link.dst, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        delay = topo.sample_channel_delays(link, self.ctl_len, self.rng_of(node))
+        delay = topo.sample_channel_delays(link, self.ctl_len, hop[3])
         copy = sim.new_copy()
-        sim.trace.log(now, node, "send", pkt.pid, copy, "", delay)
+        sim.trace.append_row((now, node, "send", pkt.pid, copy, "", delay, ""))
         sim.schedule(now + delay, "ctl_arr", link.dst, (pkt, copy))
 
     def _on_ctl_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
         pkt, copy = payload
-        if not self._survives_arrival(node, pkt, copy):
+        if self.topo.has_faults and self._stopped_by_fault(node, pkt, copy):
             return
+        sim.trace.append_row((sim.now, node, "receive", pkt.pid, copy, "", None, ""))
         if node == pkt.dst:
             self.apps[node].on_control(pkt, sim.now)
         else:
@@ -260,7 +263,7 @@ class NetworkRuntime:
         if topo.has_faults and topo.fault_mode(node, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        sim.trace.log(now, node, "send", pkt.pid, -1)
+        sim.trace.append_row((now, node, "send", pkt.pid, -1, "", None, ""))
         ca = topo.ca_model.sample(self.rng_of(node))
         for kid in kids:
             if topo.has_faults and topo.link_fault_mode(node, kid, now) is not None:
@@ -270,8 +273,9 @@ class NetworkRuntime:
             sim.schedule(now + delay, "bcast_arr", kid, pkt)
 
     def _on_broadcast_arrive(self, sim: Simulator, node: str, pkt: Packet) -> None:
-        if not self._survives_arrival(node, pkt, -1):
+        if self.topo.has_faults and self._stopped_by_fault(node, pkt, -1):
             return
+        sim.trace.append_row((sim.now, node, "receive", pkt.pid, -1, "", None, ""))
         app = self.apps.get(node)
         if app is not None:  # a relay has no app
             app.on_frequency(pkt.payload, sim.now)
@@ -312,20 +316,20 @@ class SensorSource:
         self._gen_handle = None
 
     def start(self, now: float) -> None:
-        self._schedule_next(now, dither=True)
+        self._dither(now)
 
-    def _schedule_next(self, now: float, dither: bool = False) -> None:
-        period = 1.0 / self.f
-        delay = self.rng.random() * period if dither else period
+    def _dither(self, now: float) -> None:
+        """Arm the next report at a uniformly drawn phase of one period."""
+        delay = self.rng.random() * (1.0 / self.f)
         self._gen_handle = self.runtime.sim.schedule(now + delay, "app", self.node, "gen")
 
     def on_event(self, sim: Simulator, tag: str) -> None:
         now = sim.now
-        pkt = Packet(pid=sim.new_pid(), flow="data", src=self.node, dst=self.sink,
-                     gen_time=now)
-        sim.trace.log(now, self.node, "generate", pkt.pid)
-        self.runtime.forward_data(self.node, pkt)
-        self._schedule_next(now)
+        node = self.node
+        pid = sim.new_pid()
+        sim.trace.append_row((now, node, "generate", pid, -1, "", None, ""))
+        self.runtime.forward_data(node, Packet(pid, "data", node, self.sink, now))
+        self._gen_handle = sim.schedule(now + 1.0 / self.f, "app", node, "gen")
 
     def on_frequency(self, f_new: float, now: float) -> None:
         # Re-dither on every broadcast, not only on changes: keeps the field
@@ -333,7 +337,7 @@ class SensorSource:
         self.f = f_new
         if self._gen_handle is not None:
             self.runtime.sim.cancel(self._gen_handle)
-        self._schedule_next(now, dither=True)
+        self._dither(now)
 
 
 class CrossTrafficSource:
@@ -358,7 +362,7 @@ class CrossTrafficSource:
             return
         pkt = Packet(pid=sim.new_pid(), flow="cross", src=self.node, dst=self.sink,
                      gen_time=now)
-        sim.trace.log(now, self.node, "generate", pkt.pid)
+        sim.trace.append_row((now, self.node, "generate", pkt.pid, -1, "", None, ""))
         self.runtime.forward_data(self.node, pkt)
         sim.schedule(now + 1.0 / self.rate, "app", self.node, "gen")
 
@@ -392,7 +396,8 @@ class SubSinkApp:
             lit = check_delay_budget(self.budget, pkt.b_sum)
             full = check_delay_budget(self.budget, now - pkt.gen_time)
             reason = f"{int(lit)}{int(full)}"
-        sim.trace.log(now, self.node, "deliver", pkt.pid, -1, reason, pkt.gen_time, pkt.flow)
+        sim.trace.append_row((now, self.node, "deliver", pkt.pid, -1, reason, pkt.gen_time,
+                              pkt.flow))
         if pkt.flow == "data":
             self.controller.on_data_packet(pkt, now)
 
@@ -537,7 +542,7 @@ class TransportSenderApp:
             seq = self.next_new
             self.next_new += 1
             pid, gen_time = sim.new_pid(), now
-            sim.trace.log(now, self.node, "generate", pid)
+            sim.trace.append_row((now, self.node, "generate", pid, -1, "", None, ""))
         pkt = Packet(pid=pid, flow="xfer", src=self.node, dst=self.peer,
                      gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
@@ -582,8 +587,8 @@ class TransportReceiverApp:
         self._note_path(pkt)
         if pkt.seq is not None and not self.received.add(pkt.seq):
             return  # duplicate: already handed to the application
-        self.runtime.sim.trace.log(now, self.node, "deliver", pkt.pid, -1, "",
-                                   pkt.gen_time, pkt.flow)
+        self.runtime.sim.trace.append_row((now, self.node, "deliver", pkt.pid, -1, "",
+                                           pkt.gen_time, pkt.flow))
 
     def on_control(self, pkt: Packet, now: float) -> None:
         self._note_path(pkt)  # only probes are addressed to the receiver
@@ -626,7 +631,7 @@ class FixedRateSenderApp:
         self.next_seq += 1
         pkt = Packet(pid=sim.new_pid(), flow="xfer", src=self.node, dst=self.peer,
                      gen_time=now, seq=seq, bottleneck_delay=0.0)
-        sim.trace.log(now, self.node, "generate", pkt.pid)
+        sim.trace.append_row((now, self.node, "generate", pkt.pid, -1, "", None, ""))
         self.runtime.forward_data(self.node, pkt)
         if self.next_seq <= self.total:
             sim.schedule(now + 1.0 / self.rate, "app", self.node, "pace")

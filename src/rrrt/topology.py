@@ -7,7 +7,10 @@ kernel never recomputes them. Fault injection flips nodes or links into
 `has_faults`, which stays False until the first injection: while it is False
 the forwarding runtime skips every fault lookup (`next_hop`, `fault_mode`,
 `link_fault_mode`), since none could find a fault. The delay model samples one
-hop on the `Link` its caller already holds.
+hop on the `Link` its caller already holds. `CaModel.sample` draws the
+truncated exponential as `random.expovariate` does, `-log(1 - random()) /
+rate`, without its call, so every draw equals `min(rng.expovariate(rate),
+cap)` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from math import log
 from typing import Optional
 
 from .errors import NoRoute, UnknownLink, UnknownTarget
@@ -32,7 +36,7 @@ class CaModel:
     def sample(self, rng) -> float:
         if self.kind == "fixed":
             return self.value
-        return min(rng.expovariate(1.0 / self.value), self.cap)
+        return min(-log(1.0 - rng.random()) / (1.0 / self.value), self.cap)
 
 
 @dataclass(slots=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 
+from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer
 from rrrt.errors import Corrupt, InvariantViolation
 from rrrt.kernel import TRACE_COLUMNS
 from rrrt.transport import SackInfo
@@ -300,3 +301,35 @@ def audit_trace_oracle(trace) -> dict:
     if counts["generated"] != counts["delivered"] + counts["dropped"] + counts["pending"]:
         raise InvariantViolation(f"conservation failed: {counts}")
     return counts
+
+
+class EagerRollBuffer(NodeBuffer):
+    """A NodeBuffer whose every method calls `_roll` for its time, whether or
+    not that time has left the epoch last rolled to: the reference for the
+    buffer's methods, which enter `_roll` only when it has."""
+
+    def try_enqueue(self, now):
+        self._roll(int(now / self.epoch_len))
+        if self.occupancy < self.capacity:
+            self.occupancy += 1
+            return ENQUEUED
+        return DROPPED
+
+    def release(self, now):
+        self._roll(int(now / self.epoch_len))
+        self.occupancy -= 1
+        if self.occupancy < 0:
+            raise InvariantViolation("buffer occupancy went negative")
+
+    def settle(self, now, ordinal):
+        while self.due:
+            time, entry_ordinal = self.due[0][:2]
+            if time > now or (time == now and entry_ordinal > ordinal):
+                return
+            del self.due[0]
+            self._roll(int(time / self.epoch_len))
+            self.occupancy -= 1
+
+    def flag(self, now):
+        self._roll(int(now / self.epoch_len))
+        return self.cn

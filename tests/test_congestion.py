@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import EagerRollBuffer
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer, congestion_flag, mark_packet
 from rrrt.errors import InvariantViolation
 from rrrt.kernel import Simulator
@@ -170,6 +173,46 @@ def test_settle_matches_one_release_event_per_departure(seed):
     states = buffer_states(seed, dep_events=True)
     assert len(states) > 40 and any(state[1] == 4 for state in states[:-1])
     assert buffer_states(seed, dep_events=False) == states
+
+
+# (clock step in 1/32 s, call, service time in 1/32 s for a queued copy or
+# the ordinal a settle is handled under)
+BUFFER_STEPS = st.lists(st.tuples(
+    st.integers(0, 6), st.sampled_from(["admit", "queue", "settle", "release", "flag"]),
+    st.integers(0, 12)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5), st.sampled_from([0.1, 0.125]), BUFFER_STEPS)
+def test_a_buffer_that_skips_in_epoch_rolls_matches_one_that_always_rolls(
+        capacity, epoch_len, steps):
+    """Admissions, queued departures, settles, releases and flag reads at
+    times on a 1/32 s grid, so they tie with each other and, at 1/8 s epochs,
+    with the boundaries. The buffer must stay equal to the reference that
+    calls `_roll` on every call."""
+    buf, ref = NodeBuffer(capacity, epoch_len), EagerRollBuffer(capacity, epoch_len)
+    now, ordinal, departs = 0.0, 0, 0.0
+    for step, call, arg in steps:
+        now += step / 32
+        if call in ("admit", "queue"):
+            ordinal += 1
+            admitted = buf.try_enqueue(now)
+            assert admitted == ref.try_enqueue(now)
+            if call == "queue" and admitted == ENQUEUED:
+                departs = max(departs, now) + arg / 32
+                buf.due = (buf.due or []) + [(departs, ordinal)]
+                ref.due = list(buf.due)
+        elif call == "settle":
+            buf.settle(now, arg)
+            ref.settle(now, arg)
+        elif call == "release":
+            if buf.occupancy > len(buf.due or ()):  # a slot no queued departure holds
+                buf.release(now)
+                ref.release(now)
+        else:
+            assert buf.flag(now) is ref.flag(now)
+        assert ((buf.occupancy, buf.prev_occupancy, buf.cn, buf._epoch, buf.due)
+                == (ref.occupancy, ref.prev_occupancy, ref.cn, ref._epoch, ref.due))
 
 
 def test_a_forwarded_packet_takes_the_flag_of_its_admission_epoch():

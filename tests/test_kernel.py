@@ -1,6 +1,8 @@
 """Event queue, clock, RNG streams, trace storage and trace serialization."""
 
+import ast
 import math
+import pathlib
 import tracemalloc
 from unittest import mock
 
@@ -316,6 +318,45 @@ def test_a_trace_rejects_a_row_without_eight_fields(width):
     good = (0.5, "n0", "send", 1, 1, "", 0.5, "")
     with pytest.raises(ValueError):
         SimulationTrace([good, (good * 2)[:width], good])
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rrrt"
+
+
+def test_every_append_row_call_passes_an_eight_field_tuple_literal():
+    """`append_row` is the flat list's `extend` and checks nothing, so a row
+    of another length would shift every row after it without an error. Every
+    call in the package must pass one tuple literal of the eight fields."""
+    calls, bad = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append_row"):
+                calls += 1
+                args = node.args
+                if (node.keywords or len(args) != 1 or not isinstance(args[0], ast.Tuple)
+                        or len(args[0].elts) != len(kernel.TRACE_COLUMNS)
+                        or any(isinstance(elt, ast.Starred) for elt in args[0].elts)):
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert calls >= 10  # the per-packet rows: generate, send, receive, deliver
+    assert bad == []
+
+
+def test_log_and_append_row_of_the_same_rows_leave_equal_traces():
+    rows = [(0.5, "n0", "generate", 1, -1, "", None, ""),
+            (0.5, "n0", "send", 1, 4, "", 0.0125, ""),
+            (0.5125, "sink", "deliver", 1, -1, "10", 0.5, "data"),
+            (0.75, "n1", "drop", 2, 5, "overflow", None, "")]
+    logged, appended = SimulationTrace(), SimulationTrace()
+    for time, node, kind, pid, copy, reason, value, info in rows:
+        logged.log(time, node, kind, pid, copy, reason, value, info)
+        appended.append_row((time, node, kind, pid, copy, reason, value, info))
+    logged.log(1.0, "n0", "pending", 3, 6, "queued")  # the defaults fill the rest
+    appended.append_row((1.0, "n0", "pending", 3, 6, "queued", None, ""))
+    assert list(logged) == list(appended) == rows + [(1.0, "n0", "pending", 3, 6, "queued",
+                                                     None, "")]
+    assert logged.serialize({"seed": 1}) == appended.serialize({"seed": 1})
 
 
 # Time objects that rows share, as the rows of one event share `sim.now`.

@@ -1,6 +1,7 @@
 """Routing, per-hop delay sampling, grid placement and fault injection."""
 
 import math
+import random
 
 import pytest
 
@@ -135,3 +136,26 @@ def test_ca_model_fixed_and_exponential():
     draws = [exp.sample(rng) for _ in range(200)]
     assert all(0.0 <= d <= 0.005 for d in draws)
     assert len(set(draws)) > 100  # actually random
+
+
+@pytest.mark.parametrize("model", [
+    CaModel("exponential", 0.002, 0.005),  # the cap binds on about 8% of draws
+    CaModel("exponential", 0.002, 1.0),  # the cap never binds
+    CaModel("fixed", 0.002, 0.05),
+], ids=["capped", "uncapped", "fixed"])
+def test_ca_model_sample_equals_expovariate_draw_for_draw(model):
+    """`sample` computes `expovariate`'s expression inline; on twin streams
+    each draw must be the very float `min(expovariate(1 / value), cap)` gives."""
+    ours, reference = random.Random(11), random.Random(11)
+    draws = [model.sample(ours) for _ in range(10_000)]
+    if model.kind == "fixed":
+        expected = [model.value] * len(draws)
+    else:
+        expected = [min(reference.expovariate(1.0 / model.value), model.cap)
+                    for _ in range(len(draws))]
+    assert draws == expected
+    assert ours.getstate() == reference.getstate()
+    if model.cap == 0.005:
+        assert 0 < draws.count(model.cap) < len(draws)
+    elif model.kind != "fixed":
+        assert model.cap not in draws
