@@ -41,10 +41,10 @@ class NodeBuffer:
     after `try_enqueue(now)`; `busy_until` is when the radio next falls idle.
 
     `due` holds the copies that will leave without a departure event, in
-    FIFO order: entries `(departure time, reserved ordinal, ...)`, the rest
-    the caller's. It is None until the first one, and never longer than
-    `capacity`. `settle` releases them as the kernel would have fired their
-    departures, so it runs before `occupancy` is read or changed.
+    FIFO order: entries exactly `(departure time, ordinal of the copy's
+    arr)`. It is None until the first one, and never longer than `capacity`.
+    `settle` releases them as the kernel would have fired their departures,
+    so it runs before `occupancy` is read or changed.
     """
 
     __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "cn", "busy_until",

@@ -11,13 +11,10 @@ the ordinal breaks ties in schedule order. One handler per kind is called as
 event being handled. `schedule` returns the entry as its handle, and
 `cancel(handle)` skips the entry when it comes up.
 
-A model may keep an event out of the queue when it can apply the event's
-effect later: it reserves the ordinal the event would have taken
-(`sim._ordinal += 1`), applies the effect once the event being handled comes
-after `(time, reserved ordinal)`, and, should the event have to fire after
-all, queues it with `restore` under that ordinal. `withdraw` takes queued
-events off by ordinal. The forwarding buffers do this with their departures
-(see `nodes.py`).
+An event can be moved: `withdraw` takes it off the queue by its ordinal, and
+`restore` queues it, or an event of another kind, under that ordinal, so it
+keeps its place among events at equal times. The forwarding buffers swap a
+copy's arrival for its departure this way (see `nodes.py`).
 
 A trace holds its rows as one flat list of their fields, eight to a row, so a
 row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
@@ -295,8 +292,8 @@ class Simulator:
         return entry
 
     def restore(self, time: float, ordinal: int, kind: str, target: str, payload: Any) -> None:
-        """Queue an event under an ordinal reserved when it was due to be
-        scheduled, so that it fires where it would have fired then."""
+        """Queue an event under the ordinal of one withdrawn or being handled,
+        so that it keeps that event's place among events at equal times."""
         if time < self.now:
             raise PastTime(f"event at t={time} before clock t={self.now}")
         heappush(self._heap, (time, ordinal, kind, target, payload))

@@ -15,18 +15,17 @@ The runtime handles the kernel's event kinds `dep`, `arr`, `ctl_arr` and
 `interval`, `pace`, ...), passed to the node's app as `on_event(sim, tag)`
 unless the node has crashed. A source cancels its next `gen` by its handle.
 
-A data copy's departure time is known on admission (`busy_until` is the FIFO
-server's recursion). Only a lost copy, or any copy once a fault is injected,
-gets a `dep` event, which frees the slot and then drops the copy or schedules
-its `arr`. Any other copy's `arr` is scheduled on admission, at the same
-`(now + depart) + p_del`, and its departure waits on the buffer's `due` FIFO
-under the ordinal its `dep` would have taken. `NodeBuffer.settle` frees the
-departures that come before the event being handled, ties included: before an
-admission, before a probe reads the occupancy, and first in `dep`.
-`_requeue_departures` gives the queued copies their `dep` back at the horizon
-and on fault injection. The `arr` keeps the ordinal it took on admission, so
-an arrival at exactly the time of an event queued between that admission and
-the departure fires before it, where on the `dep` path it fires after.
+A data copy's departure and arrival times are known on admission (`busy_until`
+is the FIFO server's recursion), and the copy takes one ordinal then, which
+its departure and its arrival share. Only a lost copy, or any copy once a
+fault is injected, gets a `dep` event; it frees the slot and then drops the
+copy or queues its `arr` under the `dep`'s own ordinal. Any other copy's `arr`
+is queued on admission, and its departure waits on the buffer's `due` FIFO
+under the `arr`'s ordinal. `NodeBuffer.settle` frees the departures that come
+before the event being handled, ties included: before an admission, before a
+probe reads the occupancy, and first in `dep`. `_requeue_departures` swaps the
+queued copies' `arr` for their `dep` at the horizon and on fault injection.
+Both paths order every event the same way, so they write the same trace.
 
 Until `inject_fault` sets `topo.has_faults`, no hop looks up a fault: `_route`
 reads the next hop's link, its data transmission and propagation delays and
@@ -67,22 +66,11 @@ class NetworkRuntime:
         self.buffers = {node: NodeBuffer(buffer_capacity, epoch_len) for node in topo.nodes}
         self.apps: dict[str, object] = {}
         self.children: dict[str, list[str]] = {}
-        self._rngs = {}
         self._hops: dict[tuple[str, str], tuple[Link, float, float, Random]] = {}
         for kind, handler in (("dep", self._on_depart), ("arr", self._on_arrive),
                               ("ctl_arr", self._on_ctl_arrive),
                               ("bcast_arr", self._on_broadcast_arrive), ("app", self._on_app)):
             sim.register(kind, handler)
-
-    def rng_of(self, node: str):
-        rng = self._rngs.get(node)
-        if rng is None:
-            rng = self.sim.rng(f"node:{node}")
-            self._rngs[node] = rng
-        return rng
-
-    def attach_app(self, node: str, app) -> None:
-        self.apps[node] = app
 
     # -- data plane ----------------------------------------------------------
 
@@ -111,7 +99,7 @@ class NetworkRuntime:
                 return None
             link = topo.links[(node, next_node)]
             hop = self._hops[node, pkt.dst] = (link, self.packet_len / link.bit_rate,
-                                               link.propagation(), self.rng_of(node))
+                                               link.propagation(), sim.rng(f"node:{node}"))
         if pkt.bottleneck_delay is not None and node != pkt.src:
             buf = self.buffers[node]
             if buf.due:
@@ -146,32 +134,31 @@ class NetworkRuntime:
         sim.trace.append_row((now, node, "send", pkt.pid, copy, "", depart + p_del, ""))
         lost = link.loss > 0.0 and rng.random() < link.loss
         departs = now + depart
+        arrives = departs + p_del
         if lost or self.topo.has_faults:
-            sim.schedule(departs, "dep", node, (pkt, link.dst, copy, p_del, lost))
+            sim.schedule(departs, "dep", node, (pkt, link.dst, copy, arrives, lost))
             return
-        sim._ordinal += 1  # the ordinal of the `dep` this copy goes without
-        entry = (departs, sim._ordinal, p_del)
-        sim.schedule(departs + p_del, "arr", link.dst, (pkt, copy))  # the reserved ordinal + 1
+        entry = (departs, sim.schedule(arrives, "arr", link.dst, (pkt, copy))[1])
         if buf.due is None:
             buf.due = [entry]
         else:
             buf.due.append(entry)
 
     def _requeue_departures(self) -> None:
-        """Give every copy still on a `due` FIFO its `dep` event back, under
-        the ordinal reserved for it, in place of the `arr` it was sent with.
-        The entry does not hold the `arr`, so that the packet is freed once it
-        arrives; the `arr` is found by its ordinal, the reserved one + 1."""
+        """Swap the `arr` of every copy still on a `due` FIFO for its `dep`
+        event, under the same ordinal. The entry does not hold the `arr`, so
+        that the packet is freed once it arrives; the `arr` is found by its
+        ordinal."""
         sim = self.sim
         queued = {}
         for node, buf in self.buffers.items():
             buf.settle(sim.now, sim.ordinal)
-            for departs, ordinal, p_del in buf.due or ():
-                queued[ordinal + 1] = (node, departs, ordinal, p_del)
+            for departs, ordinal in buf.due or ():
+                queued[ordinal] = (node, departs)
             buf.due = None
-        for _, arr_ordinal, _, hop, (pkt, copy) in sim.withdraw(queued):
-            node, departs, ordinal, p_del = queued[arr_ordinal]
-            sim.restore(departs, ordinal, "dep", node, (pkt, hop, copy, p_del, False))
+        for arrives, ordinal, _, hop, (pkt, copy) in sim.withdraw(queued):
+            node, departs = queued[ordinal]
+            sim.restore(departs, ordinal, "dep", node, (pkt, hop, copy, arrives, False))
 
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
         """Fault a node or a link from `at` on (see `Topology.inject_fault`).
@@ -181,7 +168,7 @@ class NetworkRuntime:
         self._requeue_departures()
 
     def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
-        pkt, hop, copy, p_del, lost = payload
+        pkt, hop, copy, arrives, lost = payload
         now = sim.now
         buf = self.buffers[node]
         buf.settle(now, sim.ordinal)
@@ -194,7 +181,7 @@ class NetworkRuntime:
         if lost:
             sim.trace.log(now, node, "drop", pkt.pid, copy, "loss")
             return
-        sim.schedule(now + p_del, "arr", hop, (pkt, copy))
+        sim.restore(arrives, sim.ordinal, "arr", hop, (pkt, copy))
 
     def _stopped_by_fault(self, node: str, pkt: Packet, copy: int) -> bool:
         """Whether a fault at `node` stops a copy arriving there now, with its
@@ -264,7 +251,7 @@ class NetworkRuntime:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
         sim.trace.append_row((now, node, "send", pkt.pid, -1, "", None, ""))
-        ca = topo.ca_model.sample(self.rng_of(node))
+        ca = topo.ca_model.sample(sim.rng(f"node:{node}"))
         for kid in kids:
             if topo.has_faults and topo.link_fault_mode(node, kid, now) is not None:
                 continue

@@ -117,17 +117,17 @@ def build_field(cfg: ScenarioConfig, seed: int) -> Harness:
                                        eq6_alt=cfg.switches.eq6_alt)
     budget = cfg.budget if cfg.budget.delta_e2a > 0 else None
     sink_app = SubSinkApp(runtime, SINK, controller, budget)
-    runtime.attach_app(SINK, sink_app)
+    runtime.apps[SINK] = sink_app
 
     sources = []
     for name in source_names:
         src = SensorSource(runtime, name, SINK, cfg.controller.f_init)
-        runtime.attach_app(name, src)
+        runtime.apps[name] = src
         sources.append(src)
     if cfg.topology.layout == "relay" and cfg.cross_traffic.rate > 0:
         cross = CrossTrafficSource(runtime, CROSS, SINK, cfg.cross_traffic.rate,
                                    cfg.cross_traffic.start, cfg.cross_traffic.stop)
-        runtime.attach_app(CROSS, cross)
+        runtime.apps[CROSS] = cross
         cross.start(0.0)
 
     sink_app.start(0.0)
@@ -143,7 +143,7 @@ def build_transport(cfg: ScenarioConfig, seed: int) -> Harness:
                              cfg.transport.capacity, cfg.congestion.epoch)
     xp = cfg.transport
     receiver = TransportReceiverApp(runtime, XP_RECEIVER, XP_SENDER, xp.t_fdbk)
-    runtime.attach_app(XP_RECEIVER, receiver)
+    runtime.apps[XP_RECEIVER] = receiver
     if xp.sender == "adaptive":
         goal = tp.DeliveryGoal(xp.goal_packets, xp.delta_e2a)
         state = tp.start_connection(goal, 0.0, xp.rtt_estimate, xp.t_fdbk, xp.t_p,
@@ -154,7 +154,7 @@ def build_transport(cfg: ScenarioConfig, seed: int) -> Harness:
     else:
         sender = FixedRateSenderApp(runtime, XP_SENDER, XP_RECEIVER, xp.goal_packets,
                                     xp.fixed_rate)
-    runtime.attach_app(XP_SENDER, sender)
+    runtime.apps[XP_SENDER] = sender
     receiver.start(0.0)
     sender.start(0.0)
     return Harness(sim, runtime, sender)

@@ -236,7 +236,7 @@ class Generator:
         self.dst = dst
         self.period = period
         self.stop = stop
-        runtime.attach_app(src, self)
+        runtime.apps[src] = self
         runtime.sim.schedule(0.0, "app", src, "gen")
 
     def on_event(self, sim, tag):

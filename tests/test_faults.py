@@ -10,8 +10,8 @@ Until the first `inject_fault` a run takes the no-fault fast path, which looks
 up no fault at all and gives a copy that is not lost no `dep` event. The tests
 at the end check that it writes the same trace as the fault-checking `dep`
 path (`util.force_dep_path`), with a fault injected mid-run, with copies still
-queued at the horizon, and over a space of small scenarios, and that the flag
-is read on every hop.
+queued at the horizon, with an event tied with an arrival, and over a space
+of small scenarios, and that the flag is read on every hop.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from rrrt.scenario import set_param, validate_scenario
 from rrrt.topology import Topology
 from shipped import SHIPPED, sha256, shipped
 from test_golden import GOLDEN_SHA256
-from util import force_dep_path
+from util import FIXED_CA, chain_network, data_packet, force_dep_path
 
 # (scenario, fault target, time, mode) -> sha256 of the trace at seed 1
 FAULT_SHA256 = {
@@ -150,6 +150,47 @@ def test_copies_queued_at_the_horizon_are_logged_as_on_the_dep_path():
     text = trace_text(cfg)
     assert text == trace_text(cfg, dep_path=True)
     assert len([line for line in text.split("\n") if line.endswith(",queued,,")]) == 11
+
+
+class TieApp:
+    """At n0, a `send` timer admits one data copy towards the chain's end and
+    queues a `tick` timer at n1 at exactly the copy's arrival time there; at
+    n1, the `tick` logs a row."""
+
+    def __init__(self, runtime, names):
+        self.runtime = runtime
+        self.names = names
+
+    def on_event(self, sim, tag):
+        n0, n1 = self.names[:2]
+        if tag == "tick":
+            sim.trace.log(sim.now, n1, "tick")
+            return
+        self.runtime.forward_data(n0, data_packet(sim, n0, self.names[-1]))
+        link = self.runtime.topo.links[(n0, n1)]
+        depart = 0.0 + FIXED_CA.value + self.runtime.packet_len / link.bit_rate  # no wait
+        sim.schedule((0.0 + depart) + link.propagation(), "app", n1, "tick")
+
+
+def tie_trace(dep_path):
+    sim, runtime, names, _ = chain_network()
+    runtime.apps[names[0]] = runtime.apps[names[1]] = TieApp(runtime, names)
+    if dep_path:
+        force_dep_path(runtime, 1.0)
+    sim.schedule(0.0, "app", names[0], "send")
+    sim.run_until(1.0)
+    return sim.trace.serialize()
+
+
+def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
+    """The copy's `arr` (or its `dep`, which queues the `arr` under its own
+    ordinal) is queued before the tick, so at the tied time n1 receives and
+    forwards the copy before the tick, on either path."""
+    text = tie_trace(dep_path=False)
+    assert text == tie_trace(dep_path=True)
+    rows = [line.split(",")[:3] for line in text.split("\n")[1:] if line]
+    at = [row[1:] for row in rows].index(["n1", "receive"])
+    assert rows[at:at + 3] == [[rows[at][0], "n1", kind] for kind in ("receive", "send", "tick")]
 
 
 @st.composite

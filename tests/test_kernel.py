@@ -110,6 +110,21 @@ def test_withdraw_and_restore_take_events_off_and_back_by_ordinal():
         sim.restore(1.5, early, "tick", "node", "past")
 
 
+def test_an_event_restored_under_a_withdrawn_ordinal_fires_in_its_place():
+    """The swap idiom: an entry withdrawn and an event of another kind
+    restored under its ordinal fires between the events that were before and
+    after the withdrawn one at the same time, not after them."""
+    sim, fired = make_sim(kinds=("tick", "tock"))
+    sim.schedule(1.0, "tick", "node", "before")
+    swapped = sim.schedule(1.0, "tick", "node", "swapped")
+    sim.schedule(1.0, "tick", "node", "after")
+    [entry] = sim.withdraw({swapped[1]})
+    sim.restore(entry[0], entry[1], "tock", "node", "restored")
+    sim.run_until(1.0)
+    assert fired == [(1.0, "tick", "before"), (1.0, "tock", "restored"),
+                     (1.0, "tick", "after")]
+
+
 def test_cancelled_event_does_not_fire():
     sim, fired = make_sim()
     sim.schedule(1.0, "tick", "node", "keep")
@@ -408,3 +423,14 @@ def test_run_until_processes_boundary_inclusive():
     assert [p for _, _, p in fired] == ["at"]
     sim.run_until(6.0)
     assert [p for _, _, p in fired] == ["at", "after"]
+
+
+def test_only_the_kernel_touches_the_ordinal_counter():
+    """Every model takes ordinals through `schedule`, or reuses one with
+    `restore`; none reads or writes `Simulator._ordinal`."""
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        users += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_ordinal"]
+    assert users and all(user.startswith("kernel.py:") for user in users)

@@ -356,6 +356,31 @@ def test_cli_connection_log_written_for_transport(tmp_path):
     assert {"Hold", "Increase"} & {row[1] for row in got}
 
 
+def test_an_expired_deadline_logs_one_row_that_connection_csv_leaves_out(tmp_path):
+    """With a 2 s deadline the lossy transfer is not done in time: the sender
+    logs one `deadline_expired` row, which carries no connection state, so
+    `connection.csv` has a row for every other `conn` row and none for it."""
+    cfg = shipped("transport_lossy")
+    cfg.transport.delta_e2a = 2.0
+    cfg.sim.horizon = 10.0
+    report, trace, preamble = run_traced(cfg, 1)
+    audit_trace(trace)
+    assert replay_text(trace.serialize(preamble)) == report
+    expired = [rec for rec in trace if rec[2] == "conn" and rec[5] == "deadline_expired"]
+    assert [rec[:2] for rec in expired] == [(pytest.approx(2.0035, abs=1e-4), "src_ss")]
+    assert expired[0][7] == ""
+
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", write_cfg(tmp_path, cfg), "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "trace.csv").read_text() == trace.serialize(preamble)
+    lines = [line for line in (out / "connection.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [rec[0] for rec in trace if rec[2] == "conn" and rec[7]]
+    assert not any("deadline" in line for line in lines)
+
+
 def test_package_version_is_the_artifact_version():
     pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
     with open(pyproject, encoding="utf-8") as fp:

@@ -7,8 +7,10 @@ import pytest
 
 from rrrt.errors import NoRoute, UnknownLink, UnknownTarget
 from rrrt.kernel import Simulator
+from rrrt.metrics import audit_trace
+from rrrt.nodes import NetworkRuntime
 from rrrt.topology import CaModel, Link, Topology, grid_positions
-from util import chain_network, data_packet
+from util import FIXED_CA, chain_network, data_packet
 
 
 def small_chain_topo():
@@ -114,6 +116,32 @@ def test_crash_cutoff_semantics_in_simulation():
     assert [pid for pid, _, _ in catcher.got] == [early.pid]
     drops = {r[3]: r[5] for r in sim.trace if r[2] == "drop"}
     assert drops == {caught.pid: "fault", late.pid: "no_route"}
+
+
+def no_route_rows(fault):
+    """The trace of a packet generated at a node with no link and forwarded
+    towards another node. With `fault`, a link the packet never meets is
+    crashed first, so the hop asks `next_hop` instead of the hop table."""
+    links = [Link("a", "b", 10.0, 1e6, 100.0), Link("b", "a", 10.0, 1e6, 100.0)]
+    topo = Topology(["a", "b", "lone"], links, FIXED_CA)
+    topo.build_routes()
+    sim = Simulator(1)
+    runtime = NetworkRuntime(sim, topo, packet_len=1000.0, ctl_len=200.0,
+                             buffer_capacity=5, epoch_len=0.1)
+    if fault:
+        runtime.inject_fault(("b", "a"), 0.0, "crash")
+    pkt = data_packet(sim, "lone", "b")
+    sim.trace.log(0.0, "lone", "generate", pkt.pid)
+    runtime.forward_data("lone", pkt)
+    sim.run_until(1.0)
+    audit_trace(sim.trace)
+    return list(sim.trace)
+
+
+def test_a_node_without_a_route_drops_the_packet_on_either_path():
+    rows = no_route_rows(fault=False)
+    assert rows[1] == (0.0, "lone", "drop", 1, -1, "no_route", None, "")
+    assert len(rows) == 2 and no_route_rows(fault=True) == rows
 
 
 def test_grid_positions_fit_inside_radius():

@@ -50,7 +50,7 @@ def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, los
     runtime = NetworkRuntime(sim, topo, packet_len=1000.0, ctl_len=200.0,
                              buffer_capacity=capacity, epoch_len=0.1)
     catcher = Catcher(runtime, names[-1])
-    runtime.attach_app(names[-1], catcher)
+    runtime.apps[names[-1]] = catcher
     return sim, runtime, names, catcher
 
 
