@@ -1,7 +1,8 @@
 """Command-line entry point: run, sweep, replay, validate.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 I/O failure,
-4 runtime invariant violation, 1 anything else.
+4 runtime invariant violation. Any other error is not caught and exits with
+Python's own status for an uncaught exception, 1, after its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
 from .scenario import SweepSpec, parse_scenario, parse_value, scenario_hash, set_param
 
 EXIT_OK = 0
-EXIT_OTHER = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
@@ -115,21 +115,19 @@ def main(argv=None) -> int:
             _print_summary(report.to_dict(), args.format)
             return EXIT_OK
 
-        if args.command == "sweep":
-            if args.reps is not None:
-                set_param(cfg, "sim.repetitions", args.reps)
-            values = [parse_value(v) for v in args.values.split(",")]
-            rows = sweep(cfg, SweepSpec(args.param, values))
-            text = sweep_csv(rows, {"artifact_version": ARTIFACT_VERSION,
-                                    "scenario_hash": scenario_hash(cfg),
-                                    "seed": cfg.sim.seed})
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                _write(os.path.join(args.out, "sweep.csv"), text)
-            print(text, end="")
-            return EXIT_OK
-
-        return EXIT_OTHER
+        # sweep: argparse admits no other command
+        if args.reps is not None:
+            set_param(cfg, "sim.repetitions", args.reps)
+        values = [parse_value(v) for v in args.values.split(",")]
+        rows = sweep(cfg, SweepSpec(args.param, values))
+        text = sweep_csv(rows, {"artifact_version": ARTIFACT_VERSION,
+                                "scenario_hash": scenario_hash(cfg),
+                                "seed": cfg.sim.seed})
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            _write(os.path.join(args.out, "sweep.csv"), text)
+        print(text, end="")
+        return EXIT_OK
     except ScenarioInvalid as exc:
         for violation in exc.violations:
             print(f"validation: {violation}", file=sys.stderr)

@@ -8,8 +8,9 @@ trace.
 The event queue is a heap of tuples `(time, ordinal, kind, target, payload)`;
 the ordinal breaks ties in schedule order. One handler per kind is called as
 `handler(sim, target, payload)`, with `sim.ordinal` set to the ordinal of the
-event being handled. `schedule` returns the entry as its handle, and
-`cancel(handle)` skips the entry when it comes up.
+event being handled. `schedule` returns the ordinal, the one identity an
+event has: an app that supersedes a timer keeps the live one's ordinal and
+ignores the others when they fire.
 
 An event can be moved: `withdraw` takes it off the queue by its ordinal, and
 `restore` queues it, or an event of another kind, under that ordinal, so it
@@ -247,7 +248,6 @@ class Simulator:
         # The ordinal of the event being handled. Between runs it is inf: every
         # event due by `now` has been handled, and none due later has.
         self.ordinal: float = math.inf
-        self._cancelled: set[int] = set()  # ordinals of queued entries that must not fire
         self._handlers: dict[str, Callable[["Simulator", str, Any], None]] = {}
         self._rngs: dict[str, random.Random] = {}
         self._next_pid = 0
@@ -282,14 +282,13 @@ class Simulator:
         stay readable, but run_until cannot dispatch again."""
         self._handlers.clear()
 
-    def schedule(self, time: float, kind: str, target: str, payload: Any = None) -> tuple:
-        """Queue an event and return its heap entry, the handle cancel() takes."""
+    def schedule(self, time: float, kind: str, target: str, payload: Any = None) -> int:
+        """Queue an event and return its ordinal."""
         if time < self.now:
             raise PastTime(f"event at t={time} before clock t={self.now}")
         self._ordinal += 1
-        entry = (time, self._ordinal, kind, target, payload)
-        heappush(self._heap, entry)
-        return entry
+        heappush(self._heap, (time, self._ordinal, kind, target, payload))
+        return self._ordinal
 
     def restore(self, time: float, ordinal: int, kind: str, target: str, payload: Any) -> None:
         """Queue an event under the ordinal of one withdrawn or being handled,
@@ -308,24 +307,12 @@ class Simulator:
             heapify(heap)
         return taken
 
-    def cancel(self, handle: tuple) -> None:
-        """Keep the event `handle` from firing; a no-op once it has come up.
-        Entries come up in increasing (time, ordinal) order, none before the
-        clock, so only a handle due exactly now needs the queue searched."""
-        time, ordinal = handle[0], handle[1]
-        if time > self.now or (time == self.now and any(entry is handle for entry in self._heap)):
-            self._cancelled.add(ordinal)
-
     def run_until(self, t_end: float) -> SimulationTrace:
         """Process every event with time <= t_end in (time, ordinal) order."""
         heap = self._heap
         handlers = self._handlers
-        cancelled = self._cancelled
         while heap and heap[0][0] <= t_end:
             time, ordinal, kind, target, payload = heappop(heap)
-            if cancelled and ordinal in cancelled:
-                cancelled.discard(ordinal)
-                continue
             self.now = time
             self.ordinal = ordinal
             handlers[kind](self, target, payload)
@@ -336,7 +323,5 @@ class Simulator:
 
     def pending_events(self) -> Iterator[tuple]:
         """(kind, target, payload) of each event still queued, in firing order."""
-        cancelled = self._cancelled
-        for _, ordinal, kind, target, payload in sorted(self._heap):
-            if ordinal not in cancelled:
-                yield kind, target, payload
+        for _, _, kind, target, payload in sorted(self._heap):
+            yield kind, target, payload

@@ -13,7 +13,8 @@ generator and a naive fixed-rate sender for comparisons.
 The runtime handles the kernel's event kinds `dep`, `arr`, `ctl_arr` and
 `bcast_arr`, and `app`: an app timer whose payload is its tag (`gen`,
 `interval`, `pace`, ...), passed to the node's app as `on_event(sim, tag)`
-unless the node has crashed. A source cancels its next `gen` by its handle.
+unless the node has crashed. A source keeps the ordinal of its live `gen`
+timer; one superseded by a broadcast's re-dither fires and does nothing.
 
 A data copy's departure and arrival times are known on admission (`busy_until`
 is the FIFO server's recursion), and the copy takes one ordinal then, which
@@ -138,7 +139,7 @@ class NetworkRuntime:
         if lost or self.topo.has_faults:
             sim.schedule(departs, "dep", node, (pkt, link.dst, copy, arrives, lost))
             return
-        entry = (departs, sim.schedule(arrives, "arr", link.dst, (pkt, copy))[1])
+        entry = (departs, sim.schedule(arrives, "arr", link.dst, (pkt, copy)))
         if buf.due is None:
             buf.due = [entry]
         else:
@@ -300,7 +301,7 @@ class SensorSource:
         self.sink = sink
         self.f = f_init
         self.rng = runtime.sim.rng(f"src:{node}")
-        self._gen_handle = None
+        self._gen_ordinal = None
 
     def start(self, now: float) -> None:
         self._dither(now)
@@ -308,22 +309,22 @@ class SensorSource:
     def _dither(self, now: float) -> None:
         """Arm the next report at a uniformly drawn phase of one period."""
         delay = self.rng.random() * (1.0 / self.f)
-        self._gen_handle = self.runtime.sim.schedule(now + delay, "app", self.node, "gen")
+        self._gen_ordinal = self.runtime.sim.schedule(now + delay, "app", self.node, "gen")
 
     def on_event(self, sim: Simulator, tag: str) -> None:
+        if sim.ordinal != self._gen_ordinal:
+            return  # superseded by a re-dither
         now = sim.now
         node = self.node
         pid = sim.new_pid()
         sim.trace.append_row((now, node, "generate", pid, -1, "", None, ""))
         self.runtime.forward_data(node, Packet(pid, "data", node, self.sink, now))
-        self._gen_handle = sim.schedule(now + 1.0 / self.f, "app", node, "gen")
+        self._gen_ordinal = sim.schedule(now + 1.0 / self.f, "app", node, "gen")
 
     def on_frequency(self, f_new: float, now: float) -> None:
         # Re-dither on every broadcast, not only on changes: keeps the field
         # desynchronized so per-interval counts do not beat quasi-periodically.
         self.f = f_new
-        if self._gen_handle is not None:
-            self.runtime.sim.cancel(self._gen_handle)
         self._dither(now)
 
 
@@ -419,7 +420,7 @@ class TransportSenderApp:
         self.last_fb_arrival = 0.0  # the last feedback's arrival, or start() before one
         self.retx_count = 0
         self.deadline_logged = False
-        self._pace_handle = None
+        self._pace_ordinal = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -441,7 +442,7 @@ class TransportSenderApp:
 
     def on_event(self, sim: Simulator, tag: str) -> None:
         if tag == "pace":
-            self._pace_handle = None
+            self._pace_ordinal = None
             self._pace(sim.now)
         elif tag == "watchdog":
             self._watchdog(sim.now)
@@ -493,8 +494,8 @@ class TransportSenderApp:
                 and (bool(self.retx_queue) or self.next_new <= self.total))
 
     def _ensure_pacing(self, now: float) -> None:
-        if self._pace_handle is None and self._can_send():
-            self._pace_handle = self.runtime.sim.schedule(now, "app", self.node, "pace")
+        if self._pace_ordinal is None and self._can_send():
+            self._pace_ordinal = self.runtime.sim.schedule(now, "app", self.node, "pace")
 
     # -- data path --------------------------------------------------------------
 
@@ -513,8 +514,8 @@ class TransportSenderApp:
             self.deadline_logged = True
             self.runtime.sim.trace.log(now, self.node, "conn", -1, -1, "deadline_expired")
         self._send_one(now)
-        self._pace_handle = self.runtime.sim.schedule(now + 1.0 / state.r_c, "app", self.node,
-                                                      "pace")
+        self._pace_ordinal = self.runtime.sim.schedule(now + 1.0 / state.r_c, "app", self.node,
+                                                       "pace")
 
     def _send_one(self, now: float) -> None:
         sim = self.runtime.sim

@@ -211,8 +211,8 @@ def read_rows_oracle(text: str):
 def audit_trace_oracle(trace) -> dict:
     """The checks of metrics.audit_trace, made over the whole trace: every
     send, receive and drop row of a copy is kept until the walk over the rows
-    ends, and then each sent copy is checked against them in send order.
-    Raises InvariantViolation with the message of the first check that fails,
+    ends, and then each sent copy is checked against them in send order; a
+    drop row of a copy not yet sent is rejected where it is read. Raises InvariantViolation with the message of the first check that fails,
     as metrics.audit_trace does on a trace with one defect, and otherwise
     returns the same counts."""
     last_time = -1.0
@@ -242,6 +242,8 @@ def audit_trace_oracle(trace) -> dict:
             if copy >= 0:
                 if copy in copy_drops:
                     raise InvariantViolation(f"copy {copy} dropped twice")
+                if copy not in sends:
+                    raise InvariantViolation(f"copy {copy} dropped before it was sent")
                 copy_drops[copy] = rec
             if pid >= 0:
                 dropped_pids.add(pid)

@@ -1,5 +1,5 @@
 """Reliability indicator, condition classification, the frequency update law,
-interval accounting and the delay budget."""
+interval accounting, the delay budget, and a source's answer to a broadcast."""
 
 import math
 import random
@@ -10,9 +10,12 @@ from rrrt.controller import (IntervalRow, IntervalStats, NetworkCondition,
                              ReliabilityController, check_delay_budget, classify_condition,
                              record_packet_arrival, reliability_indicator, update_frequency)
 from rrrt.errors import InconsistentStats, InvalidTarget
+from rrrt.kernel import Simulator
+from rrrt.nodes import SensorSource
 from rrrt.packet import Packet
 from rrrt.scenario import BudgetCfg, ControllerCfg
 from oracles import condition_table
+from util import chain_network
 
 
 def ctl_cfg(dr_d=100, t_sa=1.0, beta=0.05, f_min=1e-9, f_cap=1e9):
@@ -303,3 +306,28 @@ def test_one_increase_step_lands_in_band_in_linear_regime():
         _, _, cond2 = linear_field_step(f1, n, dr_d, 1.0, 0.05, 1e-9, 1e9)
         assert cond2 == "AdequateRelNoCong", (n, dr_d, f, f1)
         checked += 1
+
+
+# -- a source under frequency broadcasts ---------------------------------------------
+
+def test_two_broadcasts_before_a_report_leave_one_report_at_the_last_phase():
+    """Each broadcast re-dithers the source's next report. The timers it
+    supersedes still come due, but write nothing, so the only report before
+    the next period is at the phase the last broadcast drew."""
+    sim, runtime, (src, sink), _ = chain_network(services=(100.0,))
+    runtime.children[sink] = [src]
+    source = runtime.apps[src] = SensorSource(runtime, src, sink, f_init=0.1)
+    source.start(0.0)
+    pids = []
+    for f_new in (0.2, 0.1):
+        pids.append(sim.new_pid())
+        runtime.broadcast(sink, Packet(pids[-1], "ctl", sink, "*", 0.0, payload=f_new))
+    sim.run_until(1.0)
+    arrivals = [r[0] for r in sim.trace if r[1] == src and r[2] == "receive" and r[3] in pids]
+    assert len(arrivals) == 2 and arrivals[0] == arrivals[1]
+    reached = arrivals[0]
+    draws = Simulator(1).rng(f"src:{src}")
+    first, _, last = (draws.random() * period for period in (10.0, 5.0, 10.0))
+    assert reached < first and 0.0 < last  # both came before the first report was due
+    sim.run_until(reached + 10.0)  # past both superseded timers, before the next report
+    assert [(r[0], r[1]) for r in sim.trace if r[2] == "generate"] == [(reached + last, src)]

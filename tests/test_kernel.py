@@ -100,12 +100,12 @@ def test_withdraw_and_restore_take_events_off_and_back_by_ordinal():
     early = sim._ordinal
     late = sim.schedule(1.0, "tick", "node", "late")
     gone = sim.schedule(1.5, "tick", "node", "gone")
-    assert sim.withdraw({gone[1], 99}) == [gone]
-    assert sim.withdraw({gone[1]}) == []
+    assert sim.withdraw({gone, 99}) == [(1.5, gone, "tick", "node", "gone")]
+    assert sim.withdraw({gone}) == []
     sim.restore(1.0, early, "tick", "node", "early")
     assert [p for _, _, p in sim.pending_events()] == ["early", "late"]
     sim.run_until(2.0)
-    assert [p for _, _, p in fired] == ["early", "late"] and late[1] == early + 1
+    assert [p for _, _, p in fired] == ["early", "late"] and late == early + 1
     with pytest.raises(PastTime):
         sim.restore(1.5, early, "tick", "node", "past")
 
@@ -118,82 +118,33 @@ def test_an_event_restored_under_a_withdrawn_ordinal_fires_in_its_place():
     sim.schedule(1.0, "tick", "node", "before")
     swapped = sim.schedule(1.0, "tick", "node", "swapped")
     sim.schedule(1.0, "tick", "node", "after")
-    [entry] = sim.withdraw({swapped[1]})
+    [entry] = sim.withdraw({swapped})
     sim.restore(entry[0], entry[1], "tock", "node", "restored")
     sim.run_until(1.0)
     assert fired == [(1.0, "tick", "before"), (1.0, "tock", "restored"),
                      (1.0, "tick", "after")]
 
 
-def test_cancelled_event_does_not_fire():
-    sim, fired = make_sim()
-    sim.schedule(1.0, "tick", "node", "keep")
-    drop = sim.schedule(2.0, "tick", "node", "drop")
-    sim.cancel(drop)
-    assert [p for _, _, p in sim.pending_events()] == ["keep"]
-    sim.run_until(5.0)
-    assert [p for _, _, p in fired] == ["keep"]
-
-
-def test_cancelling_a_fired_or_cancelled_handle_leaves_no_trace():
-    """A stale handle is a no-op: nothing is left in the cancel set, so no
-    later event pays a lookup and no ordinal leaks."""
-    sim, fired = make_sim()
-    done = sim.schedule(1.0, "tick", "node", "done")
-    twice = sim.schedule(2.0, "tick", "node", "twice")
-    sim.run_until(1.0)
-    sim.cancel(done)  # came up at the clock's own time
-    assert sim._cancelled == set()
-    sim.cancel(twice)
-    sim.cancel(twice)
-    sim.run_until(3.0)
-    assert sim._cancelled == set()
-    sim.cancel(done)  # now before the clock
-    sim.cancel(twice)  # skipped when it came up
-    assert sim._cancelled == set()
-    assert [p for _, _, p in fired] == ["done"]
-
-
-def test_a_handler_cancels_a_later_event_at_its_own_time():
-    sim = Simulator(1)
-    fired, handles = [], {}
-
-    def record(s, target, payload):
-        fired.append(payload)
-        if payload == "first":
-            s.cancel(handles["third"])  # queued at the same time, later ordinal
-            s.cancel(handles["first"])  # its own handle: already come up
-
-    sim.register("tick", record)
-    for tag in ("first", "second", "third"):
-        handles[tag] = sim.schedule(1.0, "tick", "node", tag)
-    sim.run_until(1.0)
-    assert fired == ["first", "second"]
-    assert sim._cancelled == set()
-
-
 # -- model-based check of the event queue ------------------------------------
 #
-# A random program of schedule / cancel / run_until steps runs on the kernel
-# and on a reference that keeps its queue as a plain list and takes the
-# smallest (time, order) each time. Fired events may schedule a child event or
-# cancel an earlier handle, so scheduling and cancelling at the clock's own
-# time are covered. Times come from a coarse grid, so ties are common.
+# A random program of schedule / run_until steps runs on the kernel and on a
+# reference that keeps its queue as a plain list and takes the smallest
+# (time, order) each time. A fired event may schedule a child event, so
+# scheduling at the clock's own time is covered. Times come from a coarse
+# grid, so ties are common.
 
 TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
-ACTIONS = st.one_of(st.none(), st.tuples(st.just("child"), TIMES),
-                    st.tuples(st.just("cancel"), st.integers(0, 30)))
+CHILDREN = st.one_of(st.none(), TIMES)  # the delay of the child a fired event schedules
 STEPS = st.lists(st.one_of(
     st.tuples(st.just("schedule"), st.floats(-1.0, 4.0).map(lambda x: round(x * 4) / 4),
-              ACTIONS),
-    st.tuples(st.just("cancel"), st.integers(0, 30)),
+              CHILDREN),
     st.tuples(st.just("run"), TIMES),
 ), max_size=40)
 
 
 class QueueModel:
-    """The reference: `queue` maps label -> [time, action, cancelled] for every
-    entry still queued; labels count successful schedules."""
+    """The reference: `queue` maps label -> (time, child) for every entry
+    still queued; labels count successful schedules."""
 
     def __init__(self):
         self.now = 0.0
@@ -201,40 +152,26 @@ class QueueModel:
         self.labels = 0
         self.fired = []
 
-    def schedule(self, time, action):
+    def schedule(self, time, child):
         if time < self.now:
             return None
         label = self.labels
         self.labels += 1
-        self.queue[label] = [time, action, False]
+        self.queue[label] = (time, child)
         return label
-
-    def cancel(self, label):
-        if label in self.queue:
-            self.queue[label][2] = True
 
     def run_until(self, t_end):
         while self.queue:
             label = min(self.queue, key=lambda lab: (self.queue[lab][0], lab))
-            time, action, cancelled = self.queue[label]
+            time, child = self.queue[label]
             if time > t_end:
                 break
             del self.queue[label]
-            if cancelled:
-                continue
             self.now = time
             self.fired.append((time, label))
-            self.act(action)
+            if child is not None:
+                self.schedule(self.now + child, None)
         self.now = max(self.now, t_end)
-
-    def act(self, action):
-        if action is None:
-            return
-        what, arg = action
-        if what == "child":
-            self.schedule(self.now + arg, None)
-        elif self.labels:
-            self.cancel(arg % self.labels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,46 +179,35 @@ class QueueModel:
 def test_event_queue_matches_a_sorted_list_model(steps):
     model = QueueModel()
     sim = Simulator(1)
-    handles, fired = [], []
+    ordinals, fired = [], []
 
     def act(s, target, payload):
-        label, action = payload
-        assert s.ordinal == handles[label][1]  # the ordinal of the event being handled
+        label, child = payload
+        assert s.ordinal == ordinals[label]  # the ordinal of the event being handled
         fired.append((s.now, label))
-        if action is None:
-            return
-        what, arg = action
-        if what == "child":
-            handles.append(s.schedule(s.now + arg, "ev", "n", (len(handles), None)))
-        elif handles:
-            s.cancel(handles[arg % len(handles)])
+        if child is not None:
+            ordinals.append(s.schedule(s.now + child, "ev", "n", (len(ordinals), None)))
 
     sim.register("ev", act)
     for step in steps:
         if step[0] == "schedule":
-            _, time, action = step
-            if model.schedule(time, action) is None:
+            _, time, child = step
+            if model.schedule(time, child) is None:
                 with pytest.raises(PastTime):
-                    sim.schedule(time, "ev", "n", (len(handles), action))
+                    sim.schedule(time, "ev", "n", (len(ordinals), child))
             else:
-                handles.append(sim.schedule(time, "ev", "n", (len(handles), action)))
-        elif step[0] == "cancel":
-            if handles:
-                model.cancel(step[1] % len(handles))
-                sim.cancel(handles[step[1] % len(handles)])
+                ordinals.append(sim.schedule(time, "ev", "n", (len(ordinals), child)))
         else:
             t_end = sim.now + step[1]
             model.run_until(t_end)
             sim.run_until(t_end)
-        assert len(handles) == model.labels
+        assert len(ordinals) == model.labels
         assert fired == model.fired
         assert sim.now == model.now
         assert sim.ordinal == math.inf  # between runs, after every event due by now
-        expected = sorted((time, label) for label, (time, _, cancelled) in model.queue.items()
-                          if not cancelled)
         assert [payload[0] for _, _, payload in sim.pending_events()] == \
-            [label for _, label in expected]
-        assert len(sim._cancelled) == sum(entry[2] for entry in model.queue.values())
+            [label for _, label in sorted((time, label) for label, (time, _)
+                                          in model.queue.items())]
 
 
 def test_rng_streams_are_reproducible_and_independent():

@@ -268,6 +268,34 @@ def drop_before_its_receive():
 
 
 @defect
+def receive_with_another_pid_before_its_send():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "b", "receive", 2, 1)  # copy 1 is then sent as pid 1
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    return trace
+
+
+@defect
+def early_drop_before_an_early_receive():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "drop", 1, 1, "loss")
+    trace.log(0.1, "b", "receive", 1, 1)
+    trace.log(0.1, "a", "send", 1, 1, "", 0.5)
+    return trace
+
+
+@defect
+def drop_before_its_send():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "drop", 1, 1, "loss")
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    return trace
+
+
+@defect
 def copy_received_but_never_sent():
     trace = ok_trace()
     trace.log(0.7, "c", "receive", 1, 2)

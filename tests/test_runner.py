@@ -10,7 +10,7 @@ import pytest
 import rrrt
 from rrrt import runner
 from rrrt.cli import main
-from rrrt.errors import Corrupt
+from rrrt.errors import Corrupt, InvariantViolation
 from rrrt.kernel import SimulationTrace, Simulator, format_preamble
 from rrrt.metrics import audit_trace
 from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
@@ -227,6 +227,17 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
 
 def test_cli_missing_file_is_io_error(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "absent.cfg")]) == 3
+
+
+def test_cli_run_whose_audit_fails_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def failing_audit(trace):
+        raise InvariantViolation("copy 1 vanished (no receive/drop/pending)")
+
+    monkeypatch.setattr(runner, "audit_trace", failing_audit)
+    assert main(["run", "--scenario", write_cfg(tmp_path, small_field_cfg())]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: copy 1 vanished (no receive/drop/pending)\n"
 
 
 @pytest.mark.parametrize("argv,message", [

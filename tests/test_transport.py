@@ -1,5 +1,6 @@
 """Rate-control state machine, probing, SACK engine, and their sim-level contracts."""
 
+import copy
 import os
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from rrrt import transport as tp
 from rrrt.errors import DeadlineExpired, DegenerateProbe, StaleFeedback
 from rrrt.packet import Packet
-from rrrt.runner import build_transport, run_experiment
+from rrrt.metrics import audit_trace
+from rrrt.runner import build_transport, replay_text, run_experiment, run_traced
 from rrrt.scenario import ScenarioConfig, parse_scenario
 from oracles import build_sack_oracle, on_sack_oracle, sack_holes_oracle
 
@@ -445,3 +447,62 @@ def test_receiver_periodic_feedback_cadence():
     assert len(sends) >= 18  # one per t_fdbk=0.5 over 10 s, plus the probe response
     gaps = [b - a for a, b in zip(sends, sends[1:])]
     assert max(gaps) <= cfg.transport.t_fdbk + 1e-6
+
+
+# -- sender branches a normal transfer rarely takes ------------------------------------------
+
+def lossy_sender_with_retransmissions_queued():
+    """The lossy transfer run until the sender has sequences waiting in retx_queue."""
+    cfg = parse_scenario(os.path.join(SCENARIO_DIR, "transport_lossy.cfg"))
+    harness = build_transport(cfg, 1)
+    sender = harness.sender
+    while not sender.retx_queue:
+        harness.sim.run_until(harness.sim.now + 0.05)
+        assert harness.sim.now < cfg.sim.horizon
+    return harness, sender
+
+
+def feedback_packet(sender, fb, sack):
+    return Packet(pid=0, flow="ctl", src=sender.peer, dst=sender.node,
+                  gen_time=fb.issued_at, payload=(fb, sack))
+
+
+def test_stale_feedback_leaves_the_sender_unchanged():
+    """A feedback issued no later than the last one applied changes neither the
+    rate state nor the retransmission queue, and logs no conn row, even when
+    its SACK would ack every sequence sent."""
+    harness, sender = lossy_sender_with_retransmissions_queued()
+    sim = harness.sim
+    state = copy.copy(sender.state)
+    queue, buffered, rows = list(sender.retx_queue), dict(sender.retx_buffer), len(sim.trace)
+    stale = tp.RateFeedback(r_f=state.r_c * 2, hop_count=1, issued_at=state.last_feedback_issued)
+    sender.on_control(feedback_packet(sender, stale, tp.SackInfo(sender.next_new - 1, [])),
+                      sim.now)
+    assert sender.state == state
+    assert list(sender.retx_queue) == queue and sender.retx_buffer == buffered
+    assert len(sim.trace) == rows
+
+
+def test_a_sequence_acked_while_queued_is_not_retransmitted():
+    """A SACK that acks a sequence waiting in retx_queue leaves it queued, and the
+    next pace tick drops it without a send or a retransmission count."""
+    harness, sender = lossy_sender_with_retransmissions_queued()
+    sim = harness.sim
+    seq = sender.retx_queue[0]
+    fresh = tp.RateFeedback(r_f=sender.state.r_c, hop_count=sender.state.m, issued_at=sim.now)
+    sender.on_control(feedback_packet(sender, fresh, tp.SackInfo(sender.next_new - 1, [])),
+                      sim.now)
+    assert sender.retx_queue[0] == seq and seq not in sender.retx_buffer
+    retx_count, rows = sender.retx_count, len(sim.trace)
+    sender.on_event(sim, "pace")
+    assert seq not in sender.queued and seq not in sender.retx_queue
+    assert sender.retx_count == retx_count
+    assert len(sim.trace) == rows
+
+
+def test_a_fixed_sender_with_no_goal_sends_nothing():
+    cfg = transport_cfg(transport__sender="fixed", transport__goal_packets=0, sim__horizon=5.0)
+    report, trace, preamble = run_traced(cfg, 1)  # audits the trace
+    assert not [r for r in trace if r[2] == "generate"]
+    assert audit_trace(trace)["generated"] == 0
+    assert replay_text(trace.serialize(preamble)) == report
