@@ -102,15 +102,24 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
     )
 
 
+# The kinds of row that must follow their copy's send, by the word their
+# messages use.
+_LOGGED = {"receive": "received", "drop": "dropped", "pending": "pending"}
+
+
 def audit_trace(records: Iterable[tuple]) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
     Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
     receive or drop, or accounted as pending at the horizon; at most one
-    receive and one drop; every row of a copy carries the pid of its send);
-    strict per-hop causality; packet conservation (every generated pid is
-    delivered, dropped, or pending, exactly one category); unique delivery per
-    pid, and only of a pid generated earlier.
+    receive and one drop; no pending row after the receive); strict per-hop
+    causality; packet conservation (every generated pid is delivered,
+    dropped, or pending, exactly one category); unique delivery per pid, and
+    only of a pid generated earlier.
+
+    One rule holds every copy row to its send: a receive, drop or pending row
+    that names a copy must come after that copy's send row and carry the
+    send's pid. It is checked where the row is read.
 
     Conservation is checked by `unaccounted` alone: a delivered pid was
     generated, so once no generated pid is left out of delivered, pending and
@@ -118,18 +127,18 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     pending, then dropped, with no pid in two of them.
 
     `records` is any iterable of rows, such as a `SimulationTrace`, walked
-    once. No row is kept: a copy's checks run as soon as its rows allow, and
-    per copy only plain values stay, its pid for the rows that may follow and
-    its send time and sampled hop delay until it is received.
+    once. No row is kept. Per copy the audit keeps only what a later row can
+    contradict: the pid of its send (`sent`), its send time and sampled hop
+    delay until it is received (`flight`), the time of its drop (`dropped`),
+    and whether a pending row named it (`pending_copies`). A dropped copy
+    still in flight at the end is one that was dropped and never received.
     """
     last_time = -1.0
     sent: dict[int, int] = {}  # copy -> pid of its send row
-    flight: dict[int, float] = {}  # copy -> time of its send row, until it is received
-    sampled: dict[int, float] = {}  # copy -> hop delay its send row sampled, until it is received
-    received: set[int] = set()
+    flight: dict[int, tuple] = {}  # copy -> (send time, sampled hop delay), until it is received
     dropped: dict[int, float] = {}  # copy -> time of its drop row
-    early: dict[int, int] = {}  # copy received before its send -> the pid of the receive
-    pending_copies: dict[int, int] = {}  # copy -> pid of its last pending row
+    pending_copies: set[int] = set()
+    copies_received = 0
     generated: set[int] = set()
     delivered: set[int] = set()
     pending_pids: set[int] = set()
@@ -145,49 +154,42 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                 if copy in sent:
                     raise InvariantViolation(f"copy {copy} sent twice")
                 sent[copy] = pid
-                flight[copy] = time
-                if value is not None:  # send records carry the sampled hop delay in `value`
-                    sampled[copy] = value
-                if copy in early:  # received at or before this send
-                    if early.pop(copy) != pid:
-                        raise _other_pid(copy, pid)
-                    raise InvariantViolation(f"copy {copy} arrived without positive delay")
-        elif kind == "receive":
-            if copy >= 0:
-                if copy in received:
-                    raise InvariantViolation(f"copy {copy} received twice")
-                received.add(copy)
-                sender = sent.get(copy)
+                flight[copy] = (time, value)  # send records carry the sampled hop delay in `value`
+            continue
+        if copy >= 0 and kind in _LOGGED:  # after the copy's send, with its pid
+            sender = sent.get(copy)
+            if sender != pid:
                 if sender is None:
-                    early[copy] = pid
-                    continue
-                if pid != sender:
-                    raise _other_pid(copy, sender)
+                    raise InvariantViolation(f"copy {copy} {_LOGGED[kind]} before it was sent")
+                raise InvariantViolation(f"copy {copy} sent with pid {sender} but logged with another pid")
+            if kind == "receive":
+                sending = flight.pop(copy, None)
+                if sending is None:
+                    raise InvariantViolation(f"copy {copy} received twice")
+                send_time, expected = sending
                 lost = dropped.get(copy)
                 if lost is not None and lost < time:
                     raise InvariantViolation(f"copy {copy} dropped before it was received")
-                delay = time - flight.pop(copy)
+                delay = time - send_time
                 if delay <= 0:
                     raise InvariantViolation(f"copy {copy} arrived without positive delay")
-                expected = sampled.pop(copy, None)
                 if expected is not None and abs(delay - expected) > 1e-9:
                     raise InvariantViolation(
                         f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
-        elif kind == "drop":
-            if copy >= 0:
+                copies_received += 1
+                continue
+            if kind == "drop":
                 if copy in dropped:
                     raise InvariantViolation(f"copy {copy} dropped twice")
                 dropped[copy] = time
-                sender = sent.get(copy)
-                if sender is None:
-                    raise InvariantViolation(f"copy {copy} dropped before it was sent")
-                if pid != sender:
-                    raise _other_pid(copy, sender)
+            elif copy in flight:
+                pending_copies.add(copy)
+            else:
+                raise InvariantViolation(f"copy {copy} pending after it was received")
+        if kind == "drop":
             if pid >= 0:
                 dropped_pids.add(pid)
         elif kind == "pending":
-            if copy >= 0:
-                pending_copies[copy] = pid
             if pid >= 0:
                 pending_pids.add(pid)
         elif kind == "generate":
@@ -199,14 +201,12 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                 raise InvariantViolation(f"pid {pid} delivered but never generated")
             delivered.add(pid)
 
-    for copy, pid in pending_copies.items():
-        if sent.get(copy, pid) != pid:
-            raise _other_pid(copy, sent[copy])
+    copies_dropped = 0
     for copy in flight:  # sent and never received
-        if copy not in dropped and copy not in pending_copies:
+        if copy in dropped:
+            copies_dropped += 1
+        elif copy not in pending_copies:
             raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
-    for copy in early:  # received, and no send followed
-        raise InvariantViolation(f"copy {copy} received but never sent")
 
     unaccounted = generated - delivered - pending_pids - dropped_pids
     if unaccounted:
@@ -219,11 +219,7 @@ def audit_trace(records: Iterable[tuple]) -> dict:
         "dropped": len(dropped_g),
         "pending": len(pending_g),
         "copies_sent": len(sent),
-        "copies_received": len(received),
-        "copies_dropped": len(dropped.keys() - received),
+        "copies_received": copies_received,
+        "copies_dropped": copies_dropped,
         "copies_pending": len(pending_copies),
     }
-
-
-def _other_pid(copy: int, pid: int) -> InvariantViolation:
-    return InvariantViolation(f"copy {copy} sent with pid {pid} but logged with another pid")

@@ -5,7 +5,11 @@ per-hop delay, link loss, fault handling) and the control plane (unbuffered
 probe/feedback forwarding, frequency-broadcast flooding down the reverse
 route tree). Each node's `NodeBuffer` is its egress queue, its CN flag and
 its radio's clock. Data and control hops share one send-side step (`_route`:
-next hop, sender fault, path measurement) and one hop-delay formula.
+next hop, sender fault, path measurement). A hop's delay sums the same
+components (channel access, transmission, propagation) in three places:
+inline in `forward_data`, after the buffering wait; in
+`Topology.sample_channel_delays` for a control hop; and inline in `broadcast`,
+with one channel-access draw for the whole flood.
 Applications sit on top: sensor sources, the sub-sink reliability
 controller, the rate-controlled transport sender/receiver, a cross-traffic
 generator and a naive fixed-rate sender for comparisons.

@@ -188,6 +188,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     violations: list[Validation] = []
     section_name = None
     section_obj = None
+    given: dict[str, int] = {}  # path -> the line that set it
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = (_CODE.match(raw).group() if "#" in raw else raw).strip()
         if not line:
@@ -213,6 +214,10 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         if path not in _FIELD_TYPES:
             violations.append(Validation(path, "unknown key"))
             continue
+        if path in given:
+            violations.append(Validation(path, f"given twice (lines {given[path]} and {lineno})"))
+            continue
+        given[path] = lineno
         try:
             setattr(section_obj, key, _typed(path, parse_value(value_text)))
         except ScenarioInvalid as exc:

@@ -210,16 +210,18 @@ def read_rows_oracle(text: str):
 
 def audit_trace_oracle(trace) -> dict:
     """The checks of metrics.audit_trace, made over the whole trace: every
-    send, receive and drop row of a copy is kept until the walk over the rows
-    ends, and then each sent copy is checked against them in send order; a
-    drop row of a copy not yet sent is rejected where it is read. Raises InvariantViolation with the message of the first check that fails,
-    as metrics.audit_trace does on a trace with one defect, and otherwise
-    returns the same counts."""
+    send, receive and drop row of a copy, and the pids of its pending rows,
+    are kept until the walk over the rows ends, and then each sent copy is
+    checked against them in send order. Where a row is read, a receive, drop
+    or pending row of a copy not yet sent is rejected, and so is a pending row
+    of a copy already received. Raises InvariantViolation with the message of
+    the first check that fails, as metrics.audit_trace does on a trace with
+    one defect, and otherwise returns the same counts."""
     last_time = -1.0
     sends: dict[int, tuple] = {}
     receives: dict[int, tuple] = {}
     copy_drops: dict[int, tuple] = {}
-    pending_copies: dict[int, int] = {}
+    pending_copies: dict[int, set[int]] = {}
     generated: set[int] = set()
     delivered: set[int] = set()
     pending_pids: set[int] = set()
@@ -235,21 +237,27 @@ def audit_trace_oracle(trace) -> dict:
                 raise InvariantViolation(f"copy {copy} sent twice")
             sends[copy] = rec
         elif kind == "receive" and copy >= 0:
+            if copy not in sends:
+                raise InvariantViolation(f"copy {copy} received before it was sent")
             if copy in receives:
                 raise InvariantViolation(f"copy {copy} received twice")
             receives[copy] = rec
         elif kind == "drop":
             if copy >= 0:
-                if copy in copy_drops:
-                    raise InvariantViolation(f"copy {copy} dropped twice")
                 if copy not in sends:
                     raise InvariantViolation(f"copy {copy} dropped before it was sent")
+                if copy in copy_drops:
+                    raise InvariantViolation(f"copy {copy} dropped twice")
                 copy_drops[copy] = rec
             if pid >= 0:
                 dropped_pids.add(pid)
         elif kind == "pending":
             if copy >= 0:
-                pending_copies[copy] = pid
+                if copy not in sends:
+                    raise InvariantViolation(f"copy {copy} pending before it was sent")
+                if copy in receives:
+                    raise InvariantViolation(f"copy {copy} pending after it was received")
+                pending_copies.setdefault(copy, set()).add(pid)
             if pid >= 0:
                 pending_pids.add(pid)
         elif kind == "generate":
@@ -266,7 +274,7 @@ def audit_trace_oracle(trace) -> dict:
         got = receives.get(copy)
         lost = copy_drops.get(copy)
         if ((got is not None and got[3] != pid) or (lost is not None and lost[3] != pid)
-                or pending_copies.get(copy, pid) != pid):
+                or pending_copies.get(copy, {pid}) != {pid}):
             raise InvariantViolation(
                 f"copy {copy} sent with pid {pid} but logged with another pid")
         if got and lost and lost[0] < got[0]:
@@ -281,9 +289,6 @@ def audit_trace_oracle(trace) -> dict:
             if expected is not None and abs(delay - expected) > 1e-9:
                 raise InvariantViolation(
                     f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
-    for copy in receives:
-        if copy not in sends:
-            raise InvariantViolation(f"copy {copy} received but never sent")
 
     unaccounted = generated - delivered - pending_pids - dropped_pids
     if unaccounted:

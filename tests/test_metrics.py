@@ -302,6 +302,21 @@ def copy_received_but_never_sent():
     return trace
 
 
+@defect
+def pending_of_a_copy_never_sent():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(1.0, "a", "pending", 1, 1, "in_flight")
+    return trace
+
+
+@defect
+def pending_after_its_receive():
+    trace = ok_trace()
+    trace.log(1.0, "b", "pending", 1, 1, "in_flight")
+    return trace
+
+
 def test_audit_rejects_time_regression():
     with pytest.raises(InvariantViolation):
         audit_trace(time_regression())
@@ -341,6 +356,21 @@ def test_audit_rejects_wrong_hop_delay():
 def test_audit_rejects_a_copy_logged_with_another_pid(kind):
     with pytest.raises(InvariantViolation, match="sent with pid 1 but logged with another pid"):
         audit_trace(copy_logged_with_another_pid(kind))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("copy_received_but_never_sent", "copy 2 received before it was sent"),
+    ("receive_before_its_send", "copy 1 received before it was sent"),
+    ("receive_with_another_pid_before_its_send", "copy 1 received before it was sent"),
+    ("drop_before_its_send", "copy 1 dropped before it was sent"),
+    ("pending_of_a_copy_never_sent", "copy 1 pending before it was sent"),
+    ("pending_after_its_receive", "copy 1 pending after it was received"),
+])
+def test_audit_rejects_a_copy_row_out_of_its_lifecycle(name, message):
+    """A receive, drop or pending row comes after its copy's send, and a
+    pending row before its copy's receive."""
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        audit_trace(DEFECTS[name]())
 
 
 def pending_and_drops():

@@ -225,6 +225,16 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert "controller.beta" in err
 
 
+def test_cli_validate_rejects_a_key_given_twice(tmp_path, capsys):
+    text = serialize_scenario(small_field_cfg()) + "\n[sim]\nhorizon = 50.0\n"
+    first = text.split("\n").index(f"horizon = {small_field_cfg().sim.horizon!r}") + 1
+    path = tmp_path / "twice.cfg"
+    path.write_text(text)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    second = text.count("\n")
+    assert f"sim.horizon: given twice (lines {first} and {second})" in capsys.readouterr().err
+
+
 def test_cli_missing_file_is_io_error(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "absent.cfg")]) == 3
 

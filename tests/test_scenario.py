@@ -71,6 +71,22 @@ def test_type_mismatches_are_violations():
     assert {"controller.dr_d", "sim.seed"} <= fields
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[sim]\nhorizon = 5.0\nseed = 3\nhorizon = 50.0\n", "sim.horizon: given twice (lines 2 and 4)"),
+    ("[sim]\nhorizon 5.0\n", "line 2: expected key = value"),
+    ("horizon = 5.0\n[sim]\n", "horizon: key outside any section (line 1)"),
+    ("[controller]\ndr_d = lots\n", "controller.dr_d: expected an integer"),
+])
+def test_a_malformed_line_is_one_violation_that_names_it(text, message):
+    with pytest.raises(ScenarioInvalid) as err:
+        parse_scenario_text(text)
+    assert [str(v) for v in err.value.violations] == [message]
+
+
+def test_a_bare_text_value_is_read_as_that_text():
+    assert parse_scenario_text("[scenario]\nname = field run\n").scenario.name == "field run"
+
+
 def test_round_trip_serialize_parse_equality():
     cfg = ScenarioConfig()
     cfg.scenario.name = "run#2"
