@@ -112,10 +112,11 @@ def audit_trace(records: Iterable[tuple]) -> dict:
 
     Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
     receive or drop, or accounted as pending at the horizon; at most one
-    receive and one drop; no pending row after the receive); strict per-hop
-    causality; packet conservation (every generated pid is delivered,
-    dropped, or pending, exactly one category); unique delivery per pid, and
-    only of a pid generated earlier.
+    receive and one drop; no pending row after the receive, and a drop after
+    it only in the receive's instant); strict per-hop causality; packet
+    conservation (every generated pid is delivered, dropped, or pending,
+    exactly one category); unique delivery per pid, and only of a pid
+    generated earlier.
 
     One rule holds every copy row to its send: a receive, drop or pending row
     that names a copy must come after that copy's send row and carry the
@@ -132,12 +133,14 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     delay until it is received (`flight`), the time of its drop (`dropped`),
     and whether a pending row named it (`pending_copies`). A dropped copy
     still in flight at the end is one that was dropped and never received.
+    Only the copies received at the current time are kept (`received_now`).
     """
     last_time = -1.0
     sent: dict[int, int] = {}  # copy -> pid of its send row
     flight: dict[int, tuple] = {}  # copy -> (send time, sampled hop delay), until it is received
     dropped: dict[int, float] = {}  # copy -> time of its drop row
     pending_copies: set[int] = set()
+    received_now: set[int] = set()
     copies_received = 0
     generated: set[int] = set()
     delivered: set[int] = set()
@@ -149,6 +152,7 @@ def audit_trace(records: Iterable[tuple]) -> dict:
             if time < last_time:
                 raise InvariantViolation(f"trace time went backwards at {time}")
             last_time = time
+            received_now.clear()
         if kind == "send":
             if copy >= 0:
                 if copy in sent:
@@ -177,10 +181,13 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                     raise InvariantViolation(
                         f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
                 copies_received += 1
+                received_now.add(copy)
                 continue
             if kind == "drop":
                 if copy in dropped:
                     raise InvariantViolation(f"copy {copy} dropped twice")
+                if copy not in flight and copy not in received_now:
+                    raise InvariantViolation(f"copy {copy} dropped after it was received")
                 dropped[copy] = time
             elif copy in flight:
                 pending_copies.add(copy)

@@ -5,20 +5,21 @@ per-hop delay, link loss, fault handling) and the control plane (unbuffered
 probe/feedback forwarding, frequency-broadcast flooding down the reverse
 route tree). Each node's `NodeBuffer` is its egress queue, its CN flag and
 its radio's clock. Data and control hops share one send-side step (`_route`:
-next hop, sender fault, path measurement). A hop's delay sums the same
-components (channel access, transmission, propagation) in three places:
-inline in `forward_data`, after the buffering wait; in
-`Topology.sample_channel_delays` for a control hop; and inline in `broadcast`,
-with one channel-access draw for the whole flood.
+next hop, sender fault, path measurement). Every hop of the three planes
+reads its delays and the sender's random stream from one hop record (`_hop`).
+A hop's delay is channel access, transmission and propagation; a data hop
+waits for its buffer first, and a flood draws one channel access.
 Applications sit on top: sensor sources, the sub-sink reliability
 controller, the rate-controlled transport sender/receiver, a cross-traffic
 generator and a naive fixed-rate sender for comparisons.
 
-The runtime handles the kernel's event kinds `dep`, `arr`, `ctl_arr` and
-`bcast_arr`, and `app`: an app timer whose payload is its tag (`gen`,
-`interval`, `pace`, ...), passed to the node's app as `on_event(sim, tag)`
-unless the node has crashed. A source keeps the ordinal of its live `gen`
-timer; one superseded by a broadcast's re-dither fires and does nothing.
+The runtime handles the kernel's event kinds `dep`, `app` and one arrival
+kind per plane (`PLANES`), whose payload is `(pkt, copy)`, copy -1 for a
+broadcast: one step (`_arrival`) handles them all. An `app` event is an app
+timer whose payload is its tag (`gen`, `interval`, `pace`, ...), passed to
+the node's app as `on_event(sim, tag)` unless the node has crashed. A source
+keeps the ordinal of its live `gen` timer; one superseded by a broadcast's
+re-dither fires and does nothing.
 
 A data copy's departure and arrival times are known on admission (`busy_until`
 is the FIFO server's recursion), and the copy takes one ordinal then, which
@@ -32,13 +33,11 @@ probe reads the occupancy, and first in `dep`. `_requeue_departures` swaps the
 queued copies' `arr` for their `dep` at the horizon and on fault injection.
 Both paths order every event the same way, so they write the same trace.
 
-Until `inject_fault` sets `topo.has_faults`, no hop looks up a fault: `_route`
-reads the next hop's link, its data transmission and propagation delays and
-the sender's random stream from a table filled on first use, and the arrival
-handlers log `receive` themselves. The flag is read on every hop, so a fault
-injected mid-run takes effect at once. The rows of every packet (generate,
-send, receive, deliver) are written with `SimulationTrace.append_row`, and
-`settle` is called only while `due` holds a copy.
+Until `inject_fault` sets `topo.has_faults`, no hop or arrival looks up a
+fault. The flag is read on every hop, so a fault injected mid-run takes
+effect at once. The rows of every packet (generate, send, receive, deliver)
+are written with `SimulationTrace.append_row`, and `settle` is called only
+while `due` holds a copy.
 """
 
 from __future__ import annotations
@@ -57,6 +56,11 @@ from .scenario import BudgetCfg
 from .topology import Link, Topology
 
 _TIME_EPS = 1e-12
+Hop = tuple[Link, float, float, float, Random]  # see NetworkRuntime._hop
+
+# arrival kind -> (app method at pkt's destination, runtime method elsewhere)
+PLANES = {"arr": ("on_packet", "forward_data"), "ctl_arr": ("on_control", "forward_control"),
+          "bcast_arr": (None, "_relay_broadcast")}
 
 
 class NetworkRuntime:
@@ -71,17 +75,51 @@ class NetworkRuntime:
         self.buffers = {node: NodeBuffer(buffer_capacity, epoch_len) for node in topo.nodes}
         self.apps: dict[str, object] = {}
         self.children: dict[str, list[str]] = {}
-        self._hops: dict[tuple[str, str], tuple[Link, float, float, Random]] = {}
-        for kind, handler in (("dep", self._on_depart), ("arr", self._on_arrive),
-                              ("ctl_arr", self._on_ctl_arrive),
-                              ("bcast_arr", self._on_broadcast_arrive), ("app", self._on_app)):
-            sim.register(kind, handler)
+        self._hops: dict[tuple[str, str], Hop] = {}
+        sim.register("dep", self._on_depart)
+        sim.register("app", self._on_app)
+        for kind, (deliver, forward) in PLANES.items():
+            sim.register(kind, self._arrival(deliver, forward))
+
+    def _hop(self, node: str, dst: str, next_node: str) -> Hop:
+        """Record `node`'s hop towards `dst` through `next_node`: the link, its data
+        and control transmission delays, its propagation delay and `node`'s stream."""
+        link = self.topo.links[(node, next_node)]
+        hop = self._hops[node, dst] = (link, self.packet_len / link.bit_rate,
+                                       self.ctl_len / link.bit_rate, link.propagation(),
+                                       self.sim.rng(f"node:{node}"))
+        return hop
+
+    def _arrival(self, deliver: Optional[str], forward: str):
+        """The kernel's handler for one plane's arrivals: `node` logs its receive,
+        unless it has crashed; then a faulty node drops the copy, the packet's
+        destination delivers it and any other node forwards it. `forward` is
+        bound now, and each app's `deliver` at its node's first delivery: a
+        getattr per delivery measurably slows the loop."""
+        topo, apps, forward = self.topo, self.apps, getattr(self, forward)
+        delivers = {}  # node -> its app's bound `deliver` method
+
+        def on_arrive(sim: Simulator, node: str, payload: tuple) -> None:
+            pkt, copy = payload
+            now = sim.now
+            mode = topo.fault_mode(node, now) if topo.has_faults else None
+            if mode is None or mode == "drop-all":
+                sim.trace.append_row((now, node, "receive", pkt.pid, copy, "", None, ""))
+            if mode is not None:
+                sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
+            elif node == pkt.dst:
+                take = delivers.get(node)
+                if take is None:
+                    take = delivers[node] = getattr(apps[node], deliver)
+                take(pkt, now)
+            else:
+                forward(node, pkt)
+        return on_arrive
 
     # -- data plane ----------------------------------------------------------
 
-    def _route(self, node: str, pkt: Packet) -> Optional[tuple[Link, float, float, Random]]:
-        """The link to pkt's next hop with its data transmission and propagation
-        delays and `node`'s random stream, or None after logging why pkt cannot
+    def _route(self, node: str, pkt: Packet) -> Optional[Hop]:
+        """The hop record towards pkt.dst, or None after logging why pkt cannot
         leave `node`. Past its source, a packet that carries a path measurement
         has its bottleneck raised to this node's per-packet queue delay."""
         sim = self.sim
@@ -102,9 +140,7 @@ class NetworkRuntime:
             if next_node is None:
                 sim.trace.log(now, node, "drop", pkt.pid, -1, "no_route")
                 return None
-            link = topo.links[(node, next_node)]
-            hop = self._hops[node, pkt.dst] = (link, self.packet_len / link.bit_rate,
-                                               link.propagation(), sim.rng(f"node:{node}"))
+            hop = self._hop(node, pkt.dst, next_node)
         if pkt.bottleneck_delay is not None and node != pkt.src:
             buf = self.buffers[node]
             if buf.due:
@@ -117,7 +153,7 @@ class NetworkRuntime:
         hop = self._route(node, pkt)
         if hop is None:
             return
-        link, t_del, p_del, rng = hop
+        link, t_del, _, p_del, rng = hop
         sim = self.sim
         now = sim.now
         buf = self.buffers[node]
@@ -141,7 +177,7 @@ class NetworkRuntime:
         departs = now + depart
         arrives = departs + p_del
         if lost or self.topo.has_faults:
-            sim.schedule(departs, "dep", node, (pkt, link.dst, copy, arrives, lost))
+            sim.schedule(departs, "dep", node, (pkt, copy, link.dst, arrives, lost))
             return
         entry = (departs, sim.schedule(arrives, "arr", link.dst, (pkt, copy)))
         if buf.due is None:
@@ -163,7 +199,7 @@ class NetworkRuntime:
             buf.due = None
         for arrives, ordinal, _, hop, (pkt, copy) in sim.withdraw(queued):
             node, departs = queued[ordinal]
-            sim.restore(departs, ordinal, "dep", node, (pkt, hop, copy, arrives, False))
+            sim.restore(departs, ordinal, "dep", node, (pkt, copy, hop, arrives, False))
 
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
         """Fault a node or a link from `at` on (see `Topology.inject_fault`).
@@ -173,7 +209,7 @@ class NetworkRuntime:
         self._requeue_departures()
 
     def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
-        pkt, hop, copy, arrives, lost = payload
+        pkt, copy, hop, arrives, lost = payload
         now = sim.now
         buf = self.buffers[node]
         buf.settle(now, sim.ordinal)
@@ -188,30 +224,6 @@ class NetworkRuntime:
             return
         sim.restore(arrives, sim.ordinal, "arr", hop, (pkt, copy))
 
-    def _stopped_by_fault(self, node: str, pkt: Packet, copy: int) -> bool:
-        """Whether a fault at `node` stops a copy arriving there now, with its
-        rows logged: a crashed node never receives it, a drop-all node
-        receives and then drops it. A copy it does not stop is not logged."""
-        sim = self.sim
-        now = sim.now
-        mode = self.topo.fault_mode(node, now)
-        if mode is None:
-            return False
-        if mode == "drop-all":
-            sim.trace.append_row((now, node, "receive", pkt.pid, copy, "", None, ""))
-        sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
-        return True
-
-    def _on_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
-        pkt, copy = payload
-        if self.topo.has_faults and self._stopped_by_fault(node, pkt, copy):
-            return
-        sim.trace.append_row((sim.now, node, "receive", pkt.pid, copy, "", None, ""))
-        if node == pkt.dst:
-            self.apps[node].on_packet(pkt, sim.now)
-        else:
-            self.forward_data(node, pkt)
-
     # -- control plane ---------------------------------------------------------
 
     def forward_control(self, node: str, pkt: Packet) -> None:
@@ -219,27 +231,17 @@ class NetworkRuntime:
         hop = self._route(node, pkt)
         if hop is None:
             return
-        link = hop[0]
+        link, _, t_ctl, p_del, rng = hop
         sim = self.sim
         now = sim.now
         topo = self.topo
         if topo.has_faults and topo.link_fault_mode(node, link.dst, now) is not None:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
-        delay = topo.sample_channel_delays(link, self.ctl_len, hop[3])
+        delay = topo.ca_model.sample(rng) + t_ctl + p_del
         copy = sim.new_copy()
         sim.trace.append_row((now, node, "send", pkt.pid, copy, "", delay, ""))
         sim.schedule(now + delay, "ctl_arr", link.dst, (pkt, copy))
-
-    def _on_ctl_arrive(self, sim: Simulator, node: str, payload: tuple) -> None:
-        pkt, copy = payload
-        if self.topo.has_faults and self._stopped_by_fault(node, pkt, copy):
-            return
-        sim.trace.append_row((sim.now, node, "receive", pkt.pid, copy, "", None, ""))
-        if node == pkt.dst:
-            self.apps[node].on_control(pkt, sim.now)
-        else:
-            self.forward_control(node, pkt)
 
     # -- frequency broadcast -----------------------------------------------------
 
@@ -256,21 +258,21 @@ class NetworkRuntime:
             sim.trace.log(now, node, "drop", pkt.pid, -1, "fault")
             return
         sim.trace.append_row((now, node, "send", pkt.pid, -1, "", None, ""))
+        hops, arrival = self._hops, (pkt, -1)  # one payload, shared by every child
         ca = topo.ca_model.sample(sim.rng(f"node:{node}"))
         for kid in kids:
             if topo.has_faults and topo.link_fault_mode(node, kid, now) is not None:
                 continue
-            link = topo.links[(node, kid)]
-            delay = ca + self.ctl_len / link.bit_rate + link.propagation()
-            sim.schedule(now + delay, "bcast_arr", kid, pkt)
+            hop = hops.get((node, kid)) or self._hop(node, kid, kid)
+            # channel access, control transmission, propagation
+            sim.schedule(now + (ca + hop[2] + hop[3]), "bcast_arr", kid, arrival)
 
-    def _on_broadcast_arrive(self, sim: Simulator, node: str, pkt: Packet) -> None:
-        if self.topo.has_faults and self._stopped_by_fault(node, pkt, -1):
-            return
-        sim.trace.append_row((sim.now, node, "receive", pkt.pid, -1, "", None, ""))
+    def _relay_broadcast(self, node: str, pkt: Packet) -> None:
+        """A broadcast goes to "*", so each node it reaches relays it: the node's
+        app, if any, takes the new frequency, then the node floods it on."""
         app = self.apps.get(node)
         if app is not None:  # a relay has no app
-            app.on_frequency(pkt.payload, sim.now)
+            app.on_frequency(pkt.payload, self.sim.now)
         self.broadcast(node, pkt)
 
     # -- app timers / horizon ---------------------------------------------------
@@ -286,14 +288,10 @@ class NetworkRuntime:
         sim = self.sim
         now = sim.now
         for kind, node, payload in sim.pending_events():
-            if kind == "dep":
-                pkt, _, copy, _, _ = payload
-                sim.trace.log(now, node, "pending", pkt.pid, copy, "queued")
-            elif kind in ("arr", "ctl_arr"):
-                pkt, copy = payload
-                sim.trace.log(now, node, "pending", pkt.pid, copy, "in_flight")
-            elif kind == "bcast_arr":
-                sim.trace.log(now, node, "pending", payload.pid, -1, "in_flight")
+            if kind == "dep" or kind in PLANES:
+                pkt, copy = payload[:2]  # a copy queued at `node`, or in flight to it
+                sim.trace.log(now, node, "pending", pkt.pid, copy,
+                              "queued" if kind == "dep" else "in_flight")
 
 
 class SensorSource:

@@ -6,11 +6,11 @@ kernel never recomputes them. Fault injection flips nodes or links into
 (silent blackhole: routing is unaware) from a given time onward. It also sets
 `has_faults`, which stays False until the first injection: while it is False
 the forwarding runtime skips every fault lookup (`next_hop`, `fault_mode`,
-`link_fault_mode`), since none could find a fault. The delay model samples one
-hop on the `Link` its caller already holds. `CaModel.sample` draws the
-truncated exponential as `random.expovariate` does, `-log(1 - random()) /
-rate`, without its call, so every draw equals `min(rng.expovariate(rate),
-cap)` bit for bit.
+`link_fault_mode`), since none could find a fault. The forwarding runtime
+sums a hop's delay from its hop record (`nodes.py`) and a channel-access
+draw. `CaModel.sample` draws the truncated exponential as `random.expovariate`
+does, `-log(1 - random()) / rate`, without its call, so every draw equals
+`min(rng.expovariate(rate), cap)` bit for bit.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ class Topology:
         return link
 
     def sample_channel_delays(self, link: Link, packet_len: float, rng) -> float:
-        """Channel access, transmission and propagation of one unbuffered packet on `link`."""
+        """Channel access, transmission and propagation of one unbuffered packet on `link`.
+        No hop calls it; it stays while the benchmark's tracer names it."""
         if packet_len <= 0:
             raise ValueError("packet_len must be positive")
         return self.ca_model.sample(rng) + packet_len / link.bit_rate + link.propagation()

@@ -214,14 +214,16 @@ def audit_trace_oracle(trace) -> dict:
     are kept until the walk over the rows ends, and then each sent copy is
     checked against them in send order. Where a row is read, a receive, drop
     or pending row of a copy not yet sent is rejected, and so is a pending row
-    of a copy already received. Raises InvariantViolation with the message of
-    the first check that fails, as metrics.audit_trace does on a trace with
-    one defect, and otherwise returns the same counts."""
+    of a copy already received, or a drop row of one received before this
+    row's time. Raises InvariantViolation with the message of the first check
+    that fails, as metrics.audit_trace does on a trace with one defect, and
+    otherwise returns the same counts."""
     last_time = -1.0
     sends: dict[int, tuple] = {}
     receives: dict[int, tuple] = {}
     copy_drops: dict[int, tuple] = {}
     pending_copies: dict[int, set[int]] = {}
+    received_now: set[int] = set()  # copies received at last_time
     generated: set[int] = set()
     delivered: set[int] = set()
     pending_pids: set[int] = set()
@@ -231,6 +233,8 @@ def audit_trace_oracle(trace) -> dict:
         time, node, kind, pid, copy = rec[0], rec[1], rec[2], rec[3], rec[4]
         if time < last_time:
             raise InvariantViolation(f"trace time went backwards at {time}")
+        if time != last_time:
+            received_now.clear()
         last_time = time
         if kind == "send" and copy >= 0:
             if copy in sends:
@@ -242,12 +246,15 @@ def audit_trace_oracle(trace) -> dict:
             if copy in receives:
                 raise InvariantViolation(f"copy {copy} received twice")
             receives[copy] = rec
+            received_now.add(copy)
         elif kind == "drop":
             if copy >= 0:
                 if copy not in sends:
                     raise InvariantViolation(f"copy {copy} dropped before it was sent")
                 if copy in copy_drops:
                     raise InvariantViolation(f"copy {copy} dropped twice")
+                if copy in receives and copy not in received_now:
+                    raise InvariantViolation(f"copy {copy} dropped after it was received")
                 copy_drops[copy] = rec
             if pid >= 0:
                 dropped_pids.add(pid)

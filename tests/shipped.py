@@ -55,6 +55,14 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def trace_sha256(name: str, horizon: float) -> str:
+    """sha256 of the serialized seed-1 trace of `name`, run to `horizon`."""
+    cfg = shipped(name)
+    cfg.sim.horizon = horizon
+    _, trace, preamble = run_traced(cfg, 1)
+    return sha256(trace.serialize(preamble))
+
+
 @functools.cache
 def shipped_run(name: str) -> ShippedRun:
     report, trace, preamble = run_traced(shipped(name), 1)

@@ -39,6 +39,15 @@ FAULT_SHA256 = {
         "eb17f6b7bdc26690137551878d48b93aca046ed8b409a6eeb39f9c3f5a7f460f",
     ("field_congested", ("relay", "s003"), 1.0, "crash"):
         "52c10cffead0ce9522ed97bb5e21c613b59de3e00d617724ec4dce4924d2abe5",
+    # A crashed node never receives a copy that arrives after its crash: these
+    # reach it with broadcast copies (8), data copies (14), and a feedback
+    # copy sent at 2.0 that is in flight to r2 at 2.001 (with 2 data copies).
+    ("field_congested", "relay", 2.0, "crash"):
+        "4aab7e20d20a1ed5776fdb71417cb9b9877705ab99348e54514bd15bf32c94fa",
+    ("field_congested", "sink", 1.0, "crash"):
+        "09e57a80bbd044a432cc49eed47f0c8a80a512dbc647aae7b8bfd71ceda0c21b",
+    ("transport_lossy", "r2", 2.001, "crash"):
+        "85d047b5522226940229b743cdbcf618c01b01866d9504cfc3adcb65b84d4e2f",
 }
 
 

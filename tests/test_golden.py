@@ -16,12 +16,15 @@ event (see `nodes.py`).
 """
 
 import collections
+import os
+import subprocess
+import sys
 
 import pytest
 
 from rrrt.kernel import Simulator
 from rrrt.runner import build_field
-from shipped import SHIPPED, shipped, shipped_run
+from shipped import SHIPPED, shipped, shipped_run, trace_sha256
 from util import force_dep_path
 
 GOLDEN_SHA256 = {
@@ -38,6 +41,20 @@ def test_shipped_scenario_trace_hash_and_replay(name):
     run = shipped_run(name)
     assert run.text_sha256 == GOLDEN_SHA256[name]
     assert run.streamed == run.live
+
+
+def test_the_trace_does_not_depend_on_the_hash_seed():
+    """Each interpreter salts `hash()` with its own seed, and a run must not
+    read it: two interpreters with different seeds write this process's trace."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(tests, "..", "src"), tests])
+    code = "from shipped import trace_sha256; print(trace_sha256('transport_lossy', 2.0))"
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                              ).stdout.strip()
+               for seed in ("0", "12345")}
+    assert digests == {trace_sha256("transport_lossy", 2.0)}
 
 
 def test_every_shipped_scenario_has_a_golden_hash():

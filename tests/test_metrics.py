@@ -311,6 +311,13 @@ def pending_of_a_copy_never_sent():
 
 
 @defect
+def drop_after_its_receive():
+    trace = ok_trace()
+    trace.log(0.9, "b", "drop", 1, 1, "fault")  # the copy was received at 0.5
+    return trace
+
+
+@defect
 def pending_after_its_receive():
     trace = ok_trace()
     trace.log(1.0, "b", "pending", 1, 1, "in_flight")
@@ -365,10 +372,11 @@ def test_audit_rejects_a_copy_logged_with_another_pid(kind):
     ("drop_before_its_send", "copy 1 dropped before it was sent"),
     ("pending_of_a_copy_never_sent", "copy 1 pending before it was sent"),
     ("pending_after_its_receive", "copy 1 pending after it was received"),
+    ("drop_after_its_receive", "copy 1 dropped after it was received"),
 ])
 def test_audit_rejects_a_copy_row_out_of_its_lifecycle(name, message):
-    """A receive, drop or pending row comes after its copy's send, and a
-    pending row before its copy's receive."""
+    """A receive, drop or pending row comes after its copy's send, a pending
+    row before its copy's receive, and a drop row no later than its receive."""
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         audit_trace(DEFECTS[name]())
 
