@@ -28,8 +28,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--seed", type=int, default=None, help="override [sim] seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "structured"), default="structured",
-                        help="summary format on stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,6 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment")
     _add_common(run_p)
+    run_p.add_argument("--format", choices=("csv", "structured"), default="structured",
+                       help="summary format on stdout")
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter over values x seeds")
     _add_common(sweep_p)

@@ -53,7 +53,7 @@ class Corrupt(RrrtError):
     """
 
     def __init__(self, offset, message="corrupt trace"):
-        super().__init__(message if offset is None else f"{message} at offset {offset}")
+        super().__init__(message if offset is None else f"{message} at line {offset}")
         self.offset = offset
 
 

@@ -10,12 +10,11 @@ the ordinal breaks ties in schedule order. One handler per kind is called as
 `handler(sim, target, payload)`, with `sim.ordinal` set to the ordinal of the
 event being handled. `schedule` returns the ordinal, the one identity an
 event has: an app that supersedes a timer keeps the live one's ordinal and
-ignores the others when they fire.
-
-An event can be moved: `withdraw` takes it off the queue by its ordinal, and
-`restore` queues it, or an event of another kind, under that ordinal, so it
-keeps its place among events at equal times. The forwarding buffers swap a
-copy's arrival for its departure this way (see `nodes.py`).
+ignores the others when they fire. A queued event fires at its time under its
+ordinal, and nothing takes it off the queue. A handler may `restore` an event
+under the ordinal of the one being handled, so that it takes that event's
+place among events at equal times: a copy's departure queues its arrival this
+way (see `nodes.py`).
 
 A trace holds its rows as one flat list of their fields, eight to a row, so a
 row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
@@ -44,9 +43,9 @@ import csv
 import hashlib
 import math
 import random
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain, islice
-from typing import Any, Callable, Container, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
 
@@ -290,22 +289,12 @@ class Simulator:
         heappush(self._heap, (time, self._ordinal, kind, target, payload))
         return self._ordinal
 
-    def restore(self, time: float, ordinal: int, kind: str, target: str, payload: Any) -> None:
-        """Queue an event under the ordinal of one withdrawn or being handled,
-        so that it keeps that event's place among events at equal times."""
+    def restore(self, time: float, kind: str, target: str, payload: Any) -> None:
+        """Queue an event under the ordinal of the one being handled, so that it
+        keeps that event's place among events at equal times."""
         if time < self.now:
             raise PastTime(f"event at t={time} before clock t={self.now}")
-        heappush(self._heap, (time, ordinal, kind, target, payload))
-
-    def withdraw(self, ordinals: Container[int]) -> list[tuple]:
-        """Take the queued events whose ordinals are in `ordinals` off the
-        queue, and return their entries."""
-        heap = self._heap
-        taken = [entry for entry in heap if entry[1] in ordinals]
-        if taken:
-            heap[:] = [entry for entry in heap if entry[1] not in ordinals]
-            heapify(heap)
-        return taken
+        heappush(self._heap, (time, self.ordinal, kind, target, payload))
 
     def run_until(self, t_end: float) -> SimulationTrace:
         """Process every event with time <= t_end in (time, ordinal) order."""
@@ -321,7 +310,7 @@ class Simulator:
             self.now = t_end
         return self.trace
 
-    def pending_events(self) -> Iterator[tuple]:
-        """(kind, target, payload) of each event still queued, in firing order."""
-        for _, _, kind, target, payload in sorted(self._heap):
-            yield kind, target, payload
+    def pending_events(self) -> list[tuple]:
+        """The entries `(time, ordinal, kind, target, payload)` still queued, in
+        firing order."""
+        return sorted(self._heap)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .controller import IntervalRow
+from .controller import IntervalRow, NetworkCondition
 from .errors import InvariantViolation
 
 
@@ -17,7 +17,7 @@ def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
     """End time of the first interval from which every later one stays adequate."""
     end = None
     for row in reversed(rows):
-        if row.condition != "AdequateRelNoCong":
+        if row.condition != NetworkCondition.ADEQUATE_REL_NO_CONG.value:
             break
         end = row.end_time
     return end
@@ -114,8 +114,8 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     receive or drop, or accounted as pending at the horizon; at most one
     receive and one drop; no pending row after the receive, and a drop after
     it only in the receive's instant); strict per-hop causality; packet
-    conservation (every generated pid is delivered, dropped, or pending,
-    exactly one category); unique delivery per pid, and only of a pid
+    conservation (every pid generated once, then delivered, dropped, or
+    pending, exactly one category); unique delivery per pid, and only of a pid
     generated earlier.
 
     One rule holds every copy row to its send: a receive, drop or pending row
@@ -200,6 +200,8 @@ def audit_trace(records: Iterable[tuple]) -> dict:
             if pid >= 0:
                 pending_pids.add(pid)
         elif kind == "generate":
+            if pid in generated:
+                raise InvariantViolation(f"pid {pid} generated twice")
             generated.add(pid)
         elif kind == "deliver":
             if pid in delivered:

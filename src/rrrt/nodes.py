@@ -23,21 +23,22 @@ re-dither fires and does nothing.
 
 A data copy's departure and arrival times are known on admission (`busy_until`
 is the FIFO server's recursion), and the copy takes one ordinal then, which
-its departure and its arrival share. Only a lost copy, or any copy once a
-fault is injected, gets a `dep` event; it frees the slot and then drops the
-copy or queues its `arr` under the `dep`'s own ordinal. Any other copy's `arr`
-is queued on admission, and its departure waits on the buffer's `due` FIFO
-under the `arr`'s ordinal. `NodeBuffer.settle` frees the departures that come
-before the event being handled, ties included: before an admission, before a
-probe reads the occupancy, and first in `dep`. `_requeue_departures` swaps the
-queued copies' `arr` for their `dep` at the horizon and on fault injection.
-Both paths order every event the same way, so they write the same trace.
+its departure and its arrival share. Only a lost copy, or any copy in a run
+with a fault, gets a `dep` event; it frees the slot and then drops the copy or
+queues its `arr` under the `dep`'s own ordinal. Any other copy's `arr` is
+queued on admission, and its departure waits on the buffer's `due` FIFO under
+the `arr`'s ordinal. `NodeBuffer.settle` frees the departures that come before
+the event being handled, ties included: before an admission, before a probe
+reads the occupancy, and first in `dep`. Both paths order every event the same
+way, so they write the same trace; at the horizon a copy still on a FIFO is
+logged in its departure's place.
 
-Until `inject_fault` sets `topo.has_faults`, no hop or arrival looks up a
-fault. The flag is read on every hop, so a fault injected mid-run takes
-effect at once. The rows of every packet (generate, send, receive, deliver)
-are written with `SimulationTrace.append_row`, and `settle` is called only
-while `due` holds a copy.
+Faults are set before the run: `inject_fault` refuses once a copy waits on a
+FIFO, since that copy would leave without meeting the fault. Until a fault is
+set (`topo.has_faults`), no hop or arrival looks one up. The rows of every
+packet (generate, send, receive, deliver) are written with
+`SimulationTrace.append_row`, and `settle` is called only while `due` holds a
+copy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Optional
 from . import transport as tp
 from .congestion import DROPPED, NodeBuffer, mark_packet
 from .controller import ReliabilityController, check_delay_budget
-from .errors import NoRoute, StaleFeedback
+from .errors import NoRoute, PastTime, StaleFeedback
 from .kernel import Simulator
 from .packet import Packet
 from .scenario import BudgetCfg
@@ -185,28 +186,14 @@ class NetworkRuntime:
         else:
             buf.due.append(entry)
 
-    def _requeue_departures(self) -> None:
-        """Swap the `arr` of every copy still on a `due` FIFO for its `dep`
-        event, under the same ordinal. The entry does not hold the `arr`, so
-        that the packet is freed once it arrives; the `arr` is found by its
-        ordinal."""
-        sim = self.sim
-        queued = {}
-        for node, buf in self.buffers.items():
-            buf.settle(sim.now, sim.ordinal)
-            for departs, ordinal in buf.due or ():
-                queued[ordinal] = (node, departs)
-            buf.due = None
-        for arrives, ordinal, _, hop, (pkt, copy) in sim.withdraw(queued):
-            node, departs = queued[ordinal]
-            sim.restore(departs, ordinal, "dep", node, (pkt, copy, hop, arrives, False))
-
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
-        """Fault a node or a link from `at` on (see `Topology.inject_fault`).
-        Before or during a run: the copies already queued get back the `dep`
-        event that meets the fault."""
+        """Fault a node or a link from `at` on (see `Topology.inject_fault`),
+        before the run: PastTime while a buffer's `due` FIFO holds a copy,
+        which would leave with no `dep` event to meet the fault."""
+        for node, buf in self.buffers.items():
+            if buf.due:
+                raise PastTime(f"fault set at t={self.sim.now} after a copy was queued at {node}")
         self.topo.inject_fault(target, at, mode)
-        self._requeue_departures()
 
     def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
         pkt, copy, hop, arrives, lost = payload
@@ -222,7 +209,7 @@ class NetworkRuntime:
         if lost:
             sim.trace.log(now, node, "drop", pkt.pid, copy, "loss")
             return
-        sim.restore(arrives, sim.ordinal, "arr", hop, (pkt, copy))
+        sim.restore(arrives, "arr", hop, (pkt, copy))
 
     # -- control plane ---------------------------------------------------------
 
@@ -283,15 +270,25 @@ class NetworkRuntime:
             self.apps[node].on_event(sim, tag)
 
     def log_pending(self) -> None:
-        """Account for packets still queued or in flight when the horizon hits."""
-        self._requeue_departures()
+        """Account for packets still queued or in flight when the horizon hits,
+        in firing order: a copy still on a `due` FIFO in its departure's place."""
         sim = self.sim
         now = sim.now
-        for kind, node, payload in sim.pending_events():
+        queued = {}  # ordinal of a waiting copy's `arr` -> (its departure, its node)
+        for node, buf in self.buffers.items():
+            if buf.due:
+                buf.settle(now, sim.ordinal)
+                for departs, ordinal in buf.due:
+                    queued[ordinal] = (departs, node)
+        pending = []
+        for time, ordinal, kind, node, payload in sim.pending_events():
             if kind == "dep" or kind in PLANES:
-                pkt, copy = payload[:2]  # a copy queued at `node`, or in flight to it
-                sim.trace.log(now, node, "pending", pkt.pid, copy,
-                              "queued" if kind == "dep" else "in_flight")
+                state = "queued" if kind == "dep" else "in_flight"
+                if ordinal in queued:
+                    (time, node), state = queued[ordinal], "queued"
+                pending.append((time, ordinal, node, payload[0].pid, payload[1], state))
+        for _, _, node, pid, copy, state in sorted(pending):
+            sim.trace.log(now, node, "pending", pid, copy, state)
 
 
 class SensorSource:

@@ -1,16 +1,16 @@
 """Topology: nodes, links, static routes, per-hop delay model, fault injection.
 
 Routes are supplied or computed once by shortest hop count at load time; the
-kernel never recomputes them. Fault injection flips nodes or links into
-`crash` (routing-visible: a route through it raises NoRoute) or `drop-all`
-(silent blackhole: routing is unaware) from a given time onward. It also sets
-`has_faults`, which stays False until the first injection: while it is False
-the forwarding runtime skips every fault lookup (`next_hop`, `fault_mode`,
-`link_fault_mode`), since none could find a fault. The forwarding runtime
-sums a hop's delay from its hop record (`nodes.py`) and a channel-access
-draw. `CaModel.sample` draws the truncated exponential as `random.expovariate`
-does, `-log(1 - random()) / rate`, without its call, so every draw equals
-`min(rng.expovariate(rate), cap)` bit for bit.
+kernel never recomputes them. Fault injection, before the run, flips nodes or
+links into `crash` (routing-visible: a route through it raises NoRoute) or
+`drop-all` (silent blackhole: routing is unaware) from a given time onward. It
+also sets `has_faults`, which stays False until the first injection: while it
+is False the forwarding runtime skips every fault lookup (`next_hop`,
+`fault_mode`, `link_fault_mode`), since none could find a fault. The
+forwarding runtime sums a hop's delay from its hop record (`nodes.py`) and a
+channel-access draw. `CaModel.sample` draws the truncated exponential as
+`random.expovariate` does, `-log(1 - random()) / rate`, without its call, so
+every draw equals `min(rng.expovariate(rate), cap)` bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Topology:
         self.routes: dict[tuple[str, str], str] = {}
         self.node_faults: dict[str, Fault] = {}
         self.link_faults: dict[tuple[str, str], Fault] = {}
-        self.has_faults = False  # set by inject_fault, read on every hop
+        self.has_faults = False  # set by inject_fault before the run, read on every hop
 
     # -- routing -----------------------------------------------------------
 
@@ -133,8 +133,8 @@ class Topology:
 
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
         """Fault the node or (src, dst) link `target` from `at` on. A built
-        network is faulted through `NetworkRuntime.inject_fault`, which also
-        gives the copies it has queued their `dep` events back."""
+        network is faulted through `NetworkRuntime.inject_fault`, which
+        refuses once a copy waits on a buffer."""
         if mode not in ("crash", "drop-all"):
             raise ValueError(f"unknown fault mode {mode!r}")
         if isinstance(target, tuple):

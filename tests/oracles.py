@@ -214,10 +214,10 @@ def audit_trace_oracle(trace) -> dict:
     are kept until the walk over the rows ends, and then each sent copy is
     checked against them in send order. Where a row is read, a receive, drop
     or pending row of a copy not yet sent is rejected, and so is a pending row
-    of a copy already received, or a drop row of one received before this
-    row's time. Raises InvariantViolation with the message of the first check
-    that fails, as metrics.audit_trace does on a trace with one defect, and
-    otherwise returns the same counts."""
+    of a copy already received, a drop row of one received before this row's
+    time, or a second generate row of a pid. Raises InvariantViolation with
+    the message of the first check that fails, as metrics.audit_trace does on
+    a trace with one defect, and otherwise returns the same counts."""
     last_time = -1.0
     sends: dict[int, tuple] = {}
     receives: dict[int, tuple] = {}
@@ -268,6 +268,8 @@ def audit_trace_oracle(trace) -> dict:
             if pid >= 0:
                 pending_pids.add(pid)
         elif kind == "generate":
+            if pid in generated:
+                raise InvariantViolation(f"pid {pid} generated twice")
             generated.add(pid)
         elif kind == "deliver":
             if pid in delivered:

@@ -6,17 +6,19 @@ shipped scenario at seed 1, injects one fault, runs to the horizon and pins
 the sha256 of the serialized trace; the trace must also pass the audit and
 replay to the live report.
 
-Until the first `inject_fault` a run takes the no-fault fast path, which looks
+Faults are set before the run: once a copy waits on a buffer, `inject_fault`
+raises PastTime. A run with no fault takes the no-fault fast path, which looks
 up no fault at all and gives a copy that is not lost no `dep` event. The tests
 at the end check that it writes the same trace as the fault-checking `dep`
-path (`util.force_dep_path`), with a fault injected mid-run, with copies still
-queued at the horizon, with an event tied with an arrival, and over a space
-of small scenarios, and that the flag is read on every hop.
+path (`util.force_dep_path`), with copies still queued at the horizon, with an
+event tied with an arrival, and over a space of small scenarios, and that a
+run with no fault never looks one up.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from rrrt.errors import PastTime
 from rrrt.metrics import audit_trace, reduce_trace
 from rrrt.runner import build_field, build_transport, replay_text, run_experiment, trace_preamble
 from rrrt.scenario import set_param, validate_scenario
@@ -70,17 +72,12 @@ def run_with_fault(name, target, at, mode):
     return cfg, finish(cfg, harness)
 
 
-def trace_text(cfg, seed=1, dep_path=False, mid_run=None):
-    """The serialized trace of `cfg` at `seed`. `dep_path` forces the `dep`
-    path from the start; `mid_run` is `(t, target, at, mode)`: run to `t`,
-    then inject that fault."""
+def trace_text(cfg, seed=1, dep_path=False):
+    """The serialized trace of `cfg` at `seed`; `dep_path` forces the `dep`
+    path from the start."""
     harness = build(cfg, seed)
     if dep_path:
         force_dep_path(harness.runtime, cfg.sim.horizon)
-    if mid_run is not None:
-        t, *fault = mid_run
-        harness.sim.run_until(t)
-        harness.runtime.inject_fault(*fault)
     return finish(cfg, harness).serialize(trace_preamble(cfg, seed))
 
 
@@ -133,22 +130,16 @@ def test_the_fault_checking_path_writes_the_golden_trace(name):
     assert sha256(trace_text(cfg, dep_path=True)) == GOLDEN_SHA256[name]
 
 
-def test_a_fault_injected_mid_run_takes_effect():
-    """The fault flag is read on every hop, not cached when the run starts."""
-    cfg = shipped("transport_lossy")
-    text = trace_text(cfg, mid_run=(2.5, "r1", 3.0, "crash"))
-    assert sha256(text) == FAULT_SHA256[("transport_lossy", "r1", 3.0, "crash")]
-
-
-def test_a_fault_injected_mid_run_drops_what_the_dep_path_drops():
-    """A fault due at once meets the copies queued before it was injected:
-    injection gives each its `dep` event back, so the run equals one that
-    took the `dep` path from the start."""
-    cfg = shipped("transport_lossy")
-    fault = (3.0, "r1", 3.0, "drop-all")
-    text = trace_text(cfg, mid_run=fault)
-    assert text == trace_text(cfg, dep_path=True, mid_run=fault)
-    assert ",r1,drop," in text
+def test_a_fault_set_after_a_copy_is_queued_raises():
+    """A copy on a `due` FIFO has no `dep` event to meet a fault, so a fault
+    set once one waits is refused, and the network stays unfaulted."""
+    cfg = shipped("field_congested")
+    harness = build(cfg)
+    harness.sim.run_until(1.0)
+    assert any(buf.due for buf in harness.runtime.buffers.values())
+    with pytest.raises(PastTime, match="after a copy was queued at"):
+        harness.runtime.inject_fault("relay", 2.0, "crash")
+    assert not harness.runtime.topo.has_faults
 
 
 def test_copies_queued_at_the_horizon_are_logged_as_on_the_dep_path():
@@ -159,6 +150,27 @@ def test_copies_queued_at_the_horizon_are_logged_as_on_the_dep_path():
     text = trace_text(cfg)
     assert text == trace_text(cfg, dep_path=True)
     assert len([line for line in text.split("\n") if line.endswith(",queued,,")]) == 11
+
+
+def test_a_copy_queued_at_the_horizon_is_logged_in_its_departures_place():
+    """Over a link whose propagation (2 ms) outlasts a copy's service (1 ms),
+    the second of two copies is still queued at 1.5 ms, when the first is in
+    flight. It departs at 2 ms, before the first arrives at 3 ms, so its
+    pending row comes first, on either path."""
+    texts = []
+    for dep_path in (False, True):
+        sim, runtime, names, _ = chain_network(services=(1000.0,), distance=6e5)
+        if dep_path:
+            force_dep_path(runtime, 1.0)
+        for _ in range(2):
+            runtime.forward_data(names[0], data_packet(sim, names[0], names[1]))
+        sim.run_until(0.0015)
+        runtime.log_pending()
+        texts.append(sim.trace.serialize())
+    assert texts[0] == texts[1]
+    pending = [line.split(",")[1:6] for line in texts[0].split("\n") if ",pending," in line]
+    assert pending == [["n0", "pending", "2", "2", "queued"],
+                       ["n1", "pending", "1", "1", "in_flight"]]
 
 
 class TieApp:
@@ -204,9 +216,9 @@ def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
 
 @st.composite
 def small_runs(draw):
-    """(config, seed, mid-run node or link fault or None) of a short
-    shipped-scenario run with a few parameters redrawn: channel access, loss,
-    buffers and load."""
+    """(config, seed) of a short shipped-scenario run with a few parameters
+    redrawn: channel access, loss, buffers and load. It draws no fault: with a
+    fault set before the run, both sides would take the `dep` path."""
     cfg = shipped(draw(st.sampled_from(SHIPPED)))
     set_param(cfg, "sim.horizon", draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))))
     set_param(cfg, "topology.ca_model", draw(st.sampled_from(("fixed", "exponential"))))
@@ -223,22 +235,14 @@ def small_runs(draw):
         set_param(cfg, "transport.goal_packets", draw(st.integers(10, 300)))
         set_param(cfg, "transport.sender", draw(st.sampled_from(("adaptive", "fixed"))))
     assume(not validate_scenario(cfg))
-    fault = None
-    if draw(st.booleans()):
-        topo = build(cfg).runtime.topo
-        t = draw(st.floats(0.0, cfg.sim.horizon))
-        target = draw(st.sampled_from(sorted(topo.nodes) + sorted(topo.links)))
-        fault = (t, target, t + draw(st.sampled_from((0.0, 0.3))),
-                 draw(st.sampled_from(("crash", "drop-all"))))
-    return cfg, draw(st.integers(1, 3)), fault
+    return cfg, draw(st.integers(1, 3))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_runs())
 def test_the_fast_path_writes_the_trace_of_the_dep_path(run):
-    cfg, seed, fault = run
-    assert trace_text(cfg, seed, mid_run=fault) == \
-        trace_text(cfg, seed, dep_path=True, mid_run=fault)
+    cfg, seed = run
+    assert trace_text(cfg, seed) == trace_text(cfg, seed, dep_path=True)
 
 
 @pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])

@@ -94,35 +94,39 @@ def test_same_time_events_fire_in_schedule_order():
     assert [(k, p) for _, k, p in fired] == [("tock", "a"), ("tick", "b"), ("tock", "c")]
 
 
-def test_withdraw_and_restore_take_events_off_and_back_by_ordinal():
-    sim, fired = make_sim()
-    sim._ordinal += 1  # reserved for "early", before "late" is scheduled
-    early = sim._ordinal
-    late = sim.schedule(1.0, "tick", "node", "late")
-    gone = sim.schedule(1.5, "tick", "node", "gone")
-    assert sim.withdraw({gone, 99}) == [(1.5, gone, "tick", "node", "gone")]
-    assert sim.withdraw({gone}) == []
-    sim.restore(1.0, early, "tick", "node", "early")
-    assert [p for _, _, p in sim.pending_events()] == ["early", "late"]
-    sim.run_until(2.0)
-    assert [p for _, _, p in fired] == ["early", "late"] and late == early + 1
-    with pytest.raises(PastTime):
-        sim.restore(1.5, early, "tick", "node", "past")
+def test_an_event_restored_by_its_handler_fires_in_the_handled_events_place():
+    """A `tock` restored by the first `tick` takes that tick's ordinal, so at
+    their shared time it fires before the events scheduled after the tick,
+    not after them."""
+    sim, fired = make_sim(kinds=("tock",))
 
+    def tick(s, target, payload):
+        fired.append((s.now, "tick", payload))
+        if payload == "first":
+            s.restore(s.now + 1.0, "tock", target, "restored")
 
-def test_an_event_restored_under_a_withdrawn_ordinal_fires_in_its_place():
-    """The swap idiom: an entry withdrawn and an event of another kind
-    restored under its ordinal fires between the events that were before and
-    after the withdrawn one at the same time, not after them."""
-    sim, fired = make_sim(kinds=("tick", "tock"))
-    sim.schedule(1.0, "tick", "node", "before")
-    swapped = sim.schedule(1.0, "tick", "node", "swapped")
-    sim.schedule(1.0, "tick", "node", "after")
-    [entry] = sim.withdraw({swapped})
-    sim.restore(entry[0], entry[1], "tock", "node", "restored")
+    sim.register("tick", tick)
+    sim.schedule(0.0, "tick", "node", "first")
+    sim.schedule(1.0, "tick", "node", "later")
+    sim.schedule(1.0, "tock", "node", "last")
     sim.run_until(1.0)
-    assert fired == [(1.0, "tick", "before"), (1.0, "tock", "restored"),
-                     (1.0, "tick", "after")]
+    assert fired == [(0.0, "tick", "first"), (1.0, "tock", "restored"),
+                     (1.0, "tick", "later"), (1.0, "tock", "last")]
+
+
+def test_restore_before_the_clock_raises():
+    sim = Simulator(1)
+    raised = []
+
+    def tick(s, target, payload):
+        with pytest.raises(PastTime):
+            s.restore(s.now - 0.5, "tick", target, "past")
+        raised.append(s.now)
+
+    sim.register("tick", tick)
+    sim.schedule(1.0, "tick", "node")
+    sim.run_until(2.0)
+    assert raised == [1.0] and sim.pending_events() == []
 
 
 # -- model-based check of the event queue ------------------------------------
@@ -205,7 +209,7 @@ def test_event_queue_matches_a_sorted_list_model(steps):
         assert fired == model.fired
         assert sim.now == model.now
         assert sim.ordinal == math.inf  # between runs, after every event due by now
-        assert [payload[0] for _, _, payload in sim.pending_events()] == \
+        assert [entry[4][0] for entry in sim.pending_events()] == \
             [label for _, label in sorted((time, label) for label, (time, _)
                                           in model.queue.items())]
 
@@ -339,6 +343,7 @@ def test_trace_parse_rejects_garbage():
         with pytest.raises(Corrupt) as streamed:
             list(read_rows(bad)[1])
         assert parsed.value.offset == streamed.value.offset == line
+        assert str(parsed.value).endswith(f" at line {line}")
 
 
 def test_run_until_processes_boundary_inclusive():
@@ -352,8 +357,8 @@ def test_run_until_processes_boundary_inclusive():
 
 
 def test_only_the_kernel_touches_the_ordinal_counter():
-    """Every model takes ordinals through `schedule`, or reuses one with
-    `restore`; none reads or writes `Simulator._ordinal`."""
+    """Every model takes ordinals through `schedule`, or reuses the handled
+    event's with `restore`; none reads or writes `Simulator._ordinal`."""
     users = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)

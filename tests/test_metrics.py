@@ -197,6 +197,13 @@ def delivery_of_a_pid_never_generated():
 
 
 @defect
+def pid_generated_twice():
+    trace = ok_trace()
+    trace.log(0.5, "b", "generate", 1)  # pid 1 was generated at 0.0
+    return trace
+
+
+@defect
 def copy_dropped_twice():
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
@@ -347,6 +354,11 @@ def test_audit_rejects_duplicate_delivery():
 def test_audit_rejects_delivery_of_a_pid_never_generated():
     with pytest.raises(InvariantViolation, match="never generated"):
         audit_trace(delivery_of_a_pid_never_generated())
+
+
+def test_audit_rejects_a_pid_generated_twice():
+    with pytest.raises(InvariantViolation, match="^pid 1 generated twice$"):
+        audit_trace(pid_generated_twice())
 
 
 def test_audit_rejects_a_copy_dropped_twice():

@@ -15,7 +15,7 @@ from rrrt.kernel import SimulationTrace, Simulator, format_preamble
 from rrrt.metrics import audit_trace
 from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
 from rrrt.scenario import ScenarioConfig, serialize_scenario
-from shipped import sha256, shipped
+from shipped import SCENARIO_DIR, sha256, shipped
 from util import run_and_serialize
 
 
@@ -353,6 +353,30 @@ def test_cli_sweep_runs_and_writes_csv(tmp_path, capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[4:]]
     assert [row[:3] for row in rows] == [["switches.sack", "True", "1"],
                                          ["switches.sack", "False", "1"]]
+
+
+# sha256 of sweep.csv for transport_lossy over two goals, two seeds each
+SWEEP_SHA256 = "633f303b5ac98f662b7059d519fb68cf2b63c0773a50e52067750593c4753d42"
+
+
+def test_cli_sweep_writes_the_pinned_bytes(tmp_path, capsys):
+    """The whole file: preamble, header, and each mean and std-dev as repr()."""
+    assert main(["sweep", "--scenario", os.path.join(SCENARIO_DIR, "transport_lossy.cfg"),
+                 "--param", "transport.goal_packets", "--values", "50,100", "--reps", "2",
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "sweep.csv").read_text()
+    assert capsys.readouterr().out == text
+    assert sha256(text) == SWEEP_SHA256
+
+
+def test_cli_sweep_takes_no_format(tmp_path, capsys):
+    """Only `run` and `replay` print a summary, so only they take --format."""
+    cfg_path = write_cfg(tmp_path, small_field_cfg(horizon=3.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", cfg_path, "--param", "controller.f_init",
+              "--values", "2.0", "--reps", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_connection_log_written_for_transport(tmp_path):

@@ -94,6 +94,21 @@ def test_link_fault_blackholes_traffic_on_that_link():
     assert len(drops) == 1 and drops[0][1] == names[1] and drops[0][5] == "fault"
 
 
+def test_a_drop_all_node_sends_none_of_its_own_packets():
+    """A drop-all node's apps run on, but a data or control packet it would
+    send is dropped before any copy leaves."""
+    sim, runtime, names, catcher = chain_network(services=(100.0, 100.0))
+    runtime.inject_fault(names[0], at=0.0, mode="drop-all")
+    data = data_packet(sim, names[0], names[-1])
+    ctl = data_packet(sim, names[0], names[-1], flow="ctl")
+    runtime.forward_data(names[0], data)
+    runtime.forward_control(names[0], ctl)
+    sim.run_until(5.0)
+    assert catcher.got == []
+    assert [r[1:6] for r in sim.trace] == [(names[0], "drop", data.pid, -1, "fault"),
+                                           (names[0], "drop", ctl.pid, -1, "fault")]
+
+
 def test_crash_cutoff_semantics_in_simulation():
     """Traffic clearing the relay before the fault arrives; anything touching it later drops."""
     sim, runtime, names, catcher = chain_network(services=(100.0, 100.0))

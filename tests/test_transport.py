@@ -394,13 +394,13 @@ def test_rate_never_below_floor_while_data_remains():
 def test_feedback_blackout_enters_probe_and_quarters_rate():
     cfg = transport_cfg(sim__horizon=20.0)
     harness = build_transport(cfg, seed=5)
+    # From 3.0 on, r1 silences the reverse path: feedback vanishes without
+    # routing changes. The forward data direction is blackholed too, so the
+    # connection stalls entirely.
+    harness.runtime.inject_fault("r1", at=3.0, mode="drop-all")
     sim = harness.sim
     sim.run_until(3.0)  # steady state reached
     r_c0 = harness.sender.state.r_c
-    # silence the reverse path: feedback vanishes without routing changes
-    sim.run_until(3.0)
-    harness.runtime.inject_fault("r1", at=3.0, mode="drop-all")
-    # forward data direction also blackholed; connection stalls entirely
     sim.run_until(3.0 + 2.5 * cfg.transport.t_fdbk)
     state = harness.sender.state
     assert state.missed_feedback == 2

@@ -31,8 +31,10 @@ class Catcher:
         pass
 
 
-def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, loss=None):
-    """Linear chain n0 -> n1 -> ... -> nk with one service rate per link.
+def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, loss=None,
+                  distance=10.0):
+    """Linear chain n0 -> n1 -> ... -> nk with one service rate per link, each
+    link `distance` metres long.
 
     Returns (sim, runtime, node names, catcher at the last node).
     """
@@ -42,8 +44,8 @@ def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, los
     for i, service in enumerate(services):
         lr = loss[i] if loss else 0.0
         rate = bit_rate_for_service(service, ca.value, 1000.0)
-        links.append(Link(names[i], names[i + 1], 10.0, rate, service, loss=lr))
-        links.append(Link(names[i + 1], names[i], 10.0, rate, service))
+        links.append(Link(names[i], names[i + 1], distance, rate, service, loss=lr))
+        links.append(Link(names[i + 1], names[i], distance, rate, service))
     topo = Topology(names, links, ca)
     topo.build_routes()
     sim = Simulator(seed)
