@@ -40,11 +40,11 @@ class NodeBuffer:
     `cn` is the flag of the epoch last rolled to, in force at `now` right
     after `try_enqueue(now)`; `busy_until` is when the radio next falls idle.
 
-    `due` holds the copies that will leave without a departure event, in
-    FIFO order: entries exactly `(departure time, ordinal of the copy's
-    arr)`. It is None until the first one, and never longer than `capacity`.
-    `settle` releases them as the kernel would have fired their departures,
-    so it runs before `occupancy` is read or changed.
+    `due` holds every admitted copy that has not yet left, in FIFO order:
+    entries exactly `(departure time, ordinal of the copy's arr or dep)`. It
+    is None until the first one, and never longer than `capacity`. `settle`
+    releases them as one event per departure would have, so it runs before
+    `occupancy` is read or changed.
     """
 
     __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "cn", "busy_until",

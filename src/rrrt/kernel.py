@@ -11,10 +11,7 @@ the ordinal breaks ties in schedule order. One handler per kind is called as
 event being handled. `schedule` returns the ordinal, the one identity an
 event has: an app that supersedes a timer keeps the live one's ordinal and
 ignores the others when they fire. A queued event fires at its time under its
-ordinal, and nothing takes it off the queue. A handler may `restore` an event
-under the ordinal of the one being handled, so that it takes that event's
-place among events at equal times: a copy's departure queues its arrival this
-way (see `nodes.py`).
+ordinal, and nothing takes it off the queue.
 
 A trace holds its rows as one flat list of their fields, eight to a row, so a
 row costs its eight list slots (64 bytes on a 64-bit build, plus the list's
@@ -288,13 +285,6 @@ class Simulator:
         self._ordinal += 1
         heappush(self._heap, (time, self._ordinal, kind, target, payload))
         return self._ordinal
-
-    def restore(self, time: float, kind: str, target: str, payload: Any) -> None:
-        """Queue an event under the ordinal of the one being handled, so that it
-        keeps that event's place among events at equal times."""
-        if time < self.now:
-            raise PastTime(f"event at t={time} before clock t={self.now}")
-        heappush(self._heap, (time, self.ordinal, kind, target, payload))
 
     def run_until(self, t_end: float) -> SimulationTrace:
         """Process every event with time <= t_end in (time, ordinal) order."""

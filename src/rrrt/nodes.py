@@ -21,22 +21,20 @@ the node's app as `on_event(sim, tag)` unless the node has crashed. A source
 keeps the ordinal of its live `gen` timer; one superseded by a broadcast's
 re-dither fires and does nothing.
 
-A data copy's departure and arrival times are known on admission (`busy_until`
-is the FIFO server's recursion), and the copy takes one ordinal then, which
-its departure and its arrival share. Only a lost copy, or any copy in a run
-with a fault, gets a `dep` event; it frees the slot and then drops the copy or
-queues its `arr` under the `dep`'s own ordinal. Any other copy's `arr` is
-queued on admission, and its departure waits on the buffer's `due` FIFO under
-the `arr`'s ordinal. `NodeBuffer.settle` frees the departures that come before
-the event being handled, ties included: before an admission, before a probe
-reads the occupancy, and first in `dep`. Both paths order every event the same
-way, so they write the same trace; at the horizon a copy still on a FIFO is
-logged in its departure's place.
+A data copy's fate is decided on admission, where its departure time is
+known (`busy_until` is the FIFO server's recursion) and every fault is already
+set. A copy lost on its link (drawn at send), or whose node or link is faulted
+at its departure, gets a `dep` event then, which only logs its drop; any other
+copy gets its `arr` at its arrival. The copy's one ordinal is that event's,
+and its departure waits on the buffer's `due` FIFO under it. `NodeBuffer.settle`
+frees the departures that come before the event being handled, ties included:
+before an admission and before a probe reads the occupancy. At the horizon a
+copy still on a FIFO is logged `queued`, in its departure's place.
 
 Faults are set before the run: `inject_fault` refuses once a copy waits on a
-FIFO, since that copy would leave without meeting the fault. Until a fault is
-set (`topo.has_faults`), no hop or arrival looks one up. The rows of every
-packet (generate, send, receive, deliver) are written with
+FIFO, since that copy's departure was decided without the fault. Until a
+fault is set (`topo.has_faults`), no hop or arrival looks one up. The rows of
+every packet (generate, send, receive, deliver) are written with
 `SimulationTrace.append_row`, and `settle` is called only while `due` holds a
 copy.
 """
@@ -174,13 +172,18 @@ class NetworkRuntime:
         copy = sim.new_copy()
         depart = b_del + ca_del + t_del
         sim.trace.append_row((now, node, "send", pkt.pid, copy, "", depart + p_del, ""))
+        # Drawn before the fault check, so a fault never shifts the stream's later draws.
         lost = link.loss > 0.0 and rng.random() < link.loss
         departs = now + depart
-        arrives = departs + p_del
-        if lost or self.topo.has_faults:
-            sim.schedule(departs, "dep", node, (pkt, copy, link.dst, arrives, lost))
-            return
-        entry = (departs, sim.schedule(arrives, "arr", link.dst, (pkt, copy)))
+        topo = self.topo
+        if topo.has_faults and (topo.fault_mode(node, departs) is not None
+                                or topo.link_fault_mode(node, link.dst, departs) is not None):
+            ordinal = sim.schedule(departs, "dep", node, (pkt, copy, "fault"))
+        elif lost:
+            ordinal = sim.schedule(departs, "dep", node, (pkt, copy, "loss"))
+        else:
+            ordinal = sim.schedule(departs + p_del, "arr", link.dst, (pkt, copy))
+        entry = (departs, ordinal)
         if buf.due is None:
             buf.due = [entry]
         else:
@@ -189,27 +192,17 @@ class NetworkRuntime:
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
         """Fault a node or a link from `at` on (see `Topology.inject_fault`),
         before the run: PastTime while a buffer's `due` FIFO holds a copy,
-        which would leave with no `dep` event to meet the fault."""
+        whose departure was decided on admission without the fault."""
         for node, buf in self.buffers.items():
             if buf.due:
                 raise PastTime(f"fault set at t={self.sim.now} after a copy was queued at {node}")
         self.topo.inject_fault(target, at, mode)
 
     def _on_depart(self, sim: Simulator, node: str, payload: tuple) -> None:
-        pkt, copy, hop, arrives, lost = payload
-        now = sim.now
-        buf = self.buffers[node]
-        buf.settle(now, sim.ordinal)
-        buf.release(now)
-        topo = self.topo
-        if topo.has_faults and (topo.fault_mode(node, now) is not None
-                                or topo.link_fault_mode(node, hop, now) is not None):
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "fault")
-            return
-        if lost:
-            sim.trace.log(now, node, "drop", pkt.pid, copy, "loss")
-            return
-        sim.restore(arrives, "arr", hop, (pkt, copy))
+        """A copy found lost or faulted on admission leaves `node`: log its drop.
+        Its slot is freed from the `due` FIFO, as every copy's is."""
+        pkt, copy, reason = payload
+        sim.trace.log(sim.now, node, "drop", pkt.pid, copy, reason)
 
     # -- control plane ---------------------------------------------------------
 
@@ -274,7 +267,7 @@ class NetworkRuntime:
         in firing order: a copy still on a `due` FIFO in its departure's place."""
         sim = self.sim
         now = sim.now
-        queued = {}  # ordinal of a waiting copy's `arr` -> (its departure, its node)
+        queued = {}  # ordinal of a waiting copy's event -> (its departure, its node)
         for node, buf in self.buffers.items():
             if buf.due:
                 buf.settle(now, sim.ordinal)
@@ -283,7 +276,7 @@ class NetworkRuntime:
         pending = []
         for time, ordinal, kind, node, payload in sim.pending_events():
             if kind == "dep" or kind in PLANES:
-                state = "queued" if kind == "dep" else "in_flight"
+                state = "in_flight"
                 if ordinal in queued:
                     (time, node), state = queued[ordinal], "queued"
                 pending.append((time, ordinal, node, payload[0].pid, payload[1], state))

@@ -7,12 +7,13 @@ the sha256 of the serialized trace; the trace must also pass the audit and
 replay to the live report.
 
 Faults are set before the run: once a copy waits on a buffer, `inject_fault`
-raises PastTime. A run with no fault takes the no-fault fast path, which looks
-up no fault at all and gives a copy that is not lost no `dep` event. The tests
-at the end check that it writes the same trace as the fault-checking `dep`
-path (`util.force_dep_path`), with copies still queued at the horizon, with an
-event tied with an arrival, and over a space of small scenarios, and that a
-run with no fault never looks one up.
+raises PastTime. A run with no fault looks none up. The tests at the end
+check that a fault due after the horizon (`util.set_a_late_fault`), which
+makes every hop and arrival look faults up, changes no byte: with copies still
+queued at the horizon, with an event tied with an arrival, and over a space of
+small scenarios. In that space a drawn fault due inside the horizon must pass
+the audit and replay to the live report. The last test checks that a run with
+no fault never looks one up.
 """
 
 import pytest
@@ -20,12 +21,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from rrrt.errors import PastTime
 from rrrt.metrics import audit_trace, reduce_trace
-from rrrt.runner import build_field, build_transport, replay_text, run_experiment, trace_preamble
+from rrrt.runner import (build_field, build_field_topology, build_transport,
+                         build_transport_topology, replay_text, run_experiment, trace_preamble)
 from rrrt.scenario import set_param, validate_scenario
 from rrrt.topology import Topology
 from shipped import SHIPPED, sha256, shipped
 from test_golden import GOLDEN_SHA256
-from util import FIXED_CA, chain_network, data_packet, force_dep_path
+from util import FIXED_CA, chain_network, data_packet, set_a_late_fault
 
 # (scenario, fault target, time, mode) -> sha256 of the trace at seed 1
 FAULT_SHA256 = {
@@ -72,12 +74,12 @@ def run_with_fault(name, target, at, mode):
     return cfg, finish(cfg, harness)
 
 
-def trace_text(cfg, seed=1, dep_path=False):
-    """The serialized trace of `cfg` at `seed`; `dep_path` forces the `dep`
-    path from the start."""
+def trace_text(cfg, seed=1, late_fault=False):
+    """The serialized trace of `cfg` at `seed`; `late_fault` sets a fault due
+    after the horizon first."""
     harness = build(cfg, seed)
-    if dep_path:
-        force_dep_path(harness.runtime, cfg.sim.horizon)
+    if late_fault:
+        set_a_late_fault(harness.runtime, cfg.sim.horizon)
     return finish(cfg, harness).serialize(trace_preamble(cfg, seed))
 
 
@@ -124,10 +126,10 @@ def test_a_child_behind_a_crashed_link_gets_no_broadcast():
 @pytest.mark.parametrize("name", SHIPPED)
 def test_the_fault_checking_path_writes_the_golden_trace(name):
     """A fault due after the horizon sets the fault flag but never fires, so
-    every hop takes the fault-checking path and must write the trace of the
-    no-fault fast path."""
+    every hop and arrival looks faults up and must write the trace of the run
+    without it."""
     cfg = shipped(name)
-    assert sha256(trace_text(cfg, dep_path=True)) == GOLDEN_SHA256[name]
+    assert sha256(trace_text(cfg, late_fault=True)) == GOLDEN_SHA256[name]
 
 
 def test_a_fault_set_after_a_copy_is_queued_raises():
@@ -148,7 +150,7 @@ def test_copies_queued_at_the_horizon_are_logged_as_on_the_dep_path():
     cfg = shipped("field_congested")
     cfg.sim.horizon = 2.0
     text = trace_text(cfg)
-    assert text == trace_text(cfg, dep_path=True)
+    assert text == trace_text(cfg, late_fault=True)
     assert len([line for line in text.split("\n") if line.endswith(",queued,,")]) == 11
 
 
@@ -156,12 +158,12 @@ def test_a_copy_queued_at_the_horizon_is_logged_in_its_departures_place():
     """Over a link whose propagation (2 ms) outlasts a copy's service (1 ms),
     the second of two copies is still queued at 1.5 ms, when the first is in
     flight. It departs at 2 ms, before the first arrives at 3 ms, so its
-    pending row comes first, on either path."""
+    pending row comes first, with or without a late fault."""
     texts = []
-    for dep_path in (False, True):
+    for late_fault in (False, True):
         sim, runtime, names, _ = chain_network(services=(1000.0,), distance=6e5)
-        if dep_path:
-            force_dep_path(runtime, 1.0)
+        if late_fault:
+            set_a_late_fault(runtime, 1.0)
         for _ in range(2):
             runtime.forward_data(names[0], data_packet(sim, names[0], names[1]))
         sim.run_until(0.0015)
@@ -193,22 +195,22 @@ class TieApp:
         sim.schedule((0.0 + depart) + link.propagation(), "app", n1, "tick")
 
 
-def tie_trace(dep_path):
+def tie_trace(late_fault):
     sim, runtime, names, _ = chain_network()
     runtime.apps[names[0]] = runtime.apps[names[1]] = TieApp(runtime, names)
-    if dep_path:
-        force_dep_path(runtime, 1.0)
+    if late_fault:
+        set_a_late_fault(runtime, 1.0)
     sim.schedule(0.0, "app", names[0], "send")
     sim.run_until(1.0)
     return sim.trace.serialize()
 
 
 def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
-    """The copy's `arr` (or its `dep`, which queues the `arr` under its own
-    ordinal) is queued before the tick, so at the tied time n1 receives and
-    forwards the copy before the tick, on either path."""
-    text = tie_trace(dep_path=False)
-    assert text == tie_trace(dep_path=True)
+    """The copy's `arr` is queued on its admission, before the tick, so at the
+    tied time n1 receives and forwards the copy before the tick, with or
+    without a late fault."""
+    text = tie_trace(late_fault=False)
+    assert text == tie_trace(late_fault=True)
     rows = [line.split(",")[:3] for line in text.split("\n")[1:] if line]
     at = [row[1:] for row in rows].index(["n1", "receive"])
     assert rows[at:at + 3] == [[rows[at][0], "n1", kind] for kind in ("receive", "send", "tick")]
@@ -216,9 +218,10 @@ def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
 
 @st.composite
 def small_runs(draw):
-    """(config, seed) of a short shipped-scenario run with a few parameters
-    redrawn: channel access, loss, buffers and load. It draws no fault: with a
-    fault set before the run, both sides would take the `dep` path."""
+    """(config, seed, fault) of a short shipped-scenario run with a few
+    parameters redrawn: channel access, loss, buffers and load. The fault is
+    None or `(target, at, mode)`, set before the run: a node or a link, crash
+    or drop-all, due inside the horizon."""
     cfg = shipped(draw(st.sampled_from(SHIPPED)))
     set_param(cfg, "sim.horizon", draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))))
     set_param(cfg, "topology.ca_model", draw(st.sampled_from(("fixed", "exponential"))))
@@ -235,14 +238,29 @@ def small_runs(draw):
         set_param(cfg, "transport.goal_packets", draw(st.integers(10, 300)))
         set_param(cfg, "transport.sender", draw(st.sampled_from(("adaptive", "fixed"))))
     assume(not validate_scenario(cfg))
-    return cfg, draw(st.integers(1, 3))
+    seed = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        return cfg, seed, None
+    topo = (build_field_topology(cfg)[0] if cfg.scenario.mode == "field"
+            else build_transport_topology(cfg))
+    target = draw(st.sampled_from(list(topo.nodes)) | st.sampled_from(sorted(topo.links)))
+    at = draw(st.floats(0.0, cfg.sim.horizon, exclude_max=True))
+    return cfg, seed, (target, at, draw(st.sampled_from(("crash", "drop-all"))))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_runs())
-def test_the_fast_path_writes_the_trace_of_the_dep_path(run):
-    cfg, seed = run
-    assert trace_text(cfg, seed) == trace_text(cfg, seed, dep_path=True)
+def test_a_fault_inside_the_horizon_audits_and_replays_and_a_later_one_changes_no_byte(run):
+    cfg, seed, fault = run
+    if fault is None:
+        assert trace_text(cfg, seed) == trace_text(cfg, seed, late_fault=True)
+        return
+    harness = build(cfg, seed)
+    harness.runtime.inject_fault(*fault)
+    trace = finish(cfg, harness)
+    audit_trace(trace)
+    preamble = trace_preamble(cfg, seed)
+    assert replay_text(trace.serialize(preamble)) == reduce_trace(trace, preamble)
 
 
 @pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])

@@ -10,9 +10,8 @@ app timer that does nothing when it fires, or that re-arms on a crashed
 node, moves them even where it leaves no trace row behind. A source's `gen`
 timer superseded by a broadcast's re-dither is such a timer: 729 of
 field_burst's 4992 `app` calls are superseded timers. A data copy fires a
-`dep` event only on the `dep` path, which a fault run takes and
-`util.force_dep_path` forces; without a fault or a loss its departure is no
-event (see `nodes.py`).
+`dep` event only when it is lost or meets a fault at its departure, and then
+instead of its `arr`; any other departure is no event (see `nodes.py`).
 """
 
 import collections
@@ -25,7 +24,6 @@ import pytest
 from rrrt.kernel import Simulator
 from rrrt.runner import build_field
 from shipped import SHIPPED, shipped, shipped_run, trace_sha256
-from util import force_dep_path
 
 GOLDEN_SHA256 = {
     "field_baseline": "d3bfba28c7c71112f01f692178733488eb27d92230f21d4729cd46238463594f",
@@ -61,12 +59,13 @@ def test_every_shipped_scenario_has_a_golden_hash():
     assert sorted(GOLDEN_SHA256) == sorted(SHIPPED)
 
 
-DEP_PATH = "dep path"  # no fault that fires, but every copy on the `dep` path
-# (scenario, node fault, DEP_PATH or None) -> handler calls per event kind at seed 1 over 10 s
+# (scenario, node fault or None) -> handler calls per event kind at seed 1 over 10 s
 EVENT_COUNTS = {
     ("field_burst", None): {"app": 4992, "arr": 8004, "bcast_arr": 747},
-    ("field_burst", DEP_PATH): {"app": 4992, "arr": 8004, "bcast_arr": 747, "dep": 8004},
-    ("field_congested", ("sink", 1.0, "crash")): {"app": 1081, "arr": 1164, "dep": 1164},
+    # the relay's crash meets the 11 copies on its FIFO at 2.0
+    ("field_congested", ("relay", 2.0, "crash")):
+        {"app": 749, "arr": 321, "bcast_arr": 19, "dep": 11},
+    ("field_congested", ("sink", 1.0, "crash")): {"app": 1081, "arr": 1164},
 }
 
 
@@ -85,9 +84,7 @@ def test_handler_calls_per_event_kind(name, fault, monkeypatch):
     cfg = shipped(name)
     cfg.sim.horizon = 10.0
     harness = build_field(cfg, 1)
-    if fault == DEP_PATH:
-        force_dep_path(harness.runtime, cfg.sim.horizon)
-    elif fault is not None:
+    if fault is not None:
         harness.runtime.inject_fault(*fault)
     harness.sim.run_until(cfg.sim.horizon)
     assert dict(calls) == EVENT_COUNTS[name, fault]

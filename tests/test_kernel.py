@@ -94,41 +94,6 @@ def test_same_time_events_fire_in_schedule_order():
     assert [(k, p) for _, k, p in fired] == [("tock", "a"), ("tick", "b"), ("tock", "c")]
 
 
-def test_an_event_restored_by_its_handler_fires_in_the_handled_events_place():
-    """A `tock` restored by the first `tick` takes that tick's ordinal, so at
-    their shared time it fires before the events scheduled after the tick,
-    not after them."""
-    sim, fired = make_sim(kinds=("tock",))
-
-    def tick(s, target, payload):
-        fired.append((s.now, "tick", payload))
-        if payload == "first":
-            s.restore(s.now + 1.0, "tock", target, "restored")
-
-    sim.register("tick", tick)
-    sim.schedule(0.0, "tick", "node", "first")
-    sim.schedule(1.0, "tick", "node", "later")
-    sim.schedule(1.0, "tock", "node", "last")
-    sim.run_until(1.0)
-    assert fired == [(0.0, "tick", "first"), (1.0, "tock", "restored"),
-                     (1.0, "tick", "later"), (1.0, "tock", "last")]
-
-
-def test_restore_before_the_clock_raises():
-    sim = Simulator(1)
-    raised = []
-
-    def tick(s, target, payload):
-        with pytest.raises(PastTime):
-            s.restore(s.now - 0.5, "tick", target, "past")
-        raised.append(s.now)
-
-    sim.register("tick", tick)
-    sim.schedule(1.0, "tick", "node")
-    sim.run_until(2.0)
-    assert raised == [1.0] and sim.pending_events() == []
-
-
 # -- model-based check of the event queue ------------------------------------
 #
 # A random program of schedule / run_until steps runs on the kernel and on a
@@ -357,8 +322,8 @@ def test_run_until_processes_boundary_inclusive():
 
 
 def test_only_the_kernel_touches_the_ordinal_counter():
-    """Every model takes ordinals through `schedule`, or reuses the handled
-    event's with `restore`; none reads or writes `Simulator._ordinal`."""
+    """Every model takes ordinals through `schedule`; none reads or writes
+    `Simulator._ordinal`."""
     users = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)

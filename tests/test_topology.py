@@ -9,7 +9,7 @@ from rrrt.errors import NoRoute, UnknownLink, UnknownTarget
 from rrrt.kernel import Simulator
 from rrrt.metrics import audit_trace
 from rrrt.nodes import NetworkRuntime
-from rrrt.topology import CaModel, Link, Topology, grid_positions
+from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service, grid_positions
 from util import FIXED_CA, chain_network, data_packet
 
 
@@ -38,6 +38,23 @@ def test_self_link_is_rejected_and_unknown():
         topo.link("A", "A")
     with pytest.raises(UnknownLink):
         topo.link("A", "C")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Topology(["A", "B", "A"], []), "duplicate node id"),
+    (lambda: Topology(["A"], [Link("A", "B", 10.0)]), "references unknown node"),
+    (lambda: Topology(["A", "B"], [Link("A", "B", 10.0, bit_rate=0.0)]), "must be positive"),
+    (lambda: Topology(["A", "B"], [Link("A", "B", 10.0, service_rate=-1.0)]),
+     "must be positive"),
+    (lambda: Topology(["A", "B"], [Link("A", "B", -1.0)]), "must be positive"),
+    (lambda: small_chain_topo().inject_fault("B", 1.0, "reboot"), "unknown fault mode"),
+    # one 2 ms service slot is all channel access, so no bit rate is fast enough
+    (lambda: bit_rate_for_service(500.0, 0.002, 1000.0), "unachievable"),
+], ids=["duplicate node", "unknown node", "zero bit rate", "negative service rate",
+        "negative distance", "unknown fault mode", "unachievable service rate"])
+def test_a_topology_contract_violation_raises_value_error(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_next_hop_chain_lookup():

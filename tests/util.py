@@ -61,10 +61,9 @@ def data_packet(sim, src, dst, flow="data", gen_time=None):
                   gen_time=sim.now if gen_time is None else gen_time)
 
 
-def force_dep_path(runtime, horizon):
+def set_a_late_fault(runtime, horizon):
     """Inject a crash due after `horizon`. It never fires, but from now on
-    every data copy leaves its buffer through its own `dep` event and the
-    fault checks, the path a fault run takes."""
+    every hop and arrival looks faults up, as in a run with a fault."""
     runtime.inject_fault(next(iter(runtime.topo.nodes)), horizon + 1.0, "crash")
 
 
