@@ -9,8 +9,6 @@ the marks into a per-interval verdict.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import InvariantViolation
 from .packet import Packet
 
@@ -42,7 +40,7 @@ class NodeBuffer:
 
     `due` holds every admitted copy that has not yet left, in FIFO order:
     entries exactly `(departure time, ordinal of the copy's arr or dep)`. It
-    is None until the first one, and never longer than `capacity`. `settle`
+    is a list from construction on, and never longer than `capacity`. `settle`
     releases them as one event per departure would have, so it runs before
     `occupancy` is read or changed.
     """
@@ -57,7 +55,7 @@ class NodeBuffer:
         self.epoch_len = epoch_len
         self.cn = False
         self.busy_until = 0.0
-        self.due: Optional[list[tuple]] = None
+        self.due: list[tuple] = []
         self._epoch = 0
 
     def _roll(self, target: int) -> None:

@@ -41,7 +41,7 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
@@ -105,6 +105,10 @@ class SimulationTrace:
         only reference to the string, which CPython then resizes in place: the
         text is never held twice. Other Python implementations return the
         same text but may copy it on each append.
+
+        An info with a comma or a quote is quoted. One with a line break
+        raises ValueError: read_rows gets the lines without their breaks, so
+        no quoting would bring it back.
         """
         text = format_preamble(preamble) + ",".join(TRACE_COLUMNS) + "\n"
         rows = iter(self)
@@ -117,7 +121,10 @@ class SimulationTrace:
                     last_time = time
                     stamp = repr(time)
                 val = "" if value is None else repr(value)
-                if "," in info or '"' in info:
+                if info and ("," in info or '"' in info or "\n" in info or "\r" in info):
+                    if "\n" in info or "\r" in info:
+                        raise ValueError(f"trace row {(time, node, kind, pid, copy)!r}: info "
+                                         f"{info!r} holds a line break, which cannot be read back")
                     info = '"' + info.replace('"', '""') + '"'
                 append(f"{stamp},{node},{kind},{pid},{copy},{reason},{val},{info}")
             append("")  # so the block ends with a newline
@@ -246,10 +253,13 @@ class Simulator:
         self.ordinal: float = math.inf
         self._handlers: dict[str, Callable[["Simulator", str, Any], None]] = {}
         self._rngs: dict[str, random.Random] = {}
-        self._next_pid = 0
-        self._next_copy = 0
+        # Identities: `new_pid()` and `new_copy()` return the next packet and
+        # copy id, each counted densely from 1 by a bound C method, so drawing
+        # one opens no Python frame.
+        self.new_pid: Callable[[], int] = count(1).__next__
+        self.new_copy: Callable[[], int] = count(1).__next__
 
-    # -- identity helpers -------------------------------------------------
+    # -- random streams ---------------------------------------------------
 
     def rng(self, stream_id: str) -> random.Random:
         """Named random stream; same (seed, stream-id) yields the same draws."""
@@ -258,14 +268,6 @@ class Simulator:
             stream = random.Random(derive_stream_seed(self.seed, stream_id))
             self._rngs[stream_id] = stream
         return stream
-
-    def new_pid(self) -> int:
-        self._next_pid += 1
-        return self._next_pid
-
-    def new_copy(self) -> int:
-        self._next_copy += 1
-        return self._next_copy
 
     # -- event queue -------------------------------------------------------
 

@@ -183,11 +183,7 @@ class NetworkRuntime:
             ordinal = sim.schedule(departs, "dep", node, (pkt, copy, "loss"))
         else:
             ordinal = sim.schedule(departs + p_del, "arr", link.dst, (pkt, copy))
-        entry = (departs, ordinal)
-        if buf.due is None:
-            buf.due = [entry]
-        else:
-            buf.due.append(entry)
+        buf.due.append((departs, ordinal))
 
     def inject_fault(self, target, at: float, mode: str = "crash") -> None:
         """Fault a node or a link from `at` on (see `Topology.inject_fault`),
@@ -412,7 +408,7 @@ class TransportSenderApp:
         self.last_fb_arrival = 0.0  # the last feedback's arrival, or start() before one
         self.retx_count = 0
         self.deadline_logged = False
-        self._pace_ordinal = None
+        self._pacing = False  # a `pace` timer is queued
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -434,7 +430,7 @@ class TransportSenderApp:
 
     def on_event(self, sim: Simulator, tag: str) -> None:
         if tag == "pace":
-            self._pace_ordinal = None
+            self._pacing = False
             self._pace(sim.now)
         elif tag == "watchdog":
             self._watchdog(sim.now)
@@ -486,8 +482,9 @@ class TransportSenderApp:
                 and (bool(self.retx_queue) or self.next_new <= self.total))
 
     def _ensure_pacing(self, now: float) -> None:
-        if self._pace_ordinal is None and self._can_send():
-            self._pace_ordinal = self.runtime.sim.schedule(now, "app", self.node, "pace")
+        if not self._pacing and self._can_send():
+            self._pacing = True
+            self.runtime.sim.schedule(now, "app", self.node, "pace")
 
     # -- data path --------------------------------------------------------------
 
@@ -506,8 +503,8 @@ class TransportSenderApp:
             self.deadline_logged = True
             self.runtime.sim.trace.log(now, self.node, "conn", -1, -1, "deadline_expired")
         self._send_one(now)
-        self._pace_ordinal = self.runtime.sim.schedule(now + 1.0 / state.r_c, "app", self.node,
-                                                       "pace")
+        self._pacing = True
+        self.runtime.sim.schedule(now + 1.0 / state.r_c, "app", self.node, "pace")
 
     def _send_one(self, now: float) -> None:
         sim = self.runtime.sim

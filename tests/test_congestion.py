@@ -105,7 +105,8 @@ def test_occupancy_never_exceeds_capacity_random_walk():
 def test_settle_releases_a_departure_tied_with_the_event_only_if_queued_before_it():
     buf = NodeBuffer(capacity=5)
     buf.try_enqueue(0.0)
-    buf.due = [(0.5, 7)]  # departs at 0.5 under ordinal 7
+    assert buf.due == []  # every buffer owns its FIFO from construction
+    buf.due.append((0.5, 7))  # departs at 0.5 under ordinal 7
     buf.settle(0.5, 6)  # the event at 0.5 being handled was queued first
     assert buf.occupancy == 1 and buf.due == [(0.5, 7)]
     buf.settle(0.5, 8)
@@ -154,7 +155,7 @@ def buffer_states(seed, dep_events):
                 sim.schedule(buf.busy_until, "dep", target)
             else:
                 sim._ordinal += 1
-                buf.due = (buf.due or []) + [(buf.busy_until, sim._ordinal)]
+                buf.due.append((buf.busy_until, sim._ordinal))
         states.append((now, buf.occupancy, buf.prev_occupancy, buf.cn))
         if chained:
             sim.schedule(now + rng.randint(0, 2) / 32, "adm", target, rng.random() < 0.8)
@@ -200,13 +201,13 @@ def test_a_buffer_that_skips_in_epoch_rolls_matches_one_that_always_rolls(
             assert admitted == ref.try_enqueue(now)
             if call == "queue" and admitted == ENQUEUED:
                 departs = max(departs, now) + arg / 32
-                buf.due = (buf.due or []) + [(departs, ordinal)]
+                buf.due.append((departs, ordinal))
                 ref.due = list(buf.due)
         elif call == "settle":
             buf.settle(now, arg)
             ref.settle(now, arg)
         elif call == "release":
-            if buf.occupancy > len(buf.due or ()):  # a slot no queued departure holds
+            if buf.occupancy > len(buf.due):  # a slot no queued departure holds
                 buf.release(now)
                 ref.release(now)
         else:

@@ -5,6 +5,9 @@ change that is meant to keep behaviour, and its replayed report must equal the
 live one. A change that alters a hash on purpose updates it here and says why.
 The run is shared with `test_trace_text.py` through `shipped.shipped_run`.
 
+One more run is pinned: field_congested with a short `t_sa`, where packets
+arrive late.
+
 The handler calls per event kind are pinned too, on short field runs: an
 app timer that does nothing when it fires, or that re-arms on a crashed
 node, moves them even where it leaves no trace row behind. A source's `gen`
@@ -22,8 +25,8 @@ import sys
 import pytest
 
 from rrrt.kernel import Simulator
-from rrrt.runner import build_field
-from shipped import SHIPPED, shipped, shipped_run, trace_sha256
+from rrrt.runner import build_field, run_traced
+from shipped import SHIPPED, sha256, shipped, shipped_run, trace_sha256
 
 GOLDEN_SHA256 = {
     "field_baseline": "d3bfba28c7c71112f01f692178733488eb27d92230f21d4729cd46238463594f",
@@ -57,6 +60,25 @@ def test_the_trace_does_not_depend_on_the_hash_seed():
 
 def test_every_shipped_scenario_has_a_golden_hash():
     assert sorted(GOLDEN_SHA256) == sorted(SHIPPED)
+
+
+# field_congested at seed 1 with t_sa 0.2, to 30 s: about 2,000 data packets
+# arrive later than t_sa, and 3 intervals carry a CN mark.
+LATE_DELIVERIES_SHA256 = "325bc499313582c6e57ace92207ab9946a46081b74643b68c26f5b3a4805ad35"
+
+
+def test_a_run_with_late_deliveries_keeps_its_trace():
+    """No shipped scenario delivers a packet later than t_sa at seed 1, so
+    only this pin covers the rule that an interval takes a CN mark from
+    on-time packets alone (`controller.record_packet_arrival`)."""
+    cfg = shipped("field_congested")
+    cfg.controller.t_sa = 0.2
+    cfg.sim.horizon = 30.0
+    _, trace, preamble = run_traced(cfg, 1)
+    late = [row for row in trace
+            if row[2] == "deliver" and row[7] == "data" and row[0] - row[6] > 0.2]
+    assert len(late) > 1000
+    assert sha256(trace.serialize(preamble)) == LATE_DELIVERIES_SHA256
 
 
 # (scenario, node fault or None) -> handler calls per event kind at seed 1 over 10 s

@@ -192,6 +192,13 @@ def test_rng_streams_are_reproducible_and_independent():
     assert derive_stream_seed(42, "alpha") != derive_stream_seed(43, "alpha")
 
 
+def test_packet_and_copy_ids_count_densely_from_one():
+    sim = Simulator(1)
+    assert [sim.new_pid() for _ in range(3)] == [1, 2, 3]
+    assert [sim.new_copy() for _ in range(2)] == [1, 2]
+    assert Simulator(1).new_copy() == 1  # each simulator counts on its own
+
+
 def test_trace_serialize_parse_round_trip():
     trace = SimulationTrace()
     trace.log(0.5, "n0", "send", 1, 1, "", 0.125)
@@ -202,6 +209,16 @@ def test_trace_serialize_parse_round_trip():
     assert list(parsed) == list(trace)
     assert preamble["seed"] == "7"
     assert parsed.serialize({"seed": 7, "flow": "data"}) == text
+
+
+@pytest.mark.parametrize("info", ["a\nb", "a\rb", "a\r\nb", "x,\n"])
+def test_serialize_refuses_an_info_with_a_line_break(info):
+    """read_rows gets each line without its break, so an info with one would
+    be read back without it, or not at all: serialize names the row instead."""
+    trace = SimulationTrace([(0.25, "n0", "send", 1, 1, "", None, "ok"),
+                             (0.5, "n1", "interval", 2, 3, "", None, info)])
+    with pytest.raises(ValueError, match=r"\(0\.5, 'n1', 'interval', 2, 3\)"):
+        trace.serialize()
 
 
 def test_a_trace_row_costs_its_fields_and_no_tuple():

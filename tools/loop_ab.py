@@ -11,10 +11,13 @@ horizon plus `finalize`, each slice scaled to reference speed by its
 sha256. The report gives each side's median and quartiles and the number of
 pairs that the second checkout won.
 
-Two runs in one process share its speed, so this screens a change to the
-loop with much less noise than separate `run_bench.py` processes; a claim
-still comes from `run_bench.py`. `bench/pipeline.py` is imported, never
-changed.
+Two runs in one process share its speed, but that does not make small
+differences visible: on a shared 2-CPU VM an A/A run (a checkout against a
+copy of itself) gave a median of +0.7%, and 20-pair medians of one real
+change ranged from +5.9% to -5.8% within an hour. So it cannot resolve a
+loop change under about 3%; use it to screen larger ones and to check that
+both sides write the same trace. A claim still comes from `run_bench.py`.
+`bench/pipeline.py` is imported, never changed.
 """
 
 from __future__ import annotations
