@@ -26,22 +26,22 @@ frame; `log` takes the fields by keyword for the rarer rows and calls it.
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
 replay reduces them as they arrive and never holds them all.
-`SimulationTrace.parse` collects them into a trace. Neither side holds a
+`SimulationTrace.parse` collects them into a trace. A row is one line of
+eight comma-separated fields, none holding a comma, a double quote, a
+carriage return or a line break; nothing is quoted. Neither side holds a
 second copy of the text: serialize grows one string block by block, and
-read_rows splits the text into lines one chunk at a time. read_rows converts
-the lines READ_BATCH at a time, column by column; a batch that holds a quote
-or a carriage return, or that is malformed, is read row by row through
-csv.reader instead, which reports the line of the first bad row.
+read_rows splits it into lines one chunk at a time and converts them
+READ_BATCH at a time, column by column; a batch that holds a quote or a
+carriage return, or that is malformed, is read line by line instead.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import random
 from heapq import heappop, heappush
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
@@ -97,7 +97,7 @@ class SimulationTrace:
         return zip(*[iter(self._fields)] * len(TRACE_COLUMNS))
 
     def serialize(self, preamble: Optional[dict] = None) -> str:
-        """Deterministic CSV text. Floats use repr() so parsing round-trips exactly.
+        """Deterministic trace text. Floats use repr() so parsing round-trips exactly.
 
         Rows logged in one event share the `sim.now` float object, so a row
         whose time `is` the previous row's reuses its repr. Rows are joined
@@ -106,9 +106,9 @@ class SimulationTrace:
         text is never held twice. Other Python implementations return the
         same text but may copy it on each append.
 
-        An info with a comma or a quote is quoted. One with a line break
-        raises ValueError: read_rows gets the lines without their breaks, so
-        no quoting would bring it back.
+        An info that holds a comma, a double quote, a carriage return or a
+        line break raises ValueError naming the row: read_rows splits a line
+        at every comma and refuses the others, so it could not be read back.
         """
         text = format_preamble(preamble) + ",".join(TRACE_COLUMNS) + "\n"
         rows = iter(self)
@@ -122,10 +122,8 @@ class SimulationTrace:
                     stamp = repr(time)
                 val = "" if value is None else repr(value)
                 if info and ("," in info or '"' in info or "\n" in info or "\r" in info):
-                    if "\n" in info or "\r" in info:
-                        raise ValueError(f"trace row {(time, node, kind, pid, copy)!r}: info "
-                                         f"{info!r} holds a line break, which cannot be read back")
-                    info = '"' + info.replace('"', '""') + '"'
+                    raise ValueError(f"trace row {(time, node, kind, pid, copy)!r}: info {info!r} "
+                                     "holds a comma, a quote or a line break")
                 append(f"{stamp},{node},{kind},{pid},{copy},{reason},{val},{info}")
             append("")  # so the block ends with a newline
             text += "\n".join(lines)
@@ -179,27 +177,26 @@ def _split_lines(text: str, chunk: int) -> Iterator[str]:
 
 
 def _records(rows: Iterator[str], line: int) -> Iterator[tuple]:
-    """Records of the CSV lines after the header, which is line `line`; every
+    """Records of the lines after the header, which is line `line`; every
     field is converted, and a time string equal to the previous row's reuses
     that row's float.
 
-    Lines are taken READ_BATCH at a time. A batch with no quote, no carriage
-    return and no more characters than csv.reader takes in one field is split
-    into fields in one call and, when every line has the eight columns,
-    converted column by column. Any other batch, or one whose
-    conversion fails, is read row by row by csv.reader: it reads on past the
-    batch while a quoted field spans lines, and it raises Corrupt at the first
-    bad row, after the records before it.
+    Lines are taken READ_BATCH at a time. A batch with no quote and no
+    carriage return is split into fields in one call and, when every line has
+    the eight columns, converted column by column. Any other batch, or one
+    whose conversion fails, is read line by line, never past its own end: a
+    blank line is skipped, and the first line that holds a quote or a
+    carriage return, has other than eight fields or has a field that does not
+    convert raises Corrupt, after the records before it.
     """
     last_text = last_time = None
-    field_limit = csv.field_size_limit()
     while batch := list(islice(rows, READ_BATCH)):
         n = len(batch)
         # The fields of every line, with a "\n" field between two lines: nine
         # fields a line, minus one, and every ninth one "\n" only if each line
         # has eight.
         block = ",\n,".join(batch)
-        if '"' not in block and "\r" not in block and len(block) <= field_limit:
+        if '"' not in block and "\r" not in block:
             fields = block.split(",")
             if len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1:
                 texts = fields[0::9]
@@ -220,23 +217,24 @@ def _records(rows: Iterator[str], line: int) -> Iterator[tuple]:
                     line += n
                     last_text, last_time = texts[-1], times[-1]
                     continue
-        reader = csv.reader(chain(batch, rows), strict=True)
-        try:
-            for row in reader:
-                if len(row) == 8:
-                    time, node, kind, pid, copy, reason, value, info = row
-                    if time != last_text:
-                        last_time = float(time)
-                        last_text = time
-                    yield (last_time, node, kind, int(pid), int(copy), reason,
-                           None if value == "" else float(value), info)
-                elif row:  # not a blank line
-                    raise Corrupt(line + reader.line_num, "wrong column count")
-                if reader.line_num >= n:
-                    break
-        except (csv.Error, ValueError):
-            raise Corrupt(line + reader.line_num, "unparsable field") from None
-        line += reader.line_num
+        for text in batch:
+            line += 1
+            if not text:
+                continue
+            if '"' in text or "\r" in text:
+                raise Corrupt(line, "unparsable field")
+            fields = text.split(",")
+            if len(fields) != 8:
+                raise Corrupt(line, "wrong column count")
+            time, node, kind, pid, copy, reason, value, info = fields
+            try:
+                if time != last_text:
+                    last_time = float(time)
+                    last_text = time
+                yield (last_time, node, kind, int(pid), int(copy), reason,
+                       None if value == "" else float(value), info)
+            except ValueError:
+                raise Corrupt(line, "unparsable field") from None
 
 
 class Simulator:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Any
@@ -130,6 +131,8 @@ _SECTIONS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
 _FIELD_TYPES = {f"{name}.{f.name}": type(f.default)
                 for name, section in vars(ScenarioConfig()).items()
                 for f in dc_fields(section)}
+# (section, key) of every float field, each of which must be finite.
+_FLOAT_FIELDS = [path.split(".") for path, kind in _FIELD_TYPES.items() if kind is float]
 # A line up to its comment: a `#` inside double quotes is part of the value.
 _CODE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 _EXPECTED = {bool: "expected true/false", int: "expected an integer",
@@ -245,6 +248,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Validation]:
     cong, cross, budget = cfg.congestion, cfg.cross_traffic, cfg.budget
     xp, energy, sim, sw = cfg.transport, cfg.energy, cfg.sim, cfg.switches
 
+    for name, key in _FLOAT_FIELDS:
+        if not math.isfinite(getattr(getattr(cfg, name), key)):
+            bad.append(Validation(f"{name}.{key}", "must be finite"))
+
     check(meta.mode in ("field", "transport"), "scenario.mode", "must be field or transport")
 
     check(topo.n_sources >= 1, "topology.n_sources", "must be >= 1")
@@ -256,6 +263,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[Validation]:
     check(topo.ca_model in ("fixed", "exponential"), "topology.ca_model",
           "must be fixed or exponential")
     check(topo.ca_value >= 0, "topology.ca_value", "must be >= 0")
+    check(topo.ca_model != "exponential" or topo.ca_value > 0, "topology.ca_value",
+          "must be positive with the exponential model")
     check(topo.ca_cap >= 0, "topology.ca_cap", "must be >= 0")
     check(0 <= topo.link_loss < 1, "topology.link_loss", "must be in [0, 1)")
     if topo.ca_value > 0:

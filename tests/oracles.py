@@ -6,7 +6,6 @@ procedures, structured differently from the library code they check.
 
 from __future__ import annotations
 
-import csv
 import math
 
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer
@@ -162,17 +161,18 @@ def serialize_oracle(records, preamble=None) -> str:
     append = lines.append
     for time, node, kind, pid, copy, reason, value, info in records:
         val = "" if value is None else repr(value)
-        if "," in info or '"' in info:
-            info = '"' + info.replace('"', '""') + '"'
         append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
     return "\n".join(lines) + "\n"
 
 
 def read_rows_oracle(text: str):
-    """Row-by-row trace reader: the preamble, and an iterator that reads every
-    line after the header with one csv.reader and converts each row on its own,
-    reusing the previous row's float when its time string repeats. Raises
-    Corrupt(line number) as kernel.read_rows does."""
+    """Row-by-row trace reader: the preamble, and an iterator that takes every
+    line after the header on its own, splits it at its commas and converts
+    each field, reusing the previous row's float when its time string
+    repeats. A blank line is skipped; a line with a quote or a carriage
+    return, of other than eight fields, or with a field that does not convert
+    raises Corrupt(line number), checked in that order, as kernel.read_rows
+    does."""
     preamble: dict = {}
     lines = iter(text.split("\n"))
     for header_line, line in enumerate(lines, start=1):
@@ -188,22 +188,25 @@ def read_rows_oracle(text: str):
         raise Corrupt(header_line, "missing trace header")
 
     def records():
-        reader = csv.reader(lines, strict=True)
         last_text = last_time = None
-        try:
-            for row in reader:
-                if len(row) != 8:
-                    if not row:  # blank line
-                        continue
-                    raise Corrupt(header_line + reader.line_num, "wrong column count")
-                time, node, kind, pid, copy, reason, value, info = row
+        for number, line in enumerate(lines, start=header_line + 1):
+            if line == "":
+                continue
+            if '"' in line or "\r" in line:
+                raise Corrupt(number, "unparsable field")
+            row = line.split(",")
+            if len(row) != 8:
+                raise Corrupt(number, "wrong column count")
+            time, node, kind, pid, copy, reason, value, info = row
+            try:
                 if time != last_text:
                     last_time = float(time)
                     last_text = time
-                yield (last_time, node, kind, int(pid), int(copy), reason,
-                       None if value == "" else float(value), info)
-        except (csv.Error, ValueError):
-            raise Corrupt(header_line + reader.line_num, "unparsable field") from None
+                record = (last_time, node, kind, int(pid), int(copy), reason,
+                          None if value == "" else float(value), info)
+            except ValueError:
+                raise Corrupt(number, "unparsable field") from None
+            yield record
 
     return preamble, records()
 

@@ -12,8 +12,9 @@ check that a fault due after the horizon (`util.set_a_late_fault`), which
 makes every hop and arrival look faults up, changes no byte: with copies still
 queued at the horizon, with an event tied with an arrival, and over a space of
 small scenarios. In that space a drawn fault due inside the horizon must pass
-the audit and replay to the live report. The last test checks that a run with
-no fault never looks one up.
+the audit and replay to the live report, and a run to `T` must be the prefix
+of the same run to `2T`. The last test checks that a run with no fault never
+looks one up.
 """
 
 import pytest
@@ -219,7 +220,8 @@ def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
 @st.composite
 def small_runs(draw):
     """(config, seed, fault) of a short shipped-scenario run with a few
-    parameters redrawn: channel access, loss, buffers and load. The fault is
+    parameters redrawn: channel access, loss, buffers, load, the field's
+    decision interval and the transport's deadline. The fault is
     None or `(target, at, mode)`, set before the run: a node or a link, crash
     or drop-all, due inside the horizon."""
     cfg = shipped(draw(st.sampled_from(SHIPPED)))
@@ -232,11 +234,13 @@ def small_runs(draw):
         set_param(cfg, "topology.relay_service_rate", draw(st.sampled_from((20.0, 70.0))))
         set_param(cfg, "congestion.buffer_capacity", draw(st.integers(1, 20)))
         set_param(cfg, "controller.f_init", draw(st.sampled_from((2.0, 12.0, 40.0))))
+        set_param(cfg, "controller.t_sa", draw(st.sampled_from((0.2, 1.0))))
     else:
         set_param(cfg, "transport.data_loss", draw(st.sampled_from((0.0, 0.1, 0.5))))
         set_param(cfg, "transport.capacity", draw(st.integers(1, 20)))
         set_param(cfg, "transport.goal_packets", draw(st.integers(10, 300)))
         set_param(cfg, "transport.sender", draw(st.sampled_from(("adaptive", "fixed"))))
+        set_param(cfg, "transport.delta_e2a", draw(st.sampled_from((1.0, 60.0))))
     assume(not validate_scenario(cfg))
     seed = draw(st.integers(1, 3))
     if not draw(st.booleans()):
@@ -261,6 +265,26 @@ def test_a_fault_inside_the_horizon_audits_and_replays_and_a_later_one_changes_n
     audit_trace(trace)
     preamble = trace_preamble(cfg, seed)
     assert replay_text(trace.serialize(preamble)) == reduce_trace(trace, preamble)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_runs())
+def test_a_run_to_t_is_the_prefix_of_the_same_run_to_2t(run):
+    """The horizon-prefix relation of test_metamorphic.py over the drawn runs:
+    apart from its `pending` rows, a run to `T` writes exactly the rows at or
+    before `T` of the same run, drawn fault included, to `2T`."""
+    cfg, seed, fault = run
+    horizon = cfg.sim.horizon
+    rows = []
+    for end in (horizon, 2 * horizon):
+        set_param(cfg, "sim.horizon", end)
+        harness = build(cfg, seed)
+        if fault is not None:
+            harness.runtime.inject_fault(*fault)
+        rows.append(list(finish(cfg, harness)))
+    short, long = rows
+    assert [row for row in short if row[2] != "pending"] == [row for row in long
+                                                              if row[0] <= horizon]
 
 
 @pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])

@@ -225,6 +225,21 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert "controller.beta" in err
 
 
+@pytest.mark.parametrize("ca_model, code", [("exponential", 2), ("fixed", 0)])
+def test_cli_run_with_zero_channel_access_exits_by_its_model(tmp_path, capsys, ca_model, code):
+    """An exponential draw with mean 0 would divide by zero on the first hop,
+    so validation refuses it; a fixed 0 s channel access runs and replays."""
+    cfg = small_field_cfg(horizon=2.0)
+    cfg.topology.ca_model = ca_model
+    cfg.topology.ca_value = 0.0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
+    if code:
+        assert "topology.ca_value: must be positive" in capsys.readouterr().err
+    else:
+        assert main(["replay", "--trace", str(out / "trace.csv")]) == 0
+
+
 def test_cli_validate_rejects_a_key_given_twice(tmp_path, capsys):
     text = serialize_scenario(small_field_cfg()) + "\n[sim]\nhorizon = 50.0\n"
     first = text.split("\n").index(f"horizon = {small_field_cfg().sim.horizon!r}") + 1

@@ -83,6 +83,17 @@ def test_a_malformed_line_is_one_violation_that_names_it(text, message):
     assert [str(v) for v in err.value.violations] == [message]
 
 
+def test_a_number_that_is_not_finite_is_a_violation():
+    """A scenario file reads 1e999 as inf, and a run to an infinite horizon
+    would never end; a value set in code is held to the same rule."""
+    with pytest.raises(ScenarioInvalid) as err:
+        parse_scenario_text("[sim]\nhorizon = 1e999\n")
+    assert [str(v) for v in err.value.violations] == ["sim.horizon: must be finite"]
+    cfg = ScenarioConfig()
+    set_param(cfg, "sim.horizon", float("inf"))
+    assert [str(v) for v in validate_scenario(cfg)] == ["sim.horizon: must be finite"]
+
+
 def test_a_bare_text_value_is_read_as_that_text():
     assert parse_scenario_text("[scenario]\nname = field run\n").scenario.name == "field run"
 
