@@ -68,7 +68,8 @@ def _print_summary(report_dict: dict, fmt: str) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    """Write `text` with its "\n" line breaks as they are, on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
         fp.write(text)
 
 

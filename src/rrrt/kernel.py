@@ -30,9 +30,9 @@ replay reduces them as they arrive and never holds them all.
 eight comma-separated fields, none holding a comma, a double quote, a
 carriage return or a line break; nothing is quoted. Neither side holds a
 second copy of the text: serialize grows one string block by block, and
-read_rows splits it into lines one chunk at a time and converts them
-READ_BATCH at a time, column by column; a batch that holds a quote or a
-carriage return, or that is malformed, is read line by line instead.
+read_rows splits it straight into fields READ_CHUNK characters at a time
+and yields each chunk's rows from its converted columns, in C; a chunk that
+holds a quote or a carriage return, or that is malformed, is read line by line.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import accumulate, chain, compress, count, islice
+from operator import ne
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import Corrupt, PastTime
@@ -60,8 +61,7 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
 # pid/copy are -1 when not applicable, value is None when not applicable.
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
 SERIALIZE_BLOCK = 8192  # rows joined into one string before it is appended to the text
-READ_CHUNK = 1 << 20  # about this many characters are split into lines at a time by read_rows
-READ_BATCH = 64  # lines that read_rows converts together, column by column
+READ_CHUNK = 1 << 16  # about this many characters are split into fields at a time by read_rows
 
 
 class SimulationTrace:
@@ -146,78 +146,45 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
 
     `#` lines before the header are the preamble; every row after it must be
     exactly the eight columns serialize() writes. The preamble and header are
-    read at once, the rows only as the iterator is advanced. Raises
-    Corrupt(line number) on malformed input: a bad header here, a bad row
-    when the iterator reaches it.
+    read at once, the rows only as the iterator is advanced, one chunk of
+    about READ_CHUNK characters at a time. Raises Corrupt(line number) on
+    malformed input: a bad header here, a bad row when the iterator reaches it.
     """
     preamble: dict = {}
-    rows = _split_lines(text, READ_CHUNK)
-    for header_line, line in enumerate(rows, start=1):
-        if line.startswith("#"):
-            key, sep, val = line[1:].strip().partition("=")
+    start = 0
+    for line in count(1):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        head = text[start:stop]
+        if head.startswith("#"):
+            key, sep, val = head[1:].strip().partition("=")
             if sep:
                 preamble[key.strip()] = val
-        elif line:
-            if line != ",".join(TRACE_COLUMNS):
-                raise Corrupt(header_line, "unexpected trace header")
-            break
-    else:
-        raise Corrupt(header_line, "missing trace header")
-    return preamble, _records(rows, header_line)
-
-
-def _split_lines(text: str, chunk: int) -> Iterator[str]:
-    """The lines of text.split("\n"), split from pieces of about `chunk`
-    characters that each end at a newline, so only one piece is held at once."""
-    start = 0
-    while (stop := text.find("\n", start + chunk)) >= 0:
-        yield from text[start:stop].split("\n")
+        elif head:
+            if head != ",".join(TRACE_COLUMNS):
+                raise Corrupt(line, "unexpected trace header")
+            return preamble, chain.from_iterable(_chunks(text, stop + 1, line))
+        if stop == len(text):
+            raise Corrupt(line, "missing trace header")
         start = stop + 1
-    yield from text[start:].split("\n")
 
 
-def _records(rows: Iterator[str], line: int) -> Iterator[tuple]:
-    """Records of the lines after the header, which is line `line`; every
-    field is converted, and a time string equal to the previous row's reuses
-    that row's float.
-
-    Lines are taken READ_BATCH at a time. A batch with no quote and no
-    carriage return is split into fields in one call and, when every line has
-    the eight columns, converted column by column. Any other batch, or one
-    whose conversion fails, is read line by line, never past its own end: a
-    blank line is skipped, and the first line that holds a quote or a
-    carriage return, has other than eight fields or has a field that does not
-    convert raises Corrupt, after the records before it.
+def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
+    """One iterator over the records of each chunk of the text from `start`,
+    after line `line`; every field is converted, and a time string equal to
+    the previous row's reuses that row's float. A chunk ends at a newline. One
+    with no quote and no carriage return, all of whose lines have eight fields
+    that convert, yields a zip over its columns; any other is read line by line.
     """
     last_text = last_time = None
-    while batch := list(islice(rows, READ_BATCH)):
-        n = len(batch)
-        # The fields of every line, with a "\n" field between two lines: nine
-        # fields a line, minus one, and every ninth one "\n" only if each line
-        # has eight.
-        block = ",\n,".join(batch)
-        if '"' not in block and "\r" not in block:
-            fields = block.split(",")
-            if len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1:
-                texts = fields[0::9]
-                try:
-                    unique = dict.fromkeys(texts)
-                    floats = dict(zip(unique, map(float, unique)))
-                    pids = list(map(int, fields[3::9]))
-                    copies = list(map(int, fields[4::9]))
-                    values = [None if value == "" else float(value) for value in fields[6::9]]
-                except ValueError:
-                    pass
-                else:
-                    if last_text in floats:
-                        floats[last_text] = last_time
-                    times = list(map(floats.__getitem__, texts))
-                    yield from zip(times, fields[1::9], fields[2::9], pids, copies,
-                                   fields[5::9], values, fields[7::9])
-                    line += n
-                    last_text, last_time = texts[-1], times[-1]
-                    continue
-        for text in batch:
+
+    def by_line(chunk: str, line: int) -> Iterator[tuple]:
+        """The records of the lines of `chunk`, after line `line`. A blank line
+        is skipped; the first line with a quote or a carriage return, of other
+        than eight fields or with a field that does not convert raises Corrupt."""
+        nonlocal last_text, last_time
+        for text in chunk.split("\n"):
             line += 1
             if not text:
                 continue
@@ -235,6 +202,39 @@ def _records(rows: Iterator[str], line: int) -> Iterator[tuple]:
                        None if value == "" else float(value), info)
             except ValueError:
                 raise Corrupt(line, "unparsable field") from None
+
+    end = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
+    while start < end:
+        stop = text.find("\n", start + READ_CHUNK, end)
+        if stop < 0:
+            stop = end
+        chunk = text[start:stop]
+        start, n = stop + 1, chunk.count("\n") + 1
+        if '"' not in chunk and "\r" not in chunk:
+            # The fields of every line with a "\n" field between two lines: 9n - 1
+            # fields, every ninth one "\n", only if each line has eight.
+            fields = chunk.replace("\n", ",\n,").split(",")
+            if len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1:
+                texts = fields[0::9]
+                try:
+                    new = [texts[0] != last_text, *map(ne, texts[1:], texts)]
+                    floats = [last_time, *map(float, compress(texts, new))]
+                    times = list(map(floats.__getitem__, accumulate(new)))
+                    pids = list(map(int, fields[3::9]))
+                    copies = list(map(int, fields[4::9]))
+                    values = [None if value == "" else float(value) for value in fields[6::9]]
+                except ValueError:
+                    pass
+                else:
+                    last_text, last_time = texts[-1], times[-1]
+                    yield zip(times, fields[1::9], fields[2::9], pids, copies,
+                              fields[5::9], values, fields[7::9])
+                    # Read: free the columns before the next chunk is split.
+                    del fields, texts, new, floats, times, pids, copies, values
+                    line += n
+                    continue
+        yield by_line(chunk, line)
+        line += n
 
 
 class Simulator:

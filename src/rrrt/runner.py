@@ -225,8 +225,10 @@ def replay_text(text: str) -> MetricsReport:
 
 
 def replay(path: str) -> MetricsReport:
-    """replay_text of a trace file; Corrupt if the file is not UTF-8 text."""
-    with open(path, "r", encoding="utf-8") as fp:
+    """replay_text of a trace file, its line breaks read as they are (so a
+    carriage return is corrupt, as in replay_text); Corrupt if the file is not
+    UTF-8 text."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
         try:
             text = fp.read()
         except UnicodeDecodeError as exc:

@@ -17,6 +17,8 @@ of the same run to `2T`. The last test checks that a run with no fault never
 looks one up.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -285,6 +287,28 @@ def test_a_run_to_t_is_the_prefix_of_the_same_run_to_2t(run):
     short, long = rows
     assert [row for row in short if row[2] != "pending"] == [row for row in long
                                                               if row[0] <= horizon]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_runs())
+def test_four_times_the_energy_costs_changes_only_total_energy(run):
+    """The energy-scaling relation of test_metamorphic.py over the drawn runs:
+    with `e_tx` and `e_rx` times 4, every row is the same and `total_energy`
+    is exactly 4 times; the rest of the report is equal."""
+    cfg, seed, fault = run
+    runs = []
+    for scale in (1.0, 4.0):
+        cfg.energy.e_tx *= scale
+        cfg.energy.e_rx *= scale
+        harness = build(cfg, seed)
+        if fault is not None:
+            harness.runtime.inject_fault(*fault)
+        trace = finish(cfg, harness)
+        runs.append((reduce_trace(trace, trace_preamble(cfg, seed)), list(trace)))
+    (report, rows), (scaled, scaled_rows) = runs
+    assert scaled_rows == rows
+    assert scaled.total_energy == 4 * report.total_energy
+    assert dataclasses.replace(scaled, total_energy=report.total_energy) == report
 
 
 @pytest.mark.parametrize("name, horizon", [("field_congested", 10.0), ("transport_lossy", 60.0)])

@@ -12,8 +12,7 @@ from oracles import read_rows_oracle, serialize_oracle
 from rrrt import kernel
 from rrrt.cli import main
 from rrrt.errors import Corrupt
-from rrrt.kernel import (SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace, _split_lines,
-                         read_rows)
+from rrrt.kernel import SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace, read_rows
 from rrrt.runner import replay_text
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
@@ -42,15 +41,20 @@ def test_read_rows_reuses_the_float_of_a_repeated_time():
     text = "time,node,kind,pid,copy,reason,value,info\n0.5,a,send,1,1,,,\n0.5,b,send,2,2,,,\n"
     first, second = read_rows(text)[1]
     assert first[0] is second[0]
-    # The last row of one batch and the first of the next, with a blank line
-    # (so read line by line) in neither batch, the first or the second.
-    edge = kernel.READ_BATCH
+    # The last row of one chunk and the first of the next, with a blank line
+    # (so read line by line) in neither chunk, the first or the second.
+    edge = 64
     for blank in (None, 0, 2 * edge - 1):
         rows = [f"{i / 8},a,send,{i},{i},,," for i in range(2 * edge)]
         rows[edge - 1] = rows[edge] = "0.5,b,send,1,1,,,"
         if blank is not None:
             rows[blank] = ""
-        records = list(read_rows("\n".join([",".join(TRACE_COLUMNS)] + rows))[1])
+        # The first chunk ends with row edge - 1, which starts READ_CHUNK
+        # characters after the first row.
+        chunk = sum(len(row) + 1 for row in rows[:edge - 1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "READ_CHUNK", chunk)
+            records = list(read_rows("\n".join([",".join(TRACE_COLUMNS)] + rows))[1])
         at = edge - 1 - (blank == 0)
         assert records[at][1] == records[at + 1][1] == "b"
         assert records[at][0] is records[at + 1][0]
@@ -83,18 +87,7 @@ def test_serialize_matches_the_oracle_on_edge_cases():
     check([one_row(a), one_row(b), one_row(0.0), one_row(-0.0), one_row(-0.0), one_row(0.0)])
 
 
-@settings(max_examples=300, database=None)
-@given(text=st.text(alphabet='ab\n\r,"'), chunk=st.integers(0, 12))
-@example(text="", chunk=1)
-@example(text="a\nb", chunk=1)  # no trailing newline
-@example(text="ab\n\ncd", chunk=2)  # "\n\n" at the chunk edge
-@example(text="ab\r\ncd\r", chunk=2)  # "\r" at the chunk edge
-@example(text="a\n" + "b" * 40 + "\nc\n", chunk=3)  # a line longer than the chunk
-def test_split_lines_yields_the_lines_of_split(text, chunk):
-    assert list(_split_lines(text, chunk)) == text.split("\n")
-
-
-# Fields of a trace row that convert, and the replacements that send a batch
+# Fields of a trace row that convert, and the replacements that send a chunk
 # line by line: infos with a quote (as a CSV writer would quote a comma, a
 # quote or a line break) or a carriage return, and fields that do not
 # convert.
@@ -139,20 +132,29 @@ def read_all(read, text):
     return preamble, records, None
 
 
+ROW = "0.5,n0,send,1,1,,,"
+
+
 @settings(max_examples=400, deadline=None, database=None)
 @given(head=st.sampled_from(("", "# seed=1\n", "# seed=1\n\n", "time,node\n")),
-       lines=st.lists(trace_lines(), max_size=24), batch=st.integers(1, 5),
-       chunk=st.integers(0, 40))
-@example(head="", lines=["0.5,n0,send,1,1,,,", "", ",".join("1" * 15), "0.5,n0,send,1,1,,,"],
-         batch=4, chunk=0)  # 32 fields in four lines, one blank
-@example(head="", lines=["0.5,n0,send,1,1,,,", '0.5,n0,send,1,1,,,"x\ny"', "0.5,n0,send,2,2,,,"],
-         batch=2, chunk=0)  # a quoted line break across a batch edge
+       lines=st.lists(trace_lines(), max_size=24), chunk=st.integers(0, 40))
+@example(head="", lines=[], chunk=1)  # no row
+@example(head="", lines=[ROW, "0.5,n0,send,2,2,,,"], chunk=1)  # no trailing newline
+@example(head="", lines=[ROW, "", ROW], chunk=len(ROW))  # "\n\n" at the chunk edge
+@example(head="", lines=[ROW + "\r", ROW + "\r"], chunk=len(ROW))  # "\r" at the chunk edge
+@example(head="", lines=[ROW, "0.5," + "b" * 40 + ",send,2,2,,,", ROW, ""],
+         chunk=3)  # a line longer than the chunk
+@example(head="", lines=[ROW, "", ",".join("1" * 15), ROW],
+         chunk=80)  # 32 fields in four lines, one blank
+@example(head="", lines=[ROW, '0.5,n0,send,1,1,,,"x\ny"', "0.5,n0,send,2,2,,,"],
+         chunk=0)  # a quoted line break across a chunk edge
 @example(head="", lines=["0.5,n0,send,1,1,,", "0.5,0.5,n0,send,1,1,,,"],
-         batch=2, chunk=0)  # 7 and 9 fields that would convert as 8 and 8
-def test_read_rows_matches_the_row_by_row_reader(head, lines, batch, chunk):
+         chunk=80)  # 7 and 9 fields that would convert as 8 and 8
+@example(head="", lines=[ROW, "a,b,c", "d,e,f,g"],
+         chunk=80)  # 17 = 9 * 2 - 1 fields in three lines, "\n" the ninth
+def test_read_rows_matches_the_row_by_row_reader(head, lines, chunk):
     text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "READ_BATCH", batch)
         patch.setattr(kernel, "READ_CHUNK", chunk)
         preamble, records, error = read_all(read_rows, text)
         expected_preamble, expected, expected_error = read_all(read_rows_oracle, text)
@@ -176,6 +178,26 @@ def test_a_quoted_line_break_is_refused_at_its_line(tmp_path):
     assert main(["replay", "--trace", str(path)]) == 3
 
 
+def test_a_carriage_return_is_refused_at_its_line_in_text_and_file(tmp_path):
+    """replay reads a file's line breaks as they are: a CRLF copy of a shipped
+    trace exits 3, as replay_text of the same text raises Corrupt (its header
+    line ends in "\r")."""
+    _, text = run_and_serialize(shipped("transport_lossy"), 1)
+    crlf = text.replace("\n", "\r\n")
+    with pytest.raises(Corrupt, match="unexpected trace header"):
+        replay_text(crlf)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(crlf.encode("utf-8"))
+    assert main(["replay", "--trace", str(path)]) == 3
+    # A "\r" inside the info of the third row, whose info is the last field.
+    lines = text.split("\n")
+    at = lines.index(",".join(TRACE_COLUMNS)) + 3
+    lines[at] += "a\rb"
+    with pytest.raises(Corrupt, match="unparsable field") as raised:
+        list(read_rows("\n".join(lines))[1])
+    assert raised.value.offset == at + 1
+
+
 def long_trace(rows: int) -> SimulationTrace:
     trace = SimulationTrace()
     for i in range(rows):
@@ -183,17 +205,38 @@ def long_trace(rows: int) -> SimulationTrace:
     return trace
 
 
+def chunk_of(lines: list[str], line: int) -> range:
+    """The numbers of the lines in the chunk read_rows reads line `line` of
+    `lines` in, the header being line 1: a chunk ends at the first newline
+    READ_CHUNK or more characters after its start, so a line that starts
+    exactly READ_CHUNK characters in is its last."""
+    first, length = 2, 0
+    for number, text in enumerate(lines[1:], start=2):
+        if length > kernel.READ_CHUNK:
+            first, length = number, 0
+        length += len(text) + 1
+        if number == line:
+            while length <= kernel.READ_CHUNK and number < len(lines):
+                length += len(lines[number]) + 1
+                number += 1
+            return range(first, number + 1)
+    raise ValueError(f"no line {line}")
+
+
 def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
     monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
     lines = long_trace(2000).serialize().split("\n")
     lines.insert(1500, "")  # blank lines are skipped but counted
-    # Rows start on line 2 and are read READ_BATCH lines at a time: the bad row
-    # is the first, a middle or the last line of the batch that holds line 1701.
-    first = 2 + (1701 - 2) // kernel.READ_BATCH * kernel.READ_BATCH
-    for line in (first, 1701, first + kernel.READ_BATCH - 1):
+    # The bad row is the first, a middle or the last line of the chunk that
+    # holds line 1701. It takes the place of a row, padded to its length, so
+    # that every chunk keeps its lines.
+    chunk = chunk_of(lines, 1701)
+    for line in (chunk[0], 1701, chunk[-1]):
         for bad in ("0.5,n0,send,1,1,,", "0.5,n0,send,x,1,,,", "0.5,n0,send,1,1,,v,",
                     "0.5,n0,send,1,1,,,,", "0.5,n0,se\rnd,1,1,,,"):
-            text = "\n".join(lines[:line - 1] + [bad] + lines[line - 1:])
+            bad = bad.ljust(len(lines[line - 1]), "x")
+            text = "\n".join(lines[:line - 1] + [bad] + lines[line:])
+            assert chunk_of(text.split("\n"), line) == chunk
             assert text.index(bad) > 3 * kernel.READ_CHUNK
             with pytest.raises(Corrupt) as parsed:
                 SimulationTrace.parse(text)
@@ -219,15 +262,26 @@ def test_serialize_holds_the_text_once(monkeypatch):
     assert peak < 1.5 * len(text)
 
 
-def test_read_rows_holds_one_chunk_of_lines(monkeypatch):
-    text = long_trace(20000).serialize()
-    monkeypatch.setattr(kernel, "READ_CHUNK", len(text) // 50)
-
+def read_peak(text: str) -> int:
+    """The peak of the memory allocated while the records of `text` are read
+    and dropped, in bytes."""
     def consume():
         for _ in read_rows(text)[1]:
             pass
 
-    assert traced_peak(consume)[1] < 0.25 * len(text)
+    return traced_peak(consume)[1]
+
+
+def test_read_rows_holds_one_chunk_of_lines(monkeypatch):
+    text = long_trace(20000).serialize()
+    monkeypatch.setattr(kernel, "READ_CHUNK", len(text) // 100)
+    assert read_peak(text) < 0.25 * len(text)
+
+
+def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch):
+    short = long_trace(20000).serialize()
+    monkeypatch.setattr(kernel, "READ_CHUNK", len(short) // 20)
+    assert read_peak(long_trace(80000).serialize()) < 1.1 * read_peak(short)
 
 
 @functools.cache

@@ -1,15 +1,18 @@
-"""Time two checkouts' event loops against each other in one process.
+"""Time two checkouts' event loops, or their replays, against each other in one process.
 
     python3 tools/loop_ab.py PARENT_DIR CHANGE_DIR --workload field_congested [--pairs 10]
+        [--phase {loop,replay}]
 
 Each checkout's `src/rrrt` is copied under its own package name (`rrrt_a`,
 `rrrt_b`) into a temporary directory, so both load side by side. Each pair
 builds and runs the workload once on each side, in alternating order, and
-times the event loop as `bench/pipeline.py` does: LOOP_PIECES slices of the
-horizon plus `finalize`, each slice scaled to reference speed by its
-`Stopwatch`. The serialized traces of the two sides must have the same
-sha256. The report gives each side's median and quartiles and the number of
-pairs that the second checkout won.
+times one phase as `bench/pipeline.py` does, scaled to reference speed by a
+`Stopwatch`. With `--phase loop` (the default) that is the event loop:
+LOOP_PIECES slices of the horizon plus `finalize`. With `--phase replay` it
+is `runner.replay_text` of the side's own serialized trace, and the two
+sides' replayed reports must be equal. The serialized traces of the two
+sides must have the same sha256. The report gives each side's median and
+quartiles and the number of pairs that the second checkout won.
 
 Two runs in one process share its speed, but that does not make small
 differences visible: on a shared 2-CPU VM an A/A run (a checkout against a
@@ -45,8 +48,9 @@ def load_side(checkout: Path, name: str, into: Path):
             for module in ("runner", "scenario")}
 
 
-def time_loop(pipeline, side: dict, scenarios: Path, workload: str, seed: int):
-    """(reference-speed loop seconds, sha256 of the serialized trace) of one run."""
+def time_phase(pipeline, side: dict, scenarios: Path, workload: str, seed: int, phase: str):
+    """(reference-speed seconds of `phase`, sha256 of the serialized trace,
+    replayed report as a dict or None) of one run."""
     runner, scenario = side["runner"], side["scenario"]
     spec = pipeline.WORKLOADS[workload]
     cfg = scenario.parse_scenario(str(scenarios / spec["scenario"]))
@@ -62,9 +66,13 @@ def time_loop(pipeline, side: dict, scenarios: Path, workload: str, seed: int):
         watch.time("loop_s", harness.sim.run_until, horizon * piece / pipeline.LOOP_PIECES)
     watch.time("loop_s", harness.sim.run_until, horizon)
     watch.time("loop_s", harness.finalize)
-    loop_s = sum(reference for _, reference in watch.times("loop_s"))
     text = harness.sim.trace.serialize(runner.trace_preamble(cfg, seed))
-    return loop_s, hashlib.sha256(text.encode()).hexdigest()
+    report = None
+    if phase == "replay":
+        del harness  # as in bench/pipeline.py, where the run is gone by replay
+        report = watch.time("replay_s", runner.replay_text, text).to_dict()
+    seconds = sum(reference for _, reference in watch.times(f"{phase}_s"))
+    return seconds, hashlib.sha256(text.encode()).hexdigest(), report
 
 
 def summary(label: str, values: list[float]) -> str:
@@ -79,6 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--phase", choices=("loop", "replay"), default="loop")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -92,26 +101,30 @@ def main(argv=None) -> int:
         sides = {label: (load_side(checkout.resolve(), f"rrrt_{label.lower()}", Path(tmp)),
                          checkout.resolve() / "scenarios")
                  for label, checkout in (("A", args.parent), ("B", args.change))}
-        loops = {"A": [], "B": []}
+        times = {"A": [], "B": []}
         won = 0
         for pair in range(args.pairs):
-            hashes = {}
+            hashes, reports = {}, {}
             for label in ("AB" if pair % 2 == 0 else "BA"):
                 side, scenarios = sides[label]
-                loop_s, hashes[label] = time_loop(pipeline, side, scenarios, args.workload,
-                                                  args.seed)
-                loops[label].append(loop_s)
+                seconds, hashes[label], reports[label] = time_phase(
+                    pipeline, side, scenarios, args.workload, args.seed, args.phase)
+                times[label].append(seconds)
             if hashes["A"] != hashes["B"]:
                 print(f"pair {pair + 1}: traces differ, sha256 {hashes['A'][:12]} (A) "
                       f"against {hashes['B'][:12]} (B)")
                 return 1
-            won += loops["B"][-1] < loops["A"][-1]
-            print(f"pair {pair + 1}: A {loops['A'][-1]:.4f} s, B {loops['B'][-1]:.4f} s")
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, traces equal")
-    print(summary(f"A {args.parent}", loops["A"]))
-    print(summary(f"B {args.change}", loops["B"]))
-    gain = 1.0 - statistics.median(loops["B"]) / statistics.median(loops["A"])
-    print(f"B faster in {won}/{args.pairs} pairs; median loop {gain:+.1%} faster")
+            if reports["A"] != reports["B"]:
+                print(f"pair {pair + 1}: replayed reports differ")
+                return 1
+            won += times["B"][-1] < times["A"][-1]
+            print(f"pair {pair + 1}: A {times['A'][-1]:.4f} s, B {times['B'][-1]:.4f} s")
+    equal = "traces and replayed reports" if args.phase == "replay" else "traces"
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, {equal} equal")
+    print(summary(f"A {args.parent}", times["A"]))
+    print(summary(f"B {args.change}", times["B"]))
+    gain = 1.0 - statistics.median(times["B"]) / statistics.median(times["A"])
+    print(f"B faster in {won}/{args.pairs} pairs; median {args.phase} {gain:+.1%} faster")
     return 0
 
 
