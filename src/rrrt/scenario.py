@@ -1,7 +1,9 @@
 """Scenario files: sectioned key/value text, fully validated at load.
 
-A scenario plus a seed determines a run completely. Parsing collects every
-violation (not just the first) and reports them with field-precise messages.
+A scenario plus a seed determines a run completely. Each key is declared once,
+with its default and domain, and every consumer reads it through `KEYS`.
+Parsing collects every violation (not just the first) and reports them with
+field-precise messages.
 """
 
 from __future__ import annotations
@@ -9,44 +11,57 @@ from __future__ import annotations
 import ast
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from .errors import ScenarioInvalid, UnknownParameter, Validation
+
+
+# Each interval a key's domain can be, in the README's notation -> (its low
+# end, whether that end is left out, its high end, which always is left out).
+INTERVALS = {"> 0": (0, True, math.inf), ">= 0": (0, False, math.inf),
+             ">= 1": (1, False, math.inf), "[0, 1)": (0, False, 1), "(0, 1)": (0, True, 1)}
+
+
+def _key(default, domain):
+    """A key's field: its default, whose type is the key's, and its domain."""
+    return field(default=default, metadata={"domain": domain})
 
 
 @dataclass
 class ScenarioMeta:
     name: str = "scenario"
-    mode: str = "field"  # "field" | "transport"
+    mode: str = _key("field", ("field", "transport"))
 
 
 @dataclass
 class TopologyCfg:
-    n_sources: int = 81
-    event_radius: float = 45.0
-    layout: str = "direct"  # "direct" | "relay"
-    source_service_rate: float = 200.0
-    relay_service_rate: float = 400.0
-    cross_service_rate: float = 450.0
-    packet_len: float = 1000.0
-    ctl_len: float = 200.0
-    ca_model: str = "exponential"  # "fixed" | "exponential"
-    ca_value: float = 0.002
-    ca_cap: float = 0.05
-    link_loss: float = 0.0
+    n_sources: int = _key(81, ">= 1")
+    event_radius: float = _key(45.0, "> 0")
+    layout: str = _key("direct", ("direct", "relay"))
+    source_service_rate: float = _key(200.0, "> 0")
+    relay_service_rate: float = _key(400.0, "> 0")
+    cross_service_rate: float = _key(450.0, "> 0")
+    packet_len: float = _key(1000.0, "> 0")
+    ctl_len: float = _key(200.0, "> 0")
+    ca_model: str = _key("exponential", ("fixed", "exponential"))
+    ca_value: float = _key(0.002, ">= 0")
+    ca_cap: float = _key(0.05, ">= 0")
+    link_loss: float = _key(0.0, "[0, 1)")
 
 
 @dataclass
 class ControllerCfg:
-    dr_d: int = 400
-    t_sa: float = 1.0
-    beta: float = 0.05
-    interval_len: float = 0.0  # 0 means "use t_sa"
-    f_init: float = 4.0
-    f_min: float = 0.1
-    f_cap: float = 50.0
+    dr_d: int = _key(400, ">= 1")
+    t_sa: float = _key(1.0, "> 0")
+    beta: float = _key(0.05, "(0, 1)")
+    interval_len: float = _key(0.0, ">= 0")  # 0 means "use t_sa"
+    f_init: float = _key(4.0, "> 0")
+    f_min: float = _key(0.1, "> 0")
+    f_cap: float = _key(50.0, "> 0")
 
     def effective_interval(self) -> float:
         return self.interval_len if self.interval_len > 0 else self.t_sa
@@ -54,61 +69,61 @@ class ControllerCfg:
 
 @dataclass
 class CongestionCfg:
-    buffer_capacity: int = 80
-    epoch: float = 0.1
+    buffer_capacity: int = _key(80, ">= 0")
+    epoch: float = _key(0.1, "> 0")
 
 
 @dataclass
 class CrossTrafficCfg:
-    rate: float = 0.0
-    start: float = 0.0
-    stop: float = 0.0
+    rate: float = _key(0.0, ">= 0")
+    start: float = _key(0.0, ">= 0")
+    stop: float = _key(0.0, ">= 0")
 
 
 @dataclass
 class BudgetCfg:
-    delta_e2a: float = 0.0  # 0 disables the budget check
-    ep_del: float = 0.0
-    a_del: float = 0.0
+    delta_e2a: float = _key(0.0, ">= 0")  # 0 disables the budget check
+    ep_del: float = _key(0.0, ">= 0")
+    a_del: float = _key(0.0, ">= 0")
 
 
 @dataclass
 class TransportCfg:
-    relays: int = 2
-    bottleneck_service: float = 100.0
-    relay_service: float = 400.0
-    sender_service: float = 400.0
-    capacity: int = 50
-    data_loss: float = 0.0
-    goal_packets: int = 1000
-    delta_e2a: float = 60.0
-    t_fdbk: float = 0.5
-    t_p: float = 1.0
-    rtt_estimate: float = 0.1
-    decrease_factor: float = 0.5
-    hold_band: float = 0.02
-    sender: str = "adaptive"  # "adaptive" | "fixed"
-    fixed_rate: float = 200.0
+    relays: int = _key(2, ">= 1")
+    bottleneck_service: float = _key(100.0, "> 0")
+    relay_service: float = _key(400.0, "> 0")
+    sender_service: float = _key(400.0, "> 0")
+    capacity: int = _key(50, ">= 1")
+    data_loss: float = _key(0.0, "[0, 1)")
+    goal_packets: int = _key(1000, ">= 0")
+    delta_e2a: float = _key(60.0, "> 0")
+    t_fdbk: float = _key(0.5, "> 0")
+    t_p: float = _key(1.0, "> 0")
+    rtt_estimate: float = _key(0.1, "> 0")
+    decrease_factor: float = _key(0.5, "(0, 1)")
+    hold_band: float = _key(0.02, "[0, 1)")
+    sender: str = _key("adaptive", ("adaptive", "fixed"))
+    fixed_rate: float = _key(200.0, "> 0")
 
 
 @dataclass
 class EnergyCfg:
-    e_tx: float = 50e-6
-    e_rx: float = 25e-6
+    e_tx: float = _key(50e-6, ">= 0")
+    e_rx: float = _key(25e-6, ">= 0")
 
 
 @dataclass
 class SimCfg:
-    horizon: float = 25.0
+    horizon: float = _key(25.0, "> 0")
     seed: int = 1
-    repetitions: int = 10
+    repetitions: int = _key(10, ">= 1")
 
 
 @dataclass
 class SwitchesCfg:
     eq4_alt: bool = False
     eq6_alt: bool = False
-    eq2_mode: str = "literal"  # "literal" | "full-sum"
+    eq2_mode: str = _key("literal", ("literal", "full-sum"))
     sack: bool = True
 
 
@@ -126,13 +141,48 @@ class ScenarioConfig:
     switches: SwitchesCfg = field(default_factory=SwitchesCfg)
 
 
-_SECTIONS = {f.name: f.type for f in dc_fields(ScenarioConfig)}
-# "section.key" -> the type of the field's default: bool, int, float or str.
-_FIELD_TYPES = {f"{name}.{f.name}": type(f.default)
-                for name, section in vars(ScenarioConfig()).items()
-                for f in dc_fields(section)}
-# (section, key) of every float field, each of which must be finite.
-_FLOAT_FIELDS = [path.split(".") for path, kind in _FIELD_TYPES.items() if kind is float]
+class Key(NamedTuple):
+    """One scenario key, as every consumer reads it."""
+
+    section: str
+    key: str
+    path: str  # "section.key"
+    kind: type  # of its default: bool, int, float or str
+    domain: Any  # one of INTERVALS, a tuple of choices, or None for any `kind`
+    get: Callable[[ScenarioConfig], Any]  # its value in a configuration
+
+
+def _check(kind: type, domain) -> tuple:
+    """(`value in domain`, the violation if not). The test is a C call for a
+    choice or an integer's bound, and one chained comparison for a float,
+    which also leaves out the infinities and NaN."""
+    if isinstance(domain, tuple):
+        return domain.__contains__, "must be " + " or ".join(domain)
+    lo, lo_open, hi = INTERVALS[domain]
+    reason = f"must be {'in ' if hi < math.inf else ''}{domain}"
+    reason = "must be positive" if domain == "> 0" else reason
+    if kind is int:  # no integer key has an upper bound
+        return partial(operator.lt if lo_open else operator.le, lo), reason
+    return (lambda value: lo < value < hi) if lo_open else (lambda value: lo <= value < hi), reason
+
+
+def _declared() -> dict[str, list[Key]]:
+    """Section name -> its keys, in field order, read from the dataclasses."""
+    sections = {}
+    for section in dc_fields(ScenarioConfig):
+        sections[section.name] = keys = []
+        for f in dc_fields(section.default_factory):
+            path = f"{section.name}.{f.name}"
+            keys.append(Key(section.name, f.name, path, type(f.default), f.metadata.get("domain"),
+                            operator.attrgetter(path)))
+    return sections
+
+
+_SECTIONS = _declared()
+KEYS = {key.path: key for keys in _SECTIONS.values() for key in keys}
+# The rows that validate_scenario walks: (path, get, `value in domain`, violation, kind).
+_CHECKS = [(key.path, key.get, *_check(key.kind, key.domain), key.kind)
+           for key in KEYS.values() if key.domain is not None]
 # A line up to its comment: a `#` inside double quotes is part of the value.
 _CODE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 _EXPECTED = {bool: "expected true/false", int: "expected an integer",
@@ -162,26 +212,11 @@ def parse_value(text: str):
         return text
 
 
-def _typed(path: str, value):
-    """`value` as field `path` takes it: bool, int (not bool), a number as float, or str.
-
-    Raises ScenarioInvalid naming the field for any other value.
-    """
-    expected = _FIELD_TYPES[path]
-    if expected is float and type(value) is int:
-        value = float(value)
-    if type(value) is not expected:
-        raise ScenarioInvalid([Validation(path, _EXPECTED[expected])])
-    return value
-
-
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     lines = []
-    for section_name in _SECTIONS:
-        section = getattr(cfg, section_name)
+    for section_name, keys in _SECTIONS.items():
         lines.append(f"[{section_name}]")
-        for f in dc_fields(section):
-            lines.append(f"{f.name} = {_format_value(getattr(section, f.name))}")
+        lines.extend(f"{key.key} = {_format_value(key.get(cfg))}" for key in keys)
         lines.append("")
     return "\n".join(lines)
 
@@ -190,7 +225,6 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     violations: list[Validation] = []
     section_name = None
-    section_obj = None
     given: dict[str, int] = {}  # path -> the line that set it
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = (_CODE.match(raw).group() if "#" in raw else raw).strip()
@@ -200,21 +234,18 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             section_name = line[1:-1].strip()
             if section_name not in _SECTIONS:
                 violations.append(Validation(section_name, f"unknown section (line {lineno})"))
-                section_obj = None
-            else:
-                section_obj = getattr(cfg, section_name)
             continue
         if "=" not in line:
             violations.append(Validation(f"line {lineno}", "expected key = value"))
             continue
         key, _, value_text = line.partition("=")
         key = key.strip()
-        if section_obj is None:
+        if section_name not in _SECTIONS:
             if section_name is None:
                 violations.append(Validation(key, f"key outside any section (line {lineno})"))
             continue
         path = f"{section_name}.{key}"
-        if path not in _FIELD_TYPES:
+        if path not in KEYS:
             violations.append(Validation(path, "unknown key"))
             continue
         if path in given:
@@ -222,7 +253,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             continue
         given[path] = lineno
         try:
-            setattr(section_obj, key, _typed(path, parse_value(value_text)))
+            set_param(cfg, path, parse_value(value_text))
         except ScenarioInvalid as exc:
             violations.extend(exc.violations)
     violations.extend(validate_scenario(cfg))
@@ -236,92 +267,55 @@ def parse_scenario(path: str) -> ScenarioConfig:
         return parse_scenario_text(fp.read())
 
 
+MODE_RATES = {"field": ("topology.source_service_rate", "topology.relay_service_rate",
+                        "topology.cross_service_rate"),
+              "transport": ("transport.bottleneck_service", "transport.relay_service",
+                            "transport.sender_service")}
+# The rules that tie keys together, each as (path, its violation, the keys it
+# reads, the rule). A rule is checked once every key it reads is in its domain.
+_RULES = [
+    # Each service rate that the mode's topology builds leaves time for the
+    # mean channel access: `bit_rate_for_service` needs 1/rate > ca_value.
+    *((path, "service rate unachievable with {cfg.topology.ca_value}s channel access",
+       ("scenario.mode", "topology.ca_value", path),
+       lambda cfg, mode=mode, get=KEYS[path].get:
+           cfg.scenario.mode != mode or 1.0 / get(cfg) > cfg.topology.ca_value)
+      for mode, paths in MODE_RATES.items() for path in paths),
+    # The exponential model draws each channel access with mean ca_value.
+    ("topology.ca_value", "must be positive with the exponential model",
+     ("topology.ca_model", "topology.ca_value"),
+     lambda cfg: cfg.topology.ca_model != "exponential" or cfg.topology.ca_value > 0),
+    # f_min <= f_init <= f_cap: f_init is held to it once f_min <= f_cap.
+    ("controller.f_cap", "must be >= f_min", ("controller.f_min", "controller.f_cap"),
+     lambda cfg: cfg.controller.f_cap >= cfg.controller.f_min),
+    ("controller.f_init", "must lie within [f_min, f_cap]",
+     ("controller.f_min", "controller.f_init", "controller.f_cap"),
+     lambda cfg: not cfg.controller.f_min <= cfg.controller.f_cap
+     or cfg.controller.f_min <= cfg.controller.f_init <= cfg.controller.f_cap),
+    # The feedback and probe periods exceed the round-trip estimate.
+    *((path, "must exceed RTT", (path, "transport.rtt_estimate"),
+       lambda cfg, get=KEYS[path].get: get(cfg) > cfg.transport.rtt_estimate)
+      for path in ("transport.t_fdbk", "transport.t_p")),
+    # Cross traffic stops no earlier than it starts.
+    ("cross_traffic.stop", "must be >= start", ("cross_traffic.start", "cross_traffic.stop"),
+     lambda cfg: cfg.cross_traffic.stop >= cfg.cross_traffic.start),
+]
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[Validation]:
-    """Every constraint violated by the configuration, with field-precise messages."""
+    """Every constraint violated by the configuration, with field-precise
+    messages: each key outside its domain, then each rule of `_RULES` whose
+    keys all lie in theirs."""
     bad: list[Validation] = []
-
-    def check(ok: bool, field_name: str, reason: str) -> None:
-        if not ok:
-            bad.append(Validation(field_name, reason))
-
-    meta, topo, ctl = cfg.scenario, cfg.topology, cfg.controller
-    cong, cross, budget = cfg.congestion, cfg.cross_traffic, cfg.budget
-    xp, energy, sim, sw = cfg.transport, cfg.energy, cfg.sim, cfg.switches
-
-    for name, key in _FLOAT_FIELDS:
-        if not math.isfinite(getattr(getattr(cfg, name), key)):
-            bad.append(Validation(f"{name}.{key}", "must be finite"))
-
-    check(meta.mode in ("field", "transport"), "scenario.mode", "must be field or transport")
-
-    check(topo.n_sources >= 1, "topology.n_sources", "must be >= 1")
-    check(topo.event_radius > 0, "topology.event_radius", "must be positive")
-    check(topo.layout in ("direct", "relay"), "topology.layout", "must be direct or relay")
-    for name in ("source_service_rate", "relay_service_rate", "cross_service_rate",
-                 "packet_len", "ctl_len"):
-        check(getattr(topo, name) > 0, f"topology.{name}", "must be positive")
-    check(topo.ca_model in ("fixed", "exponential"), "topology.ca_model",
-          "must be fixed or exponential")
-    check(topo.ca_value >= 0, "topology.ca_value", "must be >= 0")
-    check(topo.ca_model != "exponential" or topo.ca_value > 0, "topology.ca_value",
-          "must be positive with the exponential model")
-    check(topo.ca_cap >= 0, "topology.ca_cap", "must be >= 0")
-    check(0 <= topo.link_loss < 1, "topology.link_loss", "must be in [0, 1)")
-    if topo.ca_value > 0:
-        ceiling = 1.0 / topo.ca_value
-        field_rates = [("topology.source_service_rate", topo.source_service_rate),
-                       ("topology.relay_service_rate", topo.relay_service_rate),
-                       ("topology.cross_service_rate", topo.cross_service_rate)]
-        if meta.mode == "transport":
-            field_rates += [("transport.bottleneck_service", xp.bottleneck_service),
-                            ("transport.relay_service", xp.relay_service),
-                            ("transport.sender_service", xp.sender_service)]
-        for name, rate in field_rates:
-            check(rate < ceiling, name,
-                  f"service rate unachievable with {topo.ca_value}s channel access")
-
-    check(ctl.dr_d >= 1, "controller.dr_d", "must be >= 1")
-    check(ctl.t_sa > 0, "controller.t_sa", "must be positive")
-    check(0 < ctl.beta < 1, "controller.beta", "must be in (0,1)")
-    check(ctl.interval_len >= 0, "controller.interval_len", "must be >= 0 (0 uses t_sa)")
-    check(ctl.f_min > 0, "controller.f_min", "must be positive")
-    check(ctl.f_cap >= ctl.f_min, "controller.f_cap", "must be >= f_min")
-    check(ctl.f_min <= ctl.f_init <= ctl.f_cap, "controller.f_init",
-          "must lie within [f_min, f_cap]")
-
-    check(cong.buffer_capacity >= 0, "congestion.buffer_capacity", "must be >= 0")
-    check(cong.epoch > 0, "congestion.epoch", "must be positive")
-
-    check(cross.rate >= 0, "cross_traffic.rate", "must be >= 0")
-    check(cross.stop >= cross.start, "cross_traffic.stop", "must be >= start")
-
-    for name in ("delta_e2a", "ep_del", "a_del"):
-        check(getattr(budget, name) >= 0, f"budget.{name}", "must be >= 0")
-
-    check(xp.relays >= 1, "transport.relays", "must be >= 1")
-    for name in ("bottleneck_service", "relay_service", "sender_service"):
-        check(getattr(xp, name) > 0, f"transport.{name}", "must be positive")
-    check(xp.capacity >= 1, "transport.capacity", "must be >= 1")
-    check(0 <= xp.data_loss < 1, "transport.data_loss", "must be in [0, 1)")
-    check(xp.goal_packets >= 0, "transport.goal_packets", "must be >= 0")
-    check(xp.delta_e2a > 0, "transport.delta_e2a", "must be positive")
-    check(xp.rtt_estimate > 0, "transport.rtt_estimate", "must be positive")
-    check(xp.t_fdbk > xp.rtt_estimate, "transport.t_fdbk", "must exceed RTT")
-    check(xp.t_p > xp.rtt_estimate, "transport.t_p", "must exceed RTT")
-    check(0 < xp.decrease_factor < 1, "transport.decrease_factor", "must be in (0,1)")
-    check(0 <= xp.hold_band < 1, "transport.hold_band", "must be in [0, 1)")
-    check(xp.sender in ("adaptive", "fixed"), "transport.sender",
-          "must be adaptive or fixed")
-    check(xp.fixed_rate > 0, "transport.fixed_rate", "must be positive")
-
-    check(energy.e_tx >= 0, "energy.e_tx", "must be >= 0")
-    check(energy.e_rx >= 0, "energy.e_rx", "must be >= 0")
-
-    check(sim.horizon > 0, "sim.horizon", "must be positive")
-    check(sim.repetitions >= 1, "sim.repetitions", "must be >= 1")
-
-    check(sw.eq2_mode in ("literal", "full-sum"), "switches.eq2_mode",
-          "must be literal or full-sum")
+    for path, get, ok, reason, kind in _CHECKS:
+        value = get(cfg)
+        if not ok(value):
+            finite = kind is not float or math.isfinite(value)
+            bad.append(Validation(path, reason if finite else "must be finite"))
+    outside = {violation.field for violation in bad}
+    for path, reason, reads, holds in _RULES:
+        if outside.isdisjoint(reads) and not holds(cfg):
+            bad.append(Validation(path, reason.format(cfg=cfg)))
     return bad
 
 
@@ -330,21 +324,25 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 
 def get_param(cfg: ScenarioConfig, path: str):
-    if path not in _FIELD_TYPES:
+    if path not in KEYS:
         raise UnknownParameter(path)
-    section_name, _, key = path.partition(".")
-    return getattr(getattr(cfg, section_name), key)
+    return KEYS[path].get(cfg)
 
 
 def set_param(cfg: ScenarioConfig, path: str, value) -> None:
-    """Set one field by dotted path, typed as a scenario file would type it.
+    """Set one field by dotted path, typed as a scenario file would type it:
+    bool, int (not bool), a number as float, or str.
 
-    Raises UnknownParameter for a bad path and ScenarioInvalid for a value of
-    the wrong type; range checks are validate_scenario's.
+    Raises UnknownParameter for a bad path and ScenarioInvalid naming the field
+    for a value of any other type; range checks are validate_scenario's.
     """
     get_param(cfg, path)  # raises UnknownParameter on a bad path
-    section_name, _, key = path.partition(".")
-    setattr(getattr(cfg, section_name), key, _typed(path, value))
+    key = KEYS[path]
+    if key.kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not key.kind:
+        raise ScenarioInvalid([Validation(path, _EXPECTED[key.kind])])
+    setattr(getattr(cfg, key.section), key.key, value)
 
 
 @dataclass

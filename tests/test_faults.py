@@ -10,17 +10,18 @@ Faults are set before the run: once a copy waits on a buffer, `inject_fault`
 raises PastTime. A run with no fault looks none up. The tests at the end
 check that a fault due after the horizon (`util.set_a_late_fault`), which
 makes every hop and arrival look faults up, changes no byte: with copies still
-queued at the horizon, with an event tied with an arrival, and over a space of
-small scenarios. In that space a drawn fault due inside the horizon must pass
-the audit and replay to the live report, and a run to `T` must be the prefix
-of the same run to `2T`. The last test checks that a run with no fault never
-looks one up.
+queued at the horizon, with an event tied with an arrival, and over short runs
+of valid scenarios drawn from the whole scenario space (`space.scenarios`).
+Over those runs a drawn fault due inside the horizon must pass the audit and
+replay to the live report, a run to `T` must be the prefix of the same run to
+`2T`, and four times the energy costs must change only the total energy. The
+last test checks that a run with no fault never looks one up.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rrrt.errors import PastTime
 from rrrt.metrics import audit_trace, reduce_trace
@@ -29,6 +30,7 @@ from rrrt.runner import (build_field, build_field_topology, build_transport,
 from rrrt.scenario import set_param, validate_scenario
 from rrrt.topology import Topology
 from shipped import SHIPPED, sha256, shipped
+from space import scenarios
 from test_golden import GOLDEN_SHA256
 from util import FIXED_CA, chain_network, data_packet, set_a_late_fault
 
@@ -221,29 +223,12 @@ def test_an_arrival_tied_with_an_event_queued_after_its_admission_fires_first():
 
 @st.composite
 def small_runs(draw):
-    """(config, seed, fault) of a short shipped-scenario run with a few
-    parameters redrawn: channel access, loss, buffers, load, the field's
-    decision interval and the transport's deadline. The fault is
-    None or `(target, at, mode)`, set before the run: a node or a link, crash
-    or drop-all, due inside the horizon."""
-    cfg = shipped(draw(st.sampled_from(SHIPPED)))
-    set_param(cfg, "sim.horizon", draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))))
-    set_param(cfg, "topology.ca_model", draw(st.sampled_from(("fixed", "exponential"))))
-    if cfg.scenario.mode == "field":
-        set_param(cfg, "topology.n_sources", draw(st.integers(1, 16)))
-        set_param(cfg, "topology.layout", draw(st.sampled_from(("direct", "relay"))))
-        set_param(cfg, "topology.link_loss", draw(st.sampled_from((0.0, 0.1, 0.5))))
-        set_param(cfg, "topology.relay_service_rate", draw(st.sampled_from((20.0, 70.0))))
-        set_param(cfg, "congestion.buffer_capacity", draw(st.integers(1, 20)))
-        set_param(cfg, "controller.f_init", draw(st.sampled_from((2.0, 12.0, 40.0))))
-        set_param(cfg, "controller.t_sa", draw(st.sampled_from((0.2, 1.0))))
-    else:
-        set_param(cfg, "transport.data_loss", draw(st.sampled_from((0.0, 0.1, 0.5))))
-        set_param(cfg, "transport.capacity", draw(st.integers(1, 20)))
-        set_param(cfg, "transport.goal_packets", draw(st.integers(10, 300)))
-        set_param(cfg, "transport.sender", draw(st.sampled_from(("adaptive", "fixed"))))
-        set_param(cfg, "transport.delta_e2a", draw(st.sampled_from((1.0, 60.0))))
-    assume(not validate_scenario(cfg))
+    """(config, seed, fault) of a short run: a valid configuration drawn from
+    the whole scenario space by `space.scenarios`, a seed and a fault. The
+    fault is None or `(target, at, mode)`, set before the run: a node or a
+    link, crash or drop-all, due inside the horizon."""
+    cfg = draw(scenarios())
+    assert validate_scenario(cfg) == []
     seed = draw(st.integers(1, 3))
     if not draw(st.booleans()):
         return cfg, seed, None
