@@ -14,7 +14,7 @@ import sys
 
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
-from .kernel import SimulationTrace, format_preamble
+from .kernel import SimulationTrace, decode_info, format_preamble
 from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
 from .scenario import SweepSpec, parse_scenario, parse_value, scenario_hash, set_param
 
@@ -84,11 +84,8 @@ def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace)
     _write(os.path.join(out_dir, "intervals.csv"), intervals)
     conn = header + "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count\n"
     for time, _, kind, _, _, _, _, info in trace:
-        if kind != "conn" or not info:  # a deadline_expired row carries no state
-            continue
-        state = dict(part.split("=", 1) for part in info.split(";"))
-        conn += (f"{time!r},{state['phase']},{state['r_c']},{state['r_f']},"
-                 f"{state['r_min']},{state['missed']},{state['retx']}\n")
+        if kind == "conn" and info:  # its state in the header's order; deadline_expired has none
+            conn += f"{time!r},{','.join(decode_info(info).values())}\n"
     _write(os.path.join(out_dir, "connection.csv"), conn)
 
 

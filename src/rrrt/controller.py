@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InconsistentStats, InvalidTarget
+from .kernel import decode_info
 from .packet import Packet
 from .scenario import BudgetCfg, ControllerCfg
 
@@ -173,7 +174,7 @@ class IntervalRow:
     @classmethod
     def decode(cls, info: str, end_time: float) -> "IntervalRow":
         """Inverse of encode(); ValueError on an unknown condition or a bad number."""
-        fields = dict(part.split("=", 1) for part in info.split(";"))
+        fields = decode_info(info)
         return cls(
             interval=int(fields["i"]), dr_o=int(fields["dr_o"]), dr_d=int(fields["dr_d"]),
             alpha=float(fields["alpha"]), t_i=float(fields["t_i"]), cn=fields["cn"] == "1",

@@ -26,13 +26,13 @@ frame; `log` takes the fields by keyword for the rarer rows and calls it.
 A trace goes to text with `SimulationTrace.serialize` and comes back with
 `read_rows`, which yields the records one at a time, so a consumer such as
 replay reduces them as they arrive and never holds them all.
-`SimulationTrace.parse` collects them into a trace. A row is one line of
-eight comma-separated fields, none holding a comma, a double quote, a
-carriage return or a line break; nothing is quoted. Neither side holds a
-second copy of the text: serialize grows one string block by block, and
-read_rows splits it straight into fields READ_CHUNK characters at a time
-and yields each chunk's rows from its converted columns, in C; a chunk that
-holds a quote or a carriage return, or that is malformed, is read line by line.
+`SimulationTrace.parse` collects them into a trace. A row is one line of eight
+comma-separated fields, none holding a comma, a double quote, a carriage return
+or a line break; nothing is quoted; its kind and reason are a pair of ROW_KINDS.
+Neither side holds a second copy of the text: serialize grows one string block
+by block, and read_rows splits it straight into fields READ_CHUNK characters at
+a time and yields each chunk's rows from its converted columns, in C; a chunk
+that holds a quote or a carriage return, or that is malformed, is read line by line.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import random
 from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, count, islice
 from operator import ne
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Corrupt, PastTime
 
@@ -56,10 +56,52 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# A trace row is the eight fields
-#   (time, node, kind, pid, copy, reason, value, info)
-# pid/copy are -1 when not applicable, value is None when not applicable.
 TRACE_COLUMNS = ("time", "node", "kind", "pid", "copy", "reason", "value", "info")
+
+
+class RowKind(NamedTuple):
+    """A kind of trace row, as the README's table of row kinds lists it: what it records (in
+    the audit's words), what each field it carries holds (of pid, copy, reason, value, info;
+    any other is -1, "" or None), and its reasons."""
+
+    event: str
+    carries: dict[str, str]
+    reasons: tuple[str, ...]
+
+
+ROW_KINDS = {
+    "generate": RowKind("generated", {"pid": "the new packet"}, ("",)),
+    "send": RowKind("sent", {"pid": "the packet", "copy": "the new copy; -1 for a broadcast",
+                             "value": "its sampled hop delay; empty for a broadcast"}, ("",)),
+    "receive": RowKind("received", {"pid": "the packet", "copy": "the copy; -1 for a broadcast"},
+                       ("",)),
+    "drop": RowKind("dropped", {"pid": "the packet", "copy": "the copy; -1 for a broadcast or "
+                                "before a copy is sent", "reason": "why"},
+                    ("fault", "loss", "no_route", "overflow")),
+    "pending": RowKind("pending", {"pid": "the packet", "copy": "the copy; -1 for a broadcast or "
+                                   "an unacked packet", "reason": "where it is at the horizon"},
+                       ("queued", "in_flight", "unacked")),
+    "deliver": RowKind("delivered", {"pid": "the packet handed to its application", "reason":
+                                     "under a delay budget, a data packet's flags: the budget held "
+                                     "(1) or not (0) in literal, then in full-sum mode",
+                                     "value": "its generation time", "info": "its flow"},
+                       ("", "00", "10", "11")),  # full-sum holds only where literal does
+    "interval": RowKind("closed", {"info": "the decision interval that ends at `time`: i, dr_o, "
+                                           "dr_d, alpha, t_i, cn, cond, f_i, f_next, x"}, ("",)),
+    "conn": RowKind("logged", {"reason": "set once, when the deadline passes with data left",
+                               "info": "the transport sender's state: phase, r_c, r_f, r_min, "
+                                       "missed, retx, or empty"}, ("", "deadline_expired")),
+}
+# Each (kind, reason) a row may carry, and the kinds that may carry none: read_rows takes no other.
+ROW_PAIRS = frozenset((kind, reason) for kind, row in ROW_KINDS.items() for reason in row.reasons)
+BARE_KINDS = frozenset(kind for kind, reason in ROW_PAIRS if not reason)
+
+
+def decode_info(info: str) -> dict[str, str]:
+    """The `k=v;...` state in an interval or conn row's info; ValueError on a part without `=`."""
+    return dict(part.split("=", 1) for part in info.split(";"))
+
+
 SERIALIZE_BLOCK = 8192  # rows joined into one string before it is appended to the text
 READ_CHUNK = 1 << 16  # about this many characters are split into fields at a time by read_rows
 
@@ -171,18 +213,19 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
 
 
 def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
-    """One iterator over the records of each chunk of the text from `start`,
-    after line `line`; every field is converted, and a time string equal to
-    the previous row's reuses that row's float. A chunk ends at a newline. One
-    with no quote and no carriage return, all of whose lines have eight fields
-    that convert, yields a zip over its columns; any other is read line by line.
+    """One iterator over the records of each chunk of the text from `start`, after
+    line `line`; every field is converted, and a time string equal to the previous
+    row's reuses that row's float. A chunk ends at a newline. One with no quote and
+    no carriage return, all of whose lines have eight fields that convert and a kind
+    and reason of ROW_PAIRS, yields a zip over its columns; any other is read line by line.
     """
     last_text = last_time = None
 
     def by_line(chunk: str, line: int) -> Iterator[tuple]:
-        """The records of the lines of `chunk`, after line `line`. A blank line
-        is skipped; the first line with a quote or a carriage return, of other
-        than eight fields or with a field that does not convert raises Corrupt."""
+        """The records of the lines of `chunk`, after line `line`. A blank line is
+        skipped; the first line with a quote or a carriage return, of other than eight
+        fields, with a kind and reason not in ROW_PAIRS or with a field that does not
+        convert raises Corrupt."""
         nonlocal last_text, last_time
         for text in chunk.split("\n"):
             line += 1
@@ -194,6 +237,8 @@ def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
             if len(fields) != 8:
                 raise Corrupt(line, "wrong column count")
             time, node, kind, pid, copy, reason, value, info = fields
+            if (kind, reason) not in ROW_PAIRS:
+                raise Corrupt(line, f"no {kind!r} row carries the reason {reason!r}")
             try:
                 if time != last_text:
                     last_time = float(time)
@@ -214,7 +259,10 @@ def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
             # The fields of every line with a "\n" field between two lines: 9n - 1
             # fields, every ninth one "\n", only if each line has eight.
             fields = chunk.replace("\n", ",\n,").split(",")
-            if len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1:
+            kinds, reasons = fields[2::9], fields[5::9]
+            if (len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1 and (
+                    ROW_PAIRS.issuperset(zip(kinds, reasons)) if any(reasons)
+                    else BARE_KINDS.issuperset(kinds))):
                 texts = fields[0::9]
                 try:
                     new = [texts[0] != last_text, *map(ne, texts[1:], texts)]
@@ -227,10 +275,9 @@ def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
                     pass
                 else:
                     last_text, last_time = texts[-1], times[-1]
-                    yield zip(times, fields[1::9], fields[2::9], pids, copies,
-                              fields[5::9], values, fields[7::9])
+                    yield zip(times, fields[1::9], kinds, pids, copies, reasons, values, fields[7::9])
                     # Read: free the columns before the next chunk is split.
-                    del fields, texts, new, floats, times, pids, copies, values
+                    del fields, texts, new, floats, times, pids, copies, values, kinds, reasons
                     line += n
                     continue
         yield by_line(chunk, line)

@@ -11,6 +11,7 @@ from typing import Iterable, Optional
 
 from .controller import IntervalRow, NetworkCondition
 from .errors import InvariantViolation
+from .kernel import ROW_KINDS
 
 
 def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
@@ -102,9 +103,8 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
     )
 
 
-# The kinds of row that must follow their copy's send, by the word their
-# messages use.
-_LOGGED = {"receive": "received", "drop": "dropped", "pending": "pending"}
+# The kinds of row that carry a copy, by their messages' word: each but a send follows its send.
+_LOGGED = {kind: row.event for kind, row in ROW_KINDS.items() if "copy" in row.carries}
 
 
 def audit_trace(records: Iterable[tuple]) -> dict:

@@ -347,12 +347,8 @@ class CrossTrafficSource:
 
 
 class SubSinkApp:
-    """Sub-sink endpoint: interval accounting, frequency updates, broadcasts.
-
-    With a delay budget, a data delivery's reason ("10": literal only) says if
-    the budget held in literal mode (summed buffering delay) and in full-sum
-    mode (end-to-end delay, the sum of all four per-hop components).
-    """
+    """Sub-sink endpoint: interval accounting, frequency updates, broadcasts. Under a
+    delay budget, a data delivery's reason holds its flags (`kernel.ROW_KINDS`)."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, controller: ReliabilityController,
                  budget: Optional[BudgetCfg] = None):

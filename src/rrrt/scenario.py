@@ -274,12 +274,13 @@ MODE_RATES = {"field": ("topology.source_service_rate", "topology.relay_service_
 # The rules that tie keys together, each as (path, its violation, the keys it
 # reads, the rule). A rule is checked once every key it reads is in its domain.
 _RULES = [
-    # Each service rate that the mode's topology builds leaves time for the
-    # mean channel access: `bit_rate_for_service` needs 1/rate > ca_value.
+    # Each service rate that the mode's topology builds gives `bit_rate_for_service`
+    # a positive, finite bit rate: packet_len / (1/rate - ca_value).
     *((path, "service rate unachievable with {cfg.topology.ca_value}s channel access",
-       ("scenario.mode", "topology.ca_value", path),
-       lambda cfg, mode=mode, get=KEYS[path].get:
-           cfg.scenario.mode != mode or 1.0 / get(cfg) > cfg.topology.ca_value)
+       ("scenario.mode", "topology.ca_value", "topology.packet_len", path),
+       lambda cfg, mode=mode, get=KEYS[path].get: cfg.scenario.mode != mode
+       or (gap := 1.0 / get(cfg) - cfg.topology.ca_value) > 0
+       and 0 < cfg.topology.packet_len / gap < math.inf)
       for mode, paths in MODE_RATES.items() for path in paths),
     # The exponential model draws each channel access with mean ca_value.
     ("topology.ca_value", "must be positive with the exponential model",
@@ -296,6 +297,9 @@ _RULES = [
     *((path, "must exceed RTT", (path, "transport.rtt_estimate"),
        lambda cfg, get=KEYS[path].get: get(cfg) > cfg.transport.rtt_estimate)
       for path in ("transport.t_fdbk", "transport.t_p")),
+    # Each buffer numbers its epochs, int(now / epoch), up to the horizon.
+    ("congestion.epoch", "must keep horizon / epoch finite", ("sim.horizon", "congestion.epoch"),
+     lambda cfg: math.isfinite(cfg.sim.horizon / cfg.congestion.epoch)),
     # Cross traffic stops no earlier than it starts.
     ("cross_traffic.stop", "must be >= start", ("cross_traffic.start", "cross_traffic.stop"),
      lambda cfg: cfg.cross_traffic.stop >= cfg.cross_traffic.start),

@@ -10,7 +10,7 @@ import math
 
 from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer
 from rrrt.errors import Corrupt, InvariantViolation
-from rrrt.kernel import TRACE_COLUMNS
+from rrrt.kernel import ROW_KINDS, TRACE_COLUMNS
 from rrrt.transport import SackInfo
 
 
@@ -170,9 +170,10 @@ def read_rows_oracle(text: str):
     line after the header on its own, splits it at its commas and converts
     each field, reusing the previous row's float when its time string
     repeats. A blank line is skipped; a line with a quote or a carriage
-    return, of other than eight fields, or with a field that does not convert
-    raises Corrupt(line number), checked in that order, as kernel.read_rows
-    does."""
+    return, of other than eight fields, whose kind is not one of ROW_KINDS or
+    whose reason is not one of its kind's, or with a field that does not
+    convert raises Corrupt(line number), checked in that order, as
+    kernel.read_rows does."""
     preamble: dict = {}
     lines = iter(text.split("\n"))
     for header_line, line in enumerate(lines, start=1):
@@ -198,6 +199,8 @@ def read_rows_oracle(text: str):
             if len(row) != 8:
                 raise Corrupt(number, "wrong column count")
             time, node, kind, pid, copy, reason, value, info = row
+            if kind not in ROW_KINDS or reason not in ROW_KINDS[kind].reasons:
+                raise Corrupt(number, f"no {kind!r} row carries the reason {reason!r}")
             try:
                 if time != last_text:
                     last_time = float(time)

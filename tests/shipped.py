@@ -36,6 +36,7 @@ class ShippedRun(NamedTuple):
     streamed: Any  # `replay_text(text)`
     listed: Any  # `reduce_trace(*SimulationTrace.parse(text))`
     audits: tuple  # `audit_outcomes(trace)`
+    written: frozenset  # the (kind, reason) of every row
 
 
 def audit_outcomes(trace) -> tuple:
@@ -69,6 +70,7 @@ def shipped_run(name: str) -> ShippedRun:
     text = trace.serialize(preamble)
     oracle_sha256 = sha256(serialize_oracle(trace, preamble))
     audits = audit_outcomes(trace)
+    written = frozenset((row[2], row[5]) for row in trace)
     del trace
     return ShippedRun(sha256(text), oracle_sha256, report, replay_text(text),
-                      reduce_trace(*SimulationTrace.parse(text)), audits)
+                      reduce_trace(*SimulationTrace.parse(text)), audits, written)

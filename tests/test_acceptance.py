@@ -13,6 +13,7 @@ import pytest
 
 from rrrt import transport as tp
 from rrrt.controller import IntervalStats, classify_condition, update_frequency
+from rrrt.kernel import decode_info
 from rrrt.metrics import audit_trace
 from rrrt.packet import Packet
 from rrrt.runner import build_transport, replay_text, run_experiment
@@ -236,7 +237,7 @@ def test_criterion_6_rate_control_convergence_floor_and_blackout():
     harness.sim.run_until(cfg.sim.horizon)
     for rec in harness.sim.trace:
         if rec[2] == "conn" and rec[7]:
-            fields = dict(p.split("=", 1) for p in rec[7].split(";"))
+            fields = decode_info(rec[7])
             if fields["phase"] in ("Increase", "Decrease", "Hold"):
                 assert float(fields["r_c"]) >= float(fields["r_min"]) - 1e-9
 

@@ -271,6 +271,54 @@ def test_every_append_row_call_passes_an_eight_field_tuple_literal():
     assert bad == []
 
 
+def test_every_literal_kind_and_reason_written_is_in_the_table():
+    """Each `append_row` and `log` call in the package names a kind of
+    `ROW_KINDS`, as a literal, and a literal reason, `log`'s default "" included,
+    must be one of that kind's. A reason passed as a variable is checked by the
+    runs in `test_trace_text.py`; `SimulationTrace.log` passes its own on."""
+    calls, bad = 0, []
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "kernel.py"}):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append_row", "log")):
+                continue
+            calls += 1
+            args = node.args[0].elts if node.func.attr == "append_row" else node.args
+            args = dict(zip(kernel.TRACE_COLUMNS, args))
+            args.update((keyword.arg, keyword.value) for keyword in node.keywords)
+            kind, reason = args["kind"], args.get("reason", ast.Constant(""))
+            if not (isinstance(kind, ast.Constant) and kind.value in kernel.ROW_KINDS):
+                bad.append(f"{path.name}:{node.lineno} kind")
+            elif isinstance(reason, ast.Constant) and (
+                    reason.value not in kernel.ROW_KINDS[kind.value].reasons):
+                bad.append(f"{path.name}:{node.lineno} reason")
+    assert calls >= 20
+    assert bad == []
+
+
+def declared_row_table():
+    """The rows of the README's table of row kinds as `kernel.ROW_KINDS`
+    declares them: kind, event, what each of pid, copy, reason, value and
+    info holds (— where the kind does not carry it), and its reasons."""
+    rows = []
+    for kind, row in kernel.ROW_KINDS.items():
+        held = [row.carries.get(column, "—") for column in kernel.TRACE_COLUMNS[3:]]
+        reasons = [f"`{reason}`" if reason else "empty" for reason in row.reasons]
+        if len(reasons) > 1:
+            reasons = [", ".join(reasons[:-1]) + " or " + reasons[-1]]
+        rows.append(" | ".join([f"| `{kind}`", row.event, *held, *reasons]) + " |")
+    return rows
+
+
+def test_the_readme_table_of_row_kinds_matches_the_declarations():
+    with open(SRC.parent.parent / "README.md", encoding="utf-8") as fp:
+        section = fp.read().split("## Trace rows", 1)[1].split("\n## ", 1)[0]
+    expected = declared_row_table()
+    assert [line for line in section.split("\n") if line.startswith("| `")] == expected, \
+        "\n".join(expected)
+
+
 def test_log_and_append_row_of_the_same_rows_leave_equal_traces():
     rows = [(0.5, "n0", "generate", 1, -1, "", None, ""),
             (0.5, "n0", "send", 1, 4, "", 0.0125, ""),

@@ -11,10 +11,10 @@ import rrrt
 from rrrt import runner
 from rrrt.cli import main
 from rrrt.errors import Corrupt, InvariantViolation
-from rrrt.kernel import SimulationTrace, Simulator, format_preamble
+from rrrt.kernel import SimulationTrace, Simulator, decode_info, format_preamble
 from rrrt.metrics import audit_trace
 from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
-from rrrt.scenario import ScenarioConfig, serialize_scenario
+from rrrt.scenario import ScenarioConfig, serialize_scenario, set_param
 from shipped import SCENARIO_DIR, sha256, shipped
 from util import run_and_serialize
 
@@ -75,7 +75,7 @@ def test_sack_off_leaves_holes():
     counts = audit_trace(trace)
     assert counts["dropped"] == counts["generated"] - counts["delivered"]
     last_conn = [r[7] for r in trace if r[2] == "conn" and r[7]][-1]
-    assert float(last_conn.split("r_min=")[1].split(";")[0]) < 1
+    assert float(decode_info(last_conn)["r_min"]) < 1
 
 
 @pytest.mark.parametrize("cfg", [small_field_cfg(horizon=2.0), transport_cfg(goal=50)],
@@ -140,10 +140,24 @@ def test_field_trace_passes_audit_under_congestion():
     assert overflow, "scenario was meant to overflow the relay"
 
 
-def _budgeted_run(cfg, delta_e2a, seed):
+# The pinned runs with a delay budget: (shipped scenario, horizon, delta_e2a), at seed 1.
+BUDGET_PINS = [("field_congested", 30.0, 0.05), ("field_burst", 10.0, 0.02)]
+
+
+def with_budget(cfg, delta_e2a):
     cfg.budget.delta_e2a = delta_e2a
     cfg.budget.ep_del = 0.001
     cfg.budget.a_del = 0.001
+    return cfg
+
+
+def budget_pin(name, horizon, delta_e2a):
+    cfg = shipped(name)
+    cfg.sim.horizon = horizon
+    return with_budget(cfg, delta_e2a)
+
+
+def _budgeted_run(cfg, seed):
     report, text = run_and_serialize(cfg, seed=seed)
     budget = report.delay_budget
     assert budget is not None
@@ -154,20 +168,16 @@ def _budgeted_run(cfg, delta_e2a, seed):
 
 
 def test_delay_budget_fractions_reported_and_replayed():
-    _budgeted_run(small_field_cfg(), 0.02, seed=2)
+    _budgeted_run(with_budget(small_field_cfg(), 0.02), seed=2)
     # A congested relay makes both modes fail some deliveries, so the pinned
     # trace covers both reason bits of every deliver row.
-    cfg = shipped("field_congested")
-    cfg.sim.horizon = 30.0
-    budget, text = _budgeted_run(cfg, 0.05, seed=1)
+    budget, text = _budgeted_run(budget_pin(*BUDGET_PINS[0]), seed=1)
     assert sha256(text) == "c43d8f263530042a024c0dca5d055b061b6cde26337355d9689147717256554c"
     assert budget["deliveries"] == 1389
     assert budget["literal_ok_fraction"] == pytest.approx(0.8898488120950324, rel=1e-12)
     assert budget["full_sum_ok_fraction"] == pytest.approx(0.8545716342692584, rel=1e-12)
     # The relay and the cross-traffic burst also fail some deliveries in both modes.
-    cfg = shipped("field_burst")
-    cfg.sim.horizon = 10.0
-    budget, text = _budgeted_run(cfg, 0.02, seed=1)
+    budget, text = _budgeted_run(budget_pin(*BUDGET_PINS[1]), seed=1)
     assert sha256(text) == "94e8db9c29ee22aaf9661c568cb9a1992878e20fa14cb833ec4b80a4c7a96825"
     assert budget["deliveries"] == 2352
     assert budget["literal_ok_fraction"] == pytest.approx(0.9247448979591837, rel=1e-12)
@@ -188,8 +198,7 @@ def test_probe_rate_matches_sustained_bottleneck_throughput():
     harness = build_transport(cfg, seed=4)
     harness.sim.run_until(2.0)  # probe + first feedbacks on an idle path
     rows = [r[7] for r in harness.sim.trace if r[2] == "conn" and r[7]]
-    advertised = [float(dict(p.split("=", 1) for p in info.split(";"))["r_f"])
-                  for info in rows]
+    advertised = [float(decode_info(info)["r_f"]) for info in rows]
     assert 80.0 in advertised  # idle bottleneck: (0 + 1) / 80 inverted
 
     over = transport_cfg(goal=400, horizon=30.0, sender="fixed")
@@ -238,6 +247,26 @@ def test_cli_run_with_zero_channel_access_exits_by_its_model(tmp_path, capsys, c
         assert "topology.ca_value: must be positive" in capsys.readouterr().err
     else:
         assert main(["replay", "--trace", str(out / "trace.csv")]) == 0
+
+
+@pytest.mark.parametrize("name, path, value, violation", [
+    ("field_congested", "congestion.epoch", 1e-320,
+     "must keep horizon / epoch finite"),
+    ("field_congested", "topology.source_service_rate", 1e-320, "service rate unachievable"),
+    ("transport_lossy", "transport.relay_service", 1e-320, "service rate unachievable"),
+])
+def test_cli_run_refuses_a_value_that_would_crash_the_run(tmp_path, capsys, name, path, value,
+                                                          violation):
+    """Each value lies in its key's domain, and a run with it raised in the
+    buffers (an epoch number that overflows) or the topology: 1/1e-320 is
+    inf, which outlasts any channel access, but the bit rate it gives,
+    packet_len / inf, is 0."""
+    cfg = shipped(name)
+    cfg.sim.horizon = 2.0
+    set_param(cfg, path, value)
+    assert main(["run", "--scenario", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation: {path}: {violation}" in err and "Traceback" not in err
 
 
 def test_cli_validate_rejects_a_key_given_twice(tmp_path, capsys):
@@ -409,20 +438,25 @@ def test_cli_connection_log_written_for_transport(tmp_path):
     expected = []
     for rec in trace:
         if rec[2] == "conn" and rec[7]:
-            state = dict(part.split("=", 1) for part in rec[7].split(";"))
+            state = decode_info(rec[7])
             expected.append((rec[0], state["phase"], float(state["r_c"]), float(state["r_f"]),
                              float(state["r_min"]), int(state["missed"]), int(state["retx"])))
     assert got == expected
     assert {"Hold", "Increase"} & {row[1] for row in got}
 
 
+def expired_deadline_cfg():
+    cfg = shipped("transport_lossy")
+    cfg.transport.delta_e2a = 2.0
+    cfg.sim.horizon = 10.0
+    return cfg
+
+
 def test_an_expired_deadline_logs_one_row_that_connection_csv_leaves_out(tmp_path):
     """With a 2 s deadline the lossy transfer is not done in time: the sender
     logs one `deadline_expired` row, which carries no connection state, so
     `connection.csv` has a row for every other `conn` row and none for it."""
-    cfg = shipped("transport_lossy")
-    cfg.transport.delta_e2a = 2.0
-    cfg.sim.horizon = 10.0
+    cfg = expired_deadline_cfg()
     report, trace, preamble = run_traced(cfg, 1)
     audit_trace(trace)
     assert replay_text(trace.serialize(preamble)) == report

@@ -211,8 +211,12 @@ def edge_cfg():
 
 
 # Keys whose domain a rule narrows above its low end: at that end, the key
-# breaks the rule.
-NARROWED = {"transport.t_fdbk": "must exceed RTT", "transport.t_p": "must exceed RTT"}
+# breaks the rule. At the smallest positive float a field service rate gives
+# a bit rate of 0, and the epoch leaves horizon / epoch infinite.
+NARROWED = {"transport.t_fdbk": "must exceed RTT", "transport.t_p": "must exceed RTT",
+            **{path: "service rate unachievable with 0.002s channel access"
+               for path in MODE_RATES["field"]},
+            "congestion.epoch": "must keep horizon / epoch finite"}
 
 
 def violations_with(path, value):
@@ -270,6 +274,9 @@ RULE_CASES = [
      {"transport.rtt_estimate": 0.5, "transport.t_fdbk": 1.0, "transport.t_p": 0.5},
      {"transport.rtt_estimate": 0.5, "transport.t_fdbk": 1.0,
       "transport.t_p": math.nextafter(0.5, 1.0)}),
+    ("congestion.epoch", "must keep horizon / epoch finite",
+     {"sim.horizon": 2.0, "congestion.epoch": 1e-320},
+     {"sim.horizon": 2.0, "congestion.epoch": 1e-300}),
     ("cross_traffic.stop", "must be >= start",
      {"cross_traffic.start": 2.0, "cross_traffic.stop": 1.0},
      {"cross_traffic.start": 2.0, "cross_traffic.stop": 2.0}),

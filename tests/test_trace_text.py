@@ -1,6 +1,7 @@
 """Trace text: serialize against its line-list oracle, read_rows against its
 row-by-row oracle, the streaming replay against the list path and the live
-report, and replay of mutated traces."""
+report, replay of mutated traces, and the table of row kinds against the
+rows that runs write."""
 
 import functools
 import tracemalloc
@@ -12,10 +13,13 @@ from oracles import read_rows_oracle, serialize_oracle
 from rrrt import kernel
 from rrrt.cli import main
 from rrrt.errors import Corrupt
-from rrrt.kernel import SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace, read_rows
-from rrrt.runner import replay_text
+from rrrt.kernel import (ROW_KINDS, ROW_PAIRS, SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace,
+                         read_rows)
+from rrrt.runner import replay_text, run_traced
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
+from test_faults import FAULT_SHA256, run_with_fault
+from test_runner import BUDGET_PINS, budget_pin, expired_deadline_cfg
 from util import run_and_serialize
 
 
@@ -89,31 +93,36 @@ def test_serialize_matches_the_oracle_on_edge_cases():
 
 # Fields of a trace row that convert, and the replacements that send a chunk
 # line by line: infos with a quote (as a CSV writer would quote a comma, a
-# quote or a line break) or a carriage return, and fields that do not
-# convert.
+# quote or a line break) or a carriage return, fields that do not convert,
+# and a kind or reason outside the table of row kinds.
 TIMES = ("0.5", "1.25", "2", "1e-3", "-0.0", "nan")
 INTS = ("1", "-1", "12")
 VALUES = ("", "0.125", "3")
 INFOS = ("", "data", "i=1;cond=LowRelCong")
 ODD_INFOS = ('"a,b"', '"say ""hi"""', '"x\ny"', '"data"', "dat\ra", "data\r", '"open')
 BAD_FIELDS = ("x", "", "1.5")
+# "10" is a reason of deliver rows only, and "" one of every kind but drop and pending.
+UNLISTED = ("sned", "lost", "10", "")
 LINES = ("", ",".join("1" * 15), "0.5,n0,send,1,1,,", "0.5,0.5,n0,send,1,1,,,", "\r")
 
 
 @st.composite
 def trace_lines(draw):
-    """A row of eight fields, most of the time, and one in four of them with a
-    field replaced; else another line: blank, of 15, 7 or 9 fields, a lone
-    carriage return, or a few random characters."""
+    """A row of eight fields of any kind, with one of its kind's reasons,
+    most of the time, and one in four of them with a field replaced; else
+    another line: blank, of 15, 7 or 9 fields, a lone carriage return, or a
+    few random characters."""
     how = draw(st.integers(0, 19))
     if how < 16:
-        fields = [draw(st.sampled_from(TIMES)), draw(st.sampled_from(("n0", "a b"))), "send",
+        kind = draw(st.sampled_from(tuple(ROW_KINDS)))
+        fields = [draw(st.sampled_from(TIMES)), draw(st.sampled_from(("n0", "a b"))), kind,
                   draw(st.sampled_from(INTS)), draw(st.sampled_from(INTS)),
-                  draw(st.sampled_from(("", "10"))), draw(st.sampled_from(VALUES)),
+                  draw(st.sampled_from(ROW_KINDS[kind].reasons)), draw(st.sampled_from(VALUES)),
                   draw(st.sampled_from(INFOS))]
         if how >= 12:
-            at = draw(st.sampled_from((0, 3, 4, 6, 7)))
-            fields[at] = draw(st.sampled_from(ODD_INFOS if at == 7 else BAD_FIELDS))
+            at = draw(st.sampled_from((0, 2, 3, 4, 5, 6, 7)))
+            fields[at] = draw(st.sampled_from(
+                ODD_INFOS if at == 7 else UNLISTED if at in (2, 5) else BAD_FIELDS))
         return ",".join(fields)
     if how < 19:
         return draw(st.sampled_from(LINES))
@@ -152,6 +161,7 @@ ROW = "0.5,n0,send,1,1,,,"
          chunk=80)  # 7 and 9 fields that would convert as 8 and 8
 @example(head="", lines=[ROW, "a,b,c", "d,e,f,g"],
          chunk=80)  # 17 = 9 * 2 - 1 fields in three lines, "\n" the ninth
+@example(head="", lines=[ROW, "0.5,n0,drop,1,1,,,"], chunk=80)  # no reason, which a drop needs
 def test_read_rows_matches_the_row_by_row_reader(head, lines, chunk):
     text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
@@ -284,6 +294,22 @@ def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch):
     assert read_peak(long_trace(80000).serialize()) < 1.1 * read_peak(short)
 
 
+def test_the_runs_write_every_kind_and_reason_of_the_table_and_no_other():
+    """Some writers pass the reason as a variable (a departure's drop, a
+    pending row's place, a delivery's budget flags): the shipped runs, the
+    fault pins, the budget pins and an expired deadline write only the
+    table's (kind, reason) pairs, and between them every one of it."""
+    written = set()
+    for name in SHIPPED:
+        written |= shipped_run(name).written
+    traces = [run_with_fault(*case)[1] for case in FAULT_SHA256]
+    traces += [run_traced(cfg, 1)[1]
+               for cfg in [budget_pin(*pin) for pin in BUDGET_PINS] + [expired_deadline_cfg()]]
+    for trace in traces:
+        written |= {(row[2], row[5]) for row in trace}
+    assert written == ROW_PAIRS
+
+
 @functools.cache
 def small_trace() -> tuple[list[str], list[list[int]]]:
     """The lines of a shipped field scenario cut to two intervals, and their
@@ -302,33 +328,61 @@ def small_trace() -> tuple[list[str], list[list[int]]]:
 def mutated_traces(draw):
     """The bytes of the small trace truncated, with one byte set to a value that
     is not UTF-8 on its own, or with one line changed in one character, dropped
-    or duplicated. The line is drawn by kind first, so that the two interval
-    rows are hit as often as the thousand sends."""
+    or duplicated, and whether the change left a row (a line of eight fields
+    after the header) whose kind and reason are not in the table. The line is
+    drawn by kind first, so that the two interval rows are hit as often as the
+    thousand sends."""
     lines, groups = small_trace()
     how = draw(st.sampled_from(("truncate", "byte", "flip", "drop", "duplicate")))
     if how in ("truncate", "byte"):
         data = "\n".join(lines).encode("utf-8")
         at = draw(st.integers(0, len(data) - (how == "byte")))
         if how == "truncate":
-            return data[:at]
-        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at + 1:]
+            return data[:at], False
+        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at + 1:], False
     lines = list(lines)
     at = draw(st.sampled_from(draw(st.sampled_from(groups))))
+    unlisted = False
     if how == "flip":
         line = lines[at]
         col = draw(st.integers(0, max(len(line) - 1, 0)))
         char = draw(st.one_of(st.sampled_from(',;="\n\r#-.0159x'), st.characters()))
         lines[at] = line[:col] + char + line[col + 1:]
+        rows = [part.split(",") for part in lines[at].split("\n")]
+        unlisted = at > small_trace()[0].index(",".join(TRACE_COLUMNS)) and any(
+            len(row) == 8 and (row[2], row[5]) not in ROW_PAIRS for row in rows)
     elif how == "drop":
         del lines[at]
     else:
         lines.insert(at, lines[at])
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(lines).encode("utf-8"), unlisted
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(data=mutated_traces())
-def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, data):
+@given(mutation=mutated_traces())
+def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, mutation):
+    """Replay exits 0, 3 or 4, and 3 once a line's kind or reason is not in the table."""
+    data, unlisted = mutation
     path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
     path.write_bytes(data)
-    assert main(["replay", "--trace", str(path), "--format", "csv"]) in (0, 3, 4)
+    code = main(["replay", "--trace", str(path), "--format", "csv"])
+    assert code == 3 if unlisted else code in (0, 3, 4)
+
+
+@pytest.mark.parametrize("column, old, new", [(2, "send", "sned"), (5, "loss", "lost")])
+def test_replay_refuses_a_kind_or_reason_outside_the_table(tmp_path, capsys, column, old, new):
+    """transport_lossy's seed-1 trace with its last send row renamed `sned`,
+    or its last drop for loss given the reason `lost`: both still parse, and
+    replay must exit 3 at that line, not report a smaller energy or loss."""
+    _, text = run_and_serialize(shipped("transport_lossy"), 1)
+    lines = text.split("\n")
+    at = max(at for at, line in enumerate(lines) if line.split(",")[column:column + 1] == [old])
+    fields = lines[at].split(",")
+    fields[column] = new
+    lines[at] = ",".join(fields)
+    assert text.index(lines[at - 1]) > kernel.READ_CHUNK  # past the first chunk
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["replay", "--trace", str(path)]) == 3
+    assert capsys.readouterr().err == (f"corrupt trace: no {fields[2]!r} row carries the reason "
+                                       f"{fields[5]!r} at line {at + 1}\n")

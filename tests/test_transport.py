@@ -8,6 +8,7 @@ import pytest
 
 from rrrt import transport as tp
 from rrrt.errors import DeadlineExpired, DegenerateProbe, StaleFeedback
+from rrrt.kernel import decode_info
 from rrrt.packet import Packet
 from rrrt.metrics import audit_trace
 from rrrt.runner import build_transport, replay_text, run_experiment, run_traced
@@ -386,7 +387,7 @@ def test_rate_never_below_floor_while_data_remains():
     harness.sim.run_until(cfg.sim.horizon)
     rows = [r[7] for r in harness.sim.trace if r[2] == "conn" and r[7]]
     for info in rows:
-        fields = dict(part.split("=", 1) for part in info.split(";"))
+        fields = decode_info(info)
         if fields["phase"] in ("Increase", "Decrease", "Hold"):
             assert float(fields["r_c"]) >= float(fields["r_min"]) - 1e-9
 
@@ -423,7 +424,7 @@ def test_data_sends_are_paced_at_exactly_the_current_rate():
     rate_spans = []  # (start, r_c) at each sender state log
     for r in records:
         if r[2] == "conn" and r[7]:
-            fields = dict(p.split("=", 1) for p in r[7].split(";"))
+            fields = decode_info(r[7])
             rate_spans.append((r[0], float(fields["r_c"])))
     assert len(sends) == 300
     checked = 0
