@@ -32,7 +32,7 @@ or a line break; nothing is quoted; its kind and reason are a pair of ROW_KINDS.
 Neither side holds a second copy of the text: serialize grows one string block
 by block, and read_rows splits it straight into fields READ_CHUNK characters at
 a time and yields each chunk's rows from its converted columns, in C; a chunk
-that holds a quote or a carriage return, or that is malformed, is read line by line.
+that is refused is split into lines only to find its first bad one.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
     exactly the eight columns serialize() writes. The preamble and header are
     read at once, the rows only as the iterator is advanced, one chunk of
     about READ_CHUNK characters at a time. Raises Corrupt(line number) on
-    malformed input: a bad header here, a bad row when the iterator reaches it.
+    malformed input: a bad header here, a bad row once the rows before it are read.
     """
     preamble: dict = {}
     start = 0
@@ -213,75 +213,66 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
 
 
 def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
-    """One iterator over the records of each chunk of the text from `start`, after
-    line `line`; every field is converted, and a time string equal to the previous
-    row's reuses that row's float. A chunk ends at a newline. One with no quote and
-    no carriage return, all of whose lines have eight fields that convert and a kind
-    and reason of ROW_PAIRS, yields a zip over its columns; any other is read line by line.
-    """
+    """A zip over the columns of each chunk of the text from `start`, after line
+    `line`; a chunk ends at a newline. A chunk that _columns refuses is split into
+    lines, and each one not blank is put to _columns alone until one fails: those
+    before it (all, if none fails) are read by columns, then it raises Corrupt."""
     last_text = last_time = None
-
-    def by_line(chunk: str, line: int) -> Iterator[tuple]:
-        """The records of the lines of `chunk`, after line `line`. A blank line is
-        skipped; the first line with a quote or a carriage return, of other than eight
-        fields, with a kind and reason not in ROW_PAIRS or with a field that does not
-        convert raises Corrupt."""
-        nonlocal last_text, last_time
-        for text in chunk.split("\n"):
-            line += 1
-            if not text:
-                continue
-            if '"' in text or "\r" in text:
-                raise Corrupt(line, "unparsable field")
-            fields = text.split(",")
-            if len(fields) != 8:
-                raise Corrupt(line, "wrong column count")
-            time, node, kind, pid, copy, reason, value, info = fields
-            if (kind, reason) not in ROW_PAIRS:
-                raise Corrupt(line, f"no {kind!r} row carries the reason {reason!r}")
-            try:
-                if time != last_text:
-                    last_time = float(time)
-                    last_text = time
-                yield (last_time, node, kind, int(pid), int(copy), reason,
-                       None if value == "" else float(value), info)
-            except ValueError:
-                raise Corrupt(line, "unparsable field") from None
-
     end = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
-    while start < end:
-        stop = text.find("\n", start + READ_CHUNK, end)
+    begin = start
+    while begin < end:
+        stop = text.find("\n", begin + READ_CHUNK, end)
         if stop < 0:
             stop = end
-        chunk = text[start:stop]
-        start, n = stop + 1, chunk.count("\n") + 1
-        if '"' not in chunk and "\r" not in chunk:
-            # The fields of every line with a "\n" field between two lines: 9n - 1
-            # fields, every ninth one "\n", only if each line has eight.
-            fields = chunk.replace("\n", ",\n,").split(",")
-            kinds, reasons = fields[2::9], fields[5::9]
-            if (len(fields) == 9 * n - 1 and fields[8::9].count("\n") == n - 1 and (
-                    ROW_PAIRS.issuperset(zip(kinds, reasons)) if any(reasons)
-                    else BARE_KINDS.issuperset(kinds))):
-                texts = fields[0::9]
-                try:
-                    new = [texts[0] != last_text, *map(ne, texts[1:], texts)]
-                    floats = [last_time, *map(float, compress(texts, new))]
-                    times = list(map(floats.__getitem__, accumulate(new)))
-                    pids = list(map(int, fields[3::9]))
-                    copies = list(map(int, fields[4::9]))
-                    values = [None if value == "" else float(value) for value in fields[6::9]]
-                except ValueError:
-                    pass
-                else:
-                    last_text, last_time = texts[-1], times[-1]
-                    yield zip(times, fields[1::9], kinds, pids, copies, reasons, values, fields[7::9])
-                    # Read: free the columns before the next chunk is split.
-                    del fields, texts, new, floats, times, pids, copies, values, kinds, reasons
-                    line += n
-                    continue
-        yield by_line(chunk, line)
-        line += n
+        chunk, bad = text[begin:stop], None
+        read = _columns(chunk, last_text, last_time)
+        if isinstance(read, str):
+            lines = chunk.split("\n")
+            bad = next((at for at, row in enumerate(lines)
+                        if row and isinstance(_columns(row, None, None), str)), None)
+            good = "\n".join(filter(None, lines[:bad]))
+            read = good and _columns(good, last_text, last_time)
+        if read:
+            last_text, columns = read
+            last_time = columns[0][-1]
+            yield zip(*columns)
+            del read, columns  # the zip is read: free its columns before the next chunk
+        if bad is not None:  # lines are counted only to name a bad one
+            raise Corrupt(line + text.count("\n", start, begin) + bad + 1,
+                          _columns(lines[bad], None, None))
+        begin = stop + 1
+
+
+def _columns(chunk: str, last_text: Optional[str], last_time: Optional[float]):
+    """The time text of the last line of `chunk` and the eight converted columns of
+    its lines, a time string equal to the previous line's (`last_text` before the
+    first) reusing that line's float; or, for a line with a quote or a carriage
+    return, of other than eight fields, with a kind and reason not in ROW_PAIRS or
+    with a field that does not convert, the reason it is corrupt, checked in that
+    order (for more lines, the reason of the first check that fails)."""
+    if '"' in chunk or "\r" in chunk:
+        return "unparsable field"
+    # The fields of every line with a "\n" field between two lines: 9n - 1
+    # fields, every ninth one "\n", only if each line has eight.
+    n = chunk.count("\n") + 1
+    fields = chunk.replace("\n", ",\n,").split(",")
+    if len(fields) != 9 * n - 1 or fields[8::9].count("\n") != n - 1:
+        return "wrong column count"
+    kinds, reasons = fields[2::9], fields[5::9]
+    if not (ROW_PAIRS.issuperset(zip(kinds, reasons)) if any(reasons)
+            else BARE_KINDS.issuperset(kinds)):
+        return f"no {kinds[0]!r} row carries the reason {reasons[0]!r}"
+    texts = fields[0::9]
+    try:
+        new = [texts[0] != last_text, *map(ne, texts[1:], texts)]
+        floats = [last_time, *map(float, compress(texts, new))]
+        times = list(map(floats.__getitem__, accumulate(new)))
+        pids = list(map(int, fields[3::9]))
+        copies = list(map(int, fields[4::9]))
+        values = [None if value == "" else float(value) for value in fields[6::9]]
+    except ValueError:
+        return "unparsable field"
+    return texts[-1], (times, fields[1::9], kinds, pids, copies, reasons, values, fields[7::9])
 
 
 class Simulator:

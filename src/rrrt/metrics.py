@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 
 from .controller import IntervalRow, NetworkCondition
 from .errors import InvariantViolation
-from .kernel import ROW_KINDS
+from .kernel import BARE_KINDS, ROW_KINDS, ROW_PAIRS
 
 
 def convergence_time(rows: list[IntervalRow]) -> Optional[float]:
@@ -110,8 +110,9 @@ _LOGGED = {kind: row.event for kind, row in ROW_KINDS.items() if "copy" in row.c
 def audit_trace(records: Iterable[tuple]) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
-    Checks: nondecreasing timestamps; per-copy lifecycle (one send, then one
-    receive or drop, or accounted as pending at the horizon; at most one
+    Checks: nondecreasing timestamps; every row's kind and reason a pair of
+    kernel.ROW_PAIRS, as read_rows checks the text; per-copy lifecycle (one
+    send, then one receive or drop, or accounted as pending at the horizon; at most one
     receive and one drop; no pending row after the receive, and a drop after
     it only in the receive's instant); strict per-hop causality; packet
     conservation (every pid generated once, then delivered, dropped, or
@@ -147,12 +148,15 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     pending_pids: set[int] = set()
     dropped_pids: set[int] = set()
 
-    for time, _, kind, pid, copy, _, value, _ in records:
+    for time, _, kind, pid, copy, reason, value, _ in records:
         if time != last_time:
             if time < last_time:
                 raise InvariantViolation(f"trace time went backwards at {time}")
             last_time = time
             received_now.clear()
+        # A row of a bare kind with no reason, most of a trace, skips the pair test.
+        if (reason or kind not in BARE_KINDS) and (kind, reason) not in ROW_PAIRS:
+            raise InvariantViolation(f"no {kind!r} row carries the reason {reason!r}")
         if kind == "send":
             if copy >= 0:
                 if copy in sent:

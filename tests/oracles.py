@@ -218,7 +218,8 @@ def audit_trace_oracle(trace) -> dict:
     """The checks of metrics.audit_trace, made over the whole trace: every
     send, receive and drop row of a copy, and the pids of its pending rows,
     are kept until the walk over the rows ends, and then each sent copy is
-    checked against them in send order. Where a row is read, a receive, drop
+    checked against them in send order. Where a row is read, a kind that is not
+    one of ROW_KINDS or a reason that is not one of its kind's, a receive, drop
     or pending row of a copy not yet sent is rejected, and so is a pending row
     of a copy already received, a drop row of one received before this row's
     time, or a second generate row of a pid. Raises InvariantViolation with
@@ -236,12 +237,14 @@ def audit_trace_oracle(trace) -> dict:
     dropped_pids: set[int] = set()
 
     for rec in trace:
-        time, node, kind, pid, copy = rec[0], rec[1], rec[2], rec[3], rec[4]
+        time, node, kind, pid, copy, reason = rec[:6]
         if time < last_time:
             raise InvariantViolation(f"trace time went backwards at {time}")
         if time != last_time:
             received_now.clear()
         last_time = time
+        if kind not in ROW_KINDS or reason not in ROW_KINDS[kind].reasons:
+            raise InvariantViolation(f"no {kind!r} row carries the reason {reason!r}")
         if kind == "send" and copy >= 0:
             if copy in sends:
                 raise InvariantViolation(f"copy {copy} sent twice")

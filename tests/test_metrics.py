@@ -7,7 +7,7 @@ import pytest
 
 from rrrt.controller import IntervalRow
 from rrrt.errors import InvariantViolation
-from rrrt.kernel import SimulationTrace
+from rrrt.kernel import ROW_KINDS, SimulationTrace
 from rrrt.metrics import MetricsReport, audit_trace, convergence_time, reduce_trace
 from shipped import SHIPPED, audit_outcomes, shipped_run
 from test_faults import FAULT_SHA256, run_with_fault
@@ -228,7 +228,7 @@ def copy_logged_with_another_pid(kind):
     trace.log(0.0, "a", "generate", 1)
     trace.log(0.0, "a", "generate", 2)
     trace.log(0.0, "a", "send", 1, 1, "", 0.5)
-    trace.log(0.5, "b", kind, 2, 1)  # copy 1 was sent as pid 1
+    trace.log(0.5, "b", kind, 2, 1, ROW_KINDS[kind].reasons[0])  # copy 1 was sent as pid 1
     trace.log(0.5, "b", "deliver", 1, -1, "", 0.0, "data")
     trace.log(0.5, "b", "deliver", 2, -1, "", 0.0, "data")
     return trace
@@ -329,6 +329,41 @@ def pending_after_its_receive():
     trace = ok_trace()
     trace.log(1.0, "b", "pending", 1, 1, "in_flight")
     return trace
+
+
+@defect
+def kind_outside_the_table():
+    trace = ok_trace()
+    trace.log(0.6, "a", "sned", 1, -1)  # a misspelt send of no copy
+    return trace
+
+
+@defect
+def reason_outside_the_table():
+    trace = SimulationTrace()
+    trace.log(0.0, "a", "generate", 1)
+    trace.log(0.0, "a", "send", 1, 1, "", 0.5)
+    trace.log(0.2, "a", "drop", 1, 1, "lost")  # the table's reason is "loss"
+    return trace
+
+
+def stray_rows():
+    """A generate, a `sned`, a deliver and a drop for `lost`: a trace whose
+    rows conserve their packet and that read_rows refuses in its text."""
+    return SimulationTrace([(0.0, "a", "generate", 1, -1, "", None, ""),
+                            (0.0, "a", "sned", 1, -1, "", None, ""),
+                            (0.5, "b", "deliver", 1, -1, "", 0.0, "data"),
+                            (0.5, "b", "drop", 1, -1, "lost", None, "")])
+
+
+@pytest.mark.parametrize("build, message", [
+    (stray_rows, "no 'sned' row carries the reason ''"),
+    (kind_outside_the_table, "no 'sned' row carries the reason ''"),
+    (reason_outside_the_table, "no 'drop' row carries the reason 'lost'"),
+])
+def test_audit_refuses_a_kind_or_reason_outside_the_table(build, message):
+    """The live audit holds rows to the table as read_rows holds the text, in its words."""
+    assert audit_outcomes(build()) == (message, message)
 
 
 def test_audit_rejects_time_regression():

@@ -294,6 +294,20 @@ def test_cli_run_whose_audit_fails_exits_4_with_one_line(tmp_path, capsys, monke
     assert captured.err == "invariant violation: copy 1 vanished (no receive/drop/pending)\n"
 
 
+def test_cli_run_whose_writer_strays_from_the_table_exits_4(tmp_path, capsys, monkeypatch):
+    """A writer that strays from the table of row kinds fails the run's audit,
+    so `run` never writes a trace that `replay` refuses."""
+    log = SimulationTrace.log
+
+    def stray(self, time, node, kind, *fields):
+        log(self, time, node, "intervals" if kind == "interval" else kind, *fields)
+
+    monkeypatch.setattr(SimulationTrace, "log", stray)
+    assert main(["run", "--scenario", write_cfg(tmp_path, small_field_cfg())]) == 4
+    assert capsys.readouterr().err == ("invariant violation: no 'intervals' row carries "
+                                       "the reason ''\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["validate", "--scenario"], "io error: "),
     (["run", "--scenario"], "io error: "),

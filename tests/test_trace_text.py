@@ -46,7 +46,7 @@ def test_read_rows_reuses_the_float_of_a_repeated_time():
     first, second = read_rows(text)[1]
     assert first[0] is second[0]
     # The last row of one chunk and the first of the next, with a blank line
-    # (so read line by line) in neither chunk, the first or the second.
+    # (so that chunk is read again without it) in neither chunk, the first or the second.
     edge = 64
     for blank in (None, 0, 2 * edge - 1):
         rows = [f"{i / 8},a,send,{i},{i},,," for i in range(2 * edge)]
@@ -91,8 +91,8 @@ def test_serialize_matches_the_oracle_on_edge_cases():
     check([one_row(a), one_row(b), one_row(0.0), one_row(-0.0), one_row(-0.0), one_row(0.0)])
 
 
-# Fields of a trace row that convert, and the replacements that send a chunk
-# line by line: infos with a quote (as a CSV writer would quote a comma, a
+# Fields of a trace row that convert, and the replacements that make a chunk
+# corrupt at their line: infos with a quote (as a CSV writer would quote a comma, a
 # quote or a line break) or a carriage return, fields that do not convert,
 # and a kind or reason outside the table of row kinds.
 TIMES = ("0.5", "1.25", "2", "1e-3", "-0.0", "nan")
@@ -162,6 +162,11 @@ ROW = "0.5,n0,send,1,1,,,"
 @example(head="", lines=[ROW, "a,b,c", "d,e,f,g"],
          chunk=80)  # 17 = 9 * 2 - 1 fields in three lines, "\n" the ninth
 @example(head="", lines=[ROW, "0.5,n0,drop,1,1,,,"], chunk=80)  # no reason, which a drop needs
+@example(head="", lines=[ROW, "", "0.5,n0,send,x,1,,,", ROW],
+         chunk=80)  # a blank line, then a bad one, in one chunk
+@example(head="", lines=[ROW, "", "", ROW], chunk=1)  # a chunk of two blank lines
+@example(head="", lines=[ROW, "", "0.5,n0,send,x,1,,,", ROW],
+         chunk=len(ROW) + 1)  # a bad line first in the chunk after one that ends blank
 def test_read_rows_matches_the_row_by_row_reader(head, lines, chunk):
     text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
