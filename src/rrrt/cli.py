@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import TextIO
 
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
@@ -67,16 +68,23 @@ def _print_summary(report_dict: dict, fmt: str) -> None:
             print(f"{key},{value}")
 
 
+def _open(path: str) -> TextIO:
+    """`path` opened to write text with its "\n" line breaks as they are, on every platform."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write(path: str, text: str) -> None:
-    """Write `text` with its "\n" line breaks as they are, on every platform."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
+    with _open(path) as fp:
         fp.write(text)
 
 
 def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace) -> None:
+    """The four files of `rrrt run --out`. trace.csv is written block by block
+    as the trace is formatted, so neither its text nor its bytes are held whole."""
     os.makedirs(out_dir, exist_ok=True)
     header = format_preamble(preamble)
-    _write(os.path.join(out_dir, "trace.csv"), trace.serialize(preamble))
+    with _open(os.path.join(out_dir, "trace.csv")) as fp:
+        trace.write_to(fp, preamble)
     _write(os.path.join(out_dir, "summary.json"),
            json.dumps({"preamble": preamble, **report.to_dict()}, indent=2) + "\n")
     intervals = header + IntervalRow.CSV_HEADER + "\n"

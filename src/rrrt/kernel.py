@@ -23,16 +23,18 @@ whole run. There is one write path, `append_row`, the flat list's bound
 deliver) pass it one eight-field tuple, which is one C call and no Python
 frame; `log` takes the fields by keyword for the rarer rows and calls it.
 
-A trace goes to text with `SimulationTrace.serialize` and comes back with
-`read_rows`, which yields the records one at a time, so a consumer such as
-replay reduces them as they arrive and never holds them all.
+A trace goes to text through one block formatter, `SimulationTrace._format`,
+and comes back with `read_rows`, which yields the records one at a time, so a
+consumer such as replay reduces them as they arrive and never holds them all.
 `SimulationTrace.parse` collects them into a trace. A row is one line of eight
 comma-separated fields, none holding a comma, a double quote, a carriage return
 or a line break; nothing is quoted; its kind and reason are a pair of ROW_KINDS.
-Neither side holds a second copy of the text: serialize grows one string block
-by block, and read_rows splits it straight into fields READ_CHUNK characters at
-a time and yields each chunk's rows from its converted columns, in C; a chunk
-that is refused is split into lines only to find its first bad one.
+Neither side holds a second copy of the text: the formatter's blocks are
+grown into one string by `serialize`, or written to a file one at a time by
+`write_to` (which `rrrt run --out` calls), and read_rows splits the text
+straight into fields READ_CHUNK characters at a time and yields each chunk's
+rows from its converted columns, in C; a chunk that is refused is split into
+lines only to find its first bad one.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def decode_info(info: str) -> dict[str, str]:
     return dict(part.split("=", 1) for part in info.split(";"))
 
 
-SERIALIZE_BLOCK = 8192  # rows joined into one string before it is appended to the text
+SERIALIZE_BLOCK = 8192  # rows formatted into one block of text by SimulationTrace._format
 READ_CHUNK = 1 << 16  # about this many characters are split into fields at a time by read_rows
 
 
@@ -139,23 +141,45 @@ class SimulationTrace:
         return zip(*[iter(self._fields)] * len(TRACE_COLUMNS))
 
     def serialize(self, preamble: Optional[dict] = None) -> str:
-        """Deterministic trace text. Floats use repr() so parsing round-trips exactly.
+        """Deterministic trace text, grown block by block into one string (see _format)."""
+        return self._format(preamble, None)
 
-        Rows logged in one event share the `sim.now` float object, so a row
-        whose time `is` the previous row's reuses its repr. Rows are joined
-        SERIALIZE_BLOCK at a time and each block is appended to `text`, the
-        only reference to the string, which CPython then resizes in place: the
-        text is never held twice. Other Python implementations return the
-        same text but may copy it on each append.
+    def write_to(self, fp, preamble: Optional[dict] = None) -> None:
+        """Write the text serialize() returns to `fp`, anything with a
+        `write(str)` method, one block at a time as each is formed: the text is
+        never held whole."""
+        self._format(preamble, fp.write)
 
-        An info that holds a comma, a double quote, a carriage return or a
-        line break raises ValueError naming the row: read_rows splits a line
-        at every comma and refuses the others, so it could not be read back.
+    def _format(self, preamble: Optional[dict], write: Optional[Callable[[str], Any]]) -> str:
+        """The one formatter of trace text: the preamble and header, then
+        SERIALIZE_BLOCK rows at a time, each block ending with a newline. Each
+        block is passed to `write` as it is formed, or, without one, appended
+        to `text`, which is returned. Floats use repr() so parsing round-trips
+        exactly, and a row whose time `is` the previous row's (rows logged in
+        one event share the `sim.now` float) reuses its repr.
+
+        `text` is the only reference to the string, which CPython then resizes
+        in place: the text is never held twice. The append stays in this loop:
+        CPython 3.11 resizes in place only once the code is specialized, which
+        the row loop does within the first block, where a loop over the blocks
+        alone would copy the text at each of its first blocks. Each block is
+        dropped before the next is formed, which can then take its place, so
+        the text can grow into the space after it. Other Python
+        implementations return the same text but may copy it on each append.
+
+        A field that holds a comma, a double quote, a carriage return or a line
+        break raises ValueError naming its row before its block is written:
+        read_rows splits a line at every comma and refuses the others, so it
+        could not be read back. Each block is checked at once, in C: its n
+        rows hold 7n commas and n line breaks, and no quote or carriage return.
         """
         text = format_preamble(preamble) + ",".join(TRACE_COLUMNS) + "\n"
+        if write is not None:
+            write(text)
+            text = ""
         rows = iter(self)
         last_time = stamp = None
-        for _ in range(0, len(self), SERIALIZE_BLOCK):
+        for start in range(0, len(self), SERIALIZE_BLOCK):
             lines = []
             append = lines.append
             for time, node, kind, pid, copy, reason, value, info in islice(rows, SERIALIZE_BLOCK):
@@ -163,12 +187,17 @@ class SimulationTrace:
                     last_time = time
                     stamp = repr(time)
                 val = "" if value is None else repr(value)
-                if info and ("," in info or '"' in info or "\n" in info or "\r" in info):
-                    raise ValueError(f"trace row {(time, node, kind, pid, copy)!r}: info {info!r} "
-                                     "holds a comma, a quote or a line break")
                 append(f"{stamp},{node},{kind},{pid},{copy},{reason},{val},{info}")
+            n = len(lines)
             append("")  # so the block ends with a newline
-            text += "\n".join(lines)
+            block = "\n".join(lines)
+            if block.count(",") != 7 * n or block.count("\n") != n or '"' in block or "\r" in block:
+                _refuse(islice(self, start, start + n))
+            if write is None:
+                text += block
+            else:
+                write(block)
+            del block
         return text
 
     @classmethod
@@ -176,6 +205,19 @@ class SimulationTrace:
         """Inverse of serialize(): read_rows() collected into a trace."""
         preamble, rows = read_rows(text)
         return cls(rows), preamble
+
+
+def _refuse(rows: Iterable[tuple]) -> None:
+    """Raise ValueError naming the first of `rows` with a field that, as
+    SimulationTrace._format writes it, holds a comma, a double quote, a
+    carriage return or a line break."""
+    for row in rows:
+        time, value = row[0], row[6]
+        texts = (repr(time), *row[1:6], "" if value is None else repr(value), row[7])
+        for column, text in zip(TRACE_COLUMNS, map(str, texts)):
+            if "," in text or '"' in text or "\r" in text or "\n" in text:
+                raise ValueError(f"trace row {row[:5]!r}: {column} {text!r} holds a comma, "
+                                 "a quote or a line break")
 
 
 def format_preamble(preamble: Optional[dict]) -> str:
@@ -289,6 +331,7 @@ class Simulator:
         self.ordinal: float = math.inf
         self._handlers: dict[str, Callable[["Simulator", str, Any], None]] = {}
         self._rngs: dict[str, random.Random] = {}
+        self._closed = False
         # Identities: `new_pid()` and `new_copy()` return the next packet and
         # copy id, each counted densely from 1 by a bound C method, so drawing
         # one opens no Python frame.
@@ -301,6 +344,8 @@ class Simulator:
         """Named random stream; same (seed, stream-id) yields the same draws."""
         stream = self._rngs.get(stream_id)
         if stream is None:
+            if self._closed:  # a new stream would restart from its seed
+                raise RuntimeError(f"random stream {stream_id!r} drawn after the run was closed")
             stream = random.Random(derive_stream_seed(self.seed, stream_id))
             self._rngs[stream_id] = stream
         return stream
@@ -312,9 +357,13 @@ class Simulator:
         self._handlers[kind] = handler
 
     def close(self) -> None:
-        """Drop every handler once the run is over; the queue and the trace
-        stay readable, but run_until cannot dispatch again."""
+        """Drop every handler and every random stream once the run is over.
+        The queue and the trace stay readable, and they are all a closed
+        simulator keeps that grows with the run; run_until cannot dispatch
+        again, and `rng` raises RuntimeError rather than restart a stream."""
         self._handlers.clear()
+        self._rngs.clear()
+        self._closed = True
 
     def schedule(self, time: float, kind: str, target: str, payload: Any = None) -> int:
         """Queue an event and return its ordinal."""

@@ -7,6 +7,7 @@ report from a serialized trace reproduces it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .controller import IntervalRow, NetworkCondition
@@ -106,6 +107,25 @@ def reduce_trace(records: Iterable[tuple], preamble: dict) -> MetricsReport:
 # The kinds of row that carry a copy, by their messages' word: each but a send follows its send.
 _LOGGED = {kind: row.event for kind, row in ROW_KINDS.items() if "copy" in row.carries}
 
+# The flags the audit keeps per pid, one byte a pid: which rows named it.
+_GENERATED, _DELIVERED, _PENDING, _DROPPED = 1, 2, 4, 8
+# An id at most this far past the end of its dense table grows the table to it;
+# one further out, or below 0, is kept in the table's dict instead. So a row
+# grows a table by at most this many slots, whatever ids a trace holds.
+_REACH = 64
+
+
+def _slot(table, far: dict, key: int, blank):
+    """What holds the entry of `key`: its dense `table`, grown with `blank` up
+    to it, or, for a key that is far or already kept there, `far`, where a new
+    key's entry is `blank`. A key stays where its first entry went."""
+    if far and key in far or not 0 <= key < len(table) + _REACH:
+        far.setdefault(key, blank)
+        return far
+    if key >= len(table):
+        table.extend([blank] * (key + 1 - len(table)))
+    return table
+
 
 def audit_trace(records: Iterable[tuple]) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
@@ -123,10 +143,10 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     that names a copy must come after that copy's send row and carry the
     send's pid. It is checked where the row is read.
 
-    Conservation is checked by `unaccounted` alone: a delivered pid was
-    generated, so once no generated pid is left out of delivered, pending and
-    dropped, the counts split `generated` exactly, delivered first, then
-    pending, then dropped, with no pid in two of them.
+    Conservation is checked on the pid flags alone: a delivered pid was
+    generated, so once no pid is flagged generated and nothing else, the
+    counts split the generated pids exactly, delivered first, then pending,
+    then dropped, with no pid in two of them.
 
     `records` is any iterable of rows, such as a `SimulationTrace`, walked
     once. No row is kept. Per copy the audit keeps only what a later row can
@@ -135,18 +155,25 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     and whether a pending row named it (`pending_copies`). A dropped copy
     still in flight at the end is one that was dropped and never received.
     Only the copies received at the current time are kept (`received_now`).
+    Per pid it keeps one byte of flags (`flags`): generated, delivered,
+    pending, dropped.
+
+    Copies and pids are counted densely from 1 (`Simulator.new_copy`,
+    `new_pid`), so `sent` is a list and `flags` a bytearray, each indexed by
+    id: 8 bytes a copy and 1 a pid. An id far past a table's end (see
+    `_slot`), or below 0, goes to that table's dict, so a hand-built trace
+    with copy 10**12 costs one entry, not memory in proportion to its id.
     """
     last_time = -1.0
-    sent: dict[int, int] = {}  # copy -> pid of its send row
+    sent: list = [None]  # copy -> pid of its send row, None for a copy not sent
+    sent_far: dict[int, int] = {}
     flight: dict[int, tuple] = {}  # copy -> (send time, sampled hop delay), until it is received
     dropped: dict[int, float] = {}  # copy -> time of its drop row
     pending_copies: set[int] = set()
     received_now: set[int] = set()
     copies_received = 0
-    generated: set[int] = set()
-    delivered: set[int] = set()
-    pending_pids: set[int] = set()
-    dropped_pids: set[int] = set()
+    flags = bytearray(1)  # pid -> its flags
+    flags_far: dict[int, int] = {}
 
     for time, _, kind, pid, copy, reason, value, _ in records:
         if time != last_time:
@@ -159,13 +186,22 @@ def audit_trace(records: Iterable[tuple]) -> dict:
             raise InvariantViolation(f"no {kind!r} row carries the reason {reason!r}")
         if kind == "send":
             if copy >= 0:
-                if copy in sent:
-                    raise InvariantViolation(f"copy {copy} sent twice")
-                sent[copy] = pid
+                if copy == len(sent) and not sent_far:  # the next copy, as a run sends them
+                    sent.append(pid)
+                else:
+                    home = _slot(sent, sent_far, copy, None)
+                    if home[copy] is not None:
+                        raise InvariantViolation(f"copy {copy} sent twice")
+                    home[copy] = pid
                 flight[copy] = (time, value)  # send records carry the sampled hop delay in `value`
             continue
         if copy >= 0 and kind in _LOGGED:  # after the copy's send, with its pid
-            sender = sent.get(copy)
+            try:
+                sender = sent[copy]
+            except IndexError:  # past the table's end
+                sender = None
+            if sender is None and sent_far:
+                sender = sent_far.get(copy)
             if sender != pid:
                 if sender is None:
                     raise InvariantViolation(f"copy {copy} {_LOGGED[kind]} before it was sent")
@@ -197,22 +233,25 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                 pending_copies.add(copy)
             else:
                 raise InvariantViolation(f"copy {copy} pending after it was received")
-        if kind == "drop":
-            if pid >= 0:
-                dropped_pids.add(pid)
-        elif kind == "pending":
-            if pid >= 0:
-                pending_pids.add(pid)
-        elif kind == "generate":
-            if pid in generated:
-                raise InvariantViolation(f"pid {pid} generated twice")
-            generated.add(pid)
+        if kind == "generate":
+            if pid == len(flags) and not flags_far:  # the next pid, as a run generates them
+                flags.append(_GENERATED)
+            else:
+                home = _slot(flags, flags_far, pid, 0)
+                if home[pid] & _GENERATED:
+                    raise InvariantViolation(f"pid {pid} generated twice")
+                home[pid] |= _GENERATED
         elif kind == "deliver":
-            if pid in delivered:
+            home = (flags if 0 <= pid < len(flags) and not flags_far
+                    else _slot(flags, flags_far, pid, 0))
+            state = home[pid]
+            if state & _DELIVERED:
                 raise InvariantViolation(f"pid {pid} delivered twice to the application")
-            if pid not in generated:
+            if not state & _GENERATED:
                 raise InvariantViolation(f"pid {pid} delivered but never generated")
-            delivered.add(pid)
+            home[pid] = state | _DELIVERED
+        elif pid >= 0 and (kind == "drop" or kind == "pending"):
+            _slot(flags, flags_far, pid, 0)[pid] |= _DROPPED if kind == "drop" else _PENDING
 
     copies_dropped = 0
     for copy in flight:  # sent and never received
@@ -221,17 +260,23 @@ def audit_trace(records: Iterable[tuple]) -> dict:
         elif copy not in pending_copies:
             raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
 
-    unaccounted = generated - delivered - pending_pids - dropped_pids
-    if unaccounted:
-        raise InvariantViolation(f"pids neither delivered, dropped nor pending: {sorted(unaccounted)[:5]}")
-    pending_g = (pending_pids & generated) - delivered
-    dropped_g = (dropped_pids & generated) - delivered - pending_g
+    pids = [flags.count(state) for state in range(16)]  # state -> the pids with those flags
+    for state in flags_far.values():
+        pids[state] += 1
+
+    def count(has: int, lacks: int = 0) -> int:
+        return sum(n for state, n in enumerate(pids) if state & has == has and not state & lacks)
+
+    if count(_GENERATED, _DELIVERED | _PENDING | _DROPPED):
+        unaccounted = sorted(pid for pid, state in chain(enumerate(flags), flags_far.items())
+                             if state == _GENERATED)
+        raise InvariantViolation(f"pids neither delivered, dropped nor pending: {unaccounted[:5]}")
     return {
-        "generated": len(generated),
-        "delivered": len(delivered),
-        "dropped": len(dropped_g),
-        "pending": len(pending_g),
-        "copies_sent": len(sent),
+        "generated": count(_GENERATED),
+        "delivered": count(_GENERATED | _DELIVERED),
+        "dropped": count(_GENERATED | _DROPPED, _DELIVERED | _PENDING),
+        "pending": count(_GENERATED | _PENDING, _DELIVERED),
+        "copies_sent": len(sent) - sent.count(None) + len(sent_far),
         "copies_received": copies_received,
         "copies_dropped": copies_dropped,
         "copies_pending": len(pending_copies),

@@ -279,6 +279,12 @@ class NetworkRuntime:
         for _, _, node, pid, copy, state in sorted(pending):
             sim.trace.log(now, node, "pending", pid, copy, state)
 
+    def close(self) -> None:
+        """Unhook the apps and drop the hop records, which hold each node's
+        random stream, once the run is over."""
+        self.apps.clear()
+        self._hops.clear()
+
 
 class SensorSource:
     """Event source: reports at the broadcast frequency with a dithered phase."""

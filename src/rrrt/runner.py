@@ -95,14 +95,18 @@ class Harness:
     sender: object = None
 
     def finalize(self) -> None:
-        """End the run: log what is still queued, then unhook the apps and the
-        handlers. Both hold the runtime, which holds the simulator, so until
-        then the network and its trace records are freed only by a full
-        collection, not when the last reference to them goes."""
+        """End the run: log what is still queued, then close the runtime and
+        the simulator. That unhooks the apps and the handlers, which hold the
+        runtime, which holds the simulator, so until then the network and its
+        trace records are freed only by a full collection, not when the last
+        reference to them goes; and it drops every random stream of the run,
+        whether the kernel, a hop record or a source held it. A finished run
+        keeps its trace, its queue, its network and, for a transfer, its
+        sender, and nothing else that grows with the run."""
         self.runtime.log_pending()
         if isinstance(self.sender, TransportSenderApp):
             self.sender.log_pending()
-        self.runtime.apps.clear()
+        self.runtime.close()
         self.sim.close()
 
 

@@ -155,13 +155,18 @@ def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, float],
 
 def serialize_oracle(records, preamble=None) -> str:
     """Line-list trace serialization: every row formatted on its own, its
-    time through repr(), and one join over the whole trace."""
+    time through repr(), and one join over the whole trace. A line with other
+    than seven commas, or with a double quote, a carriage return or a line
+    break, raises ValueError naming its row."""
     lines = [f"# {key}={val}" for key, val in (preamble or {}).items()]
     lines.append(",".join(TRACE_COLUMNS))
     append = lines.append
     for time, node, kind, pid, copy, reason, value, info in records:
         val = "" if value is None else repr(value)
-        append(f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}")
+        line = f"{time!r},{node},{kind},{pid},{copy},{reason},{val},{info}"
+        if line.count(",") != 7 or '"' in line or "\r" in line or "\n" in line:
+            raise ValueError(f"trace row {(time, node, kind, pid, copy)!r} cannot be read back")
+        append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ from rrrt.kernel import SimulationTrace
 from rrrt.metrics import audit_trace, reduce_trace
 from rrrt.runner import replay_text, run_traced
 from rrrt.scenario import parse_scenario
+from util import written_trace_sha256
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = ("field_baseline", "field_burst", "field_congested", "transport_comparison",
@@ -32,6 +33,7 @@ def shipped(name):
 class ShippedRun(NamedTuple):
     text_sha256: str  # of `trace.serialize(preamble)`
     oracle_sha256: str  # of `serialize_oracle(trace, preamble)`
+    written_sha256: str  # of the trace.csv `rrrt run --out` writes
     live: Any  # the report of the run itself
     streamed: Any  # `replay_text(text)`
     listed: Any  # `reduce_trace(*SimulationTrace.parse(text))`
@@ -69,8 +71,9 @@ def shipped_run(name: str) -> ShippedRun:
     report, trace, preamble = run_traced(shipped(name), 1)
     text = trace.serialize(preamble)
     oracle_sha256 = sha256(serialize_oracle(trace, preamble))
+    written_sha256 = written_trace_sha256(report, trace, preamble)
     audits = audit_outcomes(trace)
     written = frozenset((row[2], row[5]) for row in trace)
     del trace
-    return ShippedRun(sha256(text), oracle_sha256, report, replay_text(text),
+    return ShippedRun(sha256(text), oracle_sha256, written_sha256, report, replay_text(text),
                       reduce_trace(*SimulationTrace.parse(text)), audits, written)

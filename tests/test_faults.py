@@ -3,8 +3,8 @@
 No shipped scenario has a fault, so the golden hashes do not cover the fault
 checks of the data, control and broadcast planes. Each case here builds a
 shipped scenario at seed 1, injects one fault, runs to the horizon and pins
-the sha256 of the serialized trace; the trace must also pass the audit and
-replay to the live report.
+the sha256 of the serialized trace, which `rrrt run --out` must write as it
+is; the trace must also pass the audit and replay to the live report.
 
 Faults are set before the run: once a copy waits on a buffer, `inject_fault`
 raises PastTime. A run with no fault looks none up. The tests at the end
@@ -32,7 +32,7 @@ from rrrt.topology import Topology
 from shipped import SHIPPED, sha256, shipped
 from space import scenarios
 from test_golden import GOLDEN_SHA256
-from util import FIXED_CA, chain_network, data_packet, set_a_late_fault
+from util import FIXED_CA, chain_network, data_packet, set_a_late_fault, written_trace_sha256
 
 # (scenario, fault target, time, mode) -> sha256 of the trace at seed 1
 FAULT_SHA256 = {
@@ -90,12 +90,15 @@ def trace_text(cfg, seed=1, late_fault=False):
 
 @pytest.mark.parametrize("case", sorted(FAULT_SHA256, key=repr), ids=repr)
 def test_fault_run_trace_hash_audit_and_replay(case):
+    """The pinned trace, audited, replayed to the live report, and written by
+    `rrrt run --out` as serialize gives it."""
     cfg, trace = run_with_fault(*case)
     audit_trace(trace)
     preamble = trace_preamble(cfg, 1)
     text = trace.serialize(preamble)
-    assert replay_text(text) == reduce_trace(trace, preamble)
-    assert sha256(text) == FAULT_SHA256[case]
+    report = reduce_trace(trace, preamble)
+    assert replay_text(text) == report
+    assert sha256(text) == written_trace_sha256(report, trace, preamble) == FAULT_SHA256[case]
 
 
 def broadcast_rows(trace, node, kind):

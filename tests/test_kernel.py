@@ -3,7 +3,9 @@
 import ast
 import math
 import pathlib
+import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -192,6 +194,21 @@ def test_rng_streams_are_reproducible_and_independent():
     assert derive_stream_seed(42, "alpha") != derive_stream_seed(43, "alpha")
 
 
+def test_a_closed_simulator_drops_its_streams_and_refuses_a_draw():
+    """close() drops every stream, so a stream drawn after it would restart
+    from its seed: the draw raises instead, for a stream drawn before close
+    and for a new one alike. The queue stays readable."""
+    sim, _ = make_sim()
+    sim.rng("alpha").random()
+    sim.schedule(1.0, "tick", "n0")
+    sim.close()
+    assert sim._rngs == {}
+    for stream in ("alpha", "beta"):
+        with pytest.raises(RuntimeError, match=f"'{stream}' drawn after the run was closed"):
+            sim.rng(stream)
+    assert [entry[:4] for entry in sim.pending_events()] == [(1.0, 1, "tick", "n0")]
+
+
 def test_packet_and_copy_ids_count_densely_from_one():
     sim = Simulator(1)
     assert [sim.new_pid() for _ in range(3)] == [1, 2, 3]
@@ -209,16 +226,54 @@ def test_trace_serialize_parse_round_trip():
     assert list(parsed) == list(trace)
     assert preamble["seed"] == "7"
     assert parsed.serialize({"seed": 7, "flow": "data"}) == text
+    # A node or a reason that would not read back is refused, as an info is,
+    # by serialize and by its oracle.
+    for bad in [(1.5, "a,b", "generate", 2, -1, "", None, ""),
+                (1.5, "n0", "drop", 2, -1, "x\ny", None, "")]:
+        broken = SimulationTrace([*trace, bad])
+        for serialize in (broken.serialize, lambda: serialize_oracle(broken)):
+            with pytest.raises(ValueError, match=re.escape(f"trace row {bad[:5]!r}")):
+                serialize()
 
 
-@pytest.mark.parametrize("info", ["a\nb", "a\rb", "a\r\nb", "x,\n", "a,b", 'say "hi"'])
-def test_serialize_refuses_an_info_with_a_line_break(info):
+BAD_FIELDS = ["a\nb", "a\rb", "a\r\nb", "x,\n", "a,b", 'say "hi"']
+
+
+@pytest.mark.parametrize("column", ["node", "kind", "reason", "info"])
+@pytest.mark.parametrize("field", BAD_FIELDS)
+def test_serialize_refuses_a_field_that_would_not_read_back(column, field):
     """read_rows gets each line without its break, splits it at every comma
-    and refuses a quote, so an info with any of them would be read back
-    altered, or not at all: serialize names the row instead."""
-    trace = SimulationTrace([(0.25, "n0", "send", 1, 1, "", None, "ok"),
-                             (0.5, "n1", "interval", 2, 3, "", None, info)])
-    with pytest.raises(ValueError, match=r"\(0\.5, 'n1', 'interval', 2, 3\)"):
+    and refuses a quote, so a field with any of them would be read back
+    altered, or not at all: serialize names the row instead, and the column,
+    as the line-list oracle names the row."""
+    row = dict(zip(kernel.TRACE_COLUMNS, (0.5, "n1", "interval", 2, 3, "", None, "ok")))
+    row[column] = field
+    trace = SimulationTrace([(0.25, "n0", "send", 1, 1, "", None, "ok"), tuple(row.values())])
+    key = repr((0.5, row["node"], row["kind"], 2, 3))
+    with pytest.raises(ValueError) as raised:
+        trace.serialize()
+    assert str(raised.value).startswith(f"trace row {key}: {column} {field!r} holds")
+    with pytest.raises(ValueError, match=f"trace row {re.escape(key)}"):
+        serialize_oracle(trace)
+
+
+def test_a_bad_row_past_the_first_block_is_named_before_its_block_is_written(monkeypatch):
+    """write_to writes the header and each block as it is formed, and stops
+    at the block that holds a bad field, naming its row, as serialize does."""
+    monkeypatch.setattr(kernel, "SERIALIZE_BLOCK", 4)
+    rows = [(i / 8, "n0", "send", i, i, "", None, "") for i in range(11)]
+    trace = SimulationTrace(rows)
+    written = []
+    trace.write_to(SimpleNamespace(write=written.append), {"seed": 1})
+    assert [block.count("\n") for block in written] == [2, 4, 4, 3]
+    assert "".join(written) == trace.serialize({"seed": 1})
+    rows[9] = (9 / 8, "n0", "send", 9, 9, "", None, "a,b")
+    trace, written = SimulationTrace(rows), []
+    message = r"trace row \(1\.125, 'n0', 'send', 9, 9\): info 'a,b'"
+    with pytest.raises(ValueError, match=message):
+        trace.write_to(SimpleNamespace(write=written.append))
+    assert [block.count("\n") for block in written] == [1, 4, 4]
+    with pytest.raises(ValueError, match=message):
         trace.serialize()
 
 

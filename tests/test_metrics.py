@@ -1,6 +1,7 @@
 """Convergence time, the trace reducer (energy, throughput, delay, budget), and the audit."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -469,10 +470,47 @@ def receive_in_the_instant_of_its_send():
     return trace
 
 
+def ids_out_of_order():
+    """Pids and copies written out of the order they are counted in: the
+    first copy, 5, grows the audit's dense table past blank slots that copies
+    2 and 1 then fill, below its end; copy 300 and pid 200 come too far past
+    the end and go to the tables' dicts, where they stay while the tables grow
+    past them, until their receive and delivery read them there."""
+    trace = SimulationTrace()
+    for pid in (3, 1, 2, 200):
+        trace.log(0.0, "a", "generate", pid)
+    for copy, pid in ((5, 1), (2, 2), (300, 3), (1, 200)):
+        trace.log(0.0, "a", "send", pid, copy, "", 0.5)
+    for n in range(6, 400):
+        if n not in (200, 300):
+            trace.log(0.0, "a", "generate", n)
+            trace.log(0.0, "a", "send", n, n, "", 0.5)
+            trace.log(0.0, "a", "drop", n, n, "loss")
+    for copy, pid in ((5, 1), (2, 2), (300, 3), (1, 200)):
+        trace.log(0.5, "b", "receive", pid, copy)
+        trace.log(0.5, "b", "deliver", pid, -1, "", 0.0, "data")
+    return trace
+
+
+@defect
+def far_copy_sent_again_below_the_table_end():
+    trace = ids_out_of_order()
+    trace.log(0.5, "a", "send", 3, 300, "", 0.5)
+    return trace
+
+
+@defect
+def far_pid_generated_again_below_the_table_end():
+    trace = ids_out_of_order()
+    trace.log(0.5, "a", "generate", 200)
+    return trace
+
+
 # -- the streaming audit against the whole-trace oracle -----------------------
 
 CLEAN = {"conserved": ok_trace, "pending_and_drops": pending_and_drops,
-         "drop_and_receive_in_one_instant": drop_and_receive_in_one_instant}
+         "drop_and_receive_in_one_instant": drop_and_receive_in_one_instant,
+         "ids_out_of_order": ids_out_of_order}
 AUDIT_CASES = ([("shipped", name) for name in SHIPPED]
                + [("fault", case) for case in sorted(FAULT_SHA256, key=repr)]
                + [("clean", name) for name in CLEAN]
@@ -494,3 +532,41 @@ def test_the_streaming_audit_agrees_with_the_whole_trace_oracle(source, case):
         streamed, oracle = audit_outcomes(trace)
     assert isinstance(oracle, str) == (source == "defect")
     assert streamed == oracle
+
+
+def shifted(trace, pids: int, copies: int) -> SimulationTrace:
+    """`trace` with every pid and copy of 0 or more moved by `pids` and `copies`."""
+    return SimulationTrace((time, node, kind, pid + pids if pid >= 0 else pid,
+                            copy + copies if copy >= 0 else copy, reason, value, info)
+                           for time, node, kind, pid, copy, reason, value, info in trace)
+
+
+# (pids, copies) shifts: every id far past the audit's dense tables, the pids
+# only, and copy 0, which no run writes, in use.
+SHIFTS = {"far": (10**12, 10**12), "pids_far": (10**12, 0), "copy_0": (0, -1)}
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("source, case", [("clean", name) for name in CLEAN]
+                         + [("defect", name) for name in sorted(DEFECTS)], ids=repr)
+def test_the_audit_agrees_with_the_oracle_on_ids_its_tables_do_not_index(source, case, shift):
+    """The hand-made traces with their ids moved where the audit keeps them in
+    dicts, or to copy 0: the same counts, or the same message, as the oracle."""
+    trace = shifted((CLEAN if source == "clean" else DEFECTS)[case](), *SHIFTS[shift])
+    streamed, oracle = audit_outcomes(trace)
+    assert isinstance(oracle, str) == (source == "defect")
+    assert streamed == oracle
+
+
+def test_a_far_id_costs_the_audit_an_entry_not_its_size():
+    """A copy and a pid of 10**12 are kept in dicts: the audit's peak does not
+    follow the ids."""
+    trace = shifted(ok_trace(), 10**12, 10**12)
+    tracemalloc.start()
+    try:
+        counts = audit_trace(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["generated"] == counts["copies_sent"] == 1
+    assert peak < 100_000

@@ -98,6 +98,31 @@ def test_a_finished_run_frees_its_simulator_without_a_collection(monkeypatch, cf
         gc.enable()
 
 
+@pytest.mark.parametrize("cfg, streams", [
+    (small_field_cfg(horizon=2.0), ("src:s000", "node:s000")),
+    (transport_cfg(goal=50), ("node:src_ss", "node:r1"))], ids=["field", "transport"])
+def test_finalize_leaves_no_random_stream_of_the_run_reachable(cfg, streams):
+    """A finished run keeps its trace and its queue, not the streams it drew:
+    with the harness still held and no collection, a source's stream and a
+    node's stream, which the kernel, an app and a hop record held, are freed
+    at finalize, and drawing a stream after it raises."""
+    build = runner.build_field if cfg.scenario.mode == "field" else build_transport
+    harness = build(cfg, 1)
+    drawn = [weakref.ref(harness.sim.rng(name)) for name in streams]
+    gc.collect()
+    gc.disable()
+    try:
+        harness.sim.run_until(cfg.sim.horizon)
+        harness.finalize()
+        assert [ref() for ref in drawn] == [None] * len(streams)
+    finally:
+        gc.enable()
+    harness.sim.pending_events()  # the queue stays readable
+    assert len(harness.sim.trace) > 0
+    with pytest.raises(RuntimeError, match="drawn after the run was closed"):
+        harness.sim.rng(streams[0])
+
+
 def test_replay_round_trip_matches_report():
     report, text = run_and_serialize(small_field_cfg(), seed=6)
     assert replay_text(text) == report

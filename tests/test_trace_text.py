@@ -1,9 +1,8 @@
 """Trace text: serialize against its line-list oracle, read_rows against its
 row-by-row oracle, the streaming replay against the list path and the live
-report, replay of mutated traces, and the table of row kinds against the
-rows that runs write."""
+report, replay of mutated traces, the table of row kinds against the rows
+that runs write, and the memory that writing and auditing a finished run take."""
 
-import functools
 import tracemalloc
 
 import pytest
@@ -11,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import read_rows_oracle, serialize_oracle
 from rrrt import kernel
-from rrrt.cli import main
+from rrrt.cli import _write_outputs, main
 from rrrt.errors import Corrupt
 from rrrt.kernel import (ROW_KINDS, ROW_PAIRS, SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace,
                          read_rows)
+from rrrt.metrics import audit_trace
 from rrrt.runner import replay_text, run_traced
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
@@ -26,7 +26,7 @@ from util import run_and_serialize
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_trace_serializes_as_the_oracle_and_streams_as_the_list(name):
     run = shipped_run(name)
-    assert run.text_sha256 == run.oracle_sha256
+    assert run.text_sha256 == run.oracle_sha256 == run.written_sha256
     assert run.streamed == run.listed == run.live
 
 
@@ -299,6 +299,31 @@ def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch):
     assert read_peak(long_trace(80000).serialize()) < 1.1 * read_peak(short)
 
 
+@pytest.fixture(scope="module")
+def congested_run():
+    """The report, trace and preamble of field_congested at seed 1, whose text
+    is about 15.5 MB."""
+    return run_traced(shipped("field_congested"), 1)
+
+
+def test_writing_a_run_holds_one_block_of_its_text(congested_run, tmp_path):
+    """`rrrt run --out` writes trace.csv as its blocks are formed: writing the
+    four files peaks at 2 MB of new memory, not the text and its bytes."""
+    report, trace, preamble = congested_run
+    _, peak = traced_peak(lambda: _write_outputs(str(tmp_path), preamble, report, trace))
+    assert peak <= 2e6
+    assert (tmp_path / "trace.csv").stat().st_size > 15e6
+
+
+def test_auditing_a_run_holds_no_table_the_size_of_its_trace(congested_run):
+    """The audit indexes its copy and pid tables by id: 90k copies and 45k
+    pids peak at 2 MB of new memory, where hash tables took 12 MB."""
+    trace = congested_run[1]
+    counts, peak = traced_peak(lambda: audit_trace(trace))
+    assert counts["copies_sent"] > 90_000 and counts["generated"] > 45_000
+    assert peak <= 2e6
+
+
 def test_the_runs_write_every_kind_and_reason_of_the_table_and_no_other():
     """Some writers pass the reason as a variable (a departure's drop, a
     pending row's place, a delivery's budget flags): the shipped runs, the
@@ -315,10 +340,12 @@ def test_the_runs_write_every_kind_and_reason_of_the_table_and_no_other():
     assert written == ROW_PAIRS
 
 
-@functools.cache
+@pytest.fixture(scope="module")
 def small_trace() -> tuple[list[str], list[list[int]]]:
     """The lines of a shipped field scenario cut to two intervals, and their
-    indices grouped by row kind (the preamble and the blank end are one group)."""
+    indices grouped by row kind (the preamble and the blank end are one group).
+    A fixture, so the run is made once and before Hypothesis draws anything:
+    no draw pays for it, even when a tracer slows the run down."""
     cfg = shipped("field_baseline")
     set_param(cfg, "sim.horizon", 2.0)
     lines = run_and_serialize(cfg, 1)[1].split("\n")
@@ -330,14 +357,13 @@ def small_trace() -> tuple[list[str], list[list[int]]]:
 
 
 @st.composite
-def mutated_traces(draw):
-    """The bytes of the small trace truncated, with one byte set to a value that
-    is not UTF-8 on its own, or with one line changed in one character, dropped
-    or duplicated, and whether the change left a row (a line of eight fields
-    after the header) whose kind and reason are not in the table. The line is
-    drawn by kind first, so that the two interval rows are hit as often as the
-    thousand sends."""
-    lines, groups = small_trace()
+def mutated_traces(draw, lines: list[str], groups: list[list[int]]):
+    """The bytes of the trace of `lines` truncated, with one byte set to a value
+    that is not UTF-8 on its own, or with one line changed in one character,
+    dropped or duplicated, and whether the change left a row (a line of eight
+    fields after the header) whose kind and reason are not in the table. The
+    line is drawn from `groups` by kind first, so that the two interval rows of
+    the small trace are hit as often as the thousand sends."""
     how = draw(st.sampled_from(("truncate", "byte", "flip", "drop", "duplicate")))
     if how in ("truncate", "byte"):
         data = "\n".join(lines).encode("utf-8")
@@ -345,31 +371,31 @@ def mutated_traces(draw):
         if how == "truncate":
             return data[:at], False
         return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at + 1:], False
-    lines = list(lines)
+    changed = list(lines)
     at = draw(st.sampled_from(draw(st.sampled_from(groups))))
     unlisted = False
     if how == "flip":
-        line = lines[at]
+        line = changed[at]
         col = draw(st.integers(0, max(len(line) - 1, 0)))
         char = draw(st.one_of(st.sampled_from(',;="\n\r#-.0159x'), st.characters()))
-        lines[at] = line[:col] + char + line[col + 1:]
-        rows = [part.split(",") for part in lines[at].split("\n")]
-        unlisted = at > small_trace()[0].index(",".join(TRACE_COLUMNS)) and any(
+        changed[at] = line[:col] + char + line[col + 1:]
+        rows = [part.split(",") for part in changed[at].split("\n")]
+        unlisted = at > lines.index(",".join(TRACE_COLUMNS)) and any(
             len(row) == 8 and (row[2], row[5]) not in ROW_PAIRS for row in rows)
     elif how == "drop":
-        del lines[at]
+        del changed[at]
     else:
-        lines.insert(at, lines[at])
-    return "\n".join(lines).encode("utf-8"), unlisted
+        changed.insert(at, changed[at])
+    return "\n".join(changed).encode("utf-8"), unlisted
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(mutation=mutated_traces())
-def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, mutation):
+@given(data=st.data())
+def test_replay_of_a_mutated_trace_exits_cleanly(tmp_path_factory, small_trace, data):
     """Replay exits 0, 3 or 4, and 3 once a line's kind or reason is not in the table."""
-    data, unlisted = mutation
+    mutated, unlisted = data.draw(mutated_traces(*small_trace), label="mutation")
     path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
-    path.write_bytes(data)
+    path.write_bytes(mutated)
     code = main(["replay", "--trace", str(path), "--format", "csv"])
     assert code == 3 if unlisted else code in (0, 3, 4)
 

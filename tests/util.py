@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import tempfile
+from pathlib import Path
+
+from rrrt.cli import _write_outputs
 from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
 from rrrt.packet import Packet
@@ -71,3 +76,10 @@ def run_and_serialize(cfg, seed=None):
     """Run and return (report, serialized trace with preamble)."""
     report, trace, preamble = run_traced(cfg, seed)
     return report, trace.serialize(preamble)
+
+
+def written_trace_sha256(report, trace, preamble) -> str:
+    """sha256 of the trace.csv that `rrrt run --out` writes of a finished run."""
+    with tempfile.TemporaryDirectory() as out:
+        _write_outputs(out, preamble, report, trace)
+        return hashlib.sha256(Path(out, "trace.csv").read_bytes()).hexdigest()
