@@ -334,7 +334,10 @@ class Simulator:
         self._closed = False
         # Identities: `new_pid()` and `new_copy()` return the next packet and
         # copy id, each counted densely from 1 by a bound C method, so drawing
-        # one opens no Python frame.
+        # one opens no Python frame. A trace names them in the order drawn,
+        # and `metrics.audit_trace` refuses one that does not: the n-th send
+        # row with a copy names copy n, and the first row to name a pid names
+        # the one after the highest pid named so far.
         self.new_pid: Callable[[], int] = count(1).__next__
         self.new_copy: Callable[[], int] = count(1).__next__
 

@@ -7,7 +7,6 @@ report from a serialized trace reproduces it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional
 
 from .controller import IntervalRow, NetworkCondition
@@ -109,35 +108,25 @@ _LOGGED = {kind: row.event for kind, row in ROW_KINDS.items() if "copy" in row.c
 
 # The flags the audit keeps per pid, one byte a pid: which rows named it.
 _GENERATED, _DELIVERED, _PENDING, _DROPPED = 1, 2, 4, 8
-# An id at most this far past the end of its dense table grows the table to it;
-# one further out, or below 0, is kept in the table's dict instead. So a row
-# grows a table by at most this many slots, whatever ids a trace holds.
-_REACH = 64
-
-
-def _slot(table, far: dict, key: int, blank):
-    """What holds the entry of `key`: its dense `table`, grown with `blank` up
-    to it, or, for a key that is far or already kept there, `far`, where a new
-    key's entry is `blank`. A key stays where its first entry went."""
-    if far and key in far or not 0 <= key < len(table) + _REACH:
-        far.setdefault(key, blank)
-        return far
-    if key >= len(table):
-        table.extend([blank] * (key + 1 - len(table)))
-    return table
 
 
 def audit_trace(records: Iterable[tuple]) -> dict:
     """Verify kernel invariants over a finished trace; raise InvariantViolation.
 
     Checks: nondecreasing timestamps; every row's kind and reason a pair of
-    kernel.ROW_PAIRS, as read_rows checks the text; per-copy lifecycle (one
-    send, then one receive or drop, or accounted as pending at the horizon; at most one
-    receive and one drop; no pending row after the receive, and a drop after
-    it only in the receive's instant); strict per-hop causality; packet
-    conservation (every pid generated once, then delivered, dropped, or
-    pending, exactly one category); unique delivery per pid, and only of a pid
-    generated earlier.
+    kernel.ROW_PAIRS, as read_rows checks the text; ids in order (below);
+    per-copy lifecycle (one send, then one receive or drop, or accounted as
+    pending at the horizon; at most one receive and one drop; no pending row
+    after the receive, and a drop after it only in the receive's instant);
+    strict per-hop causality; packet conservation (every pid generated once,
+    then delivered, dropped, or pending, exactly one category); unique
+    delivery per pid, and only of a pid generated earlier; no generate or
+    deliver row of a pid below 0.
+
+    Ids in order, as a run draws them from 1 (`Simulator.new_copy`,
+    `new_pid`): the n-th send row that carries a copy names copy n, and the
+    first row to name a pid names the one after the highest pid named so
+    far. Each rule is checked on the row that breaks it.
 
     One rule holds every copy row to its send: a receive, drop or pending row
     that names a copy must come after that copy's send row and carry the
@@ -150,30 +139,25 @@ def audit_trace(records: Iterable[tuple]) -> dict:
 
     `records` is any iterable of rows, such as a `SimulationTrace`, walked
     once. No row is kept. Per copy the audit keeps only what a later row can
-    contradict: the pid of its send (`sent`), its send time and sampled hop
-    delay until it is received (`flight`), the time of its drop (`dropped`),
-    and whether a pending row named it (`pending_copies`). A dropped copy
-    still in flight at the end is one that was dropped and never received.
-    Only the copies received at the current time are kept (`received_now`).
-    Per pid it keeps one byte of flags (`flags`): generated, delivered,
-    pending, dropped.
-
-    Copies and pids are counted densely from 1 (`Simulator.new_copy`,
-    `new_pid`), so `sent` is a list and `flags` a bytearray, each indexed by
-    id: 8 bytes a copy and 1 a pid. An id far past a table's end (see
-    `_slot`), or below 0, goes to that table's dict, so a hand-built trace
-    with copy 10**12 costs one entry, not memory in proportion to its id.
+    contradict: the pid of its send (`sent`, a list indexed by copy, 8 bytes
+    a copy), its send time and sampled hop delay until it is received
+    (`flight`), the time of its drop (`dropped`), and whether a pending row
+    named it (`pending_copies`). A dropped copy still in flight at the end is
+    one that was dropped and never received. Only the copies received at the
+    current time are kept (`received_now`). Per pid it keeps one byte of
+    flags in a bytearray indexed by pid (`flags`): generated, delivered,
+    pending, dropped. By the id rules a row grows `sent` or `flags` by at
+    most one slot, whatever ids a trace holds.
     """
     last_time = -1.0
-    sent: list = [None]  # copy -> pid of its send row, None for a copy not sent
-    sent_far: dict[int, int] = {}
+    sent: list = [None]  # copy -> pid of its send row; no run sends copy 0
     flight: dict[int, tuple] = {}  # copy -> (send time, sampled hop delay), until it is received
     dropped: dict[int, float] = {}  # copy -> time of its drop row
     pending_copies: set[int] = set()
     received_now: set[int] = set()
     copies_received = 0
-    flags = bytearray(1)  # pid -> its flags
-    flags_far: dict[int, int] = {}
+    flags = bytearray(1)  # pid -> its flags, up to the highest pid named
+    top = 0  # the highest pid named
 
     for time, _, kind, pid, copy, reason, value, _ in records:
         if time != last_time:
@@ -184,24 +168,25 @@ def audit_trace(records: Iterable[tuple]) -> dict:
         # A row of a bare kind with no reason, most of a trace, skips the pair test.
         if (reason or kind not in BARE_KINDS) and (kind, reason) not in ROW_PAIRS:
             raise InvariantViolation(f"no {kind!r} row carries the reason {reason!r}")
+        if pid > top:  # a pid no row named before
+            if pid != top + 1:
+                raise InvariantViolation(f"pid {pid} named before pid {top + 1}")
+            top = pid
+            flags.append(0)
         if kind == "send":
             if copy >= 0:
-                if copy == len(sent) and not sent_far:  # the next copy, as a run sends them
-                    sent.append(pid)
-                else:
-                    home = _slot(sent, sent_far, copy, None)
-                    if home[copy] is not None:
+                if copy != len(sent):  # not the next copy
+                    if 0 < copy < len(sent):
                         raise InvariantViolation(f"copy {copy} sent twice")
-                    home[copy] = pid
+                    raise InvariantViolation(f"copy {copy} sent before copy {len(sent)}")
+                sent.append(pid)
                 flight[copy] = (time, value)  # send records carry the sampled hop delay in `value`
             continue
         if copy >= 0 and kind in _LOGGED:  # after the copy's send, with its pid
             try:
                 sender = sent[copy]
-            except IndexError:  # past the table's end
+            except IndexError:  # a copy not sent yet
                 sender = None
-            if sender is None and sent_far:
-                sender = sent_far.get(copy)
             if sender != pid:
                 if sender is None:
                     raise InvariantViolation(f"copy {copy} {_LOGGED[kind]} before it was sent")
@@ -233,25 +218,22 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                 pending_copies.add(copy)
             else:
                 raise InvariantViolation(f"copy {copy} pending after it was received")
-        if kind == "generate":
-            if pid == len(flags) and not flags_far:  # the next pid, as a run generates them
-                flags.append(_GENERATED)
-            else:
-                home = _slot(flags, flags_far, pid, 0)
-                if home[pid] & _GENERATED:
+        if kind == "generate" or kind == "deliver":
+            if pid < 0:  # flags[-1] would be the highest pid's
+                raise InvariantViolation(f"a {kind} row names pid {pid}, below 0")
+            state = flags[pid]
+            if kind == "generate":
+                if state & _GENERATED:
                     raise InvariantViolation(f"pid {pid} generated twice")
-                home[pid] |= _GENERATED
-        elif kind == "deliver":
-            home = (flags if 0 <= pid < len(flags) and not flags_far
-                    else _slot(flags, flags_far, pid, 0))
-            state = home[pid]
-            if state & _DELIVERED:
+                flags[pid] = state | _GENERATED
+            elif state & _DELIVERED:
                 raise InvariantViolation(f"pid {pid} delivered twice to the application")
-            if not state & _GENERATED:
+            elif not state & _GENERATED:
                 raise InvariantViolation(f"pid {pid} delivered but never generated")
-            home[pid] = state | _DELIVERED
+            else:
+                flags[pid] = state | _DELIVERED
         elif pid >= 0 and (kind == "drop" or kind == "pending"):
-            _slot(flags, flags_far, pid, 0)[pid] |= _DROPPED if kind == "drop" else _PENDING
+            flags[pid] |= _DROPPED if kind == "drop" else _PENDING
 
     copies_dropped = 0
     for copy in flight:  # sent and never received
@@ -261,22 +243,19 @@ def audit_trace(records: Iterable[tuple]) -> dict:
             raise InvariantViolation(f"copy {copy} vanished (no receive/drop/pending)")
 
     pids = [flags.count(state) for state in range(16)]  # state -> the pids with those flags
-    for state in flags_far.values():
-        pids[state] += 1
 
     def count(has: int, lacks: int = 0) -> int:
         return sum(n for state, n in enumerate(pids) if state & has == has and not state & lacks)
 
     if count(_GENERATED, _DELIVERED | _PENDING | _DROPPED):
-        unaccounted = sorted(pid for pid, state in chain(enumerate(flags), flags_far.items())
-                             if state == _GENERATED)
+        unaccounted = [pid for pid, state in enumerate(flags) if state == _GENERATED]
         raise InvariantViolation(f"pids neither delivered, dropped nor pending: {unaccounted[:5]}")
     return {
         "generated": count(_GENERATED),
         "delivered": count(_GENERATED | _DELIVERED),
         "dropped": count(_GENERATED | _DROPPED, _DELIVERED | _PENDING),
         "pending": count(_GENERATED | _PENDING, _DELIVERED),
-        "copies_sent": len(sent) - sent.count(None) + len(sent_far),
+        "copies_sent": len(sent) - 1,
         "copies_received": copies_received,
         "copies_dropped": copies_dropped,
         "copies_pending": len(pending_copies),

@@ -223,13 +223,17 @@ def audit_trace_oracle(trace) -> dict:
     """The checks of metrics.audit_trace, made over the whole trace: every
     send, receive and drop row of a copy, and the pids of its pending rows,
     are kept until the walk over the rows ends, and then each sent copy is
-    checked against them in send order. Where a row is read, a kind that is not
-    one of ROW_KINDS or a reason that is not one of its kind's, a receive, drop
-    or pending row of a copy not yet sent is rejected, and so is a pending row
-    of a copy already received, a drop row of one received before this row's
-    time, or a second generate row of a pid. Raises InvariantViolation with
-    the message of the first check that fails, as metrics.audit_trace does on
-    a trace with one defect, and otherwise returns the same counts."""
+    checked against them in send order. Where a row is read, in this order:
+    a kind that is not one of ROW_KINDS or a reason that is not one of its
+    kind's; a row whose pid, not named before, is not the one after the
+    highest named so far; a send row of a copy already sent, or whose copy
+    is not the one after the copies sent so far; a receive, drop or pending
+    row of a copy not yet sent, a pending row of a copy already received, a
+    drop row of one received before this row's time; a generate or deliver
+    row of a pid below 0, or a second generate row of a pid. Raises
+    InvariantViolation with the message of the first check that fails, as
+    metrics.audit_trace does on a trace with one defect, and otherwise
+    returns the same counts."""
     last_time = -1.0
     sends: dict[int, tuple] = {}
     receives: dict[int, tuple] = {}
@@ -240,6 +244,7 @@ def audit_trace_oracle(trace) -> dict:
     delivered: set[int] = set()
     pending_pids: set[int] = set()
     dropped_pids: set[int] = set()
+    top = 0  # the highest pid named
 
     for rec in trace:
         time, node, kind, pid, copy, reason = rec[:6]
@@ -250,9 +255,15 @@ def audit_trace_oracle(trace) -> dict:
         last_time = time
         if kind not in ROW_KINDS or reason not in ROW_KINDS[kind].reasons:
             raise InvariantViolation(f"no {kind!r} row carries the reason {reason!r}")
+        if pid > top:
+            if pid != top + 1:
+                raise InvariantViolation(f"pid {pid} named before pid {top + 1}")
+            top = pid
         if kind == "send" and copy >= 0:
             if copy in sends:
                 raise InvariantViolation(f"copy {copy} sent twice")
+            if copy != len(sends) + 1:
+                raise InvariantViolation(f"copy {copy} sent before copy {len(sends) + 1}")
             sends[copy] = rec
         elif kind == "receive" and copy >= 0:
             if copy not in sends:
@@ -281,6 +292,8 @@ def audit_trace_oracle(trace) -> dict:
                 pending_copies.setdefault(copy, set()).add(pid)
             if pid >= 0:
                 pending_pids.add(pid)
+        elif kind in ("generate", "deliver") and pid < 0:
+            raise InvariantViolation(f"a {kind} row names pid {pid}, below 0")
         elif kind == "generate":
             if pid in generated:
                 raise InvariantViolation(f"pid {pid} generated twice")
