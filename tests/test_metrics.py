@@ -1,6 +1,7 @@
 """Convergence time, the trace reducer (energy, throughput, delay, budget), and the audit."""
 
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -521,3 +522,34 @@ def test_the_streaming_audit_agrees_with_the_whole_trace_oracle(source, case):
         streamed, oracle = audit_outcomes(trace)
     assert isinstance(oracle, str) == (source == "defect")
     assert streamed == oracle
+
+
+def shifted(trace, pids: int, copies: int) -> SimulationTrace:
+    """`trace` with every pid and copy of 0 or more moved by `pids` and `copies`."""
+    return SimulationTrace((time, node, kind, pid + pids if pid >= 0 else pid,
+                            copy + copies if copy >= 0 else copy, reason, value, info)
+                           for time, node, kind, pid, copy, reason, value, info in trace)
+
+
+# (pids, copies) shifts that break the id order: every id far past the next
+# one, the pids only, the copies only, and copy 0, which no run writes.
+SHIFTS = {"far": (10**12, 10**12), "pids_far": (10**12, 0),
+          "copies_far": (0, 10**12), "copy_0": (0, -1)}
+ORDER = r"(pid \d+ named before pid|copy \d+ sent before copy) \d+"
+
+
+# copy_0_sent under the copy_0 shift is left out: its copy 0 moves to -1, no copy.
+@pytest.mark.parametrize("source, case, shift", [
+    (source, case, shift) for source, names in (("clean", CLEAN), ("defect", sorted(DEFECTS)))
+    for case in names for shift in SHIFTS if (case, shift) != ("copy_0_sent", "copy_0")],
+    ids=repr)
+def test_the_audit_agrees_with_the_oracle_on_ids_out_of_order(source, case, shift):
+    """The hand-made traces with their ids moved out of order carry the order
+    defect besides their own, if any: both audits refuse the row that breaks
+    the first rule in their common order, with the same message, which is
+    the order rule's or the trace's own with its ids moved."""
+    build, message = (CLEAN[case], "") if source == "clean" else DEFECTS[case]
+    streamed, oracle = audit_outcomes(shifted(build(), *SHIFTS[shift]))
+    assert isinstance(oracle, str)
+    assert streamed == oracle
+    assert re.fullmatch(ORDER, oracle) or re.sub(r"\d+", "N", oracle) == re.sub(r"\d+", "N", message)
