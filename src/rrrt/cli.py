@@ -59,8 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_summary(report_dict: dict, fmt: str) -> None:
+    """The report on stdout. The JSON is written as it is encoded, so a long
+    run's per-interval history is not held a second time as one string."""
     if fmt == "structured":
-        print(json.dumps(report_dict, indent=2))
+        json.dump(report_dict, sys.stdout, indent=2)
+        print()
     else:
         for key, value in report_dict.items():
             if key in ("per_interval", "delay_budget"):

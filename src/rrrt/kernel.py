@@ -34,7 +34,10 @@ grown into one string by `serialize`, or written to a file one at a time by
 `write_to` (which `rrrt run --out` calls), and read_rows splits the text
 straight into fields READ_CHUNK characters at a time and yields each chunk's
 rows from its converted columns, in C; a chunk that is refused is split into
-lines only to find its first bad one.
+lines only to find its first bad one. read_rows takes the text or an open
+text file (`rrrt replay` passes the file), which it reads a piece at a time,
+so neither writing nor reading a trace file holds its text: each holds about
+one block or one chunk of it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import random
 from heapq import heappop, heappush
 from itertools import accumulate, chain, compress, count, islice
 from operator import ne
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .errors import Corrupt, PastTime
 
@@ -104,8 +107,10 @@ def decode_info(info: str) -> dict[str, str]:
     return dict(part.split("=", 1) for part in info.split(";"))
 
 
-SERIALIZE_BLOCK = 8192  # rows formatted into one block of text by SimulationTrace._format
-READ_CHUNK = 1 << 16  # about this many characters are split into fields at a time by read_rows
+SERIALIZE_BLOCK = 1024  # rows formatted into one block of text by SimulationTrace._format
+# About this many characters are split into fields at a time by read_rows, and
+# read from a file at a time (positive: a file read of 0 characters reads none).
+READ_CHUNK = 1 << 16
 
 
 class SimulationTrace:
@@ -157,6 +162,13 @@ class SimulationTrace:
         to `text`, which is returned. Floats use repr() so parsing round-trips
         exactly, and a row whose time `is` the previous row's (rows logged in
         one event share the `sim.now` float) reuses its repr.
+
+        A block and the lines it is joined from take about 150 bytes a row
+        above the text. At SERIALIZE_BLOCK = 1024 rows that is about 0.15 MB,
+        and a block of a run's rows is about 56 KB, under glibc's 128 KiB mmap
+        threshold, so each comes from the heap, where the last one's space is
+        free again. Blocks of 8192 rows held 1.2 MB above the text, which
+        raised the peak resident set of a process that serializes by as much.
 
         `text` is the only reference to the string, which CPython then resizes
         in place: the text is never held twice. The append stays in this loop:
@@ -225,19 +237,32 @@ def format_preamble(preamble: Optional[dict]) -> str:
     return "".join(f"# {key}={val}\n" for key, val in (preamble or {}).items())
 
 
-def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
-    """Read serialized trace text as (preamble, iterator over its records).
+def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
+    """Read serialized trace text, a string or an open text file, as
+    (preamble, iterator over its records).
 
     `#` lines before the header are the preamble; every row after it must be
     exactly the eight columns serialize() writes. The preamble and header are
     read at once, the rows only as the iterator is advanced, one chunk of
-    about READ_CHUNK characters at a time. Raises Corrupt(line number) on
-    malformed input: a bad header here, a bad row once the rows before it are read.
+    about READ_CHUNK characters at a time. A file is read READ_CHUNK
+    characters at a time, as its lines are needed, so neither its text nor
+    its records are held whole; its line breaks are read as `fp.read` returns
+    them (a file opened with `newline=""` keeps a carriage return, which is
+    corrupt). Raises Corrupt(line number) on malformed input: a bad header
+    here, a bad row once the rows before it are read, and a piece of a file
+    that is not UTF-8 at the line it starts in, once the lines before it are.
     """
+    text, read = (source, None) if isinstance(source, str) else ("", source.read)
     preamble: dict = {}
     start = 0
     for line in count(1):
         stop = text.find("\n", start)
+        while stop < 0 and read is not None:
+            more = _read_piece(read, text[start:], line)
+            if more is None:
+                read = None
+            else:
+                text, start, stop = more, 0, more.find("\n")
         if stop < 0:
             stop = len(text)
         head = text[start:stop]
@@ -248,41 +273,70 @@ def read_rows(text: str) -> tuple[dict, Iterator[tuple]]:
         elif head:
             if head != ",".join(TRACE_COLUMNS):
                 raise Corrupt(line, "unexpected trace header")
-            return preamble, chain.from_iterable(_chunks(text, stop + 1, line))
+            return preamble, chain.from_iterable(_chunks(text, stop + 1, line, read))
         if stop == len(text):
             raise Corrupt(line, "missing trace header")
         start = stop + 1
 
 
-def _chunks(text: str, start: int, line: int) -> Iterator[Iterator[tuple]]:
+def _read_piece(read: Callable[[int], str], rest: str, line: int) -> Optional[str]:
+    """`rest`, text not yet cut into chunks that starts in line `line`, and
+    the next piece of a file after it; None at the end of the file. A piece
+    is READ_CHUNK characters, or half of `rest` if that is more: `rest` holds
+    less than two chunks unless a line is longer than a chunk, and such a
+    line is then read in pieces that grow by half each time, not copied once
+    per chunk. Corrupt at the line the piece starts in if the file is not
+    UTF-8 there."""
+    try:
+        piece = read(max(READ_CHUNK, len(rest) // 2))
+    except UnicodeDecodeError as exc:
+        raise Corrupt(line + rest.count("\n"), f"text that is not UTF-8 ({exc})") from None
+    return rest + piece if piece else None
+
+
+def _chunks(text: str, start: int, line: int,
+            read: Optional[Callable[[int], str]]) -> Iterator[Iterator[tuple]]:
     """A zip over the columns of each chunk of the text from `start`, after line
-    `line`; a chunk ends at a newline. A chunk that _columns refuses is split into
-    lines, and each one not blank is put to _columns alone until one fails: those
-    before it (all, if none fails) are read by columns, then it raises Corrupt."""
+    `line`, then of what `read` returns (see _read_piece) until the end of
+    the file; a chunk ends at the first newline READ_CHUNK or more characters
+    after its start, so both inputs are cut alike. The lines of each chunk
+    read are counted from its columns. A chunk that _columns refuses is split
+    into lines, and each one not blank is put to _columns alone until one
+    fails: those before it (all, if none fails) are read by columns, then it
+    raises Corrupt."""
     last_text = last_time = None
-    end = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
-    begin = start
-    while begin < end:
-        stop = text.find("\n", begin + READ_CHUNK, end)
+    while True:
+        stop = text.find("\n", start + READ_CHUNK)
+        if stop < 0 and read is not None:
+            more = _read_piece(read, text[start:], line + 1)
+            if more is not None:
+                text, start = more, 0
+                continue
+            read = None
         if stop < 0:
-            stop = end
-        chunk, bad = text[begin:stop], None
-        read = _columns(chunk, last_text, last_time)
-        if isinstance(read, str):
+            stop = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
+            if start >= stop:
+                return
+        chunk, bad = text[start:stop], None
+        parsed = _columns(chunk, last_text, last_time)
+        if isinstance(parsed, str):
             lines = chunk.split("\n")
+            n = len(lines)
             bad = next((at for at, row in enumerate(lines)
                         if row and isinstance(_columns(row, None, None), str)), None)
             good = "\n".join(filter(None, lines[:bad]))
-            read = good and _columns(good, last_text, last_time)
-        if read:
-            last_text, columns = read
+            parsed = good and _columns(good, last_text, last_time)
+        else:
+            n = len(parsed[1][0])  # a chunk read whole is a row a line
+        if parsed:
+            last_text, columns = parsed
             last_time = columns[0][-1]
             yield zip(*columns)
-            del read, columns  # the zip is read: free its columns before the next chunk
-        if bad is not None:  # lines are counted only to name a bad one
-            raise Corrupt(line + text.count("\n", start, begin) + bad + 1,
-                          _columns(lines[bad], None, None))
-        begin = stop + 1
+            del parsed, columns  # the zip is read: free its columns before the next chunk
+        if bad is not None:
+            raise Corrupt(line + bad + 1, _columns(lines[bad], None, None))
+        line += n
+        start = stop + 1
 
 
 def _columns(chunk: str, last_text: Optional[str], last_time: Optional[float]):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import copy
 import statistics
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TextIO
 
 from . import transport as tp
 from .controller import ReliabilityController
@@ -213,8 +213,9 @@ def report_from_trace(trace: SimulationTrace, cfg: ScenarioConfig, seed: int,
     return reduce_trace(trace, trace_preamble(cfg, seed))
 
 
-def replay_text(text: str) -> MetricsReport:
-    """Recompute the metrics of a serialized trace; matches the original exactly.
+def replay_text(text: str | TextIO) -> MetricsReport:
+    """Recompute the metrics of a serialized trace, a string or an open text
+    file; matches the original exactly.
 
     The records stream from the text into the reducer, so replay never holds
     them. A value that parses but cannot be reduced (an interval row whose info
@@ -229,15 +230,14 @@ def replay_text(text: str) -> MetricsReport:
 
 
 def replay(path: str) -> MetricsReport:
-    """replay_text of a trace file, its line breaks read as they are (so a
-    carriage return is corrupt, as in replay_text); Corrupt if the file is not
-    UTF-8 text."""
+    """replay_text of a trace file, passed the open file: read_rows reads it
+    a chunk at a time, so neither its text nor its records are held whole,
+    and replay's memory follows one chunk, not the length of the run. Its
+    line breaks are read as they are, so a carriage return is corrupt, as in
+    replay_text; a piece of the file that is not UTF-8 raises Corrupt at the
+    line it starts in."""
     with open(path, "r", encoding="utf-8", newline="") as fp:
-        try:
-            text = fp.read()
-        except UnicodeDecodeError as exc:
-            raise Corrupt(None, f"text that is not UTF-8 ({exc})") from None
-    return replay_text(text)
+        return replay_text(fp)
 
 
 METRIC_NAMES = ("convergence_time", "total_energy", "aggregate_throughput",

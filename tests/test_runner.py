@@ -359,7 +359,9 @@ def test_cli_run_writes_outputs_and_replay_agrees(tmp_path, capsys):
     assert "interval,dr_o,dr_d" in intervals
     capsys.readouterr()
     assert main(["replay", "--trace", str(out / "trace.csv")]) == 0
-    replay_out = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    replay_out = json.loads(printed)
+    assert printed == json.dumps(replay_out, indent=2) + "\n"  # the summary is streamed
     assert replay_out["aggregate_throughput"] == summary["aggregate_throughput"]
     assert replay_out["per_interval"] == summary["per_interval"]
 

@@ -1,9 +1,12 @@
-"""Trace text: serialize against its line-list oracle, read_rows against its
-row-by-row oracle, the streaming replay against the list path and the live
-report, replay of mutated traces, the table of row kinds against the rows
-that runs write, and the memory that writing and auditing a finished run take."""
+"""Trace text: serialize against its line-list oracle, read_rows of a string
+and of a file against its row-by-row oracle, the streaming replay against the
+list path and the live report, replay of a file against replay of its text,
+replay of mutated traces, the table of row kinds against the rows that runs
+write, and the memory that writing, auditing and replaying a finished run take."""
 
+import io
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +18,7 @@ from rrrt.errors import Corrupt
 from rrrt.kernel import (ROW_KINDS, ROW_PAIRS, SERIALIZE_BLOCK, TRACE_COLUMNS, SimulationTrace,
                          read_rows)
 from rrrt.metrics import audit_trace
-from rrrt.runner import replay_text, run_traced
+from rrrt.runner import replay, replay_text, run_traced
 from rrrt.scenario import set_param
 from shipped import SHIPPED, shipped, shipped_run
 from test_faults import FAULT_SHA256, run_with_fault
@@ -41,9 +44,20 @@ def test_replay_streams_without_building_the_record_list(monkeypatch):
     assert replay_text(text) == expected
 
 
-def test_read_rows_reuses_the_float_of_a_repeated_time():
+def as_file(text: str) -> io.TextIOWrapper:
+    """`text` as `runner.replay` opens a trace file: UTF-8, its line breaks as
+    they are."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
+
+
+# read_rows takes the text, or an open file that it reads READ_CHUNK characters at a time.
+SOURCES = {"text": lambda text: text, "file": as_file}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_read_rows_reuses_the_float_of_a_repeated_time(source):
     text = "time,node,kind,pid,copy,reason,value,info\n0.5,a,send,1,1,,,\n0.5,b,send,2,2,,,\n"
-    first, second = read_rows(text)[1]
+    first, second = read_rows(SOURCES[source](text))[1]
     assert first[0] is second[0]
     # The last row of one chunk and the first of the next, with a blank line
     # (so that chunk is read again without it) in neither chunk, the first or the second.
@@ -58,10 +72,37 @@ def test_read_rows_reuses_the_float_of_a_repeated_time():
         chunk = sum(len(row) + 1 for row in rows[:edge - 1])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "READ_CHUNK", chunk)
-            records = list(read_rows("\n".join([",".join(TRACE_COLUMNS)] + rows))[1])
+            text = "\n".join([",".join(TRACE_COLUMNS)] + rows)
+            records = list(read_rows(SOURCES[source](text))[1])
         at = edge - 1 - (blank == 0)
         assert records[at][1] == records[at + 1][1] == "b"
         assert records[at][0] is records[at + 1][0]
+
+
+def test_a_file_is_read_in_pieces_that_cut_rows(monkeypatch):
+    """A file is read READ_CHUNK characters at a time, here 64, so most rows
+    are cut across two pieces; its preamble and records are those of its text.
+    A line longer than a chunk is not read a chunk at a time."""
+    monkeypatch.setattr(kernel, "READ_CHUNK", 64)
+    text = long_trace(200).serialize({"seed": 1})
+    pieces = []
+
+    def read(size):
+        pieces.append(fp.read(size))
+        return pieces[-1]
+
+    fp = as_file(text)
+    preamble, records = read_rows(SimpleNamespace(read=read))
+    assert (preamble, list(records)) == (read_rows(text)[0], list(read_rows(text)[1]))
+    assert "".join(pieces) == text
+    assert {len(piece) for piece in pieces[:-2]} == {64}
+    assert sum(not piece.endswith("\n") for piece in pieces) > 0.9 * len(pieces)
+    # A line 100 pieces long is read in pieces that grow by half each time.
+    pieces.clear()
+    fp = as_file(",".join(TRACE_COLUMNS) + "\n" + "x" * 6400)
+    with pytest.raises(Corrupt, match="wrong column count at line 2"):
+        list(read_rows(SimpleNamespace(read=read))[1])
+    assert len(pieces) < 20
 
 
 def one_row(time, info=""):
@@ -167,11 +208,14 @@ ROW = "0.5,n0,send,1,1,,,"
 @example(head="", lines=[ROW, "", "", ROW], chunk=1)  # a chunk of two blank lines
 @example(head="", lines=[ROW, "", "0.5,n0,send,x,1,,,", ROW],
          chunk=len(ROW) + 1)  # a bad line first in the chunk after one that ends blank
-def test_read_rows_matches_the_row_by_row_reader(head, lines, chunk):
+@pytest.mark.parametrize("source", SOURCES)
+def test_read_rows_matches_the_row_by_row_reader(source, head, lines, chunk):
+    """A file is read in pieces of READ_CHUNK characters, here 1 to 40, so its
+    rows and its preamble lines are split across pieces."""
     text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "READ_CHUNK", chunk)
-        preamble, records, error = read_all(read_rows, text)
+        patch.setattr(kernel, "READ_CHUNK", chunk if source == "text" else max(chunk, 1))
+        preamble, records, error = read_all(read_rows, SOURCES[source](text))
         expected_preamble, expected, expected_error = read_all(read_rows_oracle, text)
     assert (preamble, error) == (expected_preamble, expected_error)
     # repr tells -0.0 from 0.0 and compares nan with nan.
@@ -213,6 +257,81 @@ def test_a_carriage_return_is_refused_at_its_line_in_text_and_file(tmp_path):
     assert raised.value.offset == at + 1
 
 
+@pytest.fixture(scope="module")
+def lossy_text() -> str:
+    """transport_lossy's seed-1 trace text."""
+    return run_and_serialize(shipped("transport_lossy"), 1)[1]
+
+
+def replayed(replay_of, source):
+    """The report replay_of(source) returns, or the message of the Corrupt it raises."""
+    try:
+        return replay_of(source)
+    except Corrupt as exc:
+        return f"Corrupt: {exc}"
+
+
+def header_only(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.startswith(("#", "time,")))
+
+
+# A trace text changed as a file on disk may be, and whether replay refuses it.
+FILE_CASES = {
+    "whole": (lambda text: text, False),
+    "empty": (lambda text: "", True),
+    "header_only": (header_only, False),
+    "last_line_truncated": (lambda text: text[:-10], True),
+    "cut_mid_file": (lambda text: text[:len(text) // 2], True),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), True),
+    # A lone "\r" does not end a line: the flow becomes "xfer\rdata", which no row carries.
+    "carriage_return_in_the_preamble": (lambda text: text.replace("=xfer\n", "=xfer\rdata\n"),
+                                        False),
+}
+
+
+@pytest.mark.parametrize("chunk", [64, kernel.READ_CHUNK])
+@pytest.mark.parametrize("case", FILE_CASES)
+def test_replay_of_a_file_is_replay_text_of_its_text(tmp_path, monkeypatch, lossy_text, case,
+                                                     chunk):
+    """The file read in pieces of 64 characters, which cut its rows, or of
+    READ_CHUNK: the same report, or the same Corrupt line and message, and
+    `rrrt replay` exits 3 on the same cases."""
+    make, corrupt = FILE_CASES[case]
+    text = make(lossy_text)
+    assert text != lossy_text or case == "whole"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(kernel, "READ_CHUNK", chunk)
+    expected = replayed(replay_text, text)
+    assert isinstance(expected, str) == corrupt
+    assert replayed(replay, str(path)) == expected
+    assert main(["replay", "--trace", str(path)]) == (3 if corrupt else 0)
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_piece_is_corrupt_at_its_piece(
+        tmp_path, monkeypatch, lossy_text):
+    """replay reads the file a piece at a time: a byte that is not UTF-8 in a
+    row far into it raises Corrupt at the line its piece starts in, at or
+    before the row's, once the rows before that piece are read; the text
+    without it replays."""
+    monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
+    lines = lossy_text.split("\n")
+    at = len(lines) // 2
+    data = lossy_text.encode("utf-8")
+    offset = data.index(lines[at].encode("utf-8"))
+    assert offset > 3 * kernel.READ_CHUNK
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data[:offset + 3] + b"\xff" + data[offset + 4:])
+    with pytest.raises(Corrupt, match="text that is not UTF-8") as raised:
+        replay(str(path))
+    line = raised.value.offset
+    assert lines.index(",".join(TRACE_COLUMNS)) + 1 < line <= at + 1
+    assert len("\n".join(lines[line - 1:at])) < 2 * kernel.READ_CHUNK + 8192  # its piece
+    assert replay_text(lossy_text).aggregate_throughput > 0
+    assert main(["replay", "--trace", str(path)]) == 3
+
+
 def long_trace(rows: int) -> SimulationTrace:
     trace = SimulationTrace()
     for i in range(rows):
@@ -239,6 +358,8 @@ def chunk_of(lines: list[str], line: int) -> range:
 
 
 def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
+    """From the text and from a file, read in pieces of READ_CHUNK characters:
+    the same line and the same message."""
     monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
     lines = long_trace(2000).serialize().split("\n")
     lines.insert(1500, "")  # blank lines are skipped but counted
@@ -257,7 +378,10 @@ def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
                 SimulationTrace.parse(text)
             with pytest.raises(Corrupt) as streamed:
                 list(read_rows(text)[1])
-            assert parsed.value.offset == streamed.value.offset == line
+            with pytest.raises(Corrupt) as read:
+                list(read_rows(as_file(text))[1])
+            assert parsed.value.offset == streamed.value.offset == read.value.offset == line
+            assert str(parsed.value) == str(streamed.value) == str(read.value)
             assert text.split("\n")[line - 1] == bad
 
 
@@ -271,32 +395,36 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_serialize_holds_the_text_once(monkeypatch):
-    monkeypatch.setattr(kernel, "SERIALIZE_BLOCK", 1024)
-    text, peak = traced_peak(long_trace(16 * kernel.SERIALIZE_BLOCK + 5).serialize)
-    assert peak < 1.5 * len(text)
+def test_serialize_holds_the_text_once():
+    """serialize holds the text once, plus one block and its lines, about
+    150 bytes a row of the block: a fifth of a text 17 blocks long."""
+    text, peak = traced_peak(long_trace(16 * SERIALIZE_BLOCK + 5).serialize)
+    assert peak < 1.3 * len(text)
 
 
-def read_peak(text: str) -> int:
-    """The peak of the memory allocated while the records of `text` are read
-    and dropped, in bytes."""
+def read_peak(source) -> int:
+    """The peak of the memory allocated while the records of `source`, a
+    trace's text or its open file, are read and dropped, in bytes."""
     def consume():
-        for _ in read_rows(text)[1]:
+        for _ in read_rows(source)[1]:
             pass
 
     return traced_peak(consume)[1]
 
 
-def test_read_rows_holds_one_chunk_of_lines(monkeypatch):
+@pytest.mark.parametrize("source", SOURCES)
+def test_read_rows_holds_one_chunk_of_lines(monkeypatch, source):
     text = long_trace(20000).serialize()
     monkeypatch.setattr(kernel, "READ_CHUNK", len(text) // 100)
-    assert read_peak(text) < 0.25 * len(text)
+    assert read_peak(SOURCES[source](text)) < 0.25 * len(text)
 
 
-def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch):
+@pytest.mark.parametrize("source", SOURCES)
+def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch, source):
     short = long_trace(20000).serialize()
     monkeypatch.setattr(kernel, "READ_CHUNK", len(short) // 20)
-    assert read_peak(long_trace(80000).serialize()) < 1.1 * read_peak(short)
+    longer = SOURCES[source](long_trace(80000).serialize())
+    assert read_peak(longer) < 1.1 * read_peak(SOURCES[source](short))
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +441,19 @@ def test_writing_a_run_holds_one_block_of_its_text(congested_run, tmp_path):
     _, peak = traced_peak(lambda: _write_outputs(str(tmp_path), preamble, report, trace))
     assert peak <= 2e6
     assert (tmp_path / "trace.csv").stat().st_size > 15e6
+
+
+def test_replaying_a_written_trace_holds_one_chunk_of_it(congested_run, tmp_path):
+    """`rrrt replay` reads trace.csv a piece at a time: replaying
+    field_congested's 15.5 MB file gives the run's report and peaks at 2 MB
+    of new memory, not the text and its records."""
+    report, trace, preamble = congested_run
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        trace.write_to(fp, preamble)
+    from_file, peak = traced_peak(lambda: replay(str(path)))
+    assert from_file == report
+    assert peak <= 2e6
 
 
 def test_auditing_a_run_holds_no_table_the_size_of_its_trace(congested_run):
