@@ -19,21 +19,26 @@ from rrrt.kernel import SimulationTrace
 from rrrt.metrics import audit_trace, reduce_trace
 from rrrt.runner import replay_text, run_traced
 from rrrt.scenario import parse_scenario
-from util import written_trace_sha256
+from util import run_outputs_sha256
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = ("field_baseline", "field_burst", "field_congested", "transport_comparison",
            "transport_lossy")
 
 
+def scenario_path(name):
+    return os.path.join(SCENARIO_DIR, f"{name}.cfg")
+
+
 def shipped(name):
-    return parse_scenario(os.path.join(SCENARIO_DIR, f"{name}.cfg"))
+    return parse_scenario(scenario_path(name))
 
 
 class ShippedRun(NamedTuple):
     text_sha256: str  # of `trace.serialize(preamble)`
     oracle_sha256: str  # of `serialize_oracle(trace, preamble)`
     written_sha256: str  # of the trace.csv `rrrt run --out` writes
+    outputs: dict  # `util.run_outputs_sha256`: of each file `rrrt run --out` writes, and stdout
     live: Any  # the report of the run itself
     streamed: Any  # `replay_text(text)`
     listed: Any  # `reduce_trace(*SimulationTrace.parse(text))`
@@ -71,9 +76,10 @@ def shipped_run(name: str) -> ShippedRun:
     report, trace, preamble = run_traced(shipped(name), 1)
     text = trace.serialize(preamble)
     oracle_sha256 = sha256(serialize_oracle(trace, preamble))
-    written_sha256 = written_trace_sha256(report, trace, preamble)
+    outputs = run_outputs_sha256(scenario_path(name), report, trace, preamble)
     audits = audit_outcomes(trace)
     written = frozenset((row[2], row[5]) for row in trace)
     del trace
-    return ShippedRun(sha256(text), oracle_sha256, written_sha256, report, replay_text(text),
+    return ShippedRun(sha256(text), oracle_sha256, outputs["trace.csv"], outputs, report,
+                      replay_text(text),
                       reduce_trace(*SimulationTrace.parse(text)), audits, written)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+from rrrt import cli
 from rrrt.cli import _write_outputs
 from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
 from rrrt.packet import Packet
-from rrrt.runner import run_traced
+from rrrt.runner import run_traced, trace_preamble
 from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service
 
 FIXED_CA = CaModel(kind="fixed", value=0.0002, cap=0.0002)
@@ -83,3 +87,23 @@ def written_trace_sha256(report, trace, preamble) -> str:
     with tempfile.TemporaryDirectory() as out:
         _write_outputs(out, preamble, report, trace)
         return hashlib.sha256(Path(out, "trace.csv").read_bytes()).hexdigest()
+
+
+RUN_OUTPUTS = ("trace.csv", "summary.json", "intervals.csv", "connection.csv")
+
+
+def run_outputs_sha256(scenario: str, report, trace, preamble) -> dict[str, str]:
+    """sha256 of each file that `rrrt run --scenario SCENARIO --seed 1 --out DIR`
+    writes, and of what it prints ("stdout"), for a finished seed-1 run of that
+    scenario: the command runs as it is, handed this run instead of a new one."""
+    def same_run(cfg):
+        assert trace_preamble(cfg, cfg.sim.seed) == preamble  # the run the command would make
+        return report, trace, preamble
+
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            mock.patch.object(cli, "run_traced", same_run):
+        assert cli.main(["run", "--scenario", scenario, "--seed", "1", "--out", out]) == 0
+        digests = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                   for name in RUN_OUTPUTS}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return digests
