@@ -1,5 +1,12 @@
 """Command-line entry point: run, sweep, replay, validate.
 
+`run --out` writes trace.csv, summary.json, intervals.csv and connection.csv,
+each as it is formed: the trace block by block, the CSVs a row at a time, and
+the JSON as it is encoded by the one JSON writer, which prints the summary on
+stdout too. The report's `to_dict()` is built once per `run` or `replay`: it
+is what stdout prints, what summary.json holds after the preamble, and
+intervals.csv holds its `per_interval`.
+
 Exit codes: 0 success, 2 scenario validation failure, 3 I/O failure,
 4 runtime invariant violation. Any other error is not caught and exits with
 Python's own status for an uncaught exception, 1, after its traceback.
@@ -11,11 +18,12 @@ import argparse
 import json
 import os
 import sys
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .controller import IntervalRow
 from .errors import Corrupt, InvariantViolation, ScenarioInvalid, UnknownParameter
-from .kernel import SimulationTrace, decode_info, format_preamble
+from .kernel import SimulationTrace, decode_info, format_preamble, open_text
+from .nodes import TransportSenderApp
 from .runner import ARTIFACT_VERSION, replay, run_traced, sweep, sweep_csv
 from .scenario import SweepSpec, parse_scenario, parse_value, scenario_hash, set_param
 
@@ -58,46 +66,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(report_dict: dict, fmt: str) -> None:
-    """The report on stdout. The JSON is written as it is encoded, so a long
-    run's per-interval history is not held a second time as one string."""
+def _dump_json(value, fp: TextIO) -> None:
+    """The one JSON writer, of stdout and summary.json: `value` written as it
+    is encoded, so a long run's per-interval history is not held a second
+    time as one string, then a newline."""
+    json.dump(value, fp, indent=2)
+    fp.write("\n")
+
+
+def _print_summary(summary: dict, fmt: str) -> None:
+    """The report's `to_dict()` on stdout."""
     if fmt == "structured":
-        json.dump(report_dict, sys.stdout, indent=2)
-        print()
+        _dump_json(summary, sys.stdout)
     else:
-        for key, value in report_dict.items():
+        for key, value in summary.items():
             if key in ("per_interval", "delay_budget"):
                 continue
             print(f"{key},{value}")
 
 
-def _open(path: str) -> TextIO:
-    """`path` opened to write text with its "\n" line breaks as they are, on every platform."""
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path: str, preamble: dict, header: str, rows: Iterable[str]) -> None:
+    """`path` as a CSV output: the preamble, `header`, then `rows` a line at a time."""
+    with open_text(path, "w") as fp:
+        fp.write(format_preamble(preamble) + header + "\n")
+        fp.writelines(f"{row}\n" for row in rows)
 
 
-def _write(path: str, text: str) -> None:
-    with _open(path) as fp:
-        fp.write(text)
-
-
-def _write_outputs(out_dir: str, preamble: dict, report, trace: SimulationTrace) -> None:
-    """The four files of `rrrt run --out`. trace.csv is written block by block
-    as the trace is formatted, so neither its text nor its bytes are held whole."""
+def _write_outputs(out_dir: str, preamble: dict, summary: dict, trace: SimulationTrace) -> None:
+    """The four files of `rrrt run --out`, of a run's trace and its report's
+    `to_dict()`, which summary.json holds after the preamble. Each file is
+    written as it is formed, so no text of a file is held whole: trace.csv
+    block by block, intervals.csv from the summary's `per_interval` and
+    connection.csv from the trace's `conn` rows, a row at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    header = format_preamble(preamble)
-    with _open(os.path.join(out_dir, "trace.csv")) as fp:
+    with open_text(os.path.join(out_dir, "trace.csv"), "w") as fp:
         trace.write_to(fp, preamble)
-    _write(os.path.join(out_dir, "summary.json"),
-           json.dumps({"preamble": preamble, **report.to_dict()}, indent=2) + "\n")
-    intervals = header + IntervalRow.CSV_HEADER + "\n"
-    intervals += "".join(row.csv() + "\n" for row in report.per_interval)
-    _write(os.path.join(out_dir, "intervals.csv"), intervals)
-    conn = header + "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count\n"
-    for time, _, kind, _, _, _, _, info in trace:
-        if kind == "conn" and info:  # its state in the header's order; deadline_expired has none
-            conn += f"{time!r},{','.join(decode_info(info).values())}\n"
-    _write(os.path.join(out_dir, "connection.csv"), conn)
+    with open_text(os.path.join(out_dir, "summary.json"), "w") as fp:
+        _dump_json({"preamble": preamble, **summary}, fp)
+    _write_csv(os.path.join(out_dir, "intervals.csv"), preamble, IntervalRow.CSV_HEADER,
+               summary["per_interval"])
+    _write_csv(os.path.join(out_dir, "connection.csv"), preamble,
+               TransportSenderApp.CONN_CSV_HEADER,  # deadline_expired rows carry no state
+               (f"{time!r},{','.join(decode_info(info).values())}"
+                for time, _, kind, _, _, _, _, info in trace if kind == "conn" and info))
 
 
 def main(argv=None) -> int:
@@ -119,9 +130,10 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             report, trace, preamble = run_traced(cfg)
+            summary = report.to_dict()
             if args.out:
-                _write_outputs(args.out, preamble, report, trace)
-            _print_summary(report.to_dict(), args.format)
+                _write_outputs(args.out, preamble, summary, trace)
+            _print_summary(summary, args.format)
             return EXIT_OK
 
         # sweep: argparse admits no other command
@@ -134,7 +146,8 @@ def main(argv=None) -> int:
                                 "seed": cfg.sim.seed})
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write(os.path.join(args.out, "sweep.csv"), text)
+            with open_text(os.path.join(args.out, "sweep.csv"), "w") as fp:
+                fp.write(text)
         print(text, end="")
         return EXIT_OK
     except ScenarioInvalid as exc:

@@ -35,9 +35,11 @@ grown into one string by `serialize`, or written to a file one at a time by
 straight into fields READ_CHUNK characters at a time and yields each chunk's
 rows from its converted columns, in C; a chunk that is refused is split into
 lines only to find its first bad one. read_rows takes the text or an open
-text file (`rrrt replay` passes the file), which it reads a piece at a time,
-so neither writing nor reading a trace file holds its text: each holds about
-one block or one chunk of it.
+text file (`rrrt replay` passes the file), and both are cut into chunks by
+one helper, `_cut`, the only caller of the file's `read`, which reads it a
+piece at a time; so neither writing nor reading a trace file holds its text:
+each holds about one block or one chunk of it. Every file rrrt reads or
+writes is opened by `open_text`: UTF-8, its line breaks as they are.
 """
 
 from __future__ import annotations
@@ -237,6 +239,13 @@ def format_preamble(preamble: Optional[dict]) -> str:
     return "".join(f"# {key}={val}\n" for key, val in (preamble or {}).items())
 
 
+def open_text(path: str, mode: str = "r") -> TextIO:
+    """`path` opened in `mode` ("r" or "w") as every text rrrt reads or writes
+    is: UTF-8, with its line breaks as they are (`newline=""`) on every
+    platform, so a "\r" is read back, and a trace refuses it."""
+    return open(path, mode, encoding="utf-8", newline="")
+
+
 def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
     """Read serialized trace text, a string or an open text file, as
     (preamble, iterator over its records).
@@ -247,7 +256,7 @@ def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
     about READ_CHUNK characters at a time. A file is read READ_CHUNK
     characters at a time, as its lines are needed, so neither its text nor
     its records are held whole; its line breaks are read as `fp.read` returns
-    them (a file opened with `newline=""` keeps a carriage return, which is
+    them (a file opened by open_text keeps a carriage return, which is
     corrupt). Raises Corrupt(line number) on malformed input: a bad header
     here, a bad row once the rows before it are read, and a piece of a file
     that is not UTF-8 at the line it starts in, once the lines before it are.
@@ -256,13 +265,7 @@ def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
     preamble: dict = {}
     start = 0
     for line in count(1):
-        stop = text.find("\n", start)
-        while stop < 0 and read is not None:
-            more = _read_piece(read, text[start:], line)
-            if more is None:
-                read = None
-            else:
-                text, start, stop = more, 0, more.find("\n")
+        text, start, stop, read = _cut(text, start, 0, read, line)
         if stop < 0:
             stop = len(text)
         head = text[start:stop]
@@ -279,40 +282,45 @@ def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
         start = stop + 1
 
 
-def _read_piece(read: Callable[[int], str], rest: str, line: int) -> Optional[str]:
-    """`rest`, text not yet cut into chunks that starts in line `line`, and
-    the next piece of a file after it; None at the end of the file. A piece
-    is READ_CHUNK characters, or half of `rest` if that is more: `rest` holds
-    less than two chunks unless a line is longer than a chunk, and such a
-    line is then read in pieces that grow by half each time, not copied once
-    per chunk. Corrupt at the line the piece starts in if the file is not
-    UTF-8 there."""
-    try:
-        piece = read(max(READ_CHUNK, len(rest) // 2))
-    except UnicodeDecodeError as exc:
-        raise Corrupt(line + rest.count("\n"), f"text that is not UTF-8 ({exc})") from None
-    return rest + piece if piece else None
+def _cut(text: str, start: int, least: int, read: Optional[Callable[[int], str]],
+         line: int) -> tuple[str, int, int, Optional[Callable[[int], str]]]:
+    """Cut the text at its first newline `least` or more characters after
+    `start`, which is in line `line`: (text, start, stop, read), with `stop`
+    that newline's index, or -1 and `read` None if the text ends without one.
+    `read` is the file's read method, or None for a string, and no other
+    function calls it: while the newline is not found, the file's next piece
+    is read onto what is left of the text from `start`, and the returned
+    text starts there. A piece is READ_CHUNK characters, or half of what is
+    left if that is more: what is left holds less than two chunks unless a
+    line is longer than a chunk, and such a line is then read in pieces that
+    grow by half each time, not copied once per chunk. Corrupt at the line
+    the piece starts in if the file is not UTF-8 there."""
+    stop = text.find("\n", start + least)
+    while stop < 0 and read is not None:
+        try:
+            piece = read(max(READ_CHUNK, (len(text) - start) // 2))
+        except UnicodeDecodeError as exc:
+            raise Corrupt(line + text.count("\n", start), f"text that is not UTF-8 ({exc})") from None
+        if not piece:
+            return text, start, -1, None
+        text, start = text[start:] + piece, 0
+        stop = text.find("\n", least)
+    return text, start, stop, read
 
 
 def _chunks(text: str, start: int, line: int,
             read: Optional[Callable[[int], str]]) -> Iterator[Iterator[tuple]]:
     """A zip over the columns of each chunk of the text from `start`, after line
-    `line`, then of what `read` returns (see _read_piece) until the end of
-    the file; a chunk ends at the first newline READ_CHUNK or more characters
-    after its start, so both inputs are cut alike. The lines of each chunk
-    read are counted from its columns. A chunk that _columns refuses is split
-    into lines, and each one not blank is put to _columns alone until one
-    fails: those before it (all, if none fails) are read by columns, then it
-    raises Corrupt."""
+    `line`, then of what `read` returns until the end of the file; _cut ends
+    each chunk at the first newline READ_CHUNK or more characters after its
+    start, so both inputs are cut alike. The lines of each chunk read are
+    counted from its columns. A chunk that _columns refuses is split into
+    lines, and each one not blank is put to _columns alone until one fails:
+    those before it (all, if none fails) are read by columns, then it raises
+    Corrupt."""
     last_text = last_time = None
     while True:
-        stop = text.find("\n", start + READ_CHUNK)
-        if stop < 0 and read is not None:
-            more = _read_piece(read, text[start:], line + 1)
-            if more is not None:
-                text, start = more, 0
-                continue
-            read = None
+        text, start, stop, read = _cut(text, start, READ_CHUNK, read, line + 1)
         if stop < 0:
             stop = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
             if start >= stop:

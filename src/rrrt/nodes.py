@@ -529,6 +529,10 @@ class TransportSenderApp:
             self.origin[seq] = (pid, gen_time)
         self.runtime.forward_data(self.node, pkt)
 
+    # connection.csv's header: `time`, then a column for each field of the info
+    # that _log_state writes, in its order; `rrrt run --out` writes each one's value.
+    CONN_CSV_HEADER = "time,phase,r_c,r_f,r_min,missed_feedback,retransmit_count"
+
     def _log_state(self, now: float, r_f: float) -> None:
         state = self.state
         info = (f"phase={state.phase.value};r_c={state.r_c!r};r_f={r_f!r};"

@@ -11,7 +11,7 @@ from typing import Optional, TextIO
 from . import transport as tp
 from .controller import ReliabilityController
 from .errors import Corrupt, ScenarioInvalid
-from .kernel import SimulationTrace, Simulator, format_preamble, read_rows
+from .kernel import SimulationTrace, Simulator, format_preamble, open_text, read_rows
 from .metrics import MetricsReport, audit_trace, reduce_trace
 from .nodes import (CrossTrafficSource, FixedRateSenderApp, NetworkRuntime, SensorSource,
                     SubSinkApp, TransportReceiverApp, TransportSenderApp)
@@ -232,11 +232,11 @@ def replay_text(text: str | TextIO) -> MetricsReport:
 def replay(path: str) -> MetricsReport:
     """replay_text of a trace file, passed the open file: read_rows reads it
     a chunk at a time, so neither its text nor its records are held whole,
-    and replay's memory follows one chunk, not the length of the run. Its
-    line breaks are read as they are, so a carriage return is corrupt, as in
-    replay_text; a piece of the file that is not UTF-8 raises Corrupt at the
-    line it starts in."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
+    and replay's memory follows one chunk, not the length of the run. It is
+    opened by open_text, so its line breaks are read as they are and a
+    carriage return is corrupt, as in replay_text; a piece of the file that
+    is not UTF-8 raises Corrupt at the line it starts in."""
+    with open_text(path) as fp:
         return replay_text(fp)
 
 

@@ -13,6 +13,7 @@ from rrrt.cli import main
 from rrrt.errors import Corrupt, InvariantViolation
 from rrrt.kernel import SimulationTrace, Simulator, decode_info, format_preamble
 from rrrt.metrics import audit_trace
+from rrrt.nodes import TransportSenderApp
 from rrrt.runner import ARTIFACT_VERSION, build_transport, replay_text, run_experiment, run_traced
 from rrrt.scenario import ScenarioConfig, serialize_scenario, set_param
 from shipped import SCENARIO_DIR, sha256, shipped
@@ -364,6 +365,35 @@ def test_cli_run_writes_outputs_and_replay_agrees(tmp_path, capsys):
     assert printed == json.dumps(replay_out, indent=2) + "\n"  # the summary is streamed
     assert replay_out["aggregate_throughput"] == summary["aggregate_throughput"]
     assert replay_out["per_interval"] == summary["per_interval"]
+
+
+def test_connection_csv_names_the_fields_of_a_conn_row_in_order():
+    """connection.csv's header is `time`, then one column for each field of
+    the info of a logged conn row, in its order: the field's key, or its name
+    written out. `rrrt run --out` writes the values of each row under it."""
+    _, trace, _ = run_traced(transport_cfg(loss=0.2, goal=50), 1)
+    keys = {tuple(decode_info(row[7])) for row in trace if row[2] == "conn" and row[7]}
+    assert len(keys) == 1
+    written_out = {"missed": "missed_feedback", "retx": "retransmit_count"}
+    columns = TransportSenderApp.CONN_CSV_HEADER.split(",")
+    assert columns == ["time", *(written_out.get(key, key) for key in keys.pop())]
+
+
+@pytest.mark.xfail(strict=True, reason="replay does not audit its rows (ROADMAP item 3)")
+def test_replay_of_a_trace_with_a_deliver_row_twice_exits_4(tmp_path, capsys):
+    """A deliver row of transport_lossy's seed-1 trace written twice: the
+    audit of those rows raises "pid 3 delivered twice to the application",
+    while replay reduces them to an aggregate_throughput of 1001 of its 1000
+    packets and exits 0. Once replay audits what it reads, it exits 4."""
+    _, text = run_and_serialize(shipped("transport_lossy"), 1)
+    lines = text.splitlines(keepends=True)
+    at = next(at for at, line in enumerate(lines) if ",deliver," in line)
+    lines.insert(at, lines[at])
+    with pytest.raises(InvariantViolation, match="pid 3 delivered twice"):
+        audit_trace(SimulationTrace.parse("".join(lines))[0])
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert main(["replay", "--trace", str(path)]) == 4
 
 
 PREAMBLE = {"seed": "1", "flow": "data", "e_tx": "5e-05", "e_rx": "2.5e-05",

@@ -438,7 +438,7 @@ def test_writing_a_run_holds_one_block_of_its_text(congested_run, tmp_path):
     """`rrrt run --out` writes trace.csv as its blocks are formed: writing the
     four files peaks at 2 MB of new memory, not the text and its bytes."""
     report, trace, preamble = congested_run
-    _, peak = traced_peak(lambda: _write_outputs(str(tmp_path), preamble, report, trace))
+    _, peak = traced_peak(lambda: _write_outputs(str(tmp_path), preamble, report.to_dict(), trace))
     assert peak <= 2e6
     assert (tmp_path / "trace.csv").stat().st_size > 15e6
 

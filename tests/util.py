@@ -85,7 +85,7 @@ def run_and_serialize(cfg, seed=None):
 def written_trace_sha256(report, trace, preamble) -> str:
     """sha256 of the trace.csv that `rrrt run --out` writes of a finished run."""
     with tempfile.TemporaryDirectory() as out:
-        _write_outputs(out, preamble, report, trace)
+        _write_outputs(out, preamble, report.to_dict(), trace)
         return hashlib.sha256(Path(out, "trace.csv").read_bytes()).hexdigest()
 
 
@@ -100,8 +100,8 @@ def run_outputs_sha256(scenario: str, report, trace, preamble) -> dict[str, str]
         assert trace_preamble(cfg, cfg.sim.seed) == preamble  # the run the command would make
         return report, trace, preamble
 
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as stdout, \
-            mock.patch.object(cli, "run_traced", same_run):
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "run_traced", same_run), \
+            contextlib.redirect_stdout(io.StringIO()) as stdout:
         assert cli.main(["run", "--scenario", scenario, "--seed", "1", "--out", out]) == 0
         digests = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
                    for name in RUN_OUTPUTS}
