@@ -26,19 +26,23 @@ frame; `log` takes the fields by keyword for the rarer rows and calls it.
 A trace goes to text through one block formatter, `SimulationTrace._format`,
 and comes back with `read_rows`, which yields the records one at a time, so a
 consumer such as replay reduces them as they arrive and never holds them all.
-`SimulationTrace.parse` collects them into a trace. A row is one line of eight
-comma-separated fields, none holding a comma, a double quote, a carriage return
-or a line break; nothing is quoted; its kind and reason are a pair of ROW_KINDS.
+`SimulationTrace.parse` collects them into a trace. read_rows reads only what
+the writer writes: `# key=value` lines (format_preamble), the header, and a
+row on every line up to the final newline, so a blank line is corrupt. A row is
+one line of eight comma-separated fields, none holding a comma, a double quote,
+a carriage return or a line break; nothing is quoted; its kind and reason are a
+pair of ROW_KINDS.
 Neither side holds a second copy of the text: the formatter's blocks are
 grown into one string by `serialize`, or written to a file one at a time by
 `write_to` (which `rrrt run --out` calls), and read_rows splits the text
 straight into fields READ_CHUNK characters at a time and yields each chunk's
 rows from its converted columns, in C; a chunk that is refused is split into
-lines only to find its first bad one. read_rows takes the text or an open
-text file (`rrrt replay` passes the file), and both are cut into chunks by
-one helper, `_cut`, the only caller of the file's `read`, which reads it a
-piece at a time; so neither writing nor reading a trace file holds its text:
-each holds about one block or one chunk of it. Every file rrrt reads or
+lines only to find its first bad one, and none of its rows is yielded.
+read_rows takes the text or an open text file (`rrrt replay` passes the
+file), and both are cut into chunks by one helper, `_cut`, the only caller of
+the file's `read`, which reads it a piece at a time; so neither writing nor
+reading a trace file holds its text: each holds about one block or one chunk
+of it. Every file rrrt reads or
 writes is opened by `open_text`: UTF-8, its line breaks as they are.
 """
 
@@ -250,16 +254,20 @@ def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
     """Read serialized trace text, a string or an open text file, as
     (preamble, iterator over its records).
 
-    `#` lines before the header are the preamble; every row after it must be
-    exactly the eight columns serialize() writes. The preamble and header are
+    The text is what format_preamble and SimulationTrace._format write, and
+    nothing else: every line before the header is `# key=value`, read into
+    the preamble with its key and value as written, and every line after it,
+    up to the final newline, is a row of exactly the eight columns
+    serialize() writes; a blank line is neither. The preamble and header are
     read at once, the rows only as the iterator is advanced, one chunk of
     about READ_CHUNK characters at a time. A file is read READ_CHUNK
     characters at a time, as its lines are needed, so neither its text nor
     its records are held whole; its line breaks are read as `fp.read` returns
     them (a file opened by open_text keeps a carriage return, which is
-    corrupt). Raises Corrupt(line number) on malformed input: a bad header
-    here, a bad row once the rows before it are read, and a piece of a file
-    that is not UTF-8 at the line it starts in, once the lines before it are.
+    corrupt). Raises Corrupt(line number) on malformed input: any other line
+    before the header, or a text that ends before it, here; a bad row once
+    the chunks before its own are read; and a piece of a file that is not
+    UTF-8 at the line it starts in, once the lines before it are.
     """
     text, read = (source, None) if isinstance(source, str) else ("", source.read)
     preamble: dict = {}
@@ -269,16 +277,15 @@ def read_rows(source: str | TextIO) -> tuple[dict, Iterator[tuple]]:
         if stop < 0:
             stop = len(text)
         head = text[start:stop]
-        if head.startswith("#"):
-            key, sep, val = head[1:].strip().partition("=")
-            if sep:
-                preamble[key.strip()] = val
-        elif head:
-            if head != ",".join(TRACE_COLUMNS):
-                raise Corrupt(line, "unexpected trace header")
+        if head == ",".join(TRACE_COLUMNS):
             return preamble, chain.from_iterable(_chunks(text, stop + 1, line, read))
+        key, sep, val = head[2:].partition("=")
+        if not (sep and head.startswith("# ")):
+            raise Corrupt(line, "unexpected trace header" if start < len(text)
+                          else "missing trace header")  # nothing is left: the text ended
         if stop == len(text):
             raise Corrupt(line, "missing trace header")
+        preamble[key] = val
         start = stop + 1
 
 
@@ -313,37 +320,28 @@ def _chunks(text: str, start: int, line: int,
     """A zip over the columns of each chunk of the text from `start`, after line
     `line`, then of what `read` returns until the end of the file; _cut ends
     each chunk at the first newline READ_CHUNK or more characters after its
-    start, so both inputs are cut alike. The lines of each chunk read are
-    counted from its columns. A chunk that _columns refuses is split into
-    lines, and each one not blank is put to _columns alone until one fails:
-    those before it (all, if none fails) are read by columns, then it raises
-    Corrupt."""
+    start, so both inputs are cut alike, and the final newline ends the last
+    row. The lines of each chunk read are counted from its columns. A chunk
+    that _columns refuses is split into lines only to find its first bad one,
+    which raises Corrupt; none of its rows is yielded."""
     last_text = last_time = None
     while True:
         text, start, stop, read = _cut(text, start, READ_CHUNK, read, line + 1)
         if stop < 0:
-            stop = len(text) - text.endswith("\n")  # the blank line after a final newline is not read
-            if start >= stop:
+            if start >= len(text):
                 return
-        chunk, bad = text[start:stop], None
+            stop = len(text) - text.endswith("\n")
+        chunk = text[start:stop]
         parsed = _columns(chunk, last_text, last_time)
         if isinstance(parsed, str):
-            lines = chunk.split("\n")
-            n = len(lines)
-            bad = next((at for at, row in enumerate(lines)
-                        if row and isinstance(_columns(row, None, None), str)), None)
-            good = "\n".join(filter(None, lines[:bad]))
-            parsed = good and _columns(good, last_text, last_time)
-        else:
-            n = len(parsed[1][0])  # a chunk read whole is a row a line
-        if parsed:
-            last_text, columns = parsed
-            last_time = columns[0][-1]
-            yield zip(*columns)
-            del parsed, columns  # the zip is read: free its columns before the next chunk
-        if bad is not None:
-            raise Corrupt(line + bad + 1, _columns(lines[bad], None, None))
-        line += n
+            for number, row in enumerate(chunk.split("\n"), line + 1):
+                if isinstance(error := _columns(row, None, None), str):
+                    raise Corrupt(number, error)
+        last_text, columns = parsed
+        last_time = columns[0][-1]
+        line += len(columns[0])
+        yield zip(*columns)
+        del parsed, columns  # the zip is read: free its columns before the next chunk
         start = stop + 1
 
 

@@ -323,7 +323,8 @@ class SensorSource:
 
 
 class CrossTrafficSource:
-    """Background load within a time window; packets are not counted by the controller."""
+    """Background load within a time window; packets are not counted by the controller.
+    Its rate is above 0: runner.build_field builds none otherwise."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, sink: str, rate: float,
                  start: float, stop: float):
@@ -335,8 +336,7 @@ class CrossTrafficSource:
         self.start_at = start
 
     def start(self, now: float) -> None:
-        if self.rate > 0.0:
-            self.runtime.sim.schedule(max(now, self.start_at), "app", self.node, "gen")
+        self.runtime.sim.schedule(max(now, self.start_at), "app", self.node, "gen")
 
     def on_event(self, sim: Simulator, tag: str) -> None:
         now = sim.now
@@ -549,7 +549,8 @@ class TransportSenderApp:
 
 
 class TransportReceiverApp:
-    """Receiving sub-sink: dedup delivery, path estimation, periodic feedback."""
+    """Receiving sub-sink: dedup delivery, path estimation, periodic feedback.
+    Both senders give every data packet a seq, which the dedup reads."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, peer: str, t_fdbk: float):
         self.runtime = runtime
@@ -568,7 +569,7 @@ class TransportReceiverApp:
 
     def on_packet(self, pkt: Packet, now: float) -> None:
         self._note_path(pkt)
-        if pkt.seq is not None and not self.received.add(pkt.seq):
+        if not self.received.add(pkt.seq):
             return  # duplicate: already handed to the application
         self.runtime.sim.trace.append_row((now, self.node, "deliver", pkt.pid, -1, "",
                                            pkt.gen_time, pkt.flow))

@@ -110,9 +110,8 @@ class Topology:
                     self.routes[(node, dest)] = hop
 
     def next_hop(self, node: str, dest: str, now: float = math.inf) -> str:
-        """Configured next hop; a crashed next hop or link severs the route."""
-        if node == dest:
-            raise NoRoute("destination is self; delivery is handled locally")
+        """Configured next hop; a crashed next hop or link severs the route.
+        There is no route from a node to itself."""
         hop = self.routes.get((node, dest))
         if hop is None:
             raise NoRoute(f"no route {node}->{dest}")

@@ -174,30 +174,34 @@ def read_rows_oracle(text: str):
     """Row-by-row trace reader: the preamble, and an iterator that takes every
     line after the header on its own, splits it at its commas and converts
     each field, reusing the previous row's float when its time string
-    repeats. A blank line is skipped; a line with a quote or a carriage
-    return, of other than eight fields, whose kind is not one of ROW_KINDS or
-    whose reason is not one of its kind's, or with a field that does not
-    convert raises Corrupt(line number), checked in that order, as
-    kernel.read_rows does."""
+    repeats. Every line before the header is `# key=value`, kept as written;
+    any other line there raises Corrupt(line number, "unexpected trace
+    header"), and a text that ends before the header, "missing trace header".
+    Every line after the header, up to the final newline, is a row, a blank
+    one too: a line with a quote or a carriage return, of other than eight
+    fields, whose kind is not one of ROW_KINDS or whose reason is not one of
+    its kind's, or with a field that does not convert raises Corrupt(line
+    number), checked in that order, as kernel.read_rows does."""
     preamble: dict = {}
-    lines = iter(text.split("\n"))
+    lines = text.split("\n")
     for header_line, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            key, sep, val = line[1:].strip().partition("=")
-            if sep:
-                preamble[key.strip()] = val
-        elif line:
-            if line != ",".join(TRACE_COLUMNS):
-                raise Corrupt(header_line, "unexpected trace header")
+        if line == ",".join(TRACE_COLUMNS):
             break
+        if header_line == len(lines) and line == "":
+            raise Corrupt(header_line, "missing trace header")
+        if not line.startswith("# ") or "=" not in line:
+            raise Corrupt(header_line, "unexpected trace header")
+        key, _, val = line[2:].partition("=")
+        preamble[key] = val
     else:
         raise Corrupt(header_line, "missing trace header")
+    rows = lines[header_line:]
+    if rows[-1:] == [""]:
+        del rows[-1]  # what follows the final newline
 
     def records():
         last_text = last_time = None
-        for number, line in enumerate(lines, start=header_line + 1):
-            if line == "":
-                continue
+        for number, line in enumerate(rows, start=header_line + 1):
             if '"' in line or "\r" in line:
                 raise Corrupt(number, "unparsable field")
             row = line.split(",")

@@ -3,7 +3,9 @@
 `test_golden.py`, `test_trace_text.py` and `test_metrics.py` all check each
 shipped scenario's seed-1 trace; `shipped_run` runs a scenario once per test
 session and keeps only digests, reports and audit outcomes, not the trace or
-its text.
+its text. The one exception is field_congested's run, which `congested_run`
+keeps for the whole test run (its trace is about 30 MB): the memory tests of
+`test_trace_text.py` write, replay and audit that trace whole.
 """
 
 from __future__ import annotations
@@ -72,8 +74,16 @@ def trace_sha256(name: str, horizon: float) -> str:
 
 
 @functools.cache
+def congested_run() -> tuple:
+    """The report, trace and preamble of field_congested at seed 1, whose text
+    is about 15.5 MB."""
+    return run_traced(shipped("field_congested"), 1)
+
+
+@functools.cache
 def shipped_run(name: str) -> ShippedRun:
-    report, trace, preamble = run_traced(shipped(name), 1)
+    report, trace, preamble = (congested_run() if name == "field_congested"
+                               else run_traced(shipped(name), 1))
     text = trace.serialize(preamble)
     oracle_sha256 = sha256(serialize_oracle(trace, preamble))
     outputs = run_outputs_sha256(scenario_path(name), report, trace, preamble)

@@ -20,7 +20,7 @@ from rrrt.kernel import (ROW_KINDS, ROW_PAIRS, SERIALIZE_BLOCK, TRACE_COLUMNS, S
 from rrrt.metrics import audit_trace
 from rrrt.runner import replay, replay_text, run_traced
 from rrrt.scenario import set_param
-from shipped import SHIPPED, shipped, shipped_run
+from shipped import SHIPPED, congested_run, shipped, shipped_run
 from test_faults import FAULT_SHA256, run_with_fault
 from test_runner import BUDGET_PINS, budget_pin, expired_deadline_cfg
 from util import run_and_serialize
@@ -59,24 +59,27 @@ def test_read_rows_reuses_the_float_of_a_repeated_time(source):
     text = "time,node,kind,pid,copy,reason,value,info\n0.5,a,send,1,1,,,\n0.5,b,send,2,2,,,\n"
     first, second = read_rows(SOURCES[source](text))[1]
     assert first[0] is second[0]
-    # The last row of one chunk and the first of the next, with a blank line
-    # (so that chunk is read again without it) in neither chunk, the first or the second.
+    # The last row of one chunk and the first of the next.
     edge = 64
-    for blank in (None, 0, 2 * edge - 1):
-        rows = [f"{i / 8},a,send,{i},{i},,," for i in range(2 * edge)]
-        rows[edge - 1] = rows[edge] = "0.5,b,send,1,1,,,"
-        if blank is not None:
-            rows[blank] = ""
-        # The first chunk ends with row edge - 1, which starts READ_CHUNK
-        # characters after the first row.
-        chunk = sum(len(row) + 1 for row in rows[:edge - 1])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernel, "READ_CHUNK", chunk)
-            text = "\n".join([",".join(TRACE_COLUMNS)] + rows)
-            records = list(read_rows(SOURCES[source](text))[1])
-        at = edge - 1 - (blank == 0)
-        assert records[at][1] == records[at + 1][1] == "b"
-        assert records[at][0] is records[at + 1][0]
+    rows = [f"{i / 8},a,send,{i},{i},,," for i in range(2 * edge)]
+    rows[edge - 1] = rows[edge] = "0.5,b,send,1,1,,,"
+    # The first chunk ends with row edge - 1, which starts READ_CHUNK
+    # characters after the first row.
+    chunk = sum(len(row) + 1 for row in rows[:edge - 1])
+    text = "\n".join([",".join(TRACE_COLUMNS)] + rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "READ_CHUNK", chunk)
+        records = list(read_rows(SOURCES[source](text))[1])
+        # A blank line in the first chunk or the second is Corrupt at its
+        # line, and no row of its chunk is read.
+        for blank, read in ((0, 0), (edge + 1, edge)):
+            lines = text.split("\n")
+            lines[blank + 1] = ""
+            _, records_read, error = read_all(read_rows, SOURCES[source]("\n".join(lines)))
+            expected = (blank + 2, f"wrong column count at line {blank + 2}")
+            assert (len(records_read), error) == (read, expected)
+    assert records[edge - 1][1] == records[edge][1] == "b"
+    assert records[edge - 1][0] is records[edge][0]
 
 
 def test_a_file_is_read_in_pieces_that_cut_rows(monkeypatch):
@@ -186,16 +189,21 @@ ROW = "0.5,n0,send,1,1,,,"
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(head=st.sampled_from(("", "# seed=1\n", "# seed=1\n\n", "time,node\n")),
+@given(head=st.sampled_from(("", "# seed=1\n", "# seed=1\n\n", "\n", "# note\n", "#seed=1\n",
+                             "time,node\n")),
        lines=st.lists(trace_lines(), max_size=24), chunk=st.integers(0, 40))
 @example(head="", lines=[], chunk=1)  # no row
 @example(head="", lines=[ROW, "0.5,n0,send,2,2,,,"], chunk=1)  # no trailing newline
+@example(head="\n", lines=[ROW], chunk=1)  # a blank line before the header
+@example(head="# note\n", lines=[ROW], chunk=1)  # a preamble line that is not `# key=value`
+@example(head="", lines=["", ROW], chunk=1)  # a blank line as the first row
 @example(head="", lines=[ROW, "", ROW], chunk=len(ROW))  # "\n\n" at the chunk edge
+@example(head="", lines=[ROW, "", ""], chunk=1)  # a blank line after the final newline
 @example(head="", lines=[ROW + "\r", ROW + "\r"], chunk=len(ROW))  # "\r" at the chunk edge
 @example(head="", lines=[ROW, "0.5," + "b" * 40 + ",send,2,2,,,", ROW, ""],
          chunk=3)  # a line longer than the chunk
 @example(head="", lines=[ROW, "", ",".join("1" * 15), ROW],
-         chunk=80)  # 32 fields in four lines, one blank
+         chunk=80)  # 32 fields in four lines, the blank one first refused
 @example(head="", lines=[ROW, '0.5,n0,send,1,1,,,"x\ny"', "0.5,n0,send,2,2,,,"],
          chunk=0)  # a quoted line break across a chunk edge
 @example(head="", lines=["0.5,n0,send,1,1,,", "0.5,0.5,n0,send,1,1,,,"],
@@ -204,23 +212,28 @@ ROW = "0.5,n0,send,1,1,,,"
          chunk=80)  # 17 = 9 * 2 - 1 fields in three lines, "\n" the ninth
 @example(head="", lines=[ROW, "0.5,n0,drop,1,1,,,"], chunk=80)  # no reason, which a drop needs
 @example(head="", lines=[ROW, "", "0.5,n0,send,x,1,,,", ROW],
-         chunk=80)  # a blank line, then a bad one, in one chunk
+         chunk=80)  # a blank line, then a bad one, in one chunk: the blank one is refused
 @example(head="", lines=[ROW, "", "", ROW], chunk=1)  # a chunk of two blank lines
 @example(head="", lines=[ROW, "", "0.5,n0,send,x,1,,,", ROW],
-         chunk=len(ROW) + 1)  # a bad line first in the chunk after one that ends blank
+         chunk=len(ROW) + 1)  # a blank line that ends a chunk, before a bad one
 @pytest.mark.parametrize("source", SOURCES)
 def test_read_rows_matches_the_row_by_row_reader(source, head, lines, chunk):
     """A file is read in pieces of READ_CHUNK characters, here 1 to 40, so its
-    rows and its preamble lines are split across pieces."""
+    rows and its preamble lines are split across pieces. The same preamble
+    and the same Corrupt, or none; without one, the same records. No row of a
+    refused chunk is read, so before a Corrupt the records read are the first
+    ones of the oracle's."""
     text = head + ",".join(TRACE_COLUMNS) + "\n" + "\n".join(lines)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "READ_CHUNK", chunk if source == "text" else max(chunk, 1))
         preamble, records, error = read_all(read_rows, SOURCES[source](text))
         expected_preamble, expected, expected_error = read_all(read_rows_oracle, text)
     assert (preamble, error) == (expected_preamble, expected_error)
+    if error is None:
+        assert len(records) == len(expected)
     # repr tells -0.0 from 0.0 and compares nan with nan.
-    assert list(map(repr, records)) == list(map(repr, expected))
-    for at in range(1, len(expected)):
+    assert list(map(repr, records)) == list(map(repr, expected[:len(records)]))
+    for at in range(1, len(records)):
         if expected[at][0] is expected[at - 1][0]:
             assert records[at][0] is records[at - 1][0]
 
@@ -309,6 +322,49 @@ def test_replay_of_a_file_is_replay_text_of_its_text(tmp_path, monkeypatch, loss
     assert main(["replay", "--trace", str(path)]) == (3 if corrupt else 0)
 
 
+HEADER = ",".join(TRACE_COLUMNS)
+
+
+def second_chunk(text: str, lines: list[str]) -> int:
+    """The index in `lines` of the first line of the second chunk read_rows reads."""
+    first_row = text.index("\n" + HEADER + "\n") + len(HEADER) + 2
+    return text.count("\n", 0, text.index("\n", first_row + kernel.READ_CHUNK)) + 1
+
+
+# A line that the writer never writes, the index in the trace's lines that it
+# is put at, and the message of the Corrupt at its line.
+ADDED_LINES = {
+    "note_before_the_header": ("# note", lambda text, lines: 0, "unexpected trace header"),
+    "blank_before_the_header": ("", lambda text, lines: lines.index(HEADER),
+                                "unexpected trace header"),
+    "blank_first_row": ("", lambda text, lines: lines.index(HEADER) + 1, "wrong column count"),
+    "blank_mid_file": ("", lambda text, lines: len(lines) // 2, "wrong column count"),
+    "blank_at_a_chunk_edge": ("", second_chunk, "wrong column count"),
+    "extra_newline_at_the_end": ("", lambda text, lines: len(lines) - 1, "wrong column count"),
+}
+
+
+@pytest.mark.parametrize("case", ADDED_LINES)
+def test_replay_refuses_a_line_the_writer_never_writes(tmp_path, capsys, lossy_text, case):
+    """transport_lossy's seed-1 trace.csv replays to its run's report. With one
+    line added that the writer never writes, replay_text of its text and
+    replay of the file raise Corrupt at that line, and `rrrt replay` exits 3
+    and names it."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(lossy_text.encode("utf-8"))
+    assert replay(str(path)) == shipped_run("transport_lossy").live
+    added, where, message = ADDED_LINES[case]
+    lines = lossy_text.split("\n")
+    at = where(lossy_text, lines)
+    lines.insert(at, added)
+    text = "\n".join(lines)
+    path.write_bytes(text.encode("utf-8"))
+    expected = f"{message} at line {at + 1}"
+    assert replayed(replay_text, text) == replayed(replay, str(path)) == f"Corrupt: {expected}"
+    assert main(["replay", "--trace", str(path)]) == 3
+    assert capsys.readouterr().err == f"corrupt trace: {expected}\n"
+
+
 def test_a_byte_that_is_not_utf8_past_the_first_piece_is_corrupt_at_its_piece(
         tmp_path, monkeypatch, lossy_text):
     """replay reads the file a piece at a time: a byte that is not UTF-8 in a
@@ -362,7 +418,6 @@ def test_a_bad_row_past_the_first_chunk_raises_at_its_line(monkeypatch):
     the same line and the same message."""
     monkeypatch.setattr(kernel, "READ_CHUNK", 4096)
     lines = long_trace(2000).serialize().split("\n")
-    lines.insert(1500, "")  # blank lines are skipped but counted
     # The bad row is the first, a middle or the last line of the chunk that
     # holds line 1701. It takes the place of a row, padded to its length, so
     # that every chunk keeps its lines.
@@ -427,27 +482,20 @@ def test_read_rows_memory_follows_the_chunk_not_the_text(monkeypatch, source):
     assert read_peak(longer) < 1.1 * read_peak(SOURCES[source](short))
 
 
-@pytest.fixture(scope="module")
-def congested_run():
-    """The report, trace and preamble of field_congested at seed 1, whose text
-    is about 15.5 MB."""
-    return run_traced(shipped("field_congested"), 1)
-
-
-def test_writing_a_run_holds_one_block_of_its_text(congested_run, tmp_path):
+def test_writing_a_run_holds_one_block_of_its_text(tmp_path):
     """`rrrt run --out` writes trace.csv as its blocks are formed: writing the
     four files peaks at 2 MB of new memory, not the text and its bytes."""
-    report, trace, preamble = congested_run
+    report, trace, preamble = congested_run()
     _, peak = traced_peak(lambda: _write_outputs(str(tmp_path), preamble, report.to_dict(), trace))
     assert peak <= 2e6
     assert (tmp_path / "trace.csv").stat().st_size > 15e6
 
 
-def test_replaying_a_written_trace_holds_one_chunk_of_it(congested_run, tmp_path):
+def test_replaying_a_written_trace_holds_one_chunk_of_it(tmp_path):
     """`rrrt replay` reads trace.csv a piece at a time: replaying
     field_congested's 15.5 MB file gives the run's report and peaks at 2 MB
     of new memory, not the text and its records."""
-    report, trace, preamble = congested_run
+    report, trace, preamble = congested_run()
     path = tmp_path / "trace.csv"
     with open(path, "w", encoding="utf-8", newline="") as fp:
         trace.write_to(fp, preamble)
@@ -456,10 +504,10 @@ def test_replaying_a_written_trace_holds_one_chunk_of_it(congested_run, tmp_path
     assert peak <= 2e6
 
 
-def test_auditing_a_run_holds_no_table_the_size_of_its_trace(congested_run):
+def test_auditing_a_run_holds_no_table_the_size_of_its_trace():
     """The audit indexes its copy and pid tables by id: 90k copies and 45k
     pids peak at 2 MB of new memory, where hash tables took 12 MB."""
-    trace = congested_run[1]
+    trace = congested_run()[1]
     counts, peak = traced_peak(lambda: audit_trace(trace))
     assert counts["copies_sent"] > 90_000 and counts["generated"] > 45_000
     assert peak <= 2e6
