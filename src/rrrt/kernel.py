@@ -239,8 +239,16 @@ def _refuse(rows: Iterable[tuple]) -> None:
 
 
 def format_preamble(preamble: Optional[dict]) -> str:
-    """The `# key=value` lines that head every CSV output; read_rows() reads them."""
-    return "".join(f"# {key}={val}\n" for key, val in (preamble or {}).items())
+    """The `# key=value` lines that head every CSV output; read_rows() reads them.
+
+    A key that holds `=` or a line break, or a value that holds a line break,
+    raises ValueError: read_rows splits a line at its first `=` and ends it at
+    a line break, so it could not read the entry back."""
+    entries = [(str(key), str(val)) for key, val in (preamble or {}).items()]
+    for key, val in entries:
+        if "=" in key or "\n" in key + val:
+            raise ValueError(f"preamble entry {key!r}: {val!r} would not read back")
+    return "".join(f"# {key}={val}\n" for key, val in entries)
 
 
 def open_text(path: str, mode: str = "r") -> TextIO:

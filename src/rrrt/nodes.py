@@ -41,6 +41,7 @@ copy.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from random import Random
 from typing import Optional
@@ -402,11 +403,10 @@ class TransportSenderApp:
         self.sack_enabled = sack_enabled
         self.total = goal.b_remaining
         self.next_new = 1
-        self.retx_buffer: dict[int, float] = {}  # unacked seq -> last send time
-        # (pid, generation time) of each seq in retx_buffer, for its retransmissions
-        self.origin: dict[int, tuple[int, float]] = {}
+        # unacked seq -> [last send time, pid, generation time]; the send time is
+        # math.inf while the seq waits in retx_queue, so no SACK reports it again
+        self.retx_buffer: dict[int, list] = {}
         self.retx_queue: deque[int] = deque()
-        self.queued: set[int] = set()
         self.last_fb_arrival = 0.0  # the last feedback's arrival, or start() before one
         self.retx_count = 0
         self.deadline_logged = False
@@ -466,15 +466,11 @@ class TransportSenderApp:
             return
         if self.sack_enabled:
             batch = tp.on_sack(self.state, sack, self.retx_buffer, now)
-            if len(self.origin) > len(self.retx_buffer):  # forget what on_sack acked
-                for seq in [seq for seq in self.origin if seq not in self.retx_buffer]:
-                    del self.origin[seq]
             tail = tp.overdue_tail(self.state, sack, self.retx_buffer, now,
                                    all_sent=self.next_new > self.total)
             for seq in batch + tail:
-                if seq not in self.queued:
-                    self.queued.add(seq)
-                    self.retx_queue.append(seq)
+                self.retx_buffer[seq][0] = math.inf
+                self.retx_queue.append(seq)
         self._log_state(now, fb.r_f)
         self._ensure_pacing(now)
 
@@ -512,11 +508,10 @@ class TransportSenderApp:
         sim = self.runtime.sim
         if self.retx_queue:
             seq = self.retx_queue.popleft()
-            self.queued.discard(seq)
             if seq not in self.retx_buffer:  # acked while waiting in the queue
                 return
             self.retx_count += 1
-            pid, gen_time = self.origin[seq]
+            _, pid, gen_time = self.retx_buffer[seq]
         else:
             seq = self.next_new
             self.next_new += 1
@@ -525,8 +520,7 @@ class TransportSenderApp:
         pkt = Packet(pid=pid, flow="xfer", src=self.node, dst=self.peer,
                      gen_time=gen_time, seq=seq, bottleneck_delay=0.0)
         if self.sack_enabled:  # without SACK nothing is ever retransmitted
-            self.retx_buffer[seq] = now
-            self.origin[seq] = (pid, gen_time)
+            self.retx_buffer[seq] = [now, pid, gen_time]
         self.runtime.forward_data(self.node, pkt)
 
     # connection.csv's header: `time`, then a column for each field of the info
@@ -541,8 +535,8 @@ class TransportSenderApp:
 
     def log_pending(self) -> None:
         sim = self.runtime.sim
-        for seq in sorted(self.retx_buffer):
-            sim.trace.log(sim.now, self.node, "pending", self.origin[seq][0], -1, "unacked")
+        for seq, (_, pid, _) in sorted(self.retx_buffer.items()):
+            sim.trace.log(sim.now, self.node, "pending", pid, -1, "unacked")
 
     def on_frequency(self, f_new: float, now: float) -> None:
         pass
@@ -558,24 +552,21 @@ class TransportReceiverApp:
         self.peer = peer
         self.t_fdbk = t_fdbk
         self.received = tp.ReceivedRuns()
-        self.path: Optional[Packet] = None  # latest arrival carrying a path measurement
+        # latest arrival: each crossed a relay, which set its bottleneck delay above 0
+        self.path: Optional[Packet] = None
 
     def start(self, now: float) -> None:
         self.runtime.sim.schedule(now + self.t_fdbk, "app", self.node, "fb_tick")
 
-    def _note_path(self, pkt: Packet) -> None:
-        if pkt.bottleneck_delay is not None and pkt.bottleneck_delay > 0.0:
-            self.path = pkt
-
     def on_packet(self, pkt: Packet, now: float) -> None:
-        self._note_path(pkt)
+        self.path = pkt
         if not self.received.add(pkt.seq):
             return  # duplicate: already handed to the application
         self.runtime.sim.trace.append_row((now, self.node, "deliver", pkt.pid, -1, "",
                                            pkt.gen_time, pkt.flow))
 
     def on_control(self, pkt: Packet, now: float) -> None:
-        self._note_path(pkt)  # only probes are addressed to the receiver
+        self.path = pkt  # only probes are addressed to the receiver
         self._send_feedback(now)
 
     def on_event(self, sim: Simulator, tag: str) -> None:

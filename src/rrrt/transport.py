@@ -13,6 +13,10 @@ The receiver's scoreboard (`ReceivedRuns`) is a cumulative ack plus the sorted
 disjoint runs received above the first hole, merged on each arrival, so
 building a SACK costs O(blocks) and the sender's `on_sack` walks only its
 unacked entries (SACK blocks as in RFC 2018, the scoreboard as in RFC 6675).
+The sender keeps one record per unacked sequence in its retransmission
+buffer, `retx_buffer[seq] = [last send time, pid, generation time]`; the send
+time is `math.inf` while the sequence waits to be retransmitted, so neither
+`on_sack` nor `overdue_tail` reports it again.
 """
 
 from __future__ import annotations
@@ -63,18 +67,17 @@ class ReceivedRuns:
     """The receiver's scoreboard: every sequence up to `cum`, plus `runs`, the
     sorted, disjoint, non-adjacent [lo, hi] runs received above cum + 1."""
 
-    __slots__ = ("cum", "runs", "count")
+    __slots__ = ("cum", "runs")
 
     def __init__(self, seqs: Iterable[int] = ()):
         self.cum = 0
         self.runs: list[list[int]] = []
-        self.count = 0
         for seq in seqs:
             self.add(seq)
 
     def __len__(self) -> int:
         """Sequences received; the benchmark's tracer reads it for `transport.sack_input_seqs`."""
-        return self.count
+        return self.cum + sum(hi - lo + 1 for lo, hi in self.runs)
 
     def add(self, seq: int) -> bool:
         """Record one arrival (seq >= 1); False when it was already received."""
@@ -84,7 +87,6 @@ class ReceivedRuns:
         i = bisect_left(runs, [seq])  # first run starting at or above seq
         if (i < len(runs) and runs[i][0] == seq) or (i > 0 and runs[i - 1][1] >= seq):
             return False
-        self.count += 1
         joins_next = i < len(runs) and runs[i][0] == seq + 1
         if i == 0 and seq == self.cum + 1:
             self.cum = runs.pop(0)[1] if joins_next else seq
@@ -210,11 +212,12 @@ def build_sack(received: ReceivedRuns) -> SackInfo:
     return SackInfo(received.cum, [(lo, hi) for lo, hi in received.runs])
 
 
-def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float],
+def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, list],
             now: float) -> list[int]:
     """Acknowledged entries leave the buffer; every hole below the highest ack
     that is not already in flight (sent within one RTT estimate) is returned
-    for retransmission, all in one batch."""
+    for retransmission, all in one batch. Each entry is a record whose first
+    field is its last send time: `[send time, pid, generation time]`."""
     top = sack.highest()
     cum = sack.cumulative_ack
     blocks = sack.blocks
@@ -228,16 +231,18 @@ def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float]
             while blocks[b][1] < seq:  # seq <= top keeps b in range
                 b += 1
             if seq < blocks[b][0]:
-                if now - retx_buffer[seq] >= guard:
+                if now - retx_buffer[seq][0] >= guard:
                     batch.append(seq)
                 continue
         del retx_buffer[seq]
     return batch
 
 
-def overdue_tail(state: TransportState, sack: SackInfo, retx_buffer: dict[int, float],
+def overdue_tail(state: TransportState, sack: SackInfo, retx_buffer: dict[int, list],
                  now: float, all_sent: bool) -> list[int]:
-    """Unacked sequences above the highest ack, once every original has gone out.
+    """Unacked sequences above the highest ack, once every original has gone out,
+    past the RTT guard on the first field of their `[send time, pid, generation
+    time]` record. Deletes nothing.
 
     SACK can only describe holes below something it received; losses at the
     very end of the stream surface here instead.
@@ -247,4 +252,4 @@ def overdue_tail(state: TransportState, sack: SackInfo, retx_buffer: dict[int, f
     top = sack.highest()
     guard = state.rtt_estimate
     return [seq for seq in sorted(retx_buffer)
-            if seq > top and now - retx_buffer[seq] >= guard]
+            if seq > top and now - retx_buffer[seq][0] >= guard]

@@ -140,17 +140,17 @@ def build_sack_oracle(received: set[int]) -> SackInfo:
     return SackInfo(cum, blocks)
 
 
-def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, float],
+def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, list],
                    now: float) -> list[int]:
     """Set-based SACK processing: drop every acknowledged sequence from the
-    buffer, then return the holes up to the highest ack that are past the
-    RTT guard, in ascending order."""
+    buffer, then return the holes up to the highest ack whose record's send
+    time is past the RTT guard, in ascending order."""
     for seq in sack.received_set():
         retx_buffer.pop(seq, None)
     top = sack.highest()
     guard = state.rtt_estimate
     return [seq for seq in sorted(retx_buffer)
-            if seq <= top and now - retx_buffer[seq] >= guard]
+            if seq <= top and now - retx_buffer[seq][0] >= guard]
 
 
 def serialize_oracle(records, preamble=None) -> str:

@@ -208,7 +208,7 @@ def test_criterion_5_sack_delivers_every_packet_under_iid_loss():
     for n in range(1, 7):
         for pattern in range(2 ** n):
             received = {seq for seq in range(1, n + 1) if not (pattern >> (seq - 1)) & 1}
-            buffer = {seq: -1.0 for seq in range(1, n + 1) if seq not in received}
+            buffer = {seq: [-1.0, seq, 0.0] for seq in range(1, n + 1) if seq not in received}
             batch = tp.on_sack(state, tp.build_sack(tp.ReceivedRuns(received)), buffer, now=0.0)
             assert batch == sack_holes_oracle(received)
     _passed(5, "1000/1000 unique deliveries at p=0.05/0.2/0.5 x 10 seeds; "

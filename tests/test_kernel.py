@@ -221,11 +221,12 @@ def test_trace_serialize_parse_round_trip():
     trace.log(0.5, "n0", "send", 1, 1, "", 0.125)
     trace.log(0.625, "n1", "receive", 1, 1)
     trace.log(1.0, "sink", "interval", -1, -1, "", None, "i=1;dr_o=3;cond=LowRelCong")
-    text = trace.serialize({"seed": 7, "flow": "data"})
+    # A value may hold an `=` or a carriage return: both read back as written.
+    text = trace.serialize({"seed": 7, "flow": "data", "note": "b=c\rd", "empty": ""})
     parsed, preamble = SimulationTrace.parse(text)
     assert list(parsed) == list(trace)
-    assert preamble["seed"] == "7"
-    assert parsed.serialize({"seed": 7, "flow": "data"}) == text
+    assert preamble == {"seed": "7", "flow": "data", "note": "b=c\rd", "empty": ""}
+    assert parsed.serialize(preamble) == text
     # A node or a reason that would not read back is refused, as an info is,
     # by serialize and by its oracle.
     for bad in [(1.5, "a,b", "generate", 2, -1, "", None, ""),
@@ -275,6 +276,21 @@ def test_a_bad_row_past_the_first_block_is_named_before_its_block_is_written(mon
     assert [block.count("\n") for block in written] == [1, 4, 4]
     with pytest.raises(ValueError, match=message):
         trace.serialize()
+
+
+@pytest.mark.parametrize("preamble", [{"a": "x\ny"}, {"a=b": "c"}, {"a\nb": "c"},
+                                      {"seed": 1, "a": "x\r\ny"}])
+def test_a_preamble_entry_that_would_not_read_back_is_refused(preamble):
+    """read_rows splits a preamble line at its first `=` and ends it at a line
+    break, so serialize and write_to refuse a key that holds either, or a value
+    that holds a line break, before anything is written."""
+    trace = SimulationTrace([(0.25, "n0", "send", 1, 1, "", None, "")])
+    with pytest.raises(ValueError, match="preamble entry"):
+        trace.serialize(preamble)
+    written = []
+    with pytest.raises(ValueError, match="preamble entry"):
+        trace.write_to(SimpleNamespace(write=written.append), preamble)
+    assert written == []
 
 
 def test_a_trace_row_costs_its_fields_and_no_tuple():

@@ -300,6 +300,8 @@ FILE_CASES = {
     # A lone "\r" does not end a line: the flow becomes "xfer\rdata", which no row carries.
     "carriage_return_in_the_preamble": (lambda text: text.replace("=xfer\n", "=xfer\rdata\n"),
                                         False),
+    # The text ends in its first `# k=v` line, with no newline after it.
+    "cut_in_the_preamble": (lambda text: text[:text.index("\n")], True),
 }
 
 

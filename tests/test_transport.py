@@ -32,6 +32,12 @@ def feedback(r_f, hops=2, issued_at=1.0):
     return tp.RateFeedback(r_f=r_f, hop_count=hops, issued_at=issued_at)
 
 
+def records(sent: dict) -> dict:
+    """A retx_buffer of `[send time, pid, generation time]` records, from each
+    seq's send time; the pid is the seq."""
+    return {seq: [time, seq, 0.0] for seq, time in sent.items()}
+
+
 # -- rate floor -------------------------------------------------------------------
 
 @pytest.mark.parametrize("b,delta,expected", [(100, 2.0, 50.0), (0, 2.0, 0.0)])
@@ -218,7 +224,7 @@ def test_build_sack_blocks_partition_received_set():
 
 def test_on_sack_retransmits_exactly_the_holes_in_one_batch():
     state = fresh_state()
-    buffer = {seq: -10.0 for seq in range(1, 10)}
+    buffer = records({seq: -10.0 for seq in range(1, 10)})
     sack = tp.build_sack(tp.ReceivedRuns({1, 2, 3, 5, 6, 9}))
     batch = tp.on_sack(state, sack, buffer, now=0.0)
     assert batch == [4, 7, 8]
@@ -227,18 +233,18 @@ def test_on_sack_retransmits_exactly_the_holes_in_one_batch():
 
 def test_on_sack_complete_ack_empties_buffer():
     state = fresh_state()
-    buffer = {seq: -10.0 for seq in range(1, 6)}
+    buffer = records({seq: -10.0 for seq in range(1, 6)})
     batch = tp.on_sack(state, tp.build_sack(tp.ReceivedRuns({1, 2, 3, 4, 5})), buffer, now=0.0)
     assert batch == [] and buffer == {}
 
 
 def test_duplicate_sack_is_idempotent_within_one_rtt():
     state = fresh_state()
-    buffer = {seq: -10.0 for seq in range(1, 6)}
+    buffer = records({seq: -10.0 for seq in range(1, 6)})
     sack = tp.build_sack(tp.ReceivedRuns({1, 2, 5}))
     first = tp.on_sack(state, sack, buffer, now=0.0)
     assert first == [3, 4]
-    buffer[3] = buffer[4] = 0.0  # retransmitted right away
+    buffer[3][0] = buffer[4][0] = 0.0  # retransmitted right away
     again = tp.on_sack(state, sack, buffer, now=0.05)  # within the RTT estimate
     assert again == []
     later = tp.on_sack(state, sack, buffer, now=0.2)  # past the guard
@@ -250,14 +256,14 @@ def test_on_sack_matches_enumeration_oracle_for_short_streams():
     for n in range(1, 7):
         for pattern in range(2 ** n):
             received = {seq for seq in range(1, n + 1) if not (pattern >> (seq - 1)) & 1}
-            buffer = {seq: -10.0 for seq in range(1, n + 1) if seq not in received}
+            buffer = records({seq: -10.0 for seq in range(1, n + 1) if seq not in received})
             batch = tp.on_sack(state, tp.build_sack(tp.ReceivedRuns(received)), dict(buffer), now=0.0)
             assert batch == sack_holes_oracle(received)
 
 
 def test_overdue_tail_covers_losses_past_the_highest_ack():
     state = fresh_state()
-    buffer = {8: -10.0, 9: -10.0, 10: 0.0}
+    buffer = records({8: -10.0, 9: -10.0, 10: 0.0})
     sack = tp.build_sack(tp.ReceivedRuns({1, 2, 3, 4, 5, 6, 7}))
     assert tp.on_sack(state, sack, buffer, now=0.0) == []
     assert tp.overdue_tail(state, sack, buffer, now=0.0, all_sent=False) == []
@@ -280,7 +286,8 @@ def test_received_runs_and_sack_match_the_set_based_oracles():
         assert len(runs) == len(received)
         sack = tp.build_sack(runs)
         assert sack == build_sack_oracle(received)
-        buffer = {seq: -rng.uniform(0.0, 0.2) for seq in range(1, 46) if rng.random() < 0.5}
+        buffer = records({seq: -rng.uniform(0.0, 0.2) for seq in range(1, 46)
+                          if rng.random() < 0.5})
         expected_buffer = dict(buffer)
         expected = on_sack_oracle(state, sack, expected_buffer, now=0.0)
         assert tp.on_sack(state, sack, buffer, now=0.0) == expected
@@ -308,22 +315,21 @@ def test_transfer_never_rebuilds_the_received_set(monkeypatch):
 
 
 def test_sender_keeps_pid_and_gen_time_only_for_unacked_sequences():
-    """The sender's per-sequence origin map follows retx_buffer, so its memory follows
-    the packets in flight, not the transfer; with SACK off it keeps none."""
+    """retx_buffer holds one record per unacked sequence, so the sender's memory
+    follows the packets in flight, not the transfer; with SACK off it keeps none."""
     cfg = parse_scenario(os.path.join(SCENARIO_DIR, "transport_lossy.cfg"))
     harness = build_transport(cfg, 1)
     sender = harness.sender
     widest = 0
     for piece in range(1, 41):
         harness.sim.run_until(cfg.sim.horizon * piece / 40)
-        assert sender.origin.keys() == sender.retx_buffer.keys()
         widest = max(widest, len(sender.retx_buffer))
     assert 0 < widest < cfg.transport.goal_packets
-    assert len(sender.origin) == len(sender.retx_buffer)
     cfg.switches.sack = False
     harness = build_transport(cfg, 1)
     harness.sim.run_until(cfg.sim.horizon)
-    assert not harness.sender.origin
+    assert harness.sender.next_new > cfg.transport.goal_packets
+    assert not harness.sender.retx_buffer
 
 
 # -- sim-level contracts ------------------------------------------------------------------
@@ -475,7 +481,8 @@ def test_stale_feedback_leaves_the_sender_unchanged():
     harness, sender = lossy_sender_with_retransmissions_queued()
     sim = harness.sim
     state = copy.copy(sender.state)
-    queue, buffered, rows = list(sender.retx_queue), dict(sender.retx_buffer), len(sim.trace)
+    queue, rows = list(sender.retx_queue), len(sim.trace)
+    buffered = copy.deepcopy(sender.retx_buffer)  # the records by value, not the same lists
     stale = tp.RateFeedback(r_f=state.r_c * 2, hop_count=1, issued_at=state.last_feedback_issued)
     sender.on_control(feedback_packet(sender, stale, tp.SackInfo(sender.next_new - 1, [])),
                       sim.now)
@@ -496,9 +503,23 @@ def test_a_sequence_acked_while_queued_is_not_retransmitted():
     assert sender.retx_queue[0] == seq and seq not in sender.retx_buffer
     retx_count, rows = sender.retx_count, len(sim.trace)
     sender.on_event(sim, "pace")
-    assert seq not in sender.queued and seq not in sender.retx_queue
+    assert seq not in sender.retx_queue
     assert sender.retx_count == retx_count
     assert len(sim.trace) == rows
+
+
+def test_a_queued_sequence_is_not_queued_again():
+    """A fresh feedback whose SACK still reports the head of retx_queue as a
+    hole, past the RTT guard, leaves it in the queue once."""
+    harness, sender = lossy_sender_with_retransmissions_queued()
+    sim = harness.sim
+    seq = sender.retx_queue[0]
+    fresh = tp.RateFeedback(r_f=sender.state.r_c, hop_count=sender.state.m, issued_at=sim.now)
+    sack = tp.SackInfo(seq - 1, [(seq + 1, seq + 1)])
+    later = sim.now + sender.state.rtt_estimate  # past the guard for any send so far
+    sender.on_control(feedback_packet(sender, fresh, sack), later)
+    assert sender.state.last_feedback_issued == sim.now  # the feedback was applied
+    assert seq in sender.retx_buffer and list(sender.retx_queue).count(seq) == 1
 
 
 def test_a_fixed_sender_with_no_goal_sends_nothing():

@@ -33,14 +33,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rrrt"
 
 
+def docstring_nodes(tree: ast.Module) -> list[ast.Expr]:
+    """The docstring statement of the module and of each class and function."""
+    return [node.body[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)]
+
+
 def statement_spans(tree: ast.Module) -> list[tuple[int, range]]:
     """(first line, lines whose event means it ran) of each counted statement."""
-    docstrings = {id(node.body[0]) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)
-                  and isinstance(node.body[0].value, ast.Constant)
-                  and isinstance(node.body[0].value.value, str)}
+    docstrings = {id(node) for node in docstring_nodes(tree)}
     spans = []
     for node in ast.walk(tree):
         if (not isinstance(node, ast.stmt) or id(node) in docstrings
