@@ -48,7 +48,7 @@ class NodeBuffer:
     __slots__ = ("capacity", "occupancy", "prev_occupancy", "epoch_len", "cn", "busy_until",
                  "due", "_epoch")
 
-    def __init__(self, capacity: int, epoch_len: float = 0.1):
+    def __init__(self, capacity: int, epoch_len: float):
         self.capacity = capacity
         self.occupancy = 0
         self.prev_occupancy = 0

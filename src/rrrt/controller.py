@@ -28,7 +28,7 @@ from enum import Enum
 from .errors import InconsistentStats, InvalidTarget
 from .kernel import decode_info
 from .packet import Packet
-from .scenario import BudgetCfg, ControllerCfg
+from .scenario import BudgetCfg, ControllerCfg, SwitchesCfg
 
 
 class NetworkCondition(Enum):
@@ -79,9 +79,10 @@ def classify_condition(alpha: float, cn: bool, beta: float) -> NetworkCondition:
 
 
 def update_frequency(cond: NetworkCondition, stats: IntervalStats, ctl: ControllerCfg,
-                     eq4_alt: bool = False, eq6_alt: bool = False) -> tuple[float, int]:
+                     switches: SwitchesCfg) -> tuple[float, int]:
     """Next reporting frequency and next same-condition counter for the
-    interval `stats` describes, which ran at `stats.f_i`.
+    interval `stats` describes, which ran at `stats.f_i`, under the rule
+    variants `switches.eq4_alt` and `switches.eq6_alt` select.
 
     The result is clamped into [f_min, f_cap]. Zero on-time packets without
     congestion jump straight to f_cap (maximal recovery); the congested
@@ -98,7 +99,7 @@ def update_frequency(cond: NetworkCondition, stats: IntervalStats, ctl: Controll
         x_next = 1
     elif cond is NetworkCondition.EARLY_REL_CONG:
         first = f_i * (stats.t_i / ctl.t_sa)
-        second = f_i * (ctl.dr_d / stats.dr_o) if eq4_alt else first
+        second = f_i * (ctl.dr_d / stats.dr_o) if switches.eq4_alt else first
         f_next = min(first, second)
         x_next = 1
     elif cond is NetworkCondition.LOW_REL_NO_CONG:
@@ -109,7 +110,7 @@ def update_frequency(cond: NetworkCondition, stats: IntervalStats, ctl: Controll
         x_next = 1
     elif cond is NetworkCondition.LOW_REL_CONG:
         exponent = stats.dr_o / (ctl.dr_d * stats.x)
-        if eq6_alt:
+        if switches.eq6_alt:
             f_next = f_i * stats.dr_o / (ctl.dr_d * stats.x)
         else:
             f_next = min(f_i, f_i ** exponent)
@@ -187,10 +188,9 @@ class IntervalRow:
 class ReliabilityController:
     """Per-sub-sink controller state: the open interval; closed ones go to the trace."""
 
-    def __init__(self, ctl: ControllerCfg, eq4_alt: bool = False, eq6_alt: bool = False):
+    def __init__(self, ctl: ControllerCfg, switches: SwitchesCfg):
         self.ctl = ctl
-        self.eq4_alt = eq4_alt
-        self.eq6_alt = eq6_alt
+        self.switches = switches
         f_i = min(max(ctl.f_init, ctl.f_min), ctl.f_cap)
         self.stats = IntervalStats(index=1, f_i=f_i, start_time=0.0)
 
@@ -202,8 +202,7 @@ class ReliabilityController:
         stats = self.stats
         alpha = reliability_indicator(stats.dr_o, self.ctl.dr_d)
         cond = classify_condition(alpha, stats.cn, self.ctl.beta)
-        f_next, x_next = update_frequency(cond, stats, self.ctl,
-                                          eq4_alt=self.eq4_alt, eq6_alt=self.eq6_alt)
+        f_next, x_next = update_frequency(cond, stats, self.ctl, self.switches)
         row = IntervalRow(
             interval=stats.index, dr_o=stats.dr_o, dr_d=self.ctl.dr_d, alpha=alpha,
             t_i=stats.t_i, cn=stats.cn, condition=cond.value, f_i=stats.f_i, f_next=f_next,

@@ -7,6 +7,7 @@ report from a serialized trace reproduces it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ulp
 from typing import Iterable, Optional
 
 from .controller import IntervalRow, NetworkCondition
@@ -118,7 +119,8 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     per-copy lifecycle (one send, then one receive or drop, or accounted as
     pending at the horizon; at most one receive and one drop; no pending row
     after the receive, and a drop after it only in the receive's instant);
-    strict per-hop causality; packet conservation (every pid generated once,
+    strict per-hop causality, each received copy's hop delay its send's
+    sampled one (below); packet conservation (every pid generated once,
     then delivered, dropped, or pending, exactly one category); unique
     delivery per pid, and only of a pid generated earlier; no generate or
     deliver row of a pid below 0.
@@ -127,6 +129,12 @@ def audit_trace(records: Iterable[tuple]) -> dict:
     `new_pid`): the n-th send row that carries a copy names copy n, and the
     first row to name a pid names the one after the highest pid named so
     far. Each rule is checked on the row that breaks it.
+
+    A copy arrives at `(now + depart) + p_del` and its send samples
+    `depart + p_del`, so the two differ by the roundings of sums as large as
+    the time. They must agree within 1e-9 s, or within four ULPs of the
+    receive time, which is wider only past 2**21 s; the ULPs are computed
+    only for a gap past 1e-9 s.
 
     One rule holds every copy row to its send: a receive, drop or pending row
     that names a copy must come after that copy's send row and carry the
@@ -202,7 +210,8 @@ def audit_trace(records: Iterable[tuple]) -> dict:
                 delay = time - send_time
                 if delay <= 0:
                     raise InvariantViolation(f"copy {copy} arrived without positive delay")
-                if expected is not None and abs(delay - expected) > 1e-9:
+                if (expected is not None and abs(delay - expected) > 1e-9
+                        and abs(delay - expected) > 4 * ulp(time)):
                     raise InvariantViolation(
                         f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
                 copies_received += 1

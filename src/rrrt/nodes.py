@@ -355,10 +355,11 @@ class CrossTrafficSource:
 
 class SubSinkApp:
     """Sub-sink endpoint: interval accounting, frequency updates, broadcasts. Under a
-    delay budget, a data delivery's reason holds its flags (`kernel.ROW_KINDS`)."""
+    delay budget (`budget`, None while budget.delta_e2a is 0), a data delivery's
+    reason holds its flags (`kernel.ROW_KINDS`)."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, controller: ReliabilityController,
-                 budget: Optional[BudgetCfg] = None):
+                 budget: Optional[BudgetCfg]):
         self.runtime = runtime
         self.node = node
         self.controller = controller
@@ -394,7 +395,7 @@ class TransportSenderApp:
     """Rate-controlled reliable sender between two sub-sinks."""
 
     def __init__(self, runtime: NetworkRuntime, node: str, peer: str,
-                 goal: tp.DeliveryGoal, state: tp.TransportState, sack_enabled: bool = True):
+                 goal: tp.DeliveryGoal, state: tp.TransportState, sack_enabled: bool):
         self.runtime = runtime
         self.node = node
         self.peer = peer
@@ -422,7 +423,7 @@ class TransportSenderApp:
 
     def _miss_threshold(self) -> float:
         # one feedback period plus one RTT estimate of grace for control latency
-        return self.state.t_fdbk + self.state.rtt_estimate
+        return self.state.cfg.t_fdbk + self.state.cfg.rtt_estimate
 
     def _send_probe(self, now: float) -> None:
         sim = self.runtime.sim
@@ -439,7 +440,7 @@ class TransportSenderApp:
         elif tag == "probe_tick":
             if self.state.phase is tp.Phase.PROBE:
                 self._send_probe(sim.now)
-                sim.schedule(sim.now + self.state.t_p, "app", self.node, "probe_tick")
+                sim.schedule(sim.now + self.state.cfg.t_p, "app", self.node, "probe_tick")
 
     def _watchdog(self, now: float) -> None:
         sim = self.runtime.sim
@@ -452,8 +453,8 @@ class TransportSenderApp:
         self._log_state(now, 0.0)
         if self.state.phase is tp.Phase.PROBE and not was_probing:
             self._send_probe(now)
-            sim.schedule(now + self.state.t_p, "app", self.node, "probe_tick")
-        sim.schedule(now + self.state.t_fdbk, "app", self.node, "watchdog")
+            sim.schedule(now + self.state.cfg.t_p, "app", self.node, "probe_tick")
+        sim.schedule(now + self.state.cfg.t_fdbk, "app", self.node, "watchdog")
 
     # -- control arrivals -----------------------------------------------------
 

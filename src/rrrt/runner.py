@@ -80,7 +80,7 @@ def build_transport_topology(cfg: ScenarioConfig) -> Topology:
         rate = bit_rate_for_service(service, topo_cfg.ca_value, topo_cfg.packet_len)
         back = bit_rate_for_service(xp.relay_service, topo_cfg.ca_value, topo_cfg.packet_len)
         links.append(Link(a, b, 10.0, rate, service, loss=loss))
-        links.append(Link(b, a, 10.0, back, xp.relay_service))
+        links.append(Link(b, a, 10.0, back, xp.relay_service, 0.0))  # the return path loses nothing
     topo = Topology(chain, links, _ca_model(cfg))
     topo.build_routes([XP_SENDER, XP_RECEIVER])
     return topo
@@ -117,8 +117,7 @@ def build_field(cfg: ScenarioConfig, seed: int) -> Harness:
                              cfg.congestion.buffer_capacity, cfg.congestion.epoch)
     runtime.children = topo.downstream_children(SINK)
 
-    controller = ReliabilityController(cfg.controller, eq4_alt=cfg.switches.eq4_alt,
-                                       eq6_alt=cfg.switches.eq6_alt)
+    controller = ReliabilityController(cfg.controller, cfg.switches)
     budget = cfg.budget if cfg.budget.delta_e2a > 0 else None
     sink_app = SubSinkApp(runtime, SINK, controller, budget)
     runtime.apps[SINK] = sink_app
@@ -150,11 +149,9 @@ def build_transport(cfg: ScenarioConfig, seed: int) -> Harness:
     runtime.apps[XP_RECEIVER] = receiver
     if xp.sender == "adaptive":
         goal = tp.DeliveryGoal(xp.goal_packets, xp.delta_e2a)
-        state = tp.start_connection(goal, 0.0, xp.rtt_estimate, xp.t_fdbk, xp.t_p,
-                                    hold_band=xp.hold_band,
-                                    decrease_factor=xp.decrease_factor)
+        state = tp.start_connection(goal, 0.0, xp)
         sender = TransportSenderApp(runtime, XP_SENDER, XP_RECEIVER, goal, state,
-                                    sack_enabled=cfg.switches.sack)
+                                    cfg.switches.sack)
     else:
         sender = FixedRateSenderApp(runtime, XP_SENDER, XP_RECEIVER, xp.goal_packets,
                                     xp.fixed_rate)

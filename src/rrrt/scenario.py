@@ -18,6 +18,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .errors import ScenarioInvalid, UnknownParameter, Validation
+from .kernel import open_text
 
 
 # Each interval a key's domain can be, in the README's notation -> (its low
@@ -263,7 +264,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fp:
+    """parse_scenario_text of the file, opened by open_text: the carriage
+    return of a CRLF line break is read, and stripped with the line's blanks."""
+    with open_text(path) as fp:
         return parse_scenario_text(fp.read())
 
 

@@ -29,9 +29,9 @@ from .kernel import SIGNAL_SPEED
 class CaModel:
     """Channel-access delay distribution: fixed(value) or exponential(mean) truncated at cap."""
 
-    kind: str = "exponential"  # "fixed" | "exponential"
-    value: float = 0.002
-    cap: float = 0.050
+    kind: str  # "fixed" | "exponential"
+    value: float
+    cap: float
 
     def sample(self, rng) -> float:
         if self.kind == "fixed":
@@ -51,9 +51,9 @@ class Link:
     src: str
     dst: str
     distance: float
-    bit_rate: float = 250_000.0
-    service_rate: float = 200.0
-    loss: float = 0.0
+    bit_rate: float
+    service_rate: float
+    loss: float
 
     def propagation(self) -> float:
         return self.distance / SIGNAL_SPEED
@@ -68,7 +68,7 @@ class Fault:
 class Topology:
     """Static node/link/route tables with fault state."""
 
-    def __init__(self, nodes: list[str], links: list[Link], ca_model: CaModel = CaModel()):
+    def __init__(self, nodes: list[str], links: list[Link], ca_model: CaModel):
         self.nodes: dict[str, None] = {}  # insertion-ordered ids, O(1) membership
         for node in nodes:
             if node in self.nodes:

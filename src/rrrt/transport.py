@@ -17,6 +17,13 @@ The sender keeps one record per unacked sequence in its retransmission
 buffer, `retx_buffer[seq] = [last send time, pid, generation time]`; the send
 time is `math.inf` while the sequence waits to be retransmitted, so neither
 `on_sack` nor `overdue_tail` reports it again.
+
+The sender's `TransportState` holds what changes during a connection (phase,
+current rate `r_c`, deadline floor `r_min`, the step divisor `m`, silent
+feedback periods, the last feedback's issue time) and the scenario's
+`TransportCfg` once, as `cfg`: every rule reads its RTT estimate, feedback
+and probe periods, hold band and decrease factor there, and no value of it
+has a second copy or a default here.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Iterable
 
 from .errors import DeadlineExpired, DegenerateProbe, StaleFeedback
 from .packet import Packet
+from .scenario import TransportCfg
 
 
 class Phase(Enum):
@@ -115,13 +123,9 @@ class TransportState:
     phase: Phase
     r_c: float
     r_min: float
-    rtt_estimate: float
-    t_fdbk: float
-    t_p: float
+    cfg: TransportCfg  # read, never written
     m: int = 1
     missed_feedback: int = 0
-    hold_band: float = 0.02
-    decrease_factor: float = 0.5
     last_feedback_issued: float = -math.inf
 
 
@@ -134,18 +138,14 @@ def min_transmission_rate(b: float, delta_re2a: float) -> float:
     return b / delta_re2a
 
 
-def start_connection(goal: DeliveryGoal, now: float, rtt_estimate: float,
-                     t_fdbk: float, t_p: float, hold_band: float = 0.02,
-                     decrease_factor: float = 0.5) -> TransportState:
+def start_connection(goal: DeliveryGoal, now: float, cfg: TransportCfg) -> TransportState:
     """Fresh sender state: probing, no data until the first rate feedback."""
-    if t_fdbk <= rtt_estimate:
+    if cfg.t_fdbk <= cfg.rtt_estimate:
         raise ValueError("feedback period must exceed the round-trip estimate")
-    if t_p <= rtt_estimate:
+    if cfg.t_p <= cfg.rtt_estimate:
         raise ValueError("probe period must exceed the round-trip estimate")
     r_min = min_transmission_rate(goal.b_remaining, goal.delta_re2a(now))
-    return TransportState(
-        phase=Phase.START_UP, r_c=0.0, r_min=r_min, rtt_estimate=rtt_estimate,
-        t_fdbk=t_fdbk, t_p=t_p, hold_band=hold_band, decrease_factor=decrease_factor)
+    return TransportState(phase=Phase.START_UP, r_c=0.0, r_min=r_min, cfg=cfg)
 
 
 def on_probe_forward(probe: Packet, node_delay: float) -> Packet:
@@ -182,7 +182,7 @@ def apply_rate_feedback(state: TransportState, fb: RateFeedback) -> TransportSta
         state.phase = Phase.HOLD
         return state
     gap = fb.r_f - state.r_c
-    if abs(gap) <= state.hold_band * fb.r_f:
+    if abs(gap) <= state.cfg.hold_band * fb.r_f:
         state.phase = Phase.HOLD
     elif gap > 0:
         state.phase = Phase.INCREASE
@@ -198,7 +198,7 @@ def on_feedback_timeout(state: TransportState, now: float) -> TransportState:
     if state.missed_feedback >= 2:
         return state
     state.missed_feedback += 1
-    state.r_c = max(state.r_c * state.decrease_factor, state.r_min)
+    state.r_c = max(state.r_c * state.cfg.decrease_factor, state.r_min)
     if state.missed_feedback == 2:
         state.phase = Phase.PROBE
     return state
@@ -221,7 +221,7 @@ def on_sack(state: TransportState, sack: SackInfo, retx_buffer: dict[int, list],
     top = sack.highest()
     cum = sack.cumulative_ack
     blocks = sack.blocks
-    guard = state.rtt_estimate
+    guard = state.cfg.rtt_estimate
     batch: list[int] = []
     b = 0
     for seq in sorted(retx_buffer):
@@ -250,6 +250,6 @@ def overdue_tail(state: TransportState, sack: SackInfo, retx_buffer: dict[int, l
     if not all_sent:
         return []
     top = sack.highest()
-    guard = state.rtt_estimate
+    guard = state.cfg.rtt_estimate
     return [seq for seq in sorted(retx_buffer)
             if seq > top and now - retx_buffer[seq][0] >= guard]

@@ -148,7 +148,7 @@ def on_sack_oracle(state, sack: SackInfo, retx_buffer: dict[int, list],
     for seq in sack.received_set():
         retx_buffer.pop(seq, None)
     top = sack.highest()
-    guard = state.rtt_estimate
+    guard = state.cfg.rtt_estimate
     return [seq for seq in sorted(retx_buffer)
             if seq <= top and now - retx_buffer[seq][0] >= guard]
 
@@ -326,7 +326,7 @@ def audit_trace_oracle(trace) -> dict:
             if delay <= 0:
                 raise InvariantViolation(f"copy {copy} arrived without positive delay")
             expected = rec[6]  # send records carry the sampled hop delay in `value`
-            if expected is not None and abs(delay - expected) > 1e-9:
+            if expected is not None and abs(delay - expected) > max(1e-9, 4 * math.ulp(got[0])):
                 raise InvariantViolation(
                     f"copy {copy} hop delay {delay} != sampled breakdown {expected}")
 

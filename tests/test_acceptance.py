@@ -17,7 +17,7 @@ from rrrt.kernel import decode_info
 from rrrt.metrics import audit_trace
 from rrrt.packet import Packet
 from rrrt.runner import build_transport, replay_text, run_experiment
-from rrrt.scenario import ControllerCfg, ScenarioConfig
+from rrrt.scenario import ControllerCfg, ScenarioConfig, SwitchesCfg, TransportCfg
 from oracles import (intervals_to_adequate, sack_holes_oracle, update_law_transcription)
 from util import run_and_serialize
 
@@ -96,7 +96,7 @@ def test_criterion_1_update_law_matches_transcription_oracle():
         ctl = ControllerCfg(dr_d=dr_d, t_sa=t_sa, beta=beta, f_min=f_min, f_cap=f_cap)
         stats = IntervalStats(index=1, f_i=f_i, dr_o=dr_o, t_i=t_i, cn=cn, x=x)
         cond = classify_condition(dr_o / dr_d, cn, beta)
-        got_f, got_x = update_frequency(cond, stats, ctl)
+        got_f, got_x = update_frequency(cond, stats, ctl, SwitchesCfg())
         want_f, want_x = update_law_transcription(
             f_i, dr_o, dr_d, t_i, t_sa, cn, beta, x, f_min, f_cap)
         assert got_x == want_x
@@ -113,19 +113,20 @@ def test_criterion_2_spot_formula_checks():
     ctl = ControllerCfg(dr_d=100, t_sa=1.0, beta=0.05, f_min=1e-9, f_cap=1e9)
 
     f3, _ = update_frequency(classify_condition(1.5, False, 0.05),
-                             IntervalStats(1, 10.0, dr_o=150, t_i=0.5), ctl)
+                             IntervalStats(1, 10.0, dr_o=150, t_i=0.5), ctl, SwitchesCfg())
     assert f3 == 5.0
 
     f5, _ = update_frequency(classify_condition(0.8, False, 0.05),
-                             IntervalStats(1, 4.0, dr_o=80), ctl)
+                             IntervalStats(1, 4.0, dr_o=80), ctl, SwitchesCfg())
     assert f5 == 5.0
 
     f6, x6 = update_frequency(classify_condition(0.5, True, 0.05),
-                              IntervalStats(1, 16.0, dr_o=50, cn=True, x=2), ctl)
+                              IntervalStats(1, 16.0, dr_o=50, cn=True, x=2), ctl,
+                              SwitchesCfg())
     assert f6 == 2.0 and x6 == 3
 
     f7, _ = update_frequency(classify_condition(1.0, False, 0.05),
-                             IntervalStats(1, 7.0, dr_o=100), ctl)
+                             IntervalStats(1, 7.0, dr_o=100), ctl, SwitchesCfg())
     assert f7 == 7.0
     _passed(2, "frequency-update spot values are exact (5.0, 5.0, 2.0, fixed point)")
 
@@ -203,8 +204,7 @@ def test_criterion_5_sack_delivers_every_packet_under_iid_loss():
                 f"loss {loss} seed {seed}: {report.aggregate_throughput}/1000 delivered")
     # exhaustive loss-pattern enumeration on short streams: the holes of every
     # pattern come back from one SACK, in one batch
-    state = tp.TransportState(phase=tp.Phase.HOLD, r_c=10.0, r_min=1.0,
-                              rtt_estimate=0.1, t_fdbk=0.5, t_p=1.0)
+    state = tp.TransportState(phase=tp.Phase.HOLD, r_c=10.0, r_min=1.0, cfg=TransportCfg())
     for n in range(1, 7):
         for pattern in range(2 ** n):
             received = {seq for seq in range(1, n + 1) if not (pattern >> (seq - 1)) & 1}
@@ -223,7 +223,7 @@ def test_criterion_6_rate_control_convergence_floor_and_blackout():
     for hops in (1, 2, 3, 4, 7):
         m = min(hops, 4)
         state = tp.TransportState(phase=tp.Phase.HOLD, r_c=r_c0, r_min=1.0,
-                                  rtt_estimate=0.1, t_fdbk=0.5, t_p=1.0, hold_band=0.0)
+                                  cfg=TransportCfg(hold_band=0.0))
         for k in range(1, 15):
             tp.apply_rate_feedback(state, tp.RateFeedback(r_f, hops, float(k)))
             want = abs(r_f - r_c0) * (1.0 - 1.0 / m) ** k
@@ -242,14 +242,12 @@ def test_criterion_6_rate_control_convergence_floor_and_blackout():
                 assert float(fields["r_c"]) >= float(fields["r_min"]) - 1e-9
 
     # exactly two silent feedback periods: Probe at a quarter of the rate
-    state = tp.TransportState(phase=tp.Phase.HOLD, r_c=100.0, r_min=10.0,
-                              rtt_estimate=0.1, t_fdbk=0.5, t_p=1.0)
+    state = tp.TransportState(phase=tp.Phase.HOLD, r_c=100.0, r_min=10.0, cfg=TransportCfg())
     tp.on_feedback_timeout(state, 1.0)
     assert state.phase is not tp.Phase.PROBE and state.r_c == 50.0
     tp.on_feedback_timeout(state, 1.5)
     assert state.phase is tp.Phase.PROBE and state.r_c == 25.0
-    clamped = tp.TransportState(phase=tp.Phase.HOLD, r_c=100.0, r_min=30.0,
-                                rtt_estimate=0.1, t_fdbk=0.5, t_p=1.0)
+    clamped = tp.TransportState(phase=tp.Phase.HOLD, r_c=100.0, r_min=30.0, cfg=TransportCfg())
     tp.on_feedback_timeout(clamped, 1.0)
     tp.on_feedback_timeout(clamped, 1.5)
     assert clamped.r_c == 30.0  # quartering clamped at the floor

@@ -11,7 +11,10 @@ from rrrt.congestion import DROPPED, ENQUEUED, NodeBuffer, congestion_flag, mark
 from rrrt.errors import InvariantViolation
 from rrrt.kernel import Simulator
 from rrrt.packet import Packet
+from rrrt.scenario import ScenarioConfig
 from util import chain_network, data_packet
+
+EPOCH = ScenarioConfig().congestion.epoch
 
 
 def make_packet(cn=False):
@@ -19,21 +22,21 @@ def make_packet(cn=False):
 
 
 def test_enqueue_boundary_fill():
-    buf = NodeBuffer(capacity=100)
+    buf = NodeBuffer(capacity=100, epoch_len=EPOCH)
     buf.occupancy = 99
     assert buf.try_enqueue(0.01) == ENQUEUED
     assert buf.occupancy == 100
 
 
 def test_enqueue_overflow_counts_drop():
-    buf = NodeBuffer(capacity=100)
+    buf = NodeBuffer(capacity=100, epoch_len=EPOCH)
     buf.occupancy = 100
     assert buf.try_enqueue(0.01) == DROPPED
     assert buf.occupancy == 100
 
 
 def test_zero_capacity_drops_everything():
-    buf = NodeBuffer(capacity=0)
+    buf = NodeBuffer(capacity=0, epoch_len=EPOCH)
     for i in range(5):
         assert buf.try_enqueue(0.01 * i) == DROPPED
 
@@ -44,7 +47,7 @@ def test_zero_capacity_drops_everything():
     (100, 80, 90, False),   # draining: 80 - 10 = 70 <= 100
 ])
 def test_congestion_flag_rule(capacity, b_k, b_prev, expected):
-    buf = NodeBuffer(capacity=capacity)
+    buf = NodeBuffer(capacity=capacity, epoch_len=EPOCH)
     buf.occupancy = b_k
     buf.prev_occupancy = b_prev
     assert congestion_flag(buf) is expected
@@ -77,7 +80,7 @@ def test_epoch_sampling_quiet_gap_shortcut():
 
 
 def test_release_below_zero_is_invariant_violation():
-    buf = NodeBuffer(capacity=10)
+    buf = NodeBuffer(capacity=10, epoch_len=EPOCH)
     with pytest.raises(InvariantViolation):
         buf.release(0.0)
 
@@ -103,7 +106,7 @@ def test_occupancy_never_exceeds_capacity_random_walk():
 
 
 def test_settle_releases_a_departure_tied_with_the_event_only_if_queued_before_it():
-    buf = NodeBuffer(capacity=5)
+    buf = NodeBuffer(capacity=5, epoch_len=EPOCH)
     buf.try_enqueue(0.0)
     assert buf.due == []  # every buffer owns its FIFO from construction
     buf.due.append((0.5, 7))  # departs at 0.5 under ordinal 7

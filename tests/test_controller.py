@@ -13,7 +13,7 @@ from rrrt.errors import InconsistentStats, InvalidTarget
 from rrrt.kernel import Simulator
 from rrrt.nodes import SensorSource
 from rrrt.packet import Packet
-from rrrt.scenario import BudgetCfg, ControllerCfg
+from rrrt.scenario import BudgetCfg, ControllerCfg, SwitchesCfg
 from oracles import condition_table
 from util import chain_network
 
@@ -21,6 +21,10 @@ from util import chain_network
 def ctl_cfg(dr_d=100, t_sa=1.0, beta=0.05, f_min=1e-9, f_cap=1e9):
     """A [controller] section; the default frequency bounds are wide enough not to clamp."""
     return ControllerCfg(dr_d=dr_d, t_sa=t_sa, beta=beta, f_min=f_min, f_cap=f_cap)
+
+
+# The switches of the paper's literal Eq 4 and Eq 6, as a scenario declares them by default.
+LITERAL = SwitchesCfg()
 
 
 def stats(dr_o=0, t_i=math.inf, cn=False, x=1, f_i=1.0):
@@ -69,40 +73,41 @@ def test_classifier_totality_matches_decision_table():
 def test_eq3_early_no_congestion_spot():
     f_next, x_next = update_frequency(
         NetworkCondition.EARLY_REL_NO_CONG, stats(dr_o=150, t_i=0.5, f_i=10.0),
-        ctl_cfg(t_sa=1.0))
+        ctl_cfg(t_sa=1.0), LITERAL)
     assert f_next == 5.0 and x_next == 1
 
 
 def test_eq5_low_no_congestion_spot():
     f_next, x_next = update_frequency(
-        NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=80, f_i=4.0), ctl_cfg(dr_d=100))
+        NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=80, f_i=4.0), ctl_cfg(dr_d=100), LITERAL)
     assert f_next == 5.0 and x_next == 1
 
 
 def test_eq6_low_congestion_spot():
     f_next, x_next = update_frequency(
         NetworkCondition.LOW_REL_CONG, stats(dr_o=50, cn=True, x=2, f_i=16.0),
-        ctl_cfg(dr_d=100))
+        ctl_cfg(dr_d=100), LITERAL)
     assert f_next == 2.0 and x_next == 3  # 16 ** (50 / 200)
 
 
 def test_eq7_adequate_is_exact_fixed_point():
     f_next, x_next = update_frequency(
-        NetworkCondition.ADEQUATE_REL_NO_CONG, stats(dr_o=100, f_i=7.0), ctl_cfg())
+        NetworkCondition.ADEQUATE_REL_NO_CONG, stats(dr_o=100, f_i=7.0), ctl_cfg(), LITERAL)
     assert f_next == 7.0 and x_next == 1
 
 
 def test_eq4_literal_equals_eq3_value():
     st = stats(dr_o=150, t_i=0.5, cn=True, f_i=10.0)
-    literal, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg())
+    literal, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg(), LITERAL)
     assert literal == 5.0
-    alt, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg(), eq4_alt=True)
+    alt, _ = update_frequency(NetworkCondition.EARLY_REL_CONG, st, ctl_cfg(),
+                              SwitchesCfg(eq4_alt=True))
     assert alt == min(5.0, 10.0 * 100 / 150)
 
 
 def test_eq6_sub_unity_frequency_never_increases():
     st = stats(dr_o=50, cn=True, x=1, f_i=0.5)
-    f_next, _ = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=100))
+    f_next, _ = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=100), LITERAL)
     assert f_next == 0.5  # raw exponent form would give 0.5**0.5 > 0.5
 
 
@@ -115,7 +120,8 @@ def test_eq6_congested_low_never_raises_frequency_randomized():
         dr_o = rng.randint(0, dr_d - 1)  # strictly low reliability
         x = rng.randint(1, 10)
         st = stats(dr_o=dr_o, cn=True, x=x, f_i=f_i)
-        f_next, x_next = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=dr_d))
+        f_next, x_next = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=dr_d),
+                                          LITERAL)
         assert f_next <= f_i + 1e-15
         assert x_next == x + 1
 
@@ -123,13 +129,13 @@ def test_eq6_congested_low_never_raises_frequency_randomized():
 def test_eq6_alt_multiplicative_form():
     st = stats(dr_o=50, cn=True, x=2, f_i=16.0)
     f_next, x_next = update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(dr_d=100),
-                                      eq6_alt=True)
+                                      SwitchesCfg(eq6_alt=True))
     assert f_next == 16.0 * 50 / 200 and x_next == 3
 
 
 def test_d3_zero_on_time_packets_jump_to_cap():
     f_next, _ = update_frequency(NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=0, f_i=2.0),
-                                 ctl_cfg(f_min=0.1, f_cap=50.0))
+                                 ctl_cfg(f_min=0.1, f_cap=50.0), LITERAL)
     assert f_next == 50.0
 
 
@@ -141,7 +147,7 @@ def test_eq3_contracts_whenever_early():
         f_i = rng.uniform(0.1, 100.0)
         f_next, _ = update_frequency(
             NetworkCondition.EARLY_REL_NO_CONG,
-            stats(dr_o=200, t_i=t_i, f_i=f_i), ctl_cfg(dr_d=100, t_sa=t_sa))
+            stats(dr_o=200, t_i=t_i, f_i=f_i), ctl_cfg(dr_d=100, t_sa=t_sa), LITERAL)
         assert f_next < f_i
 
 
@@ -152,7 +158,8 @@ def test_eq5_expands_whenever_low():
         dr_o = rng.randint(1, dr_d - 1)
         f_i = rng.uniform(0.1, 100.0)
         f_next, _ = update_frequency(
-            NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=dr_o, f_i=f_i), ctl_cfg(dr_d=dr_d))
+            NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=dr_o, f_i=f_i), ctl_cfg(dr_d=dr_d),
+            LITERAL)
         assert f_next > f_i
 
 
@@ -161,28 +168,30 @@ def test_eq6_nonincreasing_in_x_with_unit_limit():
     last = f_i
     for x in (1, 2, 4, 8, 64, 1024):
         f_next, _ = update_frequency(NetworkCondition.LOW_REL_CONG,
-                                     stats(dr_o=50, cn=True, x=x, f_i=f_i), ctl_cfg(dr_d=100))
+                                     stats(dr_o=50, cn=True, x=x, f_i=f_i), ctl_cfg(dr_d=100),
+                                     LITERAL)
         assert f_next <= last + 1e-15
         last = f_next
     f_huge_x, _ = update_frequency(NetworkCondition.LOW_REL_CONG,
                                    stats(dr_o=50, cn=True, x=10 ** 9, f_i=f_i),
-                                   ctl_cfg(dr_d=100))
+                                   ctl_cfg(dr_d=100), LITERAL)
     assert f_huge_x == pytest.approx(1.0, abs=1e-6)
 
 
 def test_results_respect_frequency_bounds():
     high, _ = update_frequency(NetworkCondition.LOW_REL_NO_CONG, stats(dr_o=1, f_i=4.0),
-                               ctl_cfg(dr_d=100, f_min=1.0, f_cap=8.0))
+                               ctl_cfg(dr_d=100, f_min=1.0, f_cap=8.0), LITERAL)
     assert high == 8.0
     low, _ = update_frequency(NetworkCondition.EARLY_REL_NO_CONG,
-                              stats(dr_o=200, t_i=0.01, f_i=4.0), ctl_cfg(f_min=1.0, f_cap=8.0))
+                              stats(dr_o=200, t_i=0.01, f_i=4.0), ctl_cfg(f_min=1.0, f_cap=8.0),
+                              LITERAL)
     assert low == 1.0
 
 
 def test_inconsistent_stats_detected():
     st = stats(dr_o=150, t_i=0.4, cn=True, f_i=4.0)  # reached the target yet classified low
     with pytest.raises(InconsistentStats):
-        update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg())
+        update_frequency(NetworkCondition.LOW_REL_CONG, st, ctl_cfg(), LITERAL)
 
 
 # -- interval accounting ---------------------------------------------------------
@@ -246,7 +255,7 @@ def test_delay_budget_explicit_overrides():
 
 def controller(dr_d=100, f_init=4.0, beta=0.05, f_cap=50.0):
     return ReliabilityController(ControllerCfg(dr_d=dr_d, t_sa=1.0, beta=beta, f_init=f_init,
-                                               f_min=0.1, f_cap=f_cap))
+                                               f_min=0.1, f_cap=f_cap), LITERAL)
 
 
 def test_adequate_interval_is_a_broadcast_fixed_point():

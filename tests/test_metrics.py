@@ -253,6 +253,28 @@ def wrong_hop_delay():
     return trace
 
 
+def hop_off_by_ulps(send_time: float, ulps: int) -> SimulationTrace:
+    """One copy sampled at 0.5 s and received `ulps` ULPs of its send time later."""
+    trace = SimulationTrace()
+    trace.log(send_time, "a", "generate", 1)
+    trace.log(send_time, "a", "send", 1, 1, "", 0.5)
+    arrival = send_time + 0.5 + ulps * math.ulp(send_time)
+    trace.log(arrival, "b", "receive", 1, 1)
+    trace.log(arrival, "b", "deliver", 1, -1, "", send_time, "data")
+    return trace
+
+
+@defect("copy 1 hop delay 0.5000000011641532 != sampled breakdown 0.5")
+def hop_delay_1e_9_off_below_2_to_21_s():
+    """1.16e-9 s off at 2e6 s: four ULPs there are 9.3e-10 s, so 1e-9 s binds."""
+    return hop_off_by_ulps(2e6, 5)
+
+
+@defect("copy 1 hop delay 0.5000000093132257 != sampled breakdown 0.5")
+def hop_delay_5_ulps_off_at_1e7_s():
+    return hop_off_by_ulps(1e7, 5)
+
+
 def copy_logged_with_another_pid(kind):
     trace = SimulationTrace()
     trace.log(0.0, "a", "generate", 1)
@@ -497,10 +519,19 @@ def drop_and_receive_in_one_instant():
     return trace
 
 
+def test_the_hop_delay_tolerance_grows_with_the_time():
+    """Two ULPs of 1e7 s are 3.7e-9 s, past a fixed 1e-9 s tolerance: an
+    arrival written at (now + depart) + p_del and a send's depart + p_del
+    round that far apart once times are that large (the field_baseline
+    scenario with every time scaled by 2**20 wrote such a copy)."""
+    assert audit_trace(hop_off_by_ulps(1e7, 2))["delivered"] == 1
+
+
 # -- the streaming audit against the whole-trace oracle -----------------------
 
 CLEAN = {"conserved": ok_trace, "pending_and_drops": pending_and_drops,
-         "drop_and_receive_in_one_instant": drop_and_receive_in_one_instant}
+         "drop_and_receive_in_one_instant": drop_and_receive_in_one_instant,
+         "hop_delay_2_ulps_off_at_1e7_s": partial(hop_off_by_ulps, 1e7, 2)}
 AUDIT_CASES = ([("shipped", name) for name in SHIPPED]
                + [("fault", case) for case in sorted(FAULT_SHA256, key=repr)]
                + [("clean", name) for name in CLEAN]

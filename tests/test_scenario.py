@@ -1,6 +1,9 @@
 """Scenario parsing, validation, round-tripping and sweeps; the key table
-in the README and the scenarios that `space.scenarios` draws."""
+in the README, the scenarios that `space.scenarios` draws, and every key
+reaching the run it configures."""
 
+import functools
+import hashlib
 import math
 import os
 from collections import defaultdict
@@ -13,7 +16,7 @@ from rrrt.runner import replay_text, run_traced, sweep, sweep_csv
 from rrrt.scenario import (_RULES, INTERVALS, KEYS, MODE_RATES, ScenarioConfig, SweepSpec,
                            get_param, parse_scenario, parse_scenario_text, scenario_hash,
                            serialize_scenario, set_param, validate_scenario)
-from shipped import shipped
+from shipped import SHIPPED, scenario_path, shipped
 from space import UNDRAWN, scenarios
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -120,6 +123,19 @@ def test_round_trip_serialize_parse_equality():
 def test_a_hash_inside_double_quotes_is_not_a_comment():
     cfg = parse_scenario_text('# run "a#b"\n[scenario]  # meta\nname = "a#b" # the name\n')
     assert cfg.scenario.name == "a#b"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_crlf_copy_of_a_shipped_scenario_parses_to_the_same_hash(name, tmp_path):
+    """parse_scenario reads through open_text, which keeps each carriage
+    return; the line's strip drops it, so the CRLF copy is the same
+    configuration."""
+    with open(scenario_path(name), "rb") as fp:
+        text = fp.read()
+    assert b"\r" not in text
+    crlf = tmp_path / f"{name}.cfg"
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert scenario_hash(parse_scenario(str(crlf))) == scenario_hash(shipped(name))
 
 
 def test_get_and_set_param_by_dotted_path():
@@ -375,3 +391,105 @@ def test_scenarios_draw_valid_configurations_that_vary_every_drawn_key():
 
     draw()
     assert sorted(path for path in KEYS if len(seen[path]) < 2) == sorted(UNDRAWN)
+
+
+# -- every key reaches the run ---------------------------------------------------
+
+# The keys that by design change neither the rows nor the report of a run.
+UNREACHED = {
+    "scenario.name": "a label; a run writes it only into the preamble's scenario_hash",
+    "sim.repetitions": "the number of seeds `sweep` runs a cell at; one run never reads it",
+}
+# Some keys act only under another key's value, set in both runs of their case:
+# the budget keys once a budget is on, the silent-feedback decrease once
+# feedback can come later than t_fdbk + rtt_estimate, the probe period once two
+# periods in a row pass silent, fixed_rate once the sender is the fixed one, and
+# eq4_alt once an interval outlasts t_sa (so DR_d / DR_o can undercut T_i / T_sa).
+BUDGET = {"budget.delta_e2a": 0.05}
+LATE_FEEDBACK = {"transport.rtt_estimate": 0.001}
+# key -> (shipped scenario, horizon, the key's value, keys set in both runs):
+# one run with the scenario as shipped and one with the key set to its value
+# must differ in the trace rows or in the report.
+REACH = {
+    "scenario.mode": ("field_congested", 2.0, "transport", {}),
+    "topology.n_sources": ("field_congested", 2.0, 4, {}),
+    "topology.event_radius": ("field_congested", 2.0, 20.0, {}),
+    "topology.layout": ("field_congested", 2.0, "direct", {}),
+    "topology.source_service_rate": ("field_congested", 2.0, 100.0, {}),
+    "topology.relay_service_rate": ("field_congested", 2.0, 60.0, {}),
+    "topology.cross_service_rate": ("field_burst", 1.0, 640.0, {}),
+    "topology.packet_len": ("transport_lossy", 2.0, 500.0, {}),
+    "topology.ctl_len": ("field_congested", 2.0, 100.0, {}),
+    "topology.ca_model": ("field_congested", 2.0, "fixed", {}),
+    "topology.ca_value": ("field_congested", 2.0, 0.001, {}),
+    "topology.ca_cap": ("field_congested", 2.0, 0.001, {}),
+    "topology.link_loss": ("field_congested", 2.0, 0.1, {}),
+    "controller.dr_d": ("field_congested", 2.0, 30, {}),
+    "controller.t_sa": ("field_congested", 2.0, 0.5, {}),
+    "controller.beta": ("field_baseline", 2.0, 0.3, {}),
+    "controller.interval_len": ("field_congested", 2.0, 0.5, {}),
+    "controller.f_init": ("field_congested", 2.0, 10.0, {}),
+    "controller.f_min": ("field_congested", 2.0, 5.0, {}),
+    "controller.f_cap": ("field_baseline", 2.0, 4.5, {}),
+    "congestion.buffer_capacity": ("field_congested", 2.0, 5, {}),
+    "congestion.epoch": ("field_congested", 2.0, 0.2, {}),
+    "cross_traffic.rate": ("field_burst", 1.0, 300.0, {}),
+    "cross_traffic.start": ("field_burst", 1.0, 0.5, {}),
+    "cross_traffic.stop": ("field_burst", 1.0, 0.5, {}),
+    "budget.delta_e2a": ("field_congested", 2.0, 0.05, {}),
+    "budget.ep_del": ("field_congested", 2.0, 0.02, BUDGET),
+    "budget.a_del": ("field_congested", 2.0, 0.02, BUDGET),
+    "transport.relays": ("transport_lossy", 2.0, 1, {}),
+    "transport.bottleneck_service": ("transport_lossy", 2.0, 80.0, {}),
+    "transport.relay_service": ("transport_lossy", 2.0, 300.0, {}),
+    "transport.sender_service": ("transport_lossy", 2.0, 300.0, {}),
+    "transport.capacity": ("transport_lossy", 2.0, 2, {}),
+    "transport.data_loss": ("transport_lossy", 2.0, 0.1, {}),
+    "transport.goal_packets": ("transport_lossy", 2.0, 500, {}),
+    "transport.delta_e2a": ("transport_lossy", 2.0, 30.0, {}),
+    "transport.t_fdbk": ("transport_lossy", 2.0, 0.3, {}),
+    "transport.t_p": ("transport_lossy", 2.0, 0.01,
+                      {**LATE_FEEDBACK, "transport.t_fdbk": 0.0015}),
+    "transport.rtt_estimate": ("transport_lossy", 2.0, 0.3, {}),
+    "transport.decrease_factor": ("transport_lossy", 2.0, 0.25, LATE_FEEDBACK),
+    "transport.hold_band": ("transport_lossy", 2.0, 0.5, {}),
+    "transport.sender": ("transport_comparison", 2.0, "fixed", {}),
+    "transport.fixed_rate": ("transport_comparison", 2.0, 100.0, {"transport.sender": "fixed"}),
+    "energy.e_tx": ("field_congested", 2.0, 1e-4, {}),
+    "energy.e_rx": ("field_congested", 2.0, 1e-4, {}),
+    "sim.horizon": ("field_congested", 2.0, 1.5, {}),
+    "sim.seed": ("field_congested", 2.0, 2, {}),
+    "switches.eq4_alt": ("field_congested", 2.0, True, {"controller.interval_len": 2.0}),
+    "switches.eq6_alt": ("field_burst", 1.0, True, {}),
+    "switches.eq2_mode": ("field_congested", 2.0, "full-sum", BUDGET),
+    "switches.sack": ("transport_lossy", 2.0, False, {}),
+}
+
+
+@functools.cache
+def reach_outcome(name: str, horizon: float, settings: tuple) -> tuple:
+    """sha256 of the rows of `name`'s run to `horizon` with each (path, value)
+    of `settings` set, serialized without the preamble (which carries the
+    scenario_hash), and the run's report."""
+    cfg = shipped(name)
+    cfg.sim.horizon = horizon
+    for path, value in settings:
+        set_param(cfg, path, value)
+    assert validate_scenario(cfg) == []
+    report, trace, _ = run_traced(cfg)
+    return hashlib.sha256(trace.serialize().encode()).hexdigest(), report
+
+
+def test_every_key_has_a_reach_case_or_a_reason_it_has_none():
+    assert sorted([*REACH, *UNREACHED]) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("path", REACH)
+def test_every_scenario_key_reaches_the_run(path):
+    """A component that took a library default, or a hard-coded copy of the
+    shipped value, in place of the key would run both cases alike."""
+    name, horizon, value, given = REACH[path]
+    base = tuple(given.items())
+    assert value != get_param(shipped(name), path)
+    changed = reach_outcome(name, horizon, base + ((path, value),))
+    assert changed != reach_outcome(name, horizon, base)

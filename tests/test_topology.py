@@ -13,8 +13,13 @@ from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service, grid_po
 from util import FIXED_CA, chain_network, data_packet
 
 
+def link(src, dst, distance, bit_rate=250_000.0, service_rate=100.0):
+    """A lossless link whose rates a test does not care about unless it names them."""
+    return Link(src, dst, distance, bit_rate, service_rate, 0.0)
+
+
 def small_chain_topo():
-    links = [Link("A", "B", 30.0, 250_000.0, 100.0), Link("B", "C", 30.0, 250_000.0, 100.0)]
+    links = [link("A", "B", 30.0), link("B", "C", 30.0)]
     topo = Topology(["A", "B", "C"], links, CaModel("fixed", 0.001, 0.001))
     topo.build_routes()
     return topo
@@ -32,7 +37,7 @@ def test_sample_channel_delays_component_formulas():
 
 def test_self_link_is_rejected_and_unknown():
     with pytest.raises(ValueError):
-        Topology(["A"], [Link("A", "A", 0.0)])
+        Topology(["A"], [link("A", "A", 0.0)], FIXED_CA)
     topo = small_chain_topo()
     with pytest.raises(UnknownLink):
         topo.link("A", "A")
@@ -41,12 +46,13 @@ def test_self_link_is_rejected_and_unknown():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: Topology(["A", "B", "A"], []), "duplicate node id"),
-    (lambda: Topology(["A"], [Link("A", "B", 10.0)]), "references unknown node"),
-    (lambda: Topology(["A", "B"], [Link("A", "B", 10.0, bit_rate=0.0)]), "must be positive"),
-    (lambda: Topology(["A", "B"], [Link("A", "B", 10.0, service_rate=-1.0)]),
+    (lambda: Topology(["A", "B", "A"], [], FIXED_CA), "duplicate node id"),
+    (lambda: Topology(["A"], [link("A", "B", 10.0)], FIXED_CA), "references unknown node"),
+    (lambda: Topology(["A", "B"], [link("A", "B", 10.0, bit_rate=0.0)], FIXED_CA),
      "must be positive"),
-    (lambda: Topology(["A", "B"], [Link("A", "B", -1.0)]), "must be positive"),
+    (lambda: Topology(["A", "B"], [link("A", "B", 10.0, service_rate=-1.0)], FIXED_CA),
+     "must be positive"),
+    (lambda: Topology(["A", "B"], [link("A", "B", -1.0)], FIXED_CA), "must be positive"),
     (lambda: small_chain_topo().inject_fault("B", 1.0, "reboot"), "unknown fault mode"),
     # one 2 ms service slot is all channel access, so no bit rate is fast enough
     (lambda: bit_rate_for_service(500.0, 0.002, 1000.0), "unachievable"),
@@ -70,7 +76,7 @@ def test_next_hop_to_self_is_no_route():
 
 
 def test_next_hop_missing_route():
-    topo = Topology(["A", "B"], [Link("A", "B", 10.0)])
+    topo = Topology(["A", "B"], [link("A", "B", 10.0)], FIXED_CA)
     topo.build_routes()
     with pytest.raises(NoRoute):
         topo.next_hop("B", "A")  # only A->B exists
@@ -154,7 +160,7 @@ def no_route_rows(fault):
     """The trace of a packet generated at a node with no link and forwarded
     towards another node. With `fault`, a link the packet never meets is
     crashed first, so the hop asks `next_hop` instead of the hop table."""
-    links = [Link("a", "b", 10.0, 1e6, 100.0), Link("b", "a", 10.0, 1e6, 100.0)]
+    links = [link("a", "b", 10.0, 1e6), link("b", "a", 10.0, 1e6)]
     topo = Topology(["a", "b", "lone"], links, FIXED_CA)
     topo.build_routes()
     sim = Simulator(1)

@@ -12,15 +12,15 @@ from rrrt.kernel import decode_info
 from rrrt.packet import Packet
 from rrrt.metrics import audit_trace
 from rrrt.runner import build_transport, replay_text, run_experiment, run_traced
-from rrrt.scenario import ScenarioConfig, parse_scenario
+from rrrt.scenario import ScenarioConfig, TransportCfg, parse_scenario
 from oracles import build_sack_oracle, on_sack_oracle, sack_holes_oracle
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def fresh_state(r_c=100.0, r_min=10.0, phase=tp.Phase.HOLD, hold_band=0.0):
-    return tp.TransportState(phase=phase, r_c=r_c, r_min=r_min, rtt_estimate=0.1,
-                             t_fdbk=0.5, t_p=1.0, hold_band=hold_band)
+    return tp.TransportState(phase=phase, r_c=r_c, r_min=r_min,
+                             cfg=TransportCfg(hold_band=hold_band))
 
 
 def probe_packet(bottleneck_delay=0.0, hop_count=0):
@@ -54,18 +54,20 @@ def test_min_transmission_rate_expired_deadline():
 
 def test_start_connection_probes_before_any_data():
     goal = tp.DeliveryGoal(b_remaining=100, deadline=2.0)
-    state = tp.start_connection(goal, now=0.0, rtt_estimate=0.05, t_fdbk=0.2, t_p=0.3)
+    cfg = TransportCfg(rtt_estimate=0.05, t_fdbk=0.2, t_p=0.3)
+    state = tp.start_connection(goal, now=0.0, cfg=cfg)
     assert state.phase is tp.Phase.START_UP
     assert state.r_min == 50.0
     assert state.r_c == 0.0
+    assert state.cfg is cfg
 
 
 def test_start_connection_rejects_periods_at_or_below_rtt():
     goal = tp.DeliveryGoal(10, 10.0)
     with pytest.raises(ValueError):
-        tp.start_connection(goal, 0.0, rtt_estimate=0.2, t_fdbk=0.2, t_p=0.5)
+        tp.start_connection(goal, 0.0, TransportCfg(rtt_estimate=0.2, t_fdbk=0.2, t_p=0.5))
     with pytest.raises(ValueError):
-        tp.start_connection(goal, 0.0, rtt_estimate=0.2, t_fdbk=0.5, t_p=0.1)
+        tp.start_connection(goal, 0.0, TransportCfg(rtt_estimate=0.2, t_fdbk=0.5, t_p=0.1))
 
 
 # -- probing -----------------------------------------------------------------------
@@ -516,7 +518,7 @@ def test_a_queued_sequence_is_not_queued_again():
     seq = sender.retx_queue[0]
     fresh = tp.RateFeedback(r_f=sender.state.r_c, hop_count=sender.state.m, issued_at=sim.now)
     sack = tp.SackInfo(seq - 1, [(seq + 1, seq + 1)])
-    later = sim.now + sender.state.rtt_estimate  # past the guard for any send so far
+    later = sim.now + sender.state.cfg.rtt_estimate  # past the guard for any send so far
     sender.on_control(feedback_packet(sender, fresh, sack), later)
     assert sender.state.last_feedback_issued == sim.now  # the feedback was applied
     assert seq in sender.retx_buffer and list(sender.retx_queue).count(seq) == 1

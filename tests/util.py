@@ -15,8 +15,12 @@ from rrrt.kernel import Simulator
 from rrrt.nodes import NetworkRuntime
 from rrrt.packet import Packet
 from rrrt.runner import run_traced, trace_preamble
+from rrrt.scenario import ScenarioConfig
 from rrrt.topology import CaModel, Link, Topology, bit_rate_for_service
 
+# The scenario defaults, the one source of every value a test does not choose itself.
+DEFAULTS = ScenarioConfig()
+# A short fixed channel access, so a chain's delays are known in advance.
 FIXED_CA = CaModel(kind="fixed", value=0.0002, cap=0.0002)
 
 
@@ -40,26 +44,28 @@ class Catcher:
         pass
 
 
-def chain_network(seed=1, services=(100.0, 100.0), capacity=50, ca=FIXED_CA, loss=None,
-                  distance=10.0):
+def chain_network(seed=1, services=(100.0, 100.0), capacity=DEFAULTS.transport.capacity,
+                  ca=FIXED_CA, loss=None, distance=10.0):
     """Linear chain n0 -> n1 -> ... -> nk with one service rate per link, each
-    link `distance` metres long.
+    link `distance` metres long; packet and control lengths and the congestion
+    epoch are the scenario defaults.
 
     Returns (sim, runtime, node names, catcher at the last node).
     """
     count = len(services) + 1
     names = [f"n{i}" for i in range(count)]
+    topo_cfg = DEFAULTS.topology
     links = []
     for i, service in enumerate(services):
-        lr = loss[i] if loss else 0.0
-        rate = bit_rate_for_service(service, ca.value, 1000.0)
-        links.append(Link(names[i], names[i + 1], distance, rate, service, loss=lr))
-        links.append(Link(names[i + 1], names[i], distance, rate, service))
+        lr = loss[i] if loss else topo_cfg.link_loss
+        rate = bit_rate_for_service(service, ca.value, topo_cfg.packet_len)
+        links.append(Link(names[i], names[i + 1], distance, rate, service, lr))
+        links.append(Link(names[i + 1], names[i], distance, rate, service, topo_cfg.link_loss))
     topo = Topology(names, links, ca)
     topo.build_routes()
     sim = Simulator(seed)
-    runtime = NetworkRuntime(sim, topo, packet_len=1000.0, ctl_len=200.0,
-                             buffer_capacity=capacity, epoch_len=0.1)
+    runtime = NetworkRuntime(sim, topo, topo_cfg.packet_len, topo_cfg.ctl_len, capacity,
+                             DEFAULTS.congestion.epoch)
     catcher = Catcher(runtime, names[-1])
     runtime.apps[names[-1]] = catcher
     return sim, runtime, names, catcher
